@@ -371,7 +371,8 @@ def stage_cluster(input_path: str, out: str, cfg: dict, threads: int,
 
 def stage_prior(labels_path: str, out: str, smoothing: str, eps: float,
                 noise_label: int | None, cfg_used: dict) -> None:
-    labels = read_labels(_require(labels_path, "labels file"))
+    labels = read_labels(_require(labels_path, "labels file"), min_label=1,
+                         noise_label=noise_label)
     prior = corpus_prior(labels, smoothing=smoothing, eps=eps,
                          noise_label=noise_label)
     clusters = sorted(prior.sizes)
@@ -394,6 +395,7 @@ def run_selection(
     rarity: str | None = None,
     freeze_votes: bool = False,
     query_row: int | None = None,
+    threads: int = 1,
 ) -> SelectionResult:
     sel_cfg = SelectionConfig(
         budget=int(cfg["budget"]),
@@ -406,14 +408,14 @@ def run_selection(
         seed=seed,
     )
     if rarity is not None:
-        return rarity_controls(x, labels, sel_cfg, rarity)
+        return rarity_controls(x, labels, sel_cfg, rarity, threads=threads)
     if base == "dpp":
         kernel = dpp_kernel(x, scale=sel_cfg.dpp_scale_factor)
         return greedy_dpp_ucs(kernel, labels, sel_cfg)
     if base == "votek":
         prior = corpus_prior(labels, noise_label=sgt.noise_label)
         return votek_ucs_select(x, labels, prior, sel_cfg,
-                                freeze_votes=freeze_votes)
+                                freeze_votes=freeze_votes, threads=threads)
     if base == "subset_utility":
         query = x[query_row] if query_row is not None else x.mean(axis=0)
         candidates = sample_candidate_subsets(
@@ -436,15 +438,17 @@ def stage_select(
     freeze_votes: bool,
     query_row: int | None,
     cfg_used: dict,
+    threads: int,
 ) -> SelectionResult:
     x = read_matrix(_require(embeddings_path, "embeddings matrix"))
-    labels = read_labels(_require(labels_path, "labels file"))
+    labels = read_labels(_require(labels_path, "labels file"), min_label=1)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
         )
     result = run_selection(x, labels, base, cfg, seed, sgt, rarity=rarity,
-                           freeze_votes=freeze_votes, query_row=query_row)
+                           freeze_votes=freeze_votes, query_row=query_row,
+                           threads=threads)
     _write_selection_csv(out, result)
     _stage_manifest(out, "select", cfg_used,
                     {"embeddings": embeddings_path, "labels": labels_path}, {
@@ -458,7 +462,7 @@ def stage_select(
 
 def stage_analyze(labels_path: str, selection_paths: list[str],
                   out: str | None, cfg_used: dict) -> list[tuple[str, str]]:
-    labels = read_labels(_require(labels_path, "labels file"))
+    labels = read_labels(_require(labels_path, "labels file"), min_label=1)
     selections = [
         _read_selection_csv(_require(p, "selection csv")) for p in selection_paths
     ]
@@ -531,7 +535,7 @@ def run_pipeline(
         for r in range(n_runs):
             stage_select(paths["reduced"], paths["labels"], select_outs[r],
                          base, cfg, sgt, int(cfg["seed"]) + r, rarity, False,
-                         None, cfg)
+                         None, cfg, threads)
     if "analyze" in stages:
         for p in select_outs:
             _require(p, "selection csv")
@@ -800,7 +804,7 @@ def _cmd_select(args, cfg, threads) -> int:
                     offset_alpha=float(cfg["sgt_offset"]))
     result = stage_select(args.embeddings, args.labels, args.out, args.base,
                           cfg, sgt, int(cfg["seed"]), args.rarity,
-                          args.freeze_votes, args.query_row, used)
+                          args.freeze_votes, args.query_row, used, threads)
     print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
     return 0
 

@@ -195,18 +195,23 @@ def _power_law_fit(freq: dict[int, float], bin_size: int) -> tuple[float, float]
     return float(a), float(b)
 
 
-def sgt_unseen(spectrum, cfg: SgtConfig) -> float:
-    """Smoothed Good-Turing estimate of unseen clusters; always >= 0."""
+def sgt_unseen(spectrum, cfg: SgtConfig, weights: np.ndarray | None = None) -> float:
+    """Smoothed Good-Turing estimate of unseen clusters; always >= 0.
+
+    weights, when given, must be sgt_weights for the spectrum's size;
+    callers that evaluate many spectra of few sizes pass them from a cache.
+    """
     freq = _freq_of(spectrum)
-    if isinstance(spectrum, SubsetSpectrum):
-        size = spectrum.size
-    else:
-        size = int(round(sum(s * f for s, f in freq.items())))
-    if size <= 0:
-        return 0.0
+    if weights is None:
+        if isinstance(spectrum, SubsetSpectrum):
+            size = spectrum.size
+        else:
+            size = int(round(sum(s * f for s, f in freq.items())))
+        if size <= 0:
+            return 0.0
+        weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
     if cfg.smoothing == "power_law":
         freq = smooth_spectrum(freq, cfg.bin_size)
-    weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
     total = 0.0
     for s in range(1, cfg.bin_size + 1):
         f = freq.get(s, 0.0)
@@ -239,13 +244,17 @@ class CoverageTracker:
         self.spectrum: dict[int, int] = {}
         self.size = 0
         self._weights_cache: dict[int, np.ndarray] = {}
+        # Per-row view of the counts for gains_if_added: each row's position
+        # among the distinct labels, and each label's count in the subset
+        # (-1 marks noise, which never counts).
+        distinct, self._row_cluster = np.unique(self.labels, return_inverse=True)
+        self._cluster_count = np.zeros(distinct.size, dtype=np.int64)
+        if cfg.noise_label is not None:
+            self._cluster_count[distinct == cfg.noise_label] = -1
 
     def _unseen(self) -> float:
         if self.size <= 0:
             return 0.0
-        freq: dict[int, float] = self.spectrum
-        if self.cfg.smoothing == "power_law":
-            freq = smooth_spectrum(freq, self.cfg.bin_size)
         weights = self._weights_cache.get(self.size)
         if weights is None:
             weights = sgt_weights(
@@ -253,14 +262,7 @@ class CoverageTracker:
                 self.cfg.bin_size, self.cfg.k0_override,
             )
             self._weights_cache[self.size] = weights
-        total = 0.0
-        for s in range(1, self.cfg.bin_size + 1):
-            f = freq.get(s, 0.0)
-            if f and weights[s - 1]:
-                total -= (-self.cfg.t) ** s * weights[s - 1] * f
-        if not math.isfinite(total):
-            return 0.0
-        return max(0.0, total)
+        return sgt_unseen(self.spectrum, self.cfg, weights)
 
     def phi(self) -> float:
         return len(self.counts) + self._unseen()
@@ -291,6 +293,12 @@ class CoverageTracker:
             self.spectrum[c - 1] = self.spectrum.get(c - 1, 0) + 1
         self.size -= 1
 
+    def _gain(self, cluster: int, phi_now: float) -> float:
+        self._bump(cluster)
+        phi_new = self.phi()
+        self._unbump(cluster)
+        return phi_new - phi_now
+
     def gain_if_added(self, index: int, phi_now: float | None = None) -> float:
         """Phi(S + {i}) - Phi(S)."""
         cluster = int(self.labels[index])
@@ -298,16 +306,33 @@ class CoverageTracker:
             return 0.0
         if phi_now is None:
             phi_now = self.phi()
-        self._bump(cluster)
-        phi_new = self.phi()
-        self._unbump(cluster)
-        return phi_new - phi_now
+        return self._gain(cluster, phi_now)
+
+    def gains_if_added(self, indices) -> np.ndarray:
+        """gain_if_added for every index, bit for bit.
+
+        The gain depends only on whether an item is noise and on its
+        cluster's current count, so Phi is evaluated once per distinct count
+        and the gains are gathered from that table.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        counts = self._cluster_count[self._row_cluster[idx]]
+        distinct, first, inverse = np.unique(
+            counts, return_index=True, return_inverse=True
+        )
+        phi_now = self.phi()
+        table = np.array([
+            0.0 if c < 0 else self._gain(int(self.labels[idx[f]]), phi_now)
+            for c, f in zip(distinct, first)
+        ])
+        return table[inverse]
 
     def add(self, index: int) -> None:
         cluster = int(self.labels[index])
         if self.cfg.noise_label is not None and cluster == self.cfg.noise_label:
             return
         self._bump(cluster)
+        self._cluster_count[self._row_cluster[index]] += 1
 
 
 @dataclass

@@ -160,8 +160,14 @@ def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_labels(path: str | os.PathLike) -> np.ndarray:
-    """Read one integer label per line; -1 (pre-remap noise) is allowed."""
+def read_labels(path: str | os.PathLike, min_label: int = -1,
+                noise_label: int | None = None) -> np.ndarray:
+    """Read one integer label per line.
+
+    Labels below min_label raise ParseError naming the line, except
+    noise_label. The default admits -1, DBSCAN's pre-remap noise; stages
+    that take cluster ids pass min_label=1.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -177,8 +183,8 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
             value = int(text)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: not an integer: {text!r}") from exc
-        if value < -1:
-            raise ParseError(f"{path}: line {lineno}: label {value} below -1")
+        if value < min_label and value != noise_label:
+            raise ParseError(f"{path}: line {lineno}: label {value} below {min_label}")
         out[n] = value
         n += 1
     return out[:n].copy()

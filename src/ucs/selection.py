@@ -108,7 +108,7 @@ def _dpp_gains(kernel: np.ndarray, selected: list[int], candidates: np.ndarray) 
     return np.log(np.maximum(sc, _SC_FLOOR))
 
 
-def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget, base_tag):
+def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget):
     n = kernel.shape[0]
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be square, got {kernel.shape}")
@@ -121,10 +121,7 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget, base_tag):
         candidates = np.flatnonzero(alive)
         base_gain = _dpp_gains(kernel, selected, candidates)
         if tracker is not None:
-            phi_now = tracker.phi()
-            coverage = np.array(
-                [tracker.gain_if_added(int(i), phi_now) for i in candidates]
-            )
+            coverage = tracker.gains_if_added(candidates)
         else:
             coverage = np.zeros(candidates.size)
         total = base_gain + lam * coverage
@@ -142,14 +139,14 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget, base_tag):
 def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
     """Plain greedy MAP of a DPP: maximize log det of the selected principal
     submatrix, one item at a time."""
-    indices, _ = _greedy_dpp(kernel, None, None, 0.0, budget, "dpp")
+    indices, _ = _greedy_dpp(kernel, None, None, 0.0, budget)
     return indices
 
 
 def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig) -> SelectionResult:
     """Greedy DPP with coverage pressure: each step maximizes the log-det
     gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally."""
-    indices, records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget, "dpp")
+    indices, records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget)
     return _finish(indices, records, labels, cfg, "dpp")
 
 
@@ -157,19 +154,38 @@ def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig)
 # VoteK
 
 
-def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
+def _knn_graph(x: np.ndarray, k: int, threads: int = 1) -> np.ndarray:
     """Indices of each row's k nearest neighbors by cosine distance,
-    self excluded, distance ties broken by index."""
-    from .clustering import cosine_distance_matrix
+    self excluded, distance ties broken by index.
+
+    Equal to the first k columns of a stable argsort of each distance row,
+    without sorting whole rows: per row tile, a partition finds the k-th
+    distance and only the k columns at or below it are sorted. Rows with
+    ties at the k-th distance (or NaN distances) sort the whole row.
+    """
+    from .clustering import DEFAULT_TILE_ROWS, cosine_distance_matrix
 
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
     if not 1 <= k < n:
         raise TooFewPoints(f"votek_k={k} requires at least k+1={k + 1} points, got {n}")
-    dist = cosine_distance_matrix(arr)
+    dist = cosine_distance_matrix(arr, threads=threads)
     np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for i0 in range(0, n, DEFAULT_TILE_ROWS):
+        block = dist[i0:i0 + DEFAULT_TILE_ROWS]
+        kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]
+        within = block <= kth
+        count = within.sum(axis=1)
+        exact = np.flatnonzero(count == k)
+        # nonzero walks rows in order and columns ascending, so a stable sort
+        # of each row's k candidates keeps the lowest index first on ties
+        cols = np.nonzero(within[exact])[1].reshape(-1, k)
+        order = np.argsort(block[exact[:, None], cols], axis=1, kind="stable")
+        neighbors[i0 + exact] = np.take_along_axis(cols, order, axis=1)
+        for r in np.flatnonzero(count != k):
+            neighbors[i0 + r] = np.argsort(block[r], kind="stable")[:k]
+    return neighbors
 
 
 def _votes_from_graph(neighbors: np.ndarray, selected: list[int],
@@ -195,9 +211,10 @@ def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) ->
 
 
 def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
-                     freeze_votes: bool, base_tag: str) -> SelectionResult:
+                     freeze_votes: bool, base_tag: str,
+                     threads: int = 1) -> SelectionResult:
     n = np.asarray(x).shape[0]
-    neighbors = _knn_graph(x, cfg.votek_k)
+    neighbors = _knn_graph(x, cfg.votek_k, threads)
     steps = min(cfg.budget, n)
     selected: list[int] = []
     records: list[StepRecord] = []
@@ -237,12 +254,14 @@ def votek_ucs_select(
     prior: CorpusPrior,
     cfg: SelectionConfig,
     freeze_votes: bool = False,
+    threads: int = 1,
 ) -> SelectionResult:
     """VoteK with rarity pressure: score(i) = v(i) + lambda * log w_c(i).
 
     The prior must cover every non-noise cluster id in labels. freeze_votes
     computes votes once with nothing selected (used to test that coverage
-    pressure is monotone in lambda).
+    pressure is monotone in lambda). threads tiles the distance matrix of
+    the k-NN graph and never changes the result.
     """
     lab = np.asarray(labels)
     bonus = np.zeros(lab.shape[0])
@@ -253,7 +272,7 @@ def votek_ucs_select(
         if v not in prior.weights:
             raise ValueError(f"prior has no weight for cluster {v}")
         bonus[i] = prior.log_weight(v)
-    return _iterative_votes(x, lab, cfg, bonus, freeze_votes, "votek")
+    return _iterative_votes(x, lab, cfg, bonus, freeze_votes, "votek", threads)
 
 
 def rarity_controls(
@@ -262,12 +281,14 @@ def rarity_controls(
     cfg: SelectionConfig,
     variant: str,
     eps: float = 1e-6,
+    threads: int = 1,
 ) -> SelectionResult:
     """Rarity-only VoteK controls.
 
     B1 adds lambda / n_c(i) (inverse global cluster size). B2 adds
     lambda * log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus
-    spectrum, skipping the Good-Turing ratio entirely.
+    spectrum, skipping the Good-Turing ratio entirely. threads is passed to
+    the k-NN graph as in votek_ucs_select.
     """
     if variant not in RARITY_VARIANTS:
         raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
@@ -286,7 +307,7 @@ def rarity_controls(
         else:
             g_hat = prior.smoothed.get(size, 0.0)
             bonus[i] = math.log(c_total / (g_hat + eps))
-    return _iterative_votes(x, lab, cfg, bonus, False, f"votek_{variant}")
+    return _iterative_votes(x, lab, cfg, bonus, False, f"votek_{variant}", threads)
 
 
 # ---------------------------------------------------------------------------

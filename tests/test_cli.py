@@ -244,6 +244,52 @@ def test_select_rerun_identical_artifact(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _labels_with_noise(tmp_path):
+    """Pool plus a labels file whose fourth line is the noise marker -1."""
+    pool_path, labels_path = _write_pool(tmp_path)
+    with open(labels_path) as fh:
+        lines = fh.read().splitlines()
+    lines[3] = "-1"
+    bad = str(tmp_path / "noisy_labels.txt")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return pool_path, labels_path, bad
+
+
+def _rejects_line_4(capsys, bad):
+    err = capsys.readouterr().err
+    assert bad in err and "line 4" in err and "label -1 below 1" in err
+
+
+def test_select_rejects_labels_below_one(tmp_path, capsys):
+    pool_path, _, bad = _labels_with_noise(tmp_path)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", bad,
+                 "--out", out, "--base", "dpp", "--budget", "2"]) == 2
+    _rejects_line_4(capsys, bad)
+    assert not os.path.exists(out)
+
+
+def test_prior_rejects_labels_below_one_unless_noise(tmp_path, capsys):
+    _, _, bad = _labels_with_noise(tmp_path)
+    out = str(tmp_path / "prior.csv")
+    assert main(["prior", "--labels", bad, "--out", out]) == 2
+    _rejects_line_4(capsys, bad)
+    assert main(["prior", "--labels", bad, "--out", out, "--noise-label", "-1"]) == 0
+    with open(out, newline="") as fh:
+        assert "-1" not in [row["cluster"] for row in csv.DictReader(fh)]
+
+
+def test_analyze_rejects_labels_below_one(tmp_path, capsys):
+    pool_path, labels_path, bad = _labels_with_noise(tmp_path)
+    sel = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", sel, "--budget", "3"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--labels", bad, "--selections", sel]) == 2
+    _rejects_line_4(capsys, bad)
+
+
 def test_synth_pool_and_oracle(tmp_path, capsys):
     stem = str(tmp_path / "syn")
     assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30",

@@ -193,6 +193,30 @@ def test_coverage_tracker_matches_from_scratch():
             assert tracker.k_seen == coverage_phi(labels, chosen, cfg)[1]
 
 
+@pytest.mark.parametrize("cfg", [
+    SgtConfig(t=2.0, noise_label=3),
+    SgtConfig(t=5.0, smoothing="power_law"),
+    SgtConfig(t=3.0, bin_size=2),  # cluster 1 grows to 8 members, above bin_size
+])
+def test_gains_if_added_bit_equal_to_gain_if_added(cfg):
+    rng = np.random.default_rng(7)
+    labels = rng.permutation(np.concatenate([np.full(12, 1), rng.integers(2, 9, size=48)]))
+    order = list(np.flatnonzero(labels == 1)[:8])
+    order += [int(i) for i in rng.permutation(labels.size) if i not in order][:15]
+    tracker = CoverageTracker(labels, cfg)
+    chosen: list[int] = []
+    for idx in order:
+        candidates = np.setdiff1d(np.arange(labels.size), chosen)
+        batch = tracker.gains_if_added(candidates)
+        single = np.array([tracker.gain_if_added(int(i)) for i in candidates])
+        assert np.array_equal(batch, single)  # bit-equal, not approximately
+        if cfg.noise_label is not None:
+            assert (batch[labels[candidates] == cfg.noise_label] == 0.0).all()
+        tracker.add(int(idx))
+        chosen.append(int(idx))
+    assert tracker.counts[1] >= 8
+
+
 def test_corpus_prior_hand_case():
     prior = corpus_prior(np.array([1, 1, 2, 3]), smoothing="off")
     assert prior.sizes == {1: 2, 2: 1, 3: 1}

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ucs.coverage import SgtConfig, corpus_prior, coverage_phi
+import ucs.clustering
+from ucs.clustering import cosine_distance_matrix
+from ucs.coverage import CoverageTracker, SgtConfig, corpus_prior, coverage_phi
 from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
     SelectionConfig,
+    StepRecord,
+    _dpp_gains,
+    _knn_graph,
     best_subset,
     dpp_kernel,
     greedy_dpp,
@@ -17,6 +24,7 @@ from ucs.selection import (
     votek_ucs_select,
     votek_votes,
 )
+from ucs.synth_oracle import Population, sample_labels, sample_pool
 
 
 def _angles(degrees):
@@ -115,6 +123,124 @@ def test_greedy_dpp_ucs_large_lambda_prefers_distinct_clusters():
     result = greedy_dpp_ucs(dpp_kernel(x), labels, cfg)
     assert len(set(labels[result.indices])) == 4
     assert result.k_seen == 4
+
+
+def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
+    """Reference greedy loop: one gain_if_added call per candidate."""
+    tracker = CoverageTracker(labels, cfg.sgt)
+    selected, records = [], []
+    alive = np.ones(kernel.shape[0], dtype=bool)
+    for _ in range(min(cfg.budget, kernel.shape[0])):
+        candidates = np.flatnonzero(alive)
+        base_gain = _dpp_gains(kernel, selected, candidates)
+        phi_now = tracker.phi()
+        coverage = np.array([tracker.gain_if_added(int(i), phi_now) for i in candidates])
+        total = base_gain + cfg.lam * coverage
+        pos = int(np.argmax(total))
+        pick = int(candidates[pos])
+        records.append(StepRecord(pick, float(base_gain[pos]), float(coverage[pos]),
+                                  float(total[pos])))
+        selected.append(pick)
+        alive[pick] = False
+        tracker.add(pick)
+    return selected, records
+
+
+@pytest.mark.parametrize("sgt", [
+    SgtConfig(),
+    SgtConfig(t=2.0, smoothing="power_law", noise_label=1),
+    SgtConfig(t=3.0, bin_size=2),
+])
+def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
+    x, _ = sample_pool(Population.zipf(50, 1.1), 300, dim=12, spread=0.3, seed=3)
+    labels = sample_labels(Population.zipf(200, 0.8), 300, 3)
+    kernel = dpp_kernel(x)
+    cfg = SelectionConfig(budget=40, lam=0.5, base="dpp", sgt=sgt)
+    result = greedy_dpp_ucs(kernel, labels, cfg)
+    indices, records = _greedy_dpp_ucs_per_candidate(kernel, labels, cfg)
+    assert result.indices == indices
+    assert result.records == records  # exact float equality, field by field
+
+
+def _knn_oracle(x, k):
+    dist = cosine_distance_matrix(x)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+def _has_kth_tie(x, k):
+    dist = cosine_distance_matrix(x)
+    np.fill_diagonal(dist, np.inf)
+    kth = np.sort(dist, axis=1)[:, k - 1:k]
+    return bool(((dist <= kth).sum(axis=1) > k).any())
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    # several row tiles, the last one ragged, at test sizes
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_graph_matches_oracle_on_seeded_pools(seed, small_tiles):
+    x, _ = sample_pool(Population.zipf(20, 1.1), 60, dim=8, spread=0.3, seed=seed)
+    for k in (1, 3, 10):
+        assert np.array_equal(_knn_graph(x, k), _knn_oracle(x, k))
+
+
+def test_knn_graph_ties_duplicates_and_zero_rows(small_tiles):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 5))
+    x[10:14] = x[2]  # five identical rows: ties for every other row
+    x[[20, 31]] = 0.0  # distance exactly 1 to everything
+    # mirror images around row 0: exact ties at row 0's k-th distance
+    sym = _angles([0.0, 15.0, -15.0, 30.0, -30.0, 45.0, -45.0])
+    for pool in (x, sym):
+        for k in (1, 2, 3, 4, pool.shape[0] - 1):
+            assert np.array_equal(_knn_graph(pool, k), _knn_oracle(pool, k))
+    assert _has_kth_tie(x, 3) and _has_kth_tie(sym, 1) and _has_kth_tie(sym, 3)
+
+
+def test_knn_graph_k_is_n_minus_one():
+    x = np.random.default_rng(2).standard_normal((9, 3))
+    got = _knn_graph(x, 8)
+    assert np.array_equal(got, _knn_oracle(x, 8))
+    for row in range(9):  # everyone but self, each exactly once
+        assert sorted(got[row]) == [j for j in range(9) if j != row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_knn_graph_hypothesis_small_pools(data):
+    n = data.draw(st.integers(min_value=2, max_value=14))
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    # small integer coordinates: duplicates, zero rows and ties are common
+    flat = data.draw(st.lists(st.integers(min_value=-2, max_value=2),
+                              min_size=n * dim, max_size=n * dim))
+    x = np.array(flat, dtype=np.float64).reshape(n, dim)
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    assert np.array_equal(_knn_graph(x, k), _knn_oracle(x, k))
+
+
+def test_votek_threads_reach_distance_matrix(monkeypatch, small_tiles):
+    seen = []
+    original = ucs.clustering.cosine_distance_matrix
+
+    def recording(x, tile_rows=ucs.clustering.DEFAULT_TILE_ROWS, threads=1):
+        seen.append(threads)
+        return original(x, tile_rows=5, threads=threads)
+
+    monkeypatch.setattr(ucs.clustering, "cosine_distance_matrix", recording)
+    x, labels = sample_pool(Population.zipf(12, 1.1), 50, dim=6, spread=0.3, seed=1)
+    cfg = SelectionConfig(budget=6, lam=0.5, base="votek", votek_k=3)
+    prior = corpus_prior(labels)
+    one = votek_ucs_select(x, labels, prior, cfg)
+    two = votek_ucs_select(x, labels, prior, cfg, threads=2)
+    b2_one = rarity_controls(x, labels, cfg, "B2")
+    b2_two = rarity_controls(x, labels, cfg, "B2", threads=2)
+    assert seen == [1, 2, 1, 2]
+    assert one == two
+    assert b2_one == b2_two
 
 
 def test_votek_votes_indegree_hand_oracle():
