@@ -429,35 +429,45 @@ def run_selection(
 def stage_select(
     embeddings_path: str,
     labels_path: str,
-    out: str,
+    outs: list[str],
     base: str,
     cfg: dict,
     sgt: SgtConfig,
-    seed: int,
+    seeds: list[int],
     rarity: str | None,
     freeze_votes: bool,
     query_row: int | None,
     cfg_used: dict,
     threads: int,
-) -> SelectionResult:
+) -> list[SelectionResult]:
+    """One selection per (out, seed) pair, each with its CSV and manifest.
+
+    Only subset_utility draws from the seed; every other selector is run
+    once and its result written under each seed.
+    """
     x = read_matrix(_require(embeddings_path, "embeddings matrix"))
     labels = read_labels(_require(labels_path, "labels file"), min_label=1)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
         )
-    result = run_selection(x, labels, base, cfg, seed, sgt, rarity=rarity,
-                           freeze_votes=freeze_votes, query_row=query_row,
-                           threads=threads)
-    _write_selection_csv(out, result)
-    _stage_manifest(out, "select", cfg_used,
-                    {"embeddings": embeddings_path, "labels": labels_path}, {
-                        "base": base if rarity is None else f"rarity_{rarity}",
-                        "seed": str(seed),
-                        "phi": _fmt(result.phi),
-                        "k_seen": str(result.k_seen),
-                    })
-    return result
+    seeded = rarity is None and base == "subset_utility"
+    results: list[SelectionResult] = []
+    for out, seed in zip(outs, seeds):
+        if seeded or not results:
+            result = run_selection(x, labels, base, cfg, seed, sgt, rarity=rarity,
+                                   freeze_votes=freeze_votes, query_row=query_row,
+                                   threads=threads)
+        results.append(result)
+        _write_selection_csv(out, result)
+        _stage_manifest(out, "select", cfg_used,
+                        {"embeddings": embeddings_path, "labels": labels_path}, {
+                            "base": base if rarity is None else f"rarity_{rarity}",
+                            "seed": str(seed),
+                            "phi": _fmt(result.phi),
+                            "k_seen": str(result.k_seen),
+                        })
+    return results
 
 
 def stage_analyze(labels_path: str, selection_paths: list[str],
@@ -501,7 +511,8 @@ def run_pipeline(
     Artifacts use fixed names so later invocations can resume: when the
     range starts after `preprocess` the earlier files must already exist.
     seed..seed+n_runs-1 drive repeated selection runs; the analyze stage
-    aggregates exposure metrics over those runs as mean +/- std.
+    aggregates exposure metrics over those runs as mean +/- std. Selectors
+    that ignore the seed are computed once and written n_runs times.
     """
     os.makedirs(workdir, exist_ok=True)
     paths = {
@@ -532,10 +543,9 @@ def run_pipeline(
     if "prior" in stages:
         stage_prior(paths["labels"], paths["prior"], "power_law", 1e-6, None, cfg)
     if "select" in stages:
-        for r in range(n_runs):
-            stage_select(paths["reduced"], paths["labels"], select_outs[r],
-                         base, cfg, sgt, int(cfg["seed"]) + r, rarity, False,
-                         None, cfg, threads)
+        seeds = [int(cfg["seed"]) + r for r in range(n_runs)]
+        stage_select(paths["reduced"], paths["labels"], select_outs, base, cfg,
+                     sgt, seeds, rarity, False, None, cfg, threads)
     if "analyze" in stages:
         for p in select_outs:
             _require(p, "selection csv")
@@ -802,9 +812,9 @@ def _cmd_select(args, cfg, threads) -> int:
                                 "candidate_num", "seed")}
     sgt = SgtConfig(t=float(cfg["sgt_t"]), bin_size=int(cfg["sgt_bin_size"]),
                     offset_alpha=float(cfg["sgt_offset"]))
-    result = stage_select(args.embeddings, args.labels, args.out, args.base,
-                          cfg, sgt, int(cfg["seed"]), args.rarity,
-                          args.freeze_votes, args.query_row, used, threads)
+    [result] = stage_select(args.embeddings, args.labels, [args.out], args.base,
+                            cfg, sgt, [int(cfg["seed"])], args.rarity,
+                            args.freeze_votes, args.query_row, used, threads)
     print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
     return 0
 

@@ -1,14 +1,21 @@
 """Discretize codes or embeddings into latent clusters.
 
-Distances are cosine throughout. DBSCAN runs on a full N x N distance
-matrix (fine for N <= 20k) computed in row tiles, optionally across
-threads; tiles write disjoint regions, so results do not depend on the
-thread count. Noise points are remapped to fresh singleton clusters so that
-every example carries a cluster id.
+Distances are cosine throughout. They are computed in row strips of the
+N x N distance matrix, and each strip is consumed as soon as it exists, so
+clustering holds one strip per worker rather than the whole matrix: a first
+pass keeps each row's k-th nearest distance (which gives eps), a second
+keeps each row's neighbours within eps as CSR lists, and DBSCAN runs on
+those lists (the neighbourhood-list form of Schubert et al., "DBSCAN
+Revisited", TODS 2017). Strips are assembled from square blocks, and the
+pair (i, j), (j, i) always comes from one block product, so distances are
+exactly symmetric. Workers take disjoint strips, so results do not depend
+on the thread count. Noise points are remapped to fresh singleton clusters
+so that every example carries a cluster id.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,10 +24,13 @@ import numpy as np
 
 from .errors import TooFewPoints
 from .latent_dictionary import normalize_codes
+from .preprocess import l2_normalize_rows
 
 CLUSTERING_METHODS = ("dict_dbscan", "dbscan", "dict_argmax")
 
-DEFAULT_TILE_ROWS = 2048
+# Rows per strip and the side of the blocks strips are built from; a strip
+# holds DEFAULT_TILE_ROWS * N float64 values.
+DEFAULT_TILE_ROWS = 256
 
 
 @dataclass
@@ -44,6 +54,42 @@ class ClusterAssignment:
         return int(self.labels.max()) if self.labels.size else 0
 
 
+def _distance_strips(unit: np.ndarray, consume, rows: int, threads: int = 1) -> list:
+    """consume(i0, strip) for each row strip of the cosine distance matrix of
+    the unit rows `unit`; the results come back in row order.
+
+    strip is rows i0:i0+rows against all N rows, 1 - <ui, uj> clipped to
+    [0, 2] with a zero diagonal. It is built from rows x rows blocks: the
+    blocks left of the diagonal are transposes of the products the earlier
+    strips computed, so d(i, j) and d(j, i) are the same float. consume owns
+    its strip and may overwrite it. With threads > 1 strips run concurrently,
+    but one at a time in BLAS, which threads each product on its own.
+    """
+    n = unit.shape[0]
+    starts = range(0, n, rows)
+    products = threading.Lock()
+
+    def strip(i0: int):
+        i1 = min(i0 + rows, n)
+        out = np.empty((i1 - i0, n), dtype=np.float64)
+        with products:
+            for j0 in starts:
+                j1 = min(j0 + rows, n)
+                if j0 < i0:
+                    out[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
+                else:
+                    out[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
+        np.subtract(1.0, out, out=out)
+        np.clip(out, 0.0, 2.0, out=out)
+        out[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+        return consume(i0, out)
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(strip, starts))
+    return [strip(i0) for i0 in starts]
+
+
 def cosine_distance_matrix(
     x: np.ndarray,
     tile_rows: int = DEFAULT_TILE_ROWS,
@@ -52,92 +98,110 @@ def cosine_distance_matrix(
     """Pairwise cosine distances 1 - <xi,xj>/(|xi||xj|), exactly symmetric.
 
     Zero rows sit at distance 1 from everything. The diagonal is zero and
-    values are clipped to [0, 2].
+    values are clipped to [0, 2]. The values are those the strip passes of
+    cluster_pool and the VoteK graph see at the same tile_rows.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     n = arr.shape[0]
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    unit = np.divide(arr, norms, out=np.zeros_like(arr), where=norms > 0)
     dist = np.empty((n, n), dtype=np.float64)
 
-    blocks = []
-    for i0 in range(0, n, tile_rows):
-        i1 = min(i0 + tile_rows, n)
-        for j0 in range(i0, n, tile_rows):
-            blocks.append((i0, i1, j0, min(j0 + tile_rows, n)))
+    def fill(i0: int, strip: np.ndarray) -> None:
+        dist[i0:i0 + strip.shape[0]] = strip
 
-    def fill(block: tuple[int, int, int, int]) -> None:
-        i0, i1, j0, j1 = block
-        tile = 1.0 - unit[i0:i1] @ unit[j0:j1].T
-        np.clip(tile, 0.0, 2.0, out=tile)
-        dist[i0:i1, j0:j1] = tile
-        if j0 > i0:
-            dist[j0:j1, i0:i1] = tile.T
-        else:  # diagonal block: mirror the upper triangle for exact symmetry
-            upper = np.triu(tile, 1)
-            dist[i0:i1, j0:j1] = upper + upper.T
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
-    np.fill_diagonal(dist, 0.0)
+    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill, tile_rows, threads)
     return dist
 
 
-def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
-    """eps = q-quantile (linear interpolation) of each point's k-th nearest
-    distance, self excluded. Needs k < N (TooFewPoints)."""
-    n = dist.shape[0]
+def _check_knn(n: int, k: int, q: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if k >= n:
         raise TooFewPoints(f"k={k} neighbors requested but only {n} points")
-    kth = np.empty(n, dtype=np.float64)
-    for i0 in range(0, n, DEFAULT_TILE_ROWS):
-        i1 = min(i0 + DEFAULT_TILE_ROWS, n)
-        block = dist[i0:i1].copy()
-        block[np.arange(i0, i1) - i0, np.arange(i0, i1)] = np.inf
-        kth[i0:i1] = np.partition(block, k - 1, axis=1)[:, k - 1]
+
+
+def _kth_excluding_self(block: np.ndarray, i0: int, k: int) -> np.ndarray:
+    """k-th smallest value of each row of block (rows i0.. of a distance
+    matrix), the row's own column excluded; partitions block in place."""
+    r = np.arange(block.shape[0])
+    block[r, i0 + r] = np.inf
+    block.partition(k - 1, axis=1)
+    return block[:, k - 1].copy()
+
+
+def _kth_nearest(unit: np.ndarray, k: int, rows: int, threads: int = 1) -> np.ndarray:
+    """Each row's k-th nearest cosine distance, self excluded, from strips."""
+    return np.concatenate(_distance_strips(
+        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k), rows, threads))
+
+
+def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
+    """eps = q-quantile (linear interpolation) of each point's k-th nearest
+    distance, self excluded. Needs k < N (TooFewPoints)."""
+    _check_knn(dist.shape[0], k, q)
+    kth = _kth_excluding_self(np.array(dist, dtype=np.float64), 0, k)
     return float(np.quantile(kth, q))
 
 
 def knn_quantile_eps(x: np.ndarray, k: int, q: float) -> float:
-    return knn_quantile_eps_from(cosine_distance_matrix(x), k, q)
+    unit = l2_normalize_rows(x, eps=0.0)
+    _check_knn(unit.shape[0], k, q)
+    return float(np.quantile(_kth_nearest(unit, k, DEFAULT_TILE_ROWS), q))
 
 
-def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarray:
-    """DBSCAN on a precomputed distance matrix.
+def _within(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row count and ascending column indices of the entries <= eps."""
+    mask = block <= eps
+    return np.count_nonzero(mask, axis=1), np.flatnonzero(mask) % block.shape[1]
 
-    Neighborhoods are {j : d(i,j) <= eps} and include the point itself.
+
+def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Join per-strip (counts, columns) into CSR (indptr, indices)."""
+    counts = np.concatenate([c for c, _ in parts])
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate([cols for _, cols in parts])
+
+
+def _eps_neighbors(unit: np.ndarray, eps: float, rows: int,
+                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists of {j : d(i, j) <= eps} (i itself included), from strips."""
+    return _csr(_distance_strips(
+        unit, lambda i0, strip: _within(strip, eps), rows, threads))
+
+
+def _check_dbscan(eps: float, min_samples: int) -> None:
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+
+
+def _dbscan_lists(indptr: np.ndarray, indices: np.ndarray,
+                  min_samples: int) -> np.ndarray:
+    """DBSCAN on CSR neighbourhood lists (each list includes its point).
+
     Returns raw labels: clusters 0..C-1, noise -1. Points are scanned in
     index order and clusters expanded breadth-first, so a border point joins
     the first core cluster that reaches it; clusters are then renumbered by
     smallest member index.
     """
-    n = dist.shape[0]
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    n = indptr.size - 1
+    bounds = indptr.tolist()
     UNSEEN, NOISE = -2, -1
-    labels = np.full(n, UNSEEN, dtype=np.int64)
+    labels = [UNSEEN] * n
     cluster = 0
     for i in range(n):
         if labels[i] != UNSEEN:
             continue
-        neighbors = np.flatnonzero(dist[i] <= eps)
-        if neighbors.size < min_samples:
+        if bounds[i + 1] - bounds[i] < min_samples:
             labels[i] = NOISE
             continue
         labels[i] = cluster
-        queue = deque(int(j) for j in neighbors)
+        queue = deque(indices[bounds[i]:bounds[i + 1]].tolist())
         while queue:
             j = queue.popleft()
             if labels[j] == NOISE:
@@ -145,25 +209,36 @@ def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarra
             if labels[j] != UNSEEN:
                 continue
             labels[j] = cluster
-            j_neighbors = np.flatnonzero(dist[j] <= eps)
-            if j_neighbors.size >= min_samples:
-                queue.extend(int(t) for t in j_neighbors)
+            if bounds[j + 1] - bounds[j] >= min_samples:
+                queue.extend(indices[bounds[j]:bounds[j + 1]].tolist())
         cluster += 1
+    raw = np.array(labels, dtype=np.int64)
     if cluster > 1:
         first_member = np.full(cluster, n, dtype=np.int64)
         for i in range(n - 1, -1, -1):
-            if labels[i] >= 0:
-                first_member[labels[i]] = i
+            if raw[i] >= 0:
+                first_member[raw[i]] = i
         order = np.argsort(first_member, kind="stable")
         renumber = np.empty(cluster, dtype=np.int64)
         renumber[order] = np.arange(cluster)
-        mask = labels >= 0
-        labels[mask] = renumber[labels[mask]]
-    return labels
+        mask = raw >= 0
+        raw[mask] = renumber[raw[mask]]
+    return raw
+
+
+def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarray:
+    """DBSCAN on a precomputed distance matrix.
+
+    Neighborhoods are {j : d(i,j) <= eps} and include the point itself;
+    they are handed to the same list-based DBSCAN that cluster_pool runs.
+    """
+    _check_dbscan(eps, min_samples)
+    return _dbscan_lists(*_csr([_within(dist, eps)]), min_samples)
 
 
 def dbscan(x: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarray:
-    return dbscan_from(cosine_distance_matrix(x), eps, min_samples)
+    return cluster_pool(x, method="dbscan", eps_override=eps,
+                        min_samples=min_samples).raw_labels
 
 
 def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
@@ -225,11 +300,15 @@ def cluster_pool(
         )
     if method == "dict_dbscan":
         arr = normalize_codes(arr, eps=norm_eps)
-    dist = cosine_distance_matrix(arr, tile_rows=tile_rows, threads=threads)
+    unit = l2_normalize_rows(arr, eps=0.0)
     eps = eps_override
     if eps is None:
-        eps = knn_quantile_eps_from(dist, dbscan_k, dbscan_q)
-    raw = dbscan_from(dist, eps, min_samples)
+        _check_knn(unit.shape[0], dbscan_k, dbscan_q)
+        kth = _kth_nearest(unit, dbscan_k, tile_rows, threads)
+        eps = float(np.quantile(kth, dbscan_q))
+    _check_dbscan(eps, min_samples)
+    indptr, indices = _eps_neighbors(unit, eps, tile_rows, threads)
+    raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),
         raw_labels=raw,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, MisalignedSources
+from .preprocess import l2_normalize_rows
 
 # Relative objective improvement below this stops the alternation.
 REL_TOL = 1e-6
@@ -95,11 +96,8 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
                         codebook.ridge_alpha)
 
 
-def normalize_codes(codes: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Row-normalize codes: r / (||r|| + eps); zero rows stay zero."""
-    arr = np.asarray(codes, dtype=np.float64)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    return arr / (norms + eps)
+# Codes are row-normalized exactly like embeddings: r / (||r|| + eps).
+normalize_codes = l2_normalize_rows
 
 
 def _update_atoms(dictionary: np.ndarray, codes: np.ndarray, pool: np.ndarray) -> None:

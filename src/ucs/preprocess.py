@@ -59,10 +59,14 @@ def pool_bundle(
 
 
 def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Scale each row to unit l2 norm; zero rows stay zero."""
+    """Scale each row to unit l2 norm, r / (||r|| + eps); zero rows stay zero.
+
+    eps=0 divides by the exact norm, which is what the cosine geometry of
+    clustering and selection uses.
+    """
     arr = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    return arr / (norms + eps)
+    return np.divide(arr, norms + eps, out=np.zeros_like(arr), where=norms > 0)
 
 
 @dataclass

@@ -16,12 +16,16 @@ import numpy as np
 
 from .coverage import CorpusPrior, CoverageTracker, SgtConfig, coverage_phi, corpus_prior
 from .errors import EmptyCandidateList, SingularKernel, TooFewPoints
+from .preprocess import l2_normalize_rows
 
 # Floor for Schur complements before taking logs; keeps degenerate candidates
 # selectable (with a hugely negative gain) instead of crashing the loop.
 _SC_FLOOR = 1e-300
 
 RARITY_VARIANTS = ("B1", "B2")
+
+# Block side of dpp_kernel's in-place symmetrization.
+_SYM_BLOCK = 512
 
 
 @dataclass
@@ -79,13 +83,22 @@ def _finish(indices, records, labels, cfg, base) -> SelectionResult:
 
 
 def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> np.ndarray:
-    """L = exp(scale * cosine-similarity), symmetrized, jittered by 1e-8 I."""
-    arr = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    unit = np.divide(arr, norms, out=np.zeros_like(arr), where=norms > 0)
-    sim = unit @ unit.T
-    kernel = np.exp(scale * sim)
-    kernel = (kernel + kernel.T) / 2.0
+    """L = exp(scale * cosine-similarity), symmetrized, jittered by 1e-8 I.
+
+    Built in place: one N x N array plus block-sized temporaries.
+    """
+    unit = l2_normalize_rows(x, eps=0.0)
+    kernel = unit @ unit.T
+    kernel *= scale
+    np.exp(kernel, out=kernel)
+    n = kernel.shape[0]
+    for i0 in range(0, n, _SYM_BLOCK):
+        rows = slice(i0, i0 + _SYM_BLOCK)
+        for j0 in range(i0, n, _SYM_BLOCK):
+            cols = slice(j0, j0 + _SYM_BLOCK)
+            mean = (kernel[rows, cols] + kernel[cols, rows].T) / 2.0
+            kernel[rows, cols] = mean
+            kernel[cols, rows] = mean.T
     kernel[np.diag_indices_from(kernel)] += 1e-8
     return kernel
 
@@ -159,33 +172,37 @@ def _knn_graph(x: np.ndarray, k: int, threads: int = 1) -> np.ndarray:
     self excluded, distance ties broken by index.
 
     Equal to the first k columns of a stable argsort of each distance row,
-    without sorting whole rows: per row tile, a partition finds the k-th
-    distance and only the k columns at or below it are sorted. Rows with
-    ties at the k-th distance (or NaN distances) sort the whole row.
+    without sorting whole rows or holding the whole matrix: per row strip, a
+    partition finds the k-th distance and only the k columns at or below it
+    are sorted. Rows with ties at the k-th distance (or NaN distances) sort
+    the whole row.
     """
-    from .clustering import DEFAULT_TILE_ROWS, cosine_distance_matrix
+    from .clustering import DEFAULT_TILE_ROWS, _distance_strips
 
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
     if not 1 <= k < n:
         raise TooFewPoints(f"votek_k={k} requires at least k+1={k + 1} points, got {n}")
-    dist = cosine_distance_matrix(arr, threads=threads)
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.empty((n, k), dtype=np.intp)
-    for i0 in range(0, n, DEFAULT_TILE_ROWS):
-        block = dist[i0:i0 + DEFAULT_TILE_ROWS]
+
+    def nearest(i0: int, block: np.ndarray) -> np.ndarray:
+        rows = np.arange(block.shape[0])
+        block[rows, i0 + rows] = np.inf
         kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]
         within = block <= kth
-        count = within.sum(axis=1)
+        count = np.count_nonzero(within, axis=1)
         exact = np.flatnonzero(count == k)
-        # nonzero walks rows in order and columns ascending, so a stable sort
-        # of each row's k candidates keeps the lowest index first on ties
-        cols = np.nonzero(within[exact])[1].reshape(-1, k)
+        out = np.empty((block.shape[0], k), dtype=np.intp)
+        # flatnonzero walks rows in order and columns ascending, so a stable
+        # sort of each row's k candidates keeps the lowest index first on ties
+        cols = (np.flatnonzero(within[exact]) % n).reshape(-1, k)
         order = np.argsort(block[exact[:, None], cols], axis=1, kind="stable")
-        neighbors[i0 + exact] = np.take_along_axis(cols, order, axis=1)
+        out[exact] = np.take_along_axis(cols, order, axis=1)
         for r in np.flatnonzero(count != k):
-            neighbors[i0 + r] = np.argsort(block[r], kind="stable")[:k]
-    return neighbors
+            out[r] = np.argsort(block[r], kind="stable")[:k]
+        return out
+
+    unit = l2_normalize_rows(arr, eps=0.0)
+    return np.concatenate(_distance_strips(unit, nearest, DEFAULT_TILE_ROWS, threads))
 
 
 def _votes_from_graph(neighbors: np.ndarray, selected: list[int],
@@ -260,8 +277,8 @@ def votek_ucs_select(
 
     The prior must cover every non-noise cluster id in labels. freeze_votes
     computes votes once with nothing selected (used to test that coverage
-    pressure is monotone in lambda). threads tiles the distance matrix of
-    the k-NN graph and never changes the result.
+    pressure is monotone in lambda). threads is the number of distance-strip
+    workers of the k-NN graph and never changes the result.
     """
     lab = np.asarray(labels)
     bonus = np.zeros(lab.shape[0])
@@ -362,9 +379,7 @@ def subset_utility_ucs(
 def redundancy_utility(x: np.ndarray, candidates: list[list[int]]) -> np.ndarray:
     """Synthetic offline utility: negative mean pairwise cosine similarity
     inside each subset (0 for singletons)."""
-    arr = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    unit = np.divide(arr, norms, out=np.zeros_like(arr), where=norms > 0)
+    unit = l2_normalize_rows(x, eps=0.0)
     out = np.empty(len(candidates), dtype=np.float64)
     for pos, subset in enumerate(candidates):
         rows = unit[list(subset)]

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import ucs.cli
 from ucs.cli import (
     CONFIG_DEFAULTS,
     PIPELINE_STAGES,
@@ -361,6 +362,44 @@ def test_pipeline_end_to_end_and_rerun(tmp_path, capsys):
     report = open(os.path.join(workdirs[0], "report.txt")).read()
     fields = dict(line.split(None, 1) for line in report.splitlines())
     assert fields["n_selections"].strip() == "2"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("base, rarity, selections", [
+    ("votek", None, 1), ("dpp", None, 1), ("votek", "B1", 1),
+    ("subset_utility", None, 3),
+])
+def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
+                                                  base, rarity, selections):
+    pool_path, _ = _write_pool(tmp_path, n=35, k=5, dim=10, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dict_n_components=6\ndict_pca_dim=8\ndbscan_k=3\ndbscan_q=0.3\n"
+        "budget=4\nn_runs=3\nsgt_t=2.0\ncandidate_num=10\nseed=11\n"
+    )
+    seeds = []
+    original = ucs.cli.run_selection
+
+    def counting(x, labels, base, cfg, seed, *args, **kwargs):
+        seeds.append(seed)
+        return original(x, labels, base, cfg, seed, *args, **kwargs)
+
+    monkeypatch.setattr(ucs.cli, "run_selection", counting)
+    wd = str(tmp_path / "w")
+    extra = ["--base", base] + (["--rarity", rarity] if rarity else [])
+    assert main(["pipeline", "--input", pool_path, "--workdir", wd,
+                 "--config", str(cfg)] + extra) == 0
+    assert seeds == [11, 12, 13][:selections]
+    # every run's artifact equals a selection made for that seed alone
+    for run, seed in enumerate((11, 12, 13)):
+        name = f"select_run{run:02d}.csv"
+        ref = str(tmp_path / f"ref_{name}")
+        assert main(["select", "--embeddings", os.path.join(wd, "pool_reduced.ucsm"),
+                     "--labels", os.path.join(wd, "labels.txt"), "--out", ref,
+                     "--config", str(cfg), "--seed", str(seed)] + extra) == 0
+        got = tmp_path / "w" / name
+        assert got.read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
+        assert _manifest(f"{got}.manifest.txt")["seed"] == str(seed)
     capsys.readouterr()
 
 

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ucs.clustering
 from ucs.clustering import (
+    _eps_neighbors,
+    _kth_nearest,
     argmax_atoms,
     cluster_pool,
     cosine_distance_matrix,
@@ -12,6 +17,9 @@ from ucs.clustering import (
     remap_noise_to_singletons,
 )
 from ucs.errors import TooFewPoints
+from ucs.preprocess import l2_normalize_rows
+from ucs.selection import _knn_graph
+from ucs.synth_oracle import Population, sample_pool
 
 THREE_CODES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array(
     [[1.0], [1.0], [np.sqrt(2.0)]]
@@ -141,27 +149,29 @@ def test_dbscan_border_point_joins_first_core_cluster():
     assert np.array_equal(raw, [0, 0, 0, 0, 1, 1, 1])
 
 
+def _components(d, eps):
+    """Connected components of the graph d <= eps, by union-find."""
+    n = d.shape[0]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] <= eps:
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[ra] = rb
+    return [find(i) for i in range(n)]
+
+
 def test_dbscan_matches_union_find_components():
     # With min_samples=1 every point is core, so clusters are exactly the
     # connected components of the eps graph.
-    def components(d, eps):
-        n = d.shape[0]
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i, j] <= eps:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
-        return [find(i) for i in range(n)]
-
     rng = np.random.default_rng(4)
     for trial in range(25):
         n = int(rng.integers(2, 40))
@@ -171,7 +181,7 @@ def test_dbscan_matches_union_find_components():
         eps = float(np.quantile(off_diag, rng.uniform(0.05, 0.6))) if n > 1 else 0.1
         raw = dbscan_from(d, eps, min_samples=1)
         assert (raw >= 0).all()
-        assert _canon(raw) == _canon(components(d, eps)), f"trial {trial}"
+        assert _canon(raw) == _canon(_components(d, eps)), f"trial {trial}"
 
 
 def test_dbscan_numbering_by_smallest_member():
@@ -260,3 +270,121 @@ def test_every_point_gets_positive_label():
         ids, counts = np.unique(assign.labels[noise], return_counts=True)
         assert (counts == 1).all()
         assert ids.min() > assign.labels[~noise].max()
+
+
+# ---------------------------------------------------------------------------
+# Row-strip passes against dense oracles. The oracle matrix comes from
+# cosine_distance_matrix at the same tile height, because BLAS may round a
+# block product differently for another block shape; everything the passes
+# derive from it (k-th distances, eps, neighbour lists, clusters, k-NN
+# graph) is recomputed densely here.
+
+TILE = 7  # several strips per pool, the last one ragged
+
+
+def _strip_pools():
+    pools = []
+    for seed in range(3):
+        x, _ = sample_pool(Population.zipf(12, 1.1), 59, dim=6, spread=0.3, seed=seed)
+        pools.append(x)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((45, 4))
+    x[10:14] = x[2]  # five identical rows
+    x[[20, 31]] = 0.0  # zero rows: distance exactly 1 to everything
+    pools.append(x)
+    # mirror images around row 0: exact ties at row 0's k-th distance
+    deg = np.deg2rad([0.0, 15.0, -15.0, 30.0, -30.0, 45.0, -45.0, 60.0, -60.0])
+    pools.append(np.stack([np.cos(deg), np.sin(deg)], axis=1))
+    return pools
+
+
+def _dense_kth(dist, k):
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    return np.sort(off, axis=1)[:, k - 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_strip_passes_match_dense_oracle(threads):
+    for pool_id, x in enumerate(_strip_pools()):
+        n = x.shape[0]
+        dist = cosine_distance_matrix(x, tile_rows=TILE)
+        unit = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
+        ref = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+        np.fill_diagonal(ref, 0.0)
+        assert np.allclose(dist, ref, atol=1e-12)
+        strip_unit = l2_normalize_rows(x, eps=0.0)
+        for k in (1, 3, n - 1):
+            kth = _kth_nearest(strip_unit, k, TILE, threads)
+            assert np.array_equal(kth, _dense_kth(dist, k)), (pool_id, k)
+            for q in (0.0, 0.3, 1.0):
+                want = float(np.quantile(_dense_kth(dist, k), q))
+                assert knn_quantile_eps_from(dist, k, q) == want
+                got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q,
+                                   tile_rows=TILE, threads=threads)
+                assert got.eps == want, (pool_id, k, q)
+                assert _canon(got.raw_labels) == _canon(_components(dist, want))
+        for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
+            indptr, indices = _eps_neighbors(strip_unit, eps, TILE, threads)
+            assert indptr[0] == 0 and indptr[-1] == indices.size
+            for i in range(n):
+                assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
+                                      np.flatnonzero(dist[i] <= eps)), (pool_id, eps, i)
+            for min_samples in (1, 3):
+                got = cluster_pool(x, method="dbscan", eps_override=eps,
+                                   min_samples=min_samples, tile_rows=TILE,
+                                   threads=threads)
+                assert np.array_equal(got.raw_labels,
+                                      dbscan_from(dist, eps, min_samples))
+            got = cluster_pool(x, method="dbscan", eps_override=eps, tile_rows=TILE)
+            assert _canon(got.raw_labels) == _canon(_components(dist, eps))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_strip_knn_graph_matches_dense_argsort(monkeypatch, threads):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+    ties = 0
+    for x in _strip_pools():
+        dist = cosine_distance_matrix(x, tile_rows=TILE)
+        np.fill_diagonal(dist, np.inf)
+        for k in (1, 2, 3, x.shape[0] - 1):
+            want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_knn_graph(x, k, threads), want)
+            kth = np.sort(dist, axis=1)[:, k - 1:k]
+            ties += int(((dist <= kth).sum(axis=1) > k).sum())
+    assert ties > 0  # the whole-row tie path ran
+
+
+def test_cosine_distance_matrix_is_the_strip_values():
+    x, _ = sample_pool(Population.zipf(12, 1.1), 50, dim=5, spread=0.3, seed=3)
+    dist = cosine_distance_matrix(x, tile_rows=TILE, threads=2)
+    strips = ucs.clustering._distance_strips(
+        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip, TILE, 1)
+    assert np.array_equal(np.vstack(strips), dist)
+    assert np.array_equal(dist, dist.T)
+    # one product per rectangular strip is not symmetric at this shape on
+    # some BLAS builds; the block construction is symmetric at any shape
+    y = np.random.default_rng(5).standard_normal((999, 17))
+    wide = cosine_distance_matrix(y, tile_rows=100)
+    assert np.array_equal(wide, wide.T)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_strip_passes_hold_no_square_matrix():
+    # An N x N float64 array is N^2 * 8 bytes; the strip passes must stay
+    # well below a quarter of that.
+    n = 3000
+    x, _ = sample_pool(Population.zipf(200, 1.1), n, dim=32, spread=0.3, seed=0)
+    bound = n * n * 8 / 4
+    assert _traced_peak(lambda: cluster_pool(x, method="dict_dbscan")) < bound
+    assert _traced_peak(lambda: _knn_graph(x, 3)) < bound

@@ -162,14 +162,20 @@ def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
     assert result.records == records  # exact float equality, field by field
 
 
+def _strip_distances(x):
+    # the k-NN graph reads its distances from strips of the current tile
+    # height; the oracle must see the same block products
+    return cosine_distance_matrix(x, tile_rows=ucs.clustering.DEFAULT_TILE_ROWS)
+
+
 def _knn_oracle(x, k):
-    dist = cosine_distance_matrix(x)
+    dist = _strip_distances(x)
     np.fill_diagonal(dist, np.inf)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def _has_kth_tie(x, k):
-    dist = cosine_distance_matrix(x)
+    dist = _strip_distances(x)
     np.fill_diagonal(dist, np.inf)
     kth = np.sort(dist, axis=1)[:, k - 1:k]
     return bool(((dist <= kth).sum(axis=1) > k).any())
@@ -224,13 +230,13 @@ def test_knn_graph_hypothesis_small_pools(data):
 
 def test_votek_threads_reach_distance_matrix(monkeypatch, small_tiles):
     seen = []
-    original = ucs.clustering.cosine_distance_matrix
+    original = ucs.clustering._distance_strips
 
-    def recording(x, tile_rows=ucs.clustering.DEFAULT_TILE_ROWS, threads=1):
+    def recording(unit, consume, rows, threads=1):
         seen.append(threads)
-        return original(x, tile_rows=5, threads=threads)
+        return original(unit, consume, 5, threads)
 
-    monkeypatch.setattr(ucs.clustering, "cosine_distance_matrix", recording)
+    monkeypatch.setattr(ucs.clustering, "_distance_strips", recording)
     x, labels = sample_pool(Population.zipf(12, 1.1), 50, dim=6, spread=0.3, seed=1)
     cfg = SelectionConfig(budget=6, lam=0.5, base="votek", votek_k=3)
     prior = corpus_prior(labels)
