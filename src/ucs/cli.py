@@ -523,8 +523,7 @@ def run_pipeline(
         "prior": os.path.join(workdir, "prior.csv"),
         "report": os.path.join(workdir, "report.txt"),
     }
-    sgt = SgtConfig(t=float(cfg["sgt_t"]), bin_size=int(cfg["sgt_bin_size"]),
-                    offset_alpha=float(cfg["sgt_offset"]))
+    sgt = _sgt_config(cfg, argparse.Namespace())
     n_runs = int(cfg["n_runs"])
     select_outs = [
         os.path.join(workdir, f"select_run{r:02d}.csv") for r in range(n_runs)
@@ -810,8 +809,7 @@ def _cmd_select(args, cfg, threads) -> int:
     used = {k: cfg[k] for k in ("budget", "sgt_lambda", "sgt_t", "sgt_bin_size",
                                 "sgt_offset", "votek_k", "dpp_scale_factor",
                                 "candidate_num", "seed")}
-    sgt = SgtConfig(t=float(cfg["sgt_t"]), bin_size=int(cfg["sgt_bin_size"]),
-                    offset_alpha=float(cfg["sgt_offset"]))
+    sgt = _sgt_config(cfg, args)
     [result] = stage_select(args.embeddings, args.labels, [args.out], args.base,
                             cfg, sgt, [int(cfg["seed"])], args.rarity,
                             args.freeze_votes, args.query_row, used, threads)
@@ -842,8 +840,7 @@ def _cmd_synth(args, cfg, threads) -> int:
         })
         return 0
     t = args.t if args.t is not None else float(cfg["sgt_t"])
-    sgt = SgtConfig(t=t, bin_size=int(cfg["sgt_bin_size"]),
-                    offset_alpha=float(cfg["sgt_offset"]))
+    sgt = dataclasses.replace(_sgt_config(cfg, args), t=t)
     report = mc_unseen_oracle(pop, args.n, t, args.trials, seed, sgt=sgt,
                               estimator=args.estimator)
     rows = [

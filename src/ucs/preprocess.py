@@ -50,14 +50,6 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     return h[row].copy()
 
 
-def pool_bundle(
-    examples: list[tuple[str, np.ndarray, np.ndarray]], mode: str = "mean"
-) -> np.ndarray:
-    """Pool every (stem, hidden, mask) triple of a token bundle into an N x d matrix."""
-    rows = [pool_tokens(hidden, mask, mode) for _, hidden, mask in examples]
-    return np.vstack(rows)
-
-
 def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Scale each row to unit l2 norm, r / (||r|| + eps); zero rows stay zero.
 

@@ -5,6 +5,12 @@ VoteK, and an argmax over externally scored candidate subsets (the stand-in
 for perplexity-style subset utilities). Each has a UCS variant that adds
 lambda times a coverage term; at lambda = 0 every variant reproduces its
 base selector bit-exactly. Ties are always broken toward the lowest index.
+
+Greedy DPP is the fast greedy MAP of Chen, Zhang & Zhou (NeurIPS 2018): each
+step adds one incremental Cholesky row and updates every candidate's Schur
+complement from it, O(N * B^2) after the N x N kernel is built. It raises
+SingularKernel when a picked item's Schur complement is not > 0 (or NaN) and
+another step follows.
 """
 
 from __future__ import annotations
@@ -103,36 +109,27 @@ def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> np.ndarray:
     return kernel
 
 
-def _dpp_gains(kernel: np.ndarray, selected: list[int], candidates: np.ndarray) -> np.ndarray:
-    """log det L_{S+i} - log det L_S for each candidate, via Schur complements."""
-    diag = kernel[candidates, candidates]
-    if not selected:
-        sc = diag
-    else:
-        sub = kernel[np.ix_(selected, selected)]
-        rhs = kernel[np.ix_(selected, candidates)]
-        try:
-            solved = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernel(
-                f"kernel submatrix of order {len(selected)} is singular"
-            ) from exc
-        sc = diag - np.einsum("ij,ij->j", rhs, solved)
-    return np.log(np.maximum(sc, _SC_FLOOR))
-
-
 def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget):
+    """Greedy MAP with incremental Cholesky rows (Chen, Zhang & Zhou, 2018).
+
+    sc holds every item's Schur complement L_ii - L_iS L_SS^-1 L_Si, the
+    log-det gain of adding i to S. After a pick j, row s of chol is
+    e = (L_j - chol[:s, j] @ chol[:s]) / sqrt(sc_j) and sc drops by e**2.
+    Only the diagonal and the picked rows of the kernel are read.
+    """
     n = kernel.shape[0]
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be square, got {kernel.shape}")
     steps = min(budget, n)
     tracker = CoverageTracker(labels, cfg) if labels is not None else None
+    sc = kernel.diagonal().astype(np.float64)  # a copy, never the caller's
+    chol = np.empty((steps, n))
     selected: list[int] = []
     records: list[StepRecord] = []
     alive = np.ones(n, dtype=bool)
-    for _ in range(steps):
+    for s in range(steps):
         candidates = np.flatnonzero(alive)
-        base_gain = _dpp_gains(kernel, selected, candidates)
+        base_gain = np.log(np.maximum(sc[candidates], _SC_FLOOR))
         if tracker is not None:
             coverage = tracker.gains_if_added(candidates)
         else:
@@ -146,12 +143,23 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget):
         alive[pick] = False
         if tracker is not None:
             tracker.add(pick)
+        if s + 1 < steps:
+            if not sc[pick] > 0:  # also catches NaN
+                raise SingularKernel(f"kernel submatrix of order {s + 1} is singular")
+            e = (kernel[pick] - chol[:s, pick] @ chol[:s]) / math.sqrt(sc[pick])
+            chol[s] = e
+            sc -= e * e
     return selected, records
 
 
 def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
     """Plain greedy MAP of a DPP: maximize log det of the selected principal
-    submatrix, one item at a time."""
+    submatrix, one item at a time.
+
+    Incremental Cholesky, O(N * budget^2) on top of the kernel. Gains are
+    floored at log(1e-300); SingularKernel is raised when a picked item's
+    Schur complement is not > 0 (or NaN) and another step follows.
+    """
     indices, _ = _greedy_dpp(kernel, None, None, 0.0, budget)
     return indices
 

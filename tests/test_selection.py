@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
     SelectionConfig,
     StepRecord,
-    _dpp_gains,
     _knn_graph,
     best_subset,
     dpp_kernel,
@@ -125,14 +126,110 @@ def test_greedy_dpp_ucs_large_lambda_prefers_distinct_clusters():
     assert result.k_seen == 4
 
 
-def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
-    """Reference greedy loop: one gain_if_added call per candidate."""
+def test_greedy_dpp_ones_kernel_floors_second_gain():
+    # after the first pick every Schur complement is exactly 0
+    assert greedy_dpp(np.ones((4, 4)), 2) == [0, 1]
+
+
+def test_greedy_dpp_ones_kernel_singular_at_order_two():
+    with pytest.raises(SingularKernel, match="order 2"):
+        greedy_dpp(np.ones((4, 4)), 3)
+
+
+def test_greedy_dpp_repeated_rows_stay_positive_definite():
+    base = np.random.default_rng(6).standard_normal((5, 8))
+    kernel = dpp_kernel(np.repeat(base, 4, axis=0))
+    picks = greedy_dpp(kernel, 20)  # the 1e-8 jitter keeps every step > 0
+    assert sorted(picks) == list(range(20))
+
+
+def test_greedy_dpp_nan_schur_complement_is_singular():
+    kernel = np.eye(4)
+    kernel[2, 2] = np.nan
+    with pytest.raises(SingularKernel, match="order 1"):
+        greedy_dpp(kernel, 2)
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_greedy_dpp_ucs_leaves_kernel_untouched(read_only):
+    x, _ = sample_pool(Population.zipf(20, 1.1), 80, dim=8, spread=0.3, seed=4)
+    labels = sample_labels(Population.zipf(40, 0.8), 80, 4)
+    kernel = dpp_kernel(x)
+    before = kernel.copy()
+    kernel.setflags(write=not read_only)
+    greedy_dpp_ucs(kernel, labels, SelectionConfig(budget=30, lam=0.5, base="dpp"))
+    assert np.array_equal(kernel, before)
+
+
+def _dpp_gains_solve(kernel, selected, candidates):
+    """Oracle: log det L_{S+i} - log det L_S per candidate, from one linear
+    solve against L_SS."""
+    diag = kernel[candidates, candidates]
+    if not selected:
+        sc = diag
+    else:
+        sub = kernel[np.ix_(selected, selected)]
+        rhs = kernel[np.ix_(selected, candidates)]
+        sc = diag - np.einsum("ij,ij->j", rhs, np.linalg.solve(sub, rhs))
+    return np.log(np.maximum(sc, 1e-300))
+
+
+def _greedy_dpp_solve(kernel, labels, cfg: SelectionConfig):
+    """Greedy loop with solve-based base gains and batched coverage gains."""
     tracker = CoverageTracker(labels, cfg.sgt)
-    selected, records = [], []
+    selected, gains = [], []
     alive = np.ones(kernel.shape[0], dtype=bool)
     for _ in range(min(cfg.budget, kernel.shape[0])):
         candidates = np.flatnonzero(alive)
-        base_gain = _dpp_gains(kernel, selected, candidates)
+        base_gain = _dpp_gains_solve(kernel, selected, candidates)
+        total = base_gain + cfg.lam * tracker.gains_if_added(candidates)
+        pos = int(np.argmax(total))
+        selected.append(int(candidates[pos]))
+        gains.append(float(base_gain[pos]))
+        alive[selected[-1]] = False
+        tracker.add(selected[-1])
+    return selected, gains
+
+
+@pytest.mark.parametrize("n, budget, k_types, spread, seed", [
+    (300, 40, 100, 0.3, 1),
+    (1000, 60, 100, 0.3, 3),
+    # 20 near-duplicate types: late Schur complements come within a few
+    # multiples of the 1e-8 jitter
+    (300, 60, 20, 1e-3, 2),
+    (1000, 60, 20, 1e-3, 4),
+])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_greedy_dpp_ucs_matches_solve_oracle(n, budget, k_types, spread, seed, lam):
+    x, _ = sample_pool(Population.zipf(k_types, 1.1), n, dim=16, spread=spread, seed=seed)
+    labels = sample_labels(Population.zipf(400, 0.8), n, seed)
+    kernel = dpp_kernel(x)
+    cfg = SelectionConfig(budget=budget, lam=lam, base="dpp")
+    result = greedy_dpp_ucs(kernel, labels, cfg)
+    indices, gains = _greedy_dpp_solve(kernel, labels, cfg)
+    assert result.indices == indices
+    got, want = np.array([r.base_gain for r in result.records]), np.array(gains)
+    # 1e-9 wherever the Schur complement is >= 1e-5; below that both float64
+    # paths differ by ~1e-15 absolute, which the log divides by the complement
+    sc = np.exp(want)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-9, 1e-14 / sc))
+    if spread < 0.01:
+        assert sc.min() < 1e-7
+
+
+def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
+    """Reference greedy loop: one gain_if_added call per candidate, with the
+    Schur recurrence of _greedy_dpp written out."""
+    n = kernel.shape[0]
+    steps = min(cfg.budget, n)
+    tracker = CoverageTracker(labels, cfg.sgt)
+    sc = kernel.diagonal().astype(np.float64)
+    chol = np.empty((steps, n))
+    selected, records = [], []
+    alive = np.ones(n, dtype=bool)
+    for s in range(steps):
+        candidates = np.flatnonzero(alive)
+        base_gain = np.log(np.maximum(sc[candidates], 1e-300))
         phi_now = tracker.phi()
         coverage = np.array([tracker.gain_if_added(int(i), phi_now) for i in candidates])
         total = base_gain + cfg.lam * coverage
@@ -143,6 +240,9 @@ def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
         selected.append(pick)
         alive[pick] = False
         tracker.add(pick)
+        e = (kernel[pick] - chol[:s, pick] @ chol[:s]) / math.sqrt(sc[pick])
+        chol[s] = e
+        sc -= e * e
     return selected, records
 
 
