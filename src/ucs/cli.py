@@ -3,10 +3,10 @@
 Every stage reads and writes plain files (matrix containers, label files,
 CSV), so any stage can be replaced by an external tool; this is also how
 real embedding dumps enter the pipeline. Each artifact gets a sibling
-``<artifact>.manifest.txt`` recording the stage, the effective config, seeds
-and input hashes; the timestamp is the only manifest field allowed to differ
-between reruns, and artifacts themselves are byte-identical when inputs and
-config are unchanged.
+``<artifact>.manifest.txt`` recording the stage, the config keys the stage
+read (COMMAND_CONFIG_KEYS), seeds and input hashes; the timestamp is the
+only manifest field allowed to differ between reruns, and artifacts
+themselves are byte-identical when inputs and config are unchanged.
 
 Exit codes: 0 success, 2 configuration or input-format error, 3 missing
 input file, 4 numeric failure.
@@ -44,6 +44,7 @@ from .latent_dictionary import (
     CodeBook,
     fit_dictionary,
     fit_joint_dictionary,
+    normalize_codes,
     ridge_encode,
 )
 from .matrix_store import (
@@ -129,6 +130,26 @@ PIPELINE_STAGES = (
 
 BASE_SELECTORS = ("dpp", "votek", "subset_utility")
 
+# The config keys each command reads: its config flags, and the config.*
+# entries of the manifests it writes. Each pipeline stage reads the keys of
+# the command of the same name.
+COMMAND_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
+    "ingest": (),
+    "preprocess": ("dict_pca_dim",),
+    "dict-fit": ("dict_n_components", "dict_alpha", "seed"),
+    "dict-encode": ("dict_alpha",),
+    "joint-fit": ("dict_n_components", "dict_alpha", "seed"),
+    "cluster": ("clustering", "dbscan_k", "dbscan_q", "dbscan_min_samples"),
+    "spectrum": (),
+    "estimate": ("sgt_t", "sgt_bin_size", "sgt_offset"),
+    "prior": (),
+    "select": ("budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset",
+               "votek_k", "dpp_scale_factor", "candidate_num", "seed"),
+    "synth": ("seed", "sgt_t", "sgt_bin_size", "sgt_offset"),
+    "analyze": (),
+    "pipeline": tuple(CONFIG_TYPES),
+}
+
 
 def load_config(path: str) -> dict[str, object]:
     """Parse a flat key=value config file; '#' starts a comment line."""
@@ -171,26 +192,14 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
-def resolve_threads(args: argparse.Namespace) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        env = os.environ.get("UCS_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"UCS_THREADS must be an integer, got {env!r}") from exc
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise ConfigError(f"threads must be >= 1, got {value}")
-    return value
-
-
 def _require(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise MissingInput(f"{what} not found: {path}")
     return path
+
+
+def _config_used(cfg: dict, command: str) -> dict[str, object]:
+    return {key: cfg[key] for key in COMMAND_CONFIG_KEYS[command]}
 
 
 def _stage_manifest(
@@ -270,10 +279,10 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
 # Stage implementations (shared by subcommands and run_pipeline)
 
 
-def stage_ingest(input_path: str, out: str, dtype: str, cfg_used: dict) -> None:
+def stage_ingest(input_path: str, out: str, dtype: str) -> None:
     matrix = read_matrix(_require(input_path, "input matrix"))
     write_matrix(matrix, out, dtype=dtype)
-    _stage_manifest(out, "ingest", cfg_used, {"matrix": input_path},
+    _stage_manifest(out, "ingest", {}, {"matrix": input_path},
                     {"dtype": dtype})
 
 
@@ -281,11 +290,10 @@ def stage_preprocess(
     input_path: str | None,
     bundle: str | None,
     out: str,
-    pca_dim: int,
+    cfg: dict,
     standardize: bool,
     l2norm: bool,
     pooling: str,
-    cfg_used: dict,
 ) -> None:
     if bundle is not None:
         _require(bundle, "token bundle directory")
@@ -299,12 +307,13 @@ def stage_preprocess(
         pool = read_matrix(_require(input_path, "pool matrix"))
         inputs = {"pool": input_path}
     reduced, scaler, basis = preprocess_pool(
-        pool, d_prime=pca_dim, standardize=standardize, l2norm=l2norm
+        pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
+        l2norm=l2norm
     )
     write_matrix(reduced, out)
     stem = out[: -len(".ucsm")] if out.endswith(".ucsm") else out
     write_sidecars(stem, scaler, basis)
-    _stage_manifest(out, "preprocess", cfg_used, inputs, {
+    _stage_manifest(out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
         "rows": str(reduced.shape[0]),
         "cols": str(reduced.shape[1]),
         "standardize": str(standardize),
@@ -313,8 +322,7 @@ def stage_preprocess(
     })
 
 
-def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int,
-                   cfg_used: dict) -> CodeBook:
+def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int) -> CodeBook:
     pool = read_matrix(_require(input_path, "pool matrix"))
     book = fit_dictionary(
         pool,
@@ -324,33 +332,32 @@ def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int,
         seed=int(cfg["seed"]),
     )
     write_matrix(book.dictionary, out)
-    _stage_manifest(out, "dict-fit", cfg_used, {"pool": input_path}, {
-        "objective": _fmt(book.objective),
-        "n_iter": str(book.n_iter),
-        "max_iter": str(max_iter),
-    })
+    _stage_manifest(out, "dict-fit", _config_used(cfg, "dict-fit"),
+                    {"pool": input_path}, {
+                        "objective": _fmt(book.objective),
+                        "n_iter": str(book.n_iter),
+                        "max_iter": str(max_iter),
+                    })
     return book
 
 
 def stage_dict_encode(dict_path: str, input_path: str, out: str, cfg: dict,
-                      normalize: bool, cfg_used: dict) -> np.ndarray:
+                      normalize: bool) -> np.ndarray:
     dictionary = read_matrix(_require(dict_path, "dictionary matrix"))
     pool = read_matrix(_require(input_path, "pool matrix"))
     book = CodeBook(dictionary=dictionary, ridge_alpha=float(cfg["dict_alpha"]))
     codes = ridge_encode(book, pool)
     if normalize:
-        from .latent_dictionary import normalize_codes
-
         codes = normalize_codes(codes)
     write_matrix(codes, out)
-    _stage_manifest(out, "dict-encode", cfg_used,
+    _stage_manifest(out, "dict-encode", _config_used(cfg, "dict-encode"),
                     {"dict": dict_path, "pool": input_path},
                     {"normalize": str(normalize)})
     return codes
 
 
-def stage_cluster(input_path: str, out: str, cfg: dict, threads: int,
-                  eps_override: float | None, cfg_used: dict) -> np.ndarray:
+def stage_cluster(input_path: str, out: str, cfg: dict,
+                  eps_override: float | None) -> np.ndarray:
     x = read_matrix(_require(input_path, "input matrix"))
     assignment = cluster_pool(
         x,
@@ -359,18 +366,18 @@ def stage_cluster(input_path: str, out: str, cfg: dict, threads: int,
         dbscan_q=float(cfg["dbscan_q"]),
         min_samples=int(cfg["dbscan_min_samples"]),
         eps_override=eps_override,
-        threads=threads,
     )
     write_labels(assignment.labels, out)
     extra = {"n_clusters": str(assignment.n_clusters)}
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
-    _stage_manifest(out, "cluster", cfg_used, {"input": input_path}, extra)
+    _stage_manifest(out, "cluster", _config_used(cfg, "cluster"),
+                    {"input": input_path}, extra)
     return assignment.labels
 
 
 def stage_prior(labels_path: str, out: str, smoothing: str, eps: float,
-                noise_label: int | None, cfg_used: dict) -> None:
+                noise_label: int | None) -> None:
     labels = read_labels(_require(labels_path, "labels file"), min_label=1,
                          noise_label=noise_label)
     prior = corpus_prior(labels, smoothing=smoothing, eps=eps,
@@ -381,7 +388,7 @@ def stage_prior(labels_path: str, out: str, smoothing: str, eps: float,
         writer.writerow(["cluster", "size", "weight"])
         for c in clusters:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
-    _stage_manifest(out, "prior", cfg_used, {"labels": labels_path},
+    _stage_manifest(out, "prior", {}, {"labels": labels_path},
                     {"smoothing": smoothing, "n_clusters": str(len(clusters))})
 
 
@@ -395,7 +402,6 @@ def run_selection(
     rarity: str | None = None,
     freeze_votes: bool = False,
     query_row: int | None = None,
-    threads: int = 1,
 ) -> SelectionResult:
     sel_cfg = SelectionConfig(
         budget=int(cfg["budget"]),
@@ -408,14 +414,14 @@ def run_selection(
         seed=seed,
     )
     if rarity is not None:
-        return rarity_controls(x, labels, sel_cfg, rarity, threads=threads)
+        return rarity_controls(x, labels, sel_cfg, rarity)
     if base == "dpp":
         kernel = dpp_kernel(x, scale=sel_cfg.dpp_scale_factor)
         return greedy_dpp_ucs(kernel, labels, sel_cfg)
     if base == "votek":
         prior = corpus_prior(labels, noise_label=sgt.noise_label)
         return votek_ucs_select(x, labels, prior, sel_cfg,
-                                freeze_votes=freeze_votes, threads=threads)
+                                freeze_votes=freeze_votes)
     if base == "subset_utility":
         query = x[query_row] if query_row is not None else x.mean(axis=0)
         candidates = sample_candidate_subsets(
@@ -437,8 +443,6 @@ def stage_select(
     rarity: str | None,
     freeze_votes: bool,
     query_row: int | None,
-    cfg_used: dict,
-    threads: int,
 ) -> list[SelectionResult]:
     """One selection per (out, seed) pair, each with its CSV and manifest.
 
@@ -456,11 +460,10 @@ def stage_select(
     for out, seed in zip(outs, seeds):
         if seeded or not results:
             result = run_selection(x, labels, base, cfg, seed, sgt, rarity=rarity,
-                                   freeze_votes=freeze_votes, query_row=query_row,
-                                   threads=threads)
+                                   freeze_votes=freeze_votes, query_row=query_row)
         results.append(result)
         _write_selection_csv(out, result)
-        _stage_manifest(out, "select", cfg_used,
+        _stage_manifest(out, "select", _config_used(cfg, "select"),
                         {"embeddings": embeddings_path, "labels": labels_path}, {
                             "base": base if rarity is None else f"rarity_{rarity}",
                             "seed": str(seed),
@@ -471,7 +474,7 @@ def stage_select(
 
 
 def stage_analyze(labels_path: str, selection_paths: list[str],
-                  out: str | None, cfg_used: dict) -> list[tuple[str, str]]:
+                  out: str | None) -> list[tuple[str, str]]:
     labels = read_labels(_require(labels_path, "labels file"), min_label=1)
     selections = [
         _read_selection_csv(_require(p, "selection csv")) for p in selection_paths
@@ -493,7 +496,7 @@ def stage_analyze(labels_path: str, selection_paths: list[str],
     if out:
         inputs = {"labels": labels_path}
         inputs.update({f"selection{i}": p for i, p in enumerate(selection_paths)})
-        _stage_manifest(out, "analyze", cfg_used, inputs)
+        _stage_manifest(out, "analyze", {}, inputs)
     return rows
 
 
@@ -503,7 +506,7 @@ def run_pipeline(
     workdir: str,
     stages: list[str],
     base: str,
-    threads: int,
+    threads: object = None,
     rarity: str | None = None,
 ) -> None:
     """Run a contiguous stage range, reading earlier artifacts from workdir.
@@ -513,6 +516,9 @@ def run_pipeline(
     seed..seed+n_runs-1 drive repeated selection runs; the analyze stage
     aggregates exposure metrics over those runs as mean +/- std. Selectors
     that ignore the seed are computed once and written n_runs times.
+
+    threads is ignored. It remains so that callers which still pass a
+    thread count as the sixth positional argument keep working.
     """
     os.makedirs(workdir, exist_ok=True)
     paths = {
@@ -529,42 +535,40 @@ def run_pipeline(
         os.path.join(workdir, f"select_run{r:02d}.csv") for r in range(n_runs)
     ]
     if "preprocess" in stages:
-        stage_preprocess(input_pool, None, paths["reduced"],
-                         int(cfg["dict_pca_dim"]), True, False, "mean", cfg)
+        stage_preprocess(input_pool, None, paths["reduced"], cfg, True, False,
+                         "mean")
     if "dict-fit" in stages:
-        stage_dict_fit(paths["reduced"], paths["dict"], cfg, 50, cfg)
+        stage_dict_fit(paths["reduced"], paths["dict"], cfg, 50)
     if "dict-encode" in stages:
         stage_dict_encode(paths["dict"], paths["reduced"], paths["codes"],
-                          cfg, False, cfg)
+                          cfg, False)
     if "cluster" in stages:
         source = paths["reduced"] if cfg["clustering"] == "dbscan" else paths["codes"]
-        stage_cluster(source, paths["labels"], cfg, threads, None, cfg)
+        stage_cluster(source, paths["labels"], cfg, None)
     if "prior" in stages:
-        stage_prior(paths["labels"], paths["prior"], "power_law", 1e-6, None, cfg)
+        stage_prior(paths["labels"], paths["prior"], "power_law", 1e-6, None)
     if "select" in stages:
         seeds = [int(cfg["seed"]) + r for r in range(n_runs)]
         stage_select(paths["reduced"], paths["labels"], select_outs, base, cfg,
-                     sgt, seeds, rarity, False, None, cfg, threads)
+                     sgt, seeds, rarity, False, None)
     if "analyze" in stages:
         for p in select_outs:
             _require(p, "selection csv")
-        stage_analyze(paths["labels"], select_outs, paths["report"], cfg)
+        stage_analyze(paths["labels"], select_outs, paths["report"])
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, keys: list[str]) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    keys = COMMAND_CONFIG_KEYS[command]
     for key in keys:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, type=CONFIG_TYPES[key], default=None,
                             help=f"override config key {key}")
     parser.add_argument("--config", default=None,
                         help="flat key=value config file")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="stage-internal worker threads "
-                             "(default: UCS_THREADS or all cores)")
     parser.epilog = "config keys consumed: " + (", ".join(keys) if keys else "none")
 
 
@@ -579,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
-    _add_config_flags(p, [])
+    _add_config_flags(p, "ingest")
 
     p = sub.add_parser("preprocess",
                        help="pool tokens, standardize, and reduce with PCA")
@@ -590,13 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pooling", choices=POOLING_MODES, default="mean")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--l2norm", action="store_true")
-    _add_config_flags(p, ["dict_pca_dim"])
+    _add_config_flags(p, "preprocess")
 
     p = sub.add_parser("dict-fit", help="fit the latent dictionary")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-iter", type=int, default=50)
-    _add_config_flags(p, ["dict_n_components", "dict_alpha", "seed"])
+    _add_config_flags(p, "dict-fit")
 
     p = sub.add_parser("dict-encode", help="ridge-encode a pool against a dictionary")
     p.add_argument("--dict", dest="dict_path", required=True)
@@ -604,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action="store_true",
                    help="row-normalize the codes")
-    _add_config_flags(p, ["dict_alpha"])
+    _add_config_flags(p, "dict-encode")
 
     p = sub.add_parser("joint-fit",
                        help="fit one dictionary across aligned sources")
@@ -613,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--fix-maps", action="store_true")
-    _add_config_flags(p, ["dict_n_components", "dict_alpha", "seed"])
+    _add_config_flags(p, "joint-fit")
 
     p = sub.add_parser("cluster", help="assign latent-cluster labels")
     p.add_argument("--input", required=True,
@@ -621,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--eps", type=float, default=None,
                    help="override the kNN-quantile eps")
-    _add_config_flags(p, ["clustering", "dbscan_k", "dbscan_q",
-                          "dbscan_min_samples"])
+    _add_config_flags(p, "cluster")
 
     p = sub.add_parser("spectrum", help="emit the cluster-size spectrum")
     p.add_argument("--labels", required=True)
@@ -630,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file of row indices, whitespace separated")
     p.add_argument("--noise-label", type=int, default=None)
     p.add_argument("--out", default=None)
-    _add_config_flags(p, [])
+    _add_config_flags(p, "spectrum")
 
     p = sub.add_parser("estimate", help="estimate unseen clusters and coverage")
     p.add_argument("--labels", required=True)
@@ -640,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=int, default=None,
                    help="override the weight truncation depth")
     p.add_argument("--out", default=None)
-    _add_config_flags(p, ["sgt_t", "sgt_bin_size", "sgt_offset"])
+    _add_config_flags(p, "estimate")
 
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
@@ -649,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="power_law")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--noise-label", type=int, default=None)
-    _add_config_flags(p, [])
+    _add_config_flags(p, "prior")
 
     p = sub.add_parser("select", help="run a coverage-regularized selector")
     p.add_argument("--embeddings", required=True)
@@ -661,9 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-votes", action="store_true")
     p.add_argument("--query-row", type=int, default=None,
                    help="subset_utility query row (default: pool mean)")
-    _add_config_flags(p, ["budget", "sgt_lambda", "sgt_t", "sgt_bin_size",
-                          "sgt_offset", "votek_k", "dpp_scale_factor",
-                          "candidate_num", "seed"])
+    _add_config_flags(p, "select")
 
     p = sub.add_parser("synth", help="generate synthetic pools or run the "
                                      "Monte Carlo unseen-type oracle")
@@ -680,14 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--estimator", choices=("sgt", "gt"), default="sgt")
     p.add_argument("--out", default=None, help="oracle mode report file")
-    _add_config_flags(p, ["seed", "sgt_t", "sgt_bin_size", "sgt_offset"])
+    _add_config_flags(p, "synth")
 
     p = sub.add_parser("analyze", help="cluster-size stats and exposure metrics")
     p.add_argument("--labels", required=True)
     p.add_argument("--selections", nargs="+", required=True,
                    help="selection CSVs from the select stage")
     p.add_argument("--out", default=None)
-    _add_config_flags(p, [])
+    _add_config_flags(p, "analyze")
 
     p = sub.add_parser("pipeline", help="run a contiguous stage range")
     p.add_argument("--input", required=True, help="raw pooled matrix")
@@ -698,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PIPELINE_STAGES[-1])
     p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
     p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None)
-    _add_config_flags(p, list(CONFIG_TYPES))
+    _add_config_flags(p, "pipeline")
 
     return parser
 
@@ -707,33 +708,29 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand dispatch
 
 
-def _cmd_ingest(args, cfg, threads) -> int:
-    stage_ingest(args.input, args.out, args.dtype, {})
+def _cmd_ingest(args, cfg) -> int:
+    stage_ingest(args.input, args.out, args.dtype)
     return 0
 
 
-def _cmd_preprocess(args, cfg, threads) -> int:
-    stage_preprocess(args.input, args.bundle, args.out,
-                     int(cfg["dict_pca_dim"]), not args.no_standardize,
-                     args.l2norm, args.pooling,
-                     {"dict_pca_dim": cfg["dict_pca_dim"]})
+def _cmd_preprocess(args, cfg) -> int:
+    stage_preprocess(args.input, args.bundle, args.out, cfg,
+                     not args.no_standardize, args.l2norm, args.pooling)
     return 0
 
 
-def _cmd_dict_fit(args, cfg, threads) -> int:
-    used = {k: cfg[k] for k in ("dict_n_components", "dict_alpha", "seed")}
-    book = stage_dict_fit(args.input, args.out, cfg, args.max_iter, used)
+def _cmd_dict_fit(args, cfg) -> int:
+    book = stage_dict_fit(args.input, args.out, cfg, args.max_iter)
     print(f"objective {book.objective!r} after {book.n_iter} iterations")
     return 0
 
 
-def _cmd_dict_encode(args, cfg, threads) -> int:
-    stage_dict_encode(args.dict_path, args.input, args.out, cfg,
-                      args.normalize, {"dict_alpha": cfg["dict_alpha"]})
+def _cmd_dict_encode(args, cfg) -> int:
+    stage_dict_encode(args.dict_path, args.input, args.out, cfg, args.normalize)
     return 0
 
 
-def _cmd_joint_fit(args, cfg, threads) -> int:
+def _cmd_joint_fit(args, cfg) -> int:
     sources = [read_matrix(_require(p, "source matrix")) for p in args.inputs]
     book = fit_joint_dictionary(
         sources,
@@ -749,8 +746,7 @@ def _cmd_joint_fit(args, cfg, threads) -> int:
     write_matrix(book.codes, stem + ".codes.ucsm")
     for m, mapping in enumerate(book.maps):
         write_matrix(mapping, f"{stem}.map{m}.ucsm")
-    used = {k: cfg[k] for k in ("dict_n_components", "dict_alpha", "seed")}
-    _stage_manifest(stem + ".dict.ucsm", "joint-fit", used,
+    _stage_manifest(stem + ".dict.ucsm", "joint-fit", _config_used(cfg, "joint-fit"),
                     {f"source{i}": p for i, p in enumerate(args.inputs)}, {
                         "objective": _fmt(book.objective),
                         "n_iter": str(book.n_iter),
@@ -760,15 +756,13 @@ def _cmd_joint_fit(args, cfg, threads) -> int:
     return 0
 
 
-def _cmd_cluster(args, cfg, threads) -> int:
-    used = {k: cfg[k] for k in ("clustering", "dbscan_k", "dbscan_q",
-                                "dbscan_min_samples")}
-    labels = stage_cluster(args.input, args.out, cfg, threads, args.eps, used)
+def _cmd_cluster(args, cfg) -> int:
+    labels = stage_cluster(args.input, args.out, cfg, args.eps)
     print(f"{np.unique(labels).size} clusters over {labels.size} points")
     return 0
 
 
-def _cmd_spectrum(args, cfg, threads) -> int:
+def _cmd_spectrum(args, cfg) -> int:
     labels = read_labels(_require(args.labels, "labels file"))
     subset = (_read_subset_file(_require(args.subset, "subset file"))
               if args.subset else range(labels.size))
@@ -780,7 +774,7 @@ def _cmd_spectrum(args, cfg, threads) -> int:
     return 0
 
 
-def _cmd_estimate(args, cfg, threads) -> int:
+def _cmd_estimate(args, cfg) -> int:
     labels = read_labels(_require(args.labels, "labels file"))
     subset = (_read_subset_file(_require(args.subset, "subset file"))
               if args.subset else range(labels.size))
@@ -799,25 +793,22 @@ def _cmd_estimate(args, cfg, threads) -> int:
     return 0
 
 
-def _cmd_prior(args, cfg, threads) -> int:
+def _cmd_prior(args, cfg) -> int:
     stage_prior(args.labels, args.out, args.smoothing, args.eps,
-                args.noise_label, {})
+                args.noise_label)
     return 0
 
 
-def _cmd_select(args, cfg, threads) -> int:
-    used = {k: cfg[k] for k in ("budget", "sgt_lambda", "sgt_t", "sgt_bin_size",
-                                "sgt_offset", "votek_k", "dpp_scale_factor",
-                                "candidate_num", "seed")}
+def _cmd_select(args, cfg) -> int:
     sgt = _sgt_config(cfg, args)
     [result] = stage_select(args.embeddings, args.labels, [args.out], args.base,
                             cfg, sgt, [int(cfg["seed"])], args.rarity,
-                            args.freeze_votes, args.query_row, used, threads)
+                            args.freeze_votes, args.query_row)
     print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
     return 0
 
 
-def _cmd_synth(args, cfg, threads) -> int:
+def _cmd_synth(args, cfg) -> int:
     seed = int(cfg["seed"])
     if args.zipf_exponent is None:
         pop = Population.uniform(args.k_types)
@@ -857,12 +848,12 @@ def _cmd_synth(args, cfg, threads) -> int:
     return 0
 
 
-def _cmd_analyze(args, cfg, threads) -> int:
-    stage_analyze(args.labels, args.selections, args.out, {})
+def _cmd_analyze(args, cfg) -> int:
+    stage_analyze(args.labels, args.selections, args.out)
     return 0
 
 
-def _cmd_pipeline(args, cfg, threads) -> int:
+def _cmd_pipeline(args, cfg) -> int:
     lo = PIPELINE_STAGES.index(args.from_stage)
     hi = PIPELINE_STAGES.index(args.to_stage)
     if lo > hi:
@@ -872,7 +863,7 @@ def _cmd_pipeline(args, cfg, threads) -> int:
     stages = list(PIPELINE_STAGES[lo:hi + 1])
     if lo == 0:
         _require(args.input, "input pool")
-    run_pipeline(cfg, args.input, args.workdir, stages, args.base, threads,
+    run_pipeline(cfg, args.input, args.workdir, stages, args.base,
                  rarity=args.rarity)
     print(f"pipeline stages {stages} done in {args.workdir}")
     return 0
@@ -900,8 +891,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        threads = resolve_threads(args)
-        return _COMMANDS[args.command](args, cfg, threads)
+        return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

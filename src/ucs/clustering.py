@@ -1,29 +1,26 @@
 """Discretize codes or embeddings into latent clusters.
 
 Distances are cosine throughout. They are computed in row strips of the
-N x N distance matrix, and each strip is consumed as soon as it exists, so
-clustering holds one strip per worker rather than the whole matrix: a first
-pass keeps each row's k-th nearest distance (which gives eps), a second
-keeps each row's neighbours within eps as CSR lists, and DBSCAN runs on
-those lists (the neighbourhood-list form of Schubert et al., "DBSCAN
-Revisited", TODS 2017). Strips are assembled from square blocks, and the
-pair (i, j), (j, i) always comes from one block product, so distances are
-exactly symmetric. Workers take disjoint strips, so results do not depend
-on the thread count. Noise points are remapped to fresh singleton clusters
+N x N distance matrix, one strip at a time, and each strip is consumed as
+soon as it exists, so clustering holds one strip rather than the whole
+matrix: a first pass keeps each row's k-th nearest distance (which gives
+eps), a second keeps each row's neighbours within eps as CSR lists, and
+DBSCAN runs on those lists (the neighbourhood-list form of Schubert et al.,
+"DBSCAN Revisited", TODS 2017). Strips are assembled from square blocks, and
+the pair (i, j), (j, i) always comes from one block product, so distances
+are exactly symmetric. BLAS threads each block product; the rest runs on
+the calling thread. Noise points are remapped to fresh singleton clusters
 so that every example carries a cluster id.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooFewPoints
-from .latent_dictionary import normalize_codes
 from .preprocess import l2_normalize_rows
 
 CLUSTERING_METHODS = ("dict_dbscan", "dbscan", "dict_argmax")
@@ -54,46 +51,38 @@ class ClusterAssignment:
         return int(self.labels.max()) if self.labels.size else 0
 
 
-def _distance_strips(unit: np.ndarray, consume, rows: int, threads: int = 1) -> list:
+def _distance_strips(unit: np.ndarray, consume, rows: int) -> list:
     """consume(i0, strip) for each row strip of the cosine distance matrix of
-    the unit rows `unit`; the results come back in row order.
+    the unit rows `unit`, in row order; returns the list of results.
 
     strip is rows i0:i0+rows against all N rows, 1 - <ui, uj> clipped to
     [0, 2] with a zero diagonal. It is built from rows x rows blocks: the
     blocks left of the diagonal are transposes of the products the earlier
     strips computed, so d(i, j) and d(j, i) are the same float. consume owns
-    its strip and may overwrite it. With threads > 1 strips run concurrently,
-    but one at a time in BLAS, which threads each product on its own.
+    its strip and may overwrite it. Strips run one after another; BLAS
+    threads each block product.
     """
     n = unit.shape[0]
-    starts = range(0, n, rows)
-    products = threading.Lock()
-
-    def strip(i0: int):
+    results = []
+    for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        out = np.empty((i1 - i0, n), dtype=np.float64)
-        with products:
-            for j0 in starts:
-                j1 = min(j0 + rows, n)
-                if j0 < i0:
-                    out[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
-                else:
-                    out[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
-        np.subtract(1.0, out, out=out)
-        np.clip(out, 0.0, 2.0, out=out)
-        out[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
-        return consume(i0, out)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(strip, starts))
-    return [strip(i0) for i0 in starts]
+        strip = np.empty((i1 - i0, n), dtype=np.float64)
+        for j0 in range(0, n, rows):
+            j1 = min(j0 + rows, n)
+            if j0 < i0:
+                strip[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
+            else:
+                strip[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
+        np.subtract(1.0, strip, out=strip)
+        np.clip(strip, 0.0, 2.0, out=strip)
+        strip[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+        results.append(consume(i0, strip))
+    return results
 
 
 def cosine_distance_matrix(
     x: np.ndarray,
     tile_rows: int = DEFAULT_TILE_ROWS,
-    threads: int = 1,
 ) -> np.ndarray:
     """Pairwise cosine distances 1 - <xi,xj>/(|xi||xj|), exactly symmetric.
 
@@ -110,7 +99,7 @@ def cosine_distance_matrix(
     def fill(i0: int, strip: np.ndarray) -> None:
         dist[i0:i0 + strip.shape[0]] = strip
 
-    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill, tile_rows, threads)
+    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill, tile_rows)
     return dist
 
 
@@ -132,10 +121,10 @@ def _kth_excluding_self(block: np.ndarray, i0: int, k: int) -> np.ndarray:
     return block[:, k - 1].copy()
 
 
-def _kth_nearest(unit: np.ndarray, k: int, rows: int, threads: int = 1) -> np.ndarray:
+def _kth_nearest(unit: np.ndarray, k: int, rows: int) -> np.ndarray:
     """Each row's k-th nearest cosine distance, self excluded, from strips."""
     return np.concatenate(_distance_strips(
-        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k), rows, threads))
+        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k), rows))
 
 
 def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
@@ -166,11 +155,11 @@ def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate([cols for _, cols in parts])
 
 
-def _eps_neighbors(unit: np.ndarray, eps: float, rows: int,
-                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _eps_neighbors(unit: np.ndarray, eps: float,
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR lists of {j : d(i, j) <= eps} (i itself included), from strips."""
     return _csr(_distance_strips(
-        unit, lambda i0, strip: _within(strip, eps), rows, threads))
+        unit, lambda i0, strip: _within(strip, eps), rows))
 
 
 def _check_dbscan(eps: float, min_samples: int) -> None:
@@ -278,9 +267,7 @@ def cluster_pool(
     dbscan_q: float = 0.01,
     min_samples: int = 1,
     eps_override: float | None = None,
-    norm_eps: float = 1e-12,
     tile_rows: int = DEFAULT_TILE_ROWS,
-    threads: int = 1,
 ) -> ClusterAssignment:
     """Cluster a pool of codes or embeddings into latent-cluster labels.
 
@@ -299,15 +286,15 @@ def cluster_pool(
             method=method,
         )
     if method == "dict_dbscan":
-        arr = normalize_codes(arr, eps=norm_eps)
+        arr = l2_normalize_rows(arr, eps=1e-12)
     unit = l2_normalize_rows(arr, eps=0.0)
     eps = eps_override
     if eps is None:
         _check_knn(unit.shape[0], dbscan_k, dbscan_q)
-        kth = _kth_nearest(unit, dbscan_k, tile_rows, threads)
+        kth = _kth_nearest(unit, dbscan_k, tile_rows)
         eps = float(np.quantile(kth, dbscan_q))
     _check_dbscan(eps, min_samples)
-    indptr, indices = _eps_neighbors(unit, eps, tile_rows, threads)
+    indptr, indices = _eps_neighbors(unit, eps, tile_rows)
     raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),

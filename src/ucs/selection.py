@@ -175,7 +175,7 @@ def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig)
 # VoteK
 
 
-def _knn_graph(x: np.ndarray, k: int, threads: int = 1) -> np.ndarray:
+def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     """Indices of each row's k nearest neighbors by cosine distance,
     self excluded, distance ties broken by index.
 
@@ -210,7 +210,7 @@ def _knn_graph(x: np.ndarray, k: int, threads: int = 1) -> np.ndarray:
         return out
 
     unit = l2_normalize_rows(arr, eps=0.0)
-    return np.concatenate(_distance_strips(unit, nearest, DEFAULT_TILE_ROWS, threads))
+    return np.concatenate(_distance_strips(unit, nearest, DEFAULT_TILE_ROWS))
 
 
 def _votes_from_graph(neighbors: np.ndarray, selected: list[int],
@@ -236,10 +236,9 @@ def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) ->
 
 
 def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
-                     freeze_votes: bool, base_tag: str,
-                     threads: int = 1) -> SelectionResult:
+                     freeze_votes: bool, base_tag: str) -> SelectionResult:
     n = np.asarray(x).shape[0]
-    neighbors = _knn_graph(x, cfg.votek_k, threads)
+    neighbors = _knn_graph(x, cfg.votek_k)
     steps = min(cfg.budget, n)
     selected: list[int] = []
     records: list[StepRecord] = []
@@ -279,14 +278,12 @@ def votek_ucs_select(
     prior: CorpusPrior,
     cfg: SelectionConfig,
     freeze_votes: bool = False,
-    threads: int = 1,
 ) -> SelectionResult:
     """VoteK with rarity pressure: score(i) = v(i) + lambda * log w_c(i).
 
     The prior must cover every non-noise cluster id in labels. freeze_votes
     computes votes once with nothing selected (used to test that coverage
-    pressure is monotone in lambda). threads is the number of distance-strip
-    workers of the k-NN graph and never changes the result.
+    pressure is monotone in lambda).
     """
     lab = np.asarray(labels)
     bonus = np.zeros(lab.shape[0])
@@ -297,7 +294,7 @@ def votek_ucs_select(
         if v not in prior.weights:
             raise ValueError(f"prior has no weight for cluster {v}")
         bonus[i] = prior.log_weight(v)
-    return _iterative_votes(x, lab, cfg, bonus, freeze_votes, "votek", threads)
+    return _iterative_votes(x, lab, cfg, bonus, freeze_votes, "votek")
 
 
 def rarity_controls(
@@ -306,14 +303,12 @@ def rarity_controls(
     cfg: SelectionConfig,
     variant: str,
     eps: float = 1e-6,
-    threads: int = 1,
 ) -> SelectionResult:
     """Rarity-only VoteK controls.
 
     B1 adds lambda / n_c(i) (inverse global cluster size). B2 adds
     lambda * log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus
-    spectrum, skipping the Good-Turing ratio entirely. threads is passed to
-    the k-NN graph as in votek_ucs_select.
+    spectrum, skipping the Good-Turing ratio entirely.
     """
     if variant not in RARITY_VARIANTS:
         raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
@@ -332,7 +327,7 @@ def rarity_controls(
         else:
             g_hat = prior.smoothed.get(size, 0.0)
             bonus[i] = math.log(c_total / (g_hat + eps))
-    return _iterative_votes(x, lab, cfg, bonus, False, f"votek_{variant}", threads)
+    return _iterative_votes(x, lab, cfg, bonus, False, f"votek_{variant}")
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_criterion_10_desk_scale_performance():
                           seed=0)
     codes = ridge_encode(book, pool)
     assignment = cluster_pool(codes, method="dict_dbscan", dbscan_k=20,
-                              dbscan_q=0.01, threads=os.cpu_count() or 1)
+                              dbscan_q=0.01)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert assignment.labels.shape == (15_000,)
@@ -380,34 +380,30 @@ def test_criterion_11_determinism(tmp_path, capsys):
         "dict_n_components=6\ndict_pca_dim=8\ndbscan_k=3\ndbscan_q=0.3\n"
         "budget=4\nn_runs=2\nsgt_t=2.0\nseed=11\n"
     )
-    workdirs = {
-        "t1": str(tmp_path / "t1"),
-        "t4": str(tmp_path / "t4"),
-        "t8": str(tmp_path / "t8"),
-        "rerun": str(tmp_path / "rerun"),
-    }
-    for name, threads in (("t1", 1), ("t4", 4), ("t8", 8), ("rerun", 1)):
-        code = main(["pipeline", "--input", pool_path, "--workdir",
-                     workdirs[name], "--config", str(cfg),
-                     "--threads", str(threads)])
-        assert code == 0
+    workdirs = {name: str(tmp_path / name) for name in ("fresh", "rerun", "resumed")}
+    run = ["pipeline", "--input", pool_path, "--config", str(cfg), "--workdir"]
+    for name in ("fresh", "rerun"):
+        assert main(run + [workdirs[name]]) == 0
+    # one workdir, split in two invocations: the second resumes at cluster
+    assert main(run + [workdirs["resumed"], "--to-stage", "dict-encode"]) == 0
+    assert main(run + [workdirs["resumed"], "--from-stage", "cluster"]) == 0
     artifacts = [
         "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
         "prior.csv", "select_run00.csv", "select_run01.csv", "report.txt",
     ]
-    reference = workdirs["t1"]
+    reference = workdirs["fresh"]
     for name in artifacts:
         ref_bytes = open(os.path.join(reference, name), "rb").read()
-        for other in ("t4", "t8", "rerun"):
+        for other in ("rerun", "resumed"):
             got = open(os.path.join(workdirs[other], name), "rb").read()
             assert got == ref_bytes, f"{name} differs in {other}"
         ref_manifest = _read_manifest(os.path.join(reference, name + ".manifest.txt"))
         ref_manifest.pop("timestamp")
-        for other in ("t4", "t8", "rerun"):
+        for other in ("rerun", "resumed"):
             got_manifest = _read_manifest(
                 os.path.join(workdirs[other], name + ".manifest.txt"))
             got_manifest.pop("timestamp")
             assert got_manifest == ref_manifest, f"manifest {name} in {other}"
     capsys.readouterr()
     print(f"[criterion 11] PASS {len(artifacts)} artifacts byte-identical "
-          f"across threads 1/4/8 and rerun")
+          f"across a fresh run, a rerun and a run resumed at cluster")

@@ -13,7 +13,6 @@ from ucs.cli import (
     load_config,
     main,
     resolve_config,
-    resolve_threads,
 )
 from ucs.errors import ConfigError, MissingInput
 from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
@@ -82,21 +81,6 @@ def test_resolve_config_precedence(tmp_path):
 def test_resolve_config_rejects_bad_clustering():
     with pytest.raises(ConfigError):
         resolve_config(argparse.Namespace(clustering="kmeans"))
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("UCS_THREADS", raising=False)
-    assert resolve_threads(argparse.Namespace(threads=4)) == 4
-    monkeypatch.setenv("UCS_THREADS", "2")
-    assert resolve_threads(argparse.Namespace(threads=None)) == 2
-    assert resolve_threads(argparse.Namespace(threads=8)) == 8  # flag wins
-    monkeypatch.setenv("UCS_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_threads(argparse.Namespace(threads=None))
-    monkeypatch.delenv("UCS_THREADS")
-    assert resolve_threads(argparse.Namespace(threads=None)) >= 1
-    with pytest.raises(ConfigError):
-        resolve_threads(argparse.Namespace(threads=0))
 
 
 def test_every_subparser_documents_config_keys():
@@ -320,7 +304,7 @@ def test_cluster_then_analyze(tmp_path, capsys):
     labels_out = str(tmp_path / "cl.txt")
     assert main(["cluster", "--input", pool_path, "--out", labels_out,
                  "--clustering", "dbscan", "--dbscan-k", "3",
-                 "--dbscan-q", "0.5", "--threads", "2"]) == 0
+                 "--dbscan-q", "0.5"]) == 0
     labels = read_labels(labels_out)
     assert labels.min() >= 1
     manifest = _manifest(labels_out + ".manifest.txt")
@@ -349,7 +333,7 @@ def test_pipeline_end_to_end_and_rerun(tmp_path, capsys):
     workdirs = [str(tmp_path / "w1"), str(tmp_path / "w2")]
     for wd in workdirs:
         assert main(["pipeline", "--input", pool_path, "--workdir", wd,
-                     "--config", str(cfg), "--threads", "2"]) == 0
+                     "--config", str(cfg)]) == 0
     artifacts = [
         "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
         "prior.csv", "select_run00.csv", "select_run01.csv", "report.txt",
@@ -362,6 +346,24 @@ def test_pipeline_end_to_end_and_rerun(tmp_path, capsys):
     report = open(os.path.join(workdirs[0], "report.txt")).read()
     fields = dict(line.split(None, 1) for line in report.splitlines())
     assert fields["n_selections"].strip() == "2"
+    # each manifest carries only the config keys its stage read
+    labels_manifest = _manifest(os.path.join(workdirs[0], "labels.txt.manifest.txt"))
+    assert labels_manifest["config.dbscan_k"] == "3"
+    assert "config.budget" not in labels_manifest
+    for run in ("00", "01"):
+        select_manifest = _manifest(
+            os.path.join(workdirs[0], f"select_run{run}.csv.manifest.txt"))
+        assert select_manifest["config.budget"] == "4"
+        assert "config.dbscan_k" not in select_manifest
+    capsys.readouterr()
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--input", pool_path, "--workdir", str(tmp_path / "w"),
+              "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

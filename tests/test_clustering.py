@@ -62,16 +62,6 @@ def test_cosine_symmetry_exact():
     assert d.min() >= 0.0 and d.max() <= 2.0
 
 
-def test_cosine_thread_count_invariant():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((64, 6))
-    base = cosine_distance_matrix(x, tile_rows=16, threads=1)
-    for threads in (2, 4, 8):
-        assert np.array_equal(
-            base, cosine_distance_matrix(x, tile_rows=16, threads=threads)
-        )
-
-
 def test_cosine_scale_invariant():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((20, 4))
@@ -304,52 +294,56 @@ def _dense_kth(dist, k):
     return np.sort(off, axis=1)[:, k - 1]
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_strip_passes_match_dense_oracle(threads):
+# Strip heights of one, two and three times TILE; at the larger heights the
+# smallest pool is a single strip. BLAS rounds a block product by its shape,
+# so the oracle matrix is built at the same height as the passes it checks.
+@pytest.mark.parametrize("tile_mult", [1, 2, 3])
+def test_strip_passes_match_dense_oracle(tile_mult):
+    tile = TILE * tile_mult
     for pool_id, x in enumerate(_strip_pools()):
         n = x.shape[0]
-        dist = cosine_distance_matrix(x, tile_rows=TILE)
+        dist = cosine_distance_matrix(x, tile_rows=tile)
         unit = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
         ref = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
         np.fill_diagonal(ref, 0.0)
         assert np.allclose(dist, ref, atol=1e-12)
         strip_unit = l2_normalize_rows(x, eps=0.0)
         for k in (1, 3, n - 1):
-            kth = _kth_nearest(strip_unit, k, TILE, threads)
+            kth = _kth_nearest(strip_unit, k, tile)
             assert np.array_equal(kth, _dense_kth(dist, k)), (pool_id, k)
             for q in (0.0, 0.3, 1.0):
                 want = float(np.quantile(_dense_kth(dist, k), q))
                 assert knn_quantile_eps_from(dist, k, q) == want
                 got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q,
-                                   tile_rows=TILE, threads=threads)
+                                   tile_rows=tile)
                 assert got.eps == want, (pool_id, k, q)
                 assert _canon(got.raw_labels) == _canon(_components(dist, want))
         for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
-            indptr, indices = _eps_neighbors(strip_unit, eps, TILE, threads)
+            indptr, indices = _eps_neighbors(strip_unit, eps, tile)
             assert indptr[0] == 0 and indptr[-1] == indices.size
             for i in range(n):
                 assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
                                       np.flatnonzero(dist[i] <= eps)), (pool_id, eps, i)
             for min_samples in (1, 3):
                 got = cluster_pool(x, method="dbscan", eps_override=eps,
-                                   min_samples=min_samples, tile_rows=TILE,
-                                   threads=threads)
+                                   min_samples=min_samples, tile_rows=tile)
                 assert np.array_equal(got.raw_labels,
                                       dbscan_from(dist, eps, min_samples))
-            got = cluster_pool(x, method="dbscan", eps_override=eps, tile_rows=TILE)
+            got = cluster_pool(x, method="dbscan", eps_override=eps, tile_rows=tile)
             assert _canon(got.raw_labels) == _canon(_components(dist, eps))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_strip_knn_graph_matches_dense_argsort(monkeypatch, threads):
-    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+@pytest.mark.parametrize("tile_mult", [1, 2, 3])
+def test_strip_knn_graph_matches_dense_argsort(monkeypatch, tile_mult):
+    tile = TILE * tile_mult
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", tile)
     ties = 0
     for x in _strip_pools():
-        dist = cosine_distance_matrix(x, tile_rows=TILE)
+        dist = cosine_distance_matrix(x, tile_rows=tile)
         np.fill_diagonal(dist, np.inf)
         for k in (1, 2, 3, x.shape[0] - 1):
             want = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            assert np.array_equal(_knn_graph(x, k, threads), want)
+            assert np.array_equal(_knn_graph(x, k), want)
             kth = np.sort(dist, axis=1)[:, k - 1:k]
             ties += int(((dist <= kth).sum(axis=1) > k).sum())
     assert ties > 0  # the whole-row tie path ran
@@ -357,9 +351,9 @@ def test_strip_knn_graph_matches_dense_argsort(monkeypatch, threads):
 
 def test_cosine_distance_matrix_is_the_strip_values():
     x, _ = sample_pool(Population.zipf(12, 1.1), 50, dim=5, spread=0.3, seed=3)
-    dist = cosine_distance_matrix(x, tile_rows=TILE, threads=2)
+    dist = cosine_distance_matrix(x, tile_rows=TILE)
     strips = ucs.clustering._distance_strips(
-        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip, TILE, 1)
+        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip, TILE)
     assert np.array_equal(np.vstack(strips), dist)
     assert np.array_equal(dist, dist.T)
     # one product per rectangular strip is not symmetric at this shape on

@@ -328,27 +328,6 @@ def test_knn_graph_hypothesis_small_pools(data):
     assert np.array_equal(_knn_graph(x, k), _knn_oracle(x, k))
 
 
-def test_votek_threads_reach_distance_matrix(monkeypatch, small_tiles):
-    seen = []
-    original = ucs.clustering._distance_strips
-
-    def recording(unit, consume, rows, threads=1):
-        seen.append(threads)
-        return original(unit, consume, 5, threads)
-
-    monkeypatch.setattr(ucs.clustering, "_distance_strips", recording)
-    x, labels = sample_pool(Population.zipf(12, 1.1), 50, dim=6, spread=0.3, seed=1)
-    cfg = SelectionConfig(budget=6, lam=0.5, base="votek", votek_k=3)
-    prior = corpus_prior(labels)
-    one = votek_ucs_select(x, labels, prior, cfg)
-    two = votek_ucs_select(x, labels, prior, cfg, threads=2)
-    b2_one = rarity_controls(x, labels, cfg, "B2")
-    b2_two = rarity_controls(x, labels, cfg, "B2", threads=2)
-    assert seen == [1, 2, 1, 2]
-    assert one == two
-    assert b2_one == b2_two
-
-
 def test_votek_votes_indegree_hand_oracle():
     votes = votek_votes(CHAIN, k=1, selected=[])
     assert np.array_equal(votes, [1.0, 2.0, 1.0, 1.0, 0.0])
