@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,8 +36,10 @@ from .coverage import (
 from .errors import (
     ConfigError,
     DegenerateInput,
+    IoError,
     MissingInput,
     NonFiniteValue,
+    ParseError,
     SingularKernel,
     UcsError,
 )
@@ -237,11 +240,21 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _writing(path: str):
+    """Open path for text output; an OSError becomes IoError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_selection_csv(path: str, result: SelectionResult) -> None:
     """One row per selected item: step, index, base_gain, coverage_term,
     total, where total = base_gain + lambda * coverage_term. Subset-utility
     results repeat the winning subset's scores on every member row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "index", "base_gain", "coverage_term", "total"])
         if result.base == "subset_utility":
@@ -261,8 +274,18 @@ def _read_selection_csv(path: str) -> list[int]:
 
 
 def _read_subset_file(path: str) -> list[int]:
+    """Row indices, whitespace separated; ParseError names the bad token's line."""
+    indices: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [int(line) for line in fh.read().split()]
+        for lineno, line in enumerate(fh, start=1):
+            for token in line.split():
+                try:
+                    indices.append(int(token))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected a row index, got {token!r}"
+                    ) from None
+    return indices
 
 
 def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
@@ -270,7 +293,7 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
     lines = [f"{name:<{width}}  {value}" for name, value in rows]
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path) as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -376,20 +399,21 @@ def stage_cluster(input_path: str, out: str, cfg: dict,
     return assignment.labels
 
 
-def stage_prior(labels_path: str, out: str, smoothing: str, eps: float,
-                noise_label: int | None) -> None:
+def stage_prior(labels_path: str, out: str, noise_label: int | None = None,
+                **options) -> None:
+    """Write prior.csv, a report of corpus_prior's weights; options override
+    corpus_prior's smoothing and eps, and select recomputes the prior."""
     labels = read_labels(_require(labels_path, "labels file"), min_label=1,
                          noise_label=noise_label)
-    prior = corpus_prior(labels, smoothing=smoothing, eps=eps,
-                         noise_label=noise_label)
+    prior = corpus_prior(labels, noise_label=noise_label, **options)
     clusters = sorted(prior.sizes)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with _writing(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "size", "weight"])
         for c in clusters:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
     _stage_manifest(out, "prior", {}, {"labels": labels_path},
-                    {"smoothing": smoothing, "n_clusters": str(len(clusters))})
+                    {"smoothing": prior.smoothing, "n_clusters": str(len(clusters))})
 
 
 def run_selection(
@@ -454,6 +478,10 @@ def stage_select(
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
+        )
+    if query_row is not None and not 0 <= query_row < x.shape[0]:
+        raise ConfigError(
+            f"--query-row {query_row} is outside the pool's {x.shape[0]} rows"
         )
     seeded = rarity is None and base == "subset_utility"
     results: list[SelectionResult] = []
@@ -546,7 +574,7 @@ def run_pipeline(
         source = paths["reduced"] if cfg["clustering"] == "dbscan" else paths["codes"]
         stage_cluster(source, paths["labels"], cfg, None)
     if "prior" in stages:
-        stage_prior(paths["labels"], paths["prior"], "power_law", 1e-6, None)
+        stage_prior(paths["labels"], paths["prior"])
     if "select" in stages:
         seeds = [int(cfg["seed"]) + r for r in range(n_runs)]
         stage_select(paths["reduced"], paths["labels"], select_outs, base, cfg,
@@ -648,9 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--smoothing", choices=("off", "power_law"),
-                   default="power_law")
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--smoothing", choices=("off", "power_law"), default=None,
+                   help="override corpus_prior's default (power_law)")
+    p.add_argument("--eps", type=float, default=None,
+                   help="override corpus_prior's default (1e-6)")
     p.add_argument("--noise-label", type=int, default=None)
     _add_config_flags(p, "prior")
 
@@ -794,8 +823,9 @@ def _cmd_estimate(args, cfg) -> int:
 
 
 def _cmd_prior(args, cfg) -> int:
-    stage_prior(args.labels, args.out, args.smoothing, args.eps,
-                args.noise_label)
+    options = {"smoothing": args.smoothing, "eps": args.eps}
+    stage_prior(args.labels, args.out, args.noise_label,
+                **{k: v for k, v in options.items() if v is not None})
     return 0
 
 

@@ -15,7 +15,7 @@ used wherever logs appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +102,23 @@ def _freq_of(spectrum) -> dict[int, float]:
     return {int(s): float(f) for s, f in dict(spectrum).items()}
 
 
-def gt_unseen(spectrum, t: float, bin_size: int = 20) -> float:
-    """Unweighted truncated Good-Turing estimate; may be negative."""
-    freq = _freq_of(spectrum)
+def _truncated_sum(freq: dict, t: float, bin_size: int, weights=None) -> float:
+    """-sum_{s=1}^{bin_size} (-t)^s w_s f_s over the nonzero terms (w_s = 1
+    without weights)."""
     total = 0.0
     for s in range(1, bin_size + 1):
         f = freq.get(s, 0.0)
-        if f:
-            total -= (-float(t)) ** s * f
+        if not f:
+            continue
+        w = 1.0 if weights is None else weights[s - 1]
+        if w:
+            total -= (-t) ** s * w * f
     return total
+
+
+def gt_unseen(spectrum, t: float, bin_size: int = 20) -> float:
+    """Unweighted truncated Good-Turing estimate; may be negative."""
+    return _truncated_sum(_freq_of(spectrum), float(t), bin_size)
 
 
 def k0_for(t: float, sample_size: int) -> int:
@@ -143,56 +151,51 @@ def sgt_weights(
     log_p = math.log(p0)
     log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
     lg_k = math.lgamma(k0 + 1)
-    for s in range(1, bin_size + 1):
-        if s > k0:
-            break
-        # P(L >= s) via whichever side of the CDF has fewer terms.
+
+    def pmf(j: int) -> float:
+        return math.exp(lg_k - math.lgamma(j + 1) - math.lgamma(k0 - j + 1)
+                        + j * log_p + (k0 - j) * log_q)
+
+    for s in range(1, min(bin_size, k0) + 1):
+        # P(L >= s) via whichever side of the CDF has fewer terms. Explicit
+        # += keeps the summation order (sum() compensates on Python >= 3.12).
         if k0 - s + 1 <= s:
             tail = 0.0
             for j in range(s, k0 + 1):
-                tail += math.exp(
-                    lg_k - math.lgamma(j + 1) - math.lgamma(k0 - j + 1)
-                    + j * log_p + (k0 - j) * log_q
-                )
+                tail += pmf(j)
             weights[s - 1] = min(1.0, tail)
         else:
             head = 0.0
             for j in range(s):
-                head += math.exp(
-                    lg_k - math.lgamma(j + 1) - math.lgamma(k0 - j + 1)
-                    + j * log_p + (k0 - j) * log_q
-                )
+                head += pmf(j)
             weights[s - 1] = min(1.0, max(0.0, 1.0 - head))
     return weights
 
 
 def smooth_spectrum(spectrum, bin_size: int = 20) -> dict[int, float]:
-    """Replace f_s for s = 1..bin_size by a power-law fit of the nonzero bins.
-
-    Fits log f_s = a + b log s by least squares. With fewer than two nonzero
-    bins the spectrum is returned unchanged. Non-finite or negative fitted
-    values are clamped to zero.
-    """
+    """Replace f_s for s = 1..bin_size by a power-law fit of the nonzero bins
+    (_power_law); with fewer than two nonzero bins the spectrum is returned
+    unchanged."""
     freq = _freq_of(spectrum)
-    fit = _power_law_fit(freq, bin_size)
-    if fit is None:
-        return freq
-    a, b = fit
-    out: dict[int, float] = {}
-    for s in range(1, bin_size + 1):
-        value = math.exp(a + b * math.log(s)) if math.isfinite(a + b) else 0.0
-        out[s] = value if math.isfinite(value) and value > 0 else 0.0
-    return out
+    return _power_law(freq, bin_size, bin_size) or freq
 
 
-def _power_law_fit(freq: dict[int, float], bin_size: int) -> tuple[float, float] | None:
-    points = [(s, f) for s, f in sorted(freq.items()) if f > 0 and 1 <= s <= bin_size]
+def _power_law(freq: dict, fit_bins: int, out_bins: int) -> dict[int, float] | None:
+    """Least-squares fit of log f_s = a + b log s over the nonzero bins with
+    1 <= s <= fit_bins, evaluated at s = 1..out_bins; non-finite or
+    non-positive values become 0. None, the one fallback to the raw
+    spectrum, when fewer than two bins are nonzero."""
+    points = [(s, f) for s, f in sorted(freq.items()) if f > 0 and 1 <= s <= fit_bins]
     if len(points) < 2:
         return None
     xs = np.log([float(s) for s, _ in points])
     ys = np.log([float(f) for _, f in points])
-    b, a = np.polyfit(xs, ys, 1)
-    return float(a), float(b)
+    b, a = (float(c) for c in np.polyfit(xs, ys, 1))
+    out: dict[int, float] = {}
+    for s in range(1, out_bins + 1):
+        value = math.exp(a + b * math.log(s))
+        out[s] = value if math.isfinite(value) and value > 0 else 0.0
+    return out
 
 
 def sgt_unseen(spectrum, cfg: SgtConfig, weights: np.ndarray | None = None) -> float:
@@ -212,11 +215,7 @@ def sgt_unseen(spectrum, cfg: SgtConfig, weights: np.ndarray | None = None) -> f
         weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
     if cfg.smoothing == "power_law":
         freq = smooth_spectrum(freq, cfg.bin_size)
-    total = 0.0
-    for s in range(1, cfg.bin_size + 1):
-        f = freq.get(s, 0.0)
-        if f and weights[s - 1]:
-            total -= (-cfg.t) ** s * weights[s - 1] * f
+    total = _truncated_sum(freq, cfg.t, cfg.bin_size, weights)
     if not math.isfinite(total):
         return 0.0
     return float(max(0.0, total))
@@ -232,22 +231,21 @@ def coverage_phi(labels: np.ndarray, subset, cfg: SgtConfig) -> tuple[float, int
 class CoverageTracker:
     """Incrementally maintained spectrum for greedy selection loops.
 
-    Keeps counts and spectrum of the current subset and evaluates the
-    coverage gain of adding one item without rebuilding anything. Weight
-    vectors are cached per subset size.
+    Keeps the spectrum, size and k_seen of the current subset, plus each
+    cluster's count in it, and evaluates the coverage gain of adding one
+    item without rebuilding anything. Weight vectors are cached per subset
+    size.
     """
 
     def __init__(self, labels: np.ndarray, cfg: SgtConfig):
-        self.labels = np.asarray(labels)
         self.cfg = cfg
-        self.counts: dict[int, int] = {}
         self.spectrum: dict[int, int] = {}
         self.size = 0
+        self.k_seen = 0
         self._weights_cache: dict[int, np.ndarray] = {}
-        # Per-row view of the counts for gains_if_added: each row's position
-        # among the distinct labels, and each label's count in the subset
-        # (-1 marks noise, which never counts).
-        distinct, self._row_cluster = np.unique(self.labels, return_inverse=True)
+        # Each row's position among the distinct labels, and each label's
+        # count in the subset (-1 marks noise, which never counts).
+        distinct, self._row_cluster = np.unique(np.asarray(labels), return_inverse=True)
         self._cluster_count = np.zeros(distinct.size, dtype=np.int64)
         if cfg.noise_label is not None:
             self._cluster_count[distinct == cfg.noise_label] = -1
@@ -265,74 +263,59 @@ class CoverageTracker:
         return sgt_unseen(self.spectrum, self.cfg, weights)
 
     def phi(self) -> float:
-        return len(self.counts) + self._unseen()
+        return self.k_seen + self._unseen()
 
-    @property
-    def k_seen(self) -> int:
-        return len(self.counts)
+    def _move(self, old: int, new: int) -> None:
+        """Move one cluster from count old to count new (0: not in S)."""
+        if old:
+            self.spectrum[old] -= 1
+            if not self.spectrum[old]:
+                del self.spectrum[old]
+        if new:
+            self.spectrum[new] = self.spectrum.get(new, 0) + 1
+        self.size += new - old
+        self.k_seen += (new > 0) - (old > 0)
 
-    def _bump(self, cluster: int) -> None:
-        c = self.counts.get(cluster, 0)
-        if c:
-            self.spectrum[c] -= 1
-            if not self.spectrum[c]:
-                del self.spectrum[c]
-        self.counts[cluster] = c + 1
-        self.spectrum[c + 1] = self.spectrum.get(c + 1, 0) + 1
-        self.size += 1
-
-    def _unbump(self, cluster: int) -> None:
-        c = self.counts[cluster]
-        self.spectrum[c] -= 1
-        if not self.spectrum[c]:
-            del self.spectrum[c]
-        if c == 1:
-            del self.counts[cluster]
-        else:
-            self.counts[cluster] = c - 1
-            self.spectrum[c - 1] = self.spectrum.get(c - 1, 0) + 1
-        self.size -= 1
-
-    def _gain(self, cluster: int, phi_now: float) -> float:
-        self._bump(cluster)
+    def _gain(self, count: int, phi_now: float) -> float:
+        """Phi gain of one more member for a cluster with `count` in S."""
+        self._move(count, count + 1)
         phi_new = self.phi()
-        self._unbump(cluster)
+        self._move(count + 1, count)
         return phi_new - phi_now
 
     def gain_if_added(self, index: int, phi_now: float | None = None) -> float:
         """Phi(S + {i}) - Phi(S)."""
-        cluster = int(self.labels[index])
-        if self.cfg.noise_label is not None and cluster == self.cfg.noise_label:
+        count = int(self._cluster_count[self._row_cluster[index]])
+        if count < 0:  # noise
             return 0.0
         if phi_now is None:
             phi_now = self.phi()
-        return self._gain(cluster, phi_now)
+        return self._gain(count, phi_now)
 
     def gains_if_added(self, indices) -> np.ndarray:
         """gain_if_added for every index, bit for bit.
 
         The gain depends only on whether an item is noise and on its
         cluster's current count, so Phi is evaluated once per distinct count
-        and the gains are gathered from that table.
+        and the gains are gathered from a table indexed by count + 1 (noise
+        at 0, gain 0).
         """
         idx = np.asarray(indices, dtype=np.intp)
-        counts = self._cluster_count[self._row_cluster[idx]]
-        distinct, first, inverse = np.unique(
-            counts, return_index=True, return_inverse=True
-        )
+        slot = self._cluster_count[self._row_cluster[idx]] + 1
+        present = np.bincount(slot)
+        table = np.zeros(present.size)
         phi_now = self.phi()
-        table = np.array([
-            0.0 if c < 0 else self._gain(int(self.labels[idx[f]]), phi_now)
-            for c, f in zip(distinct, first)
-        ])
-        return table[inverse]
+        for c in np.flatnonzero(present[1:]):
+            table[c + 1] = self._gain(int(c), phi_now)
+        return table[slot]
 
     def add(self, index: int) -> None:
-        cluster = int(self.labels[index])
-        if self.cfg.noise_label is not None and cluster == self.cfg.noise_label:
+        row = self._row_cluster[index]
+        count = int(self._cluster_count[row])
+        if count < 0:  # noise
             return
-        self._bump(cluster)
-        self._cluster_count[self._row_cluster[index]] += 1
+        self._move(count, count + 1)
+        self._cluster_count[row] += 1
 
 
 @dataclass
@@ -351,17 +334,13 @@ class CorpusPrior:
     smoothed: dict[int, float]
     s_star: dict[int, float]
     mass: dict[int, float]  # size -> p(size)
+    smoothing: str
     eps: float
     n_examples: int
     noise_label: int | None = None
-    _log_weights: dict[int, float] = field(default_factory=dict, repr=False)
 
     def log_weight(self, cluster: int) -> float:
-        lw = self._log_weights.get(cluster)
-        if lw is None:
-            lw = math.log(self.weights[cluster])
-            self._log_weights[cluster] = lw
-        return lw
+        return math.log(self.weights[cluster])
 
 
 def corpus_prior(
@@ -371,33 +350,19 @@ def corpus_prior(
     noise_label: int | None = None,
 ) -> CorpusPrior:
     """Rarity prior over clusters; smoothing defaults to the power-law fit
-    (raw spectrum fallback when it has fewer than two nonzero bins)."""
+    (raw spectrum fallback when it has fewer than two nonzero bins). Callers
+    that keep a default omit it instead of restating it."""
     if smoothing not in _SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {_SMOOTHING_MODES}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    lab = np.asarray(labels)
-    sizes: dict[int, int] = {}
-    for value in lab:
-        v = int(value)
-        if noise_label is not None and v == noise_label:
-            continue
-        sizes[v] = sizes.get(v, 0) + 1
-    n_examples = sum(sizes.values())
-    spectrum: dict[int, int] = {}
-    for s in sizes.values():
-        spectrum[s] = spectrum.get(s, 0) + 1
+    spec = subset_spectrum(labels, range(len(labels)), noise_label)
+    sizes, spectrum, n_examples = spec.counts, spec.spectrum, spec.size
     max_size = max(spectrum) if spectrum else 0
-
-    fit = _power_law_fit({s: float(f) for s, f in spectrum.items()}, max_size) \
+    smoothed = _power_law(spectrum, max_size, max_size + 1) \
         if smoothing == "power_law" else None
-    smoothed: dict[int, float] = {}
-    for s in range(1, max_size + 2):
-        if fit is not None:
-            value = math.exp(fit[0] + fit[1] * math.log(s))
-            smoothed[s] = value if math.isfinite(value) and value > 0 else 0.0
-        else:
-            smoothed[s] = float(spectrum.get(s, 0))
+    if smoothed is None:
+        smoothed = {s: float(spectrum.get(s, 0)) for s in range(1, max_size + 2)}
 
     s_star: dict[int, float] = {}
     mass: dict[int, float] = {}
@@ -417,6 +382,7 @@ def corpus_prior(
         smoothed=smoothed,
         s_star=s_star,
         mass=mass,
+        smoothing=smoothing,
         eps=eps,
         n_examples=n_examples,
         noise_label=noise_label,

@@ -242,15 +242,10 @@ def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
     steps = min(cfg.budget, n)
     selected: list[int] = []
     records: list[StepRecord] = []
-    frozen = (
-        _votes_from_graph(neighbors, [], cfg.votek_discount_base, n)
-        if freeze_votes else None
-    )
     alive = np.ones(n, dtype=bool)
     for _ in range(steps):
-        votes = frozen if frozen is not None else _votes_from_graph(
-            neighbors, selected, cfg.votek_discount_base, n
-        )
+        if not (freeze_votes and selected):  # frozen votes are the first step's
+            votes = _votes_from_graph(neighbors, selected, cfg.votek_discount_base, n)
         total = votes + cfg.lam * bonus
         masked = np.where(alive, total, -np.inf)
         pick = int(np.argmax(masked))
@@ -272,6 +267,12 @@ def votek_select(x: np.ndarray, budget: int, k: int = 3,
     return result.indices
 
 
+def _per_cluster(labels: np.ndarray, bonus) -> np.ndarray:
+    """bonus(cluster id) for every row, evaluated once per distinct id."""
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    return np.array([bonus(int(c)) for c in distinct], dtype=np.float64)[inverse]
+
+
 def votek_ucs_select(
     x: np.ndarray,
     labels: np.ndarray,
@@ -285,16 +286,15 @@ def votek_ucs_select(
     computes votes once with nothing selected (used to test that coverage
     pressure is monotone in lambda).
     """
-    lab = np.asarray(labels)
-    bonus = np.zeros(lab.shape[0])
-    for i, value in enumerate(lab):
-        v = int(value)
-        if cfg.sgt.noise_label is not None and v == cfg.sgt.noise_label:
-            continue  # noise carries no coverage pressure
-        if v not in prior.weights:
-            raise ValueError(f"prior has no weight for cluster {v}")
-        bonus[i] = prior.log_weight(v)
-    return _iterative_votes(x, lab, cfg, bonus, freeze_votes, "votek")
+    def log_weight(cluster: int) -> float:
+        if cluster == cfg.sgt.noise_label:
+            return 0.0  # noise carries no coverage pressure
+        if cluster not in prior.weights:
+            raise ValueError(f"prior has no weight for cluster {cluster}")
+        return prior.log_weight(cluster)
+
+    bonus = _per_cluster(labels, log_weight)
+    return _iterative_votes(x, labels, cfg, bonus, freeze_votes, "votek")
 
 
 def rarity_controls(
@@ -302,9 +302,8 @@ def rarity_controls(
     labels: np.ndarray,
     cfg: SelectionConfig,
     variant: str,
-    eps: float = 1e-6,
 ) -> SelectionResult:
-    """Rarity-only VoteK controls.
+    """Rarity-only VoteK controls on corpus_prior's default prior.
 
     B1 adds lambda / n_c(i) (inverse global cluster size). B2 adds
     lambda * log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus
@@ -312,30 +311,27 @@ def rarity_controls(
     """
     if variant not in RARITY_VARIANTS:
         raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
-    lab = np.asarray(labels)
-    prior = corpus_prior(lab, smoothing="power_law", eps=eps,
-                         noise_label=cfg.sgt.noise_label)
+    prior = corpus_prior(labels, noise_label=cfg.sgt.noise_label)
     c_total = len(prior.sizes)
-    bonus = np.zeros(lab.shape[0])
-    for i, value in enumerate(lab):
-        v = int(value)
-        if v not in prior.sizes:
-            continue  # noise
-        size = prior.sizes[v]
+
+    def rarity(cluster: int) -> float:
+        size = prior.sizes.get(cluster)
+        if size is None:
+            return 0.0  # noise
         if variant == "B1":
-            bonus[i] = 1.0 / size
-        else:
-            g_hat = prior.smoothed.get(size, 0.0)
-            bonus[i] = math.log(c_total / (g_hat + eps))
-    return _iterative_votes(x, lab, cfg, bonus, False, f"votek_{variant}")
+            return 1.0 / size
+        return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
+
+    bonus = _per_cluster(labels, rarity)
+    return _iterative_votes(x, labels, cfg, bonus, False, f"votek_{variant}")
 
 
 # ---------------------------------------------------------------------------
 # Subset utilities (MDL stand-in)
 
 
-def best_subset(candidates: list[list[int]], utilities) -> int:
-    """Position of the highest-utility candidate; first wins ties."""
+def _utility_scores(candidates: list[list[int]], utilities) -> np.ndarray:
+    """The utilities as float64, one per candidate subset."""
     if not candidates:
         raise EmptyCandidateList("no candidate subsets supplied")
     scores = np.asarray(utilities, dtype=np.float64)
@@ -343,7 +339,12 @@ def best_subset(candidates: list[list[int]], utilities) -> int:
         raise ValueError(
             f"{len(candidates)} candidates but {scores.shape[0]} utilities"
         )
-    return int(np.argmax(scores))
+    return scores
+
+
+def best_subset(candidates: list[list[int]], utilities) -> int:
+    """Position of the highest-utility candidate; first wins ties."""
+    return int(np.argmax(_utility_scores(candidates, utilities)))
 
 
 def subset_utility_ucs(
@@ -356,18 +357,12 @@ def subset_utility_ucs(
 
     Every candidate must have exactly cfg.budget members.
     """
-    if not candidates:
-        raise EmptyCandidateList("no candidate subsets supplied")
+    scores = _utility_scores(candidates, utilities)
     for pos, subset in enumerate(candidates):
         if len(subset) != cfg.budget:
             raise ValueError(
                 f"candidate {pos} has {len(subset)} members, budget is {cfg.budget}"
             )
-    scores = np.asarray(utilities, dtype=np.float64)
-    if scores.shape[0] != len(candidates):
-        raise ValueError(
-            f"{len(candidates)} candidates but {scores.shape[0]} utilities"
-        )
     phis = np.array(
         [coverage_phi(labels, subset, cfg.sgt)[0] for subset in candidates]
     )
@@ -375,8 +370,7 @@ def subset_utility_ucs(
     winner = int(np.argmax(totals))
     record = StepRecord(winner, float(scores[winner]), float(phis[winner]),
                         float(totals[winner]))
-    result = _finish(list(candidates[winner]), [record], labels, cfg, "subset_utility")
-    return result
+    return _finish(list(candidates[winner]), [record], labels, cfg, "subset_utility")
 
 
 def redundancy_utility(x: np.ndarray, candidates: list[list[int]]) -> np.ndarray:

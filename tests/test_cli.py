@@ -275,6 +275,56 @@ def test_analyze_rejects_labels_below_one(tmp_path, capsys):
     _rejects_line_4(capsys, bad)
 
 
+def _fails_writing(capsys, argv, out):
+    """argv exits 2 with an error naming the unwritable out, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and out in err
+
+
+def test_select_unwritable_out_is_io_error(tmp_path, capsys):
+    pool_path, labels_path = _write_pool(tmp_path)
+    out = str(tmp_path / "missing" / "sel.csv")
+    _fails_writing(capsys, ["select", "--embeddings", pool_path, "--labels",
+                            labels_path, "--out", out, "--budget", "3"], out)
+
+
+def test_prior_unwritable_out_is_io_error(tmp_path, capsys):
+    _, labels_path = _write_pool(tmp_path)
+    out = str(tmp_path / "missing" / "prior.csv")
+    _fails_writing(capsys, ["prior", "--labels", labels_path, "--out", out], out)
+
+
+def test_table_unwritable_out_is_io_error(tmp_path, capsys):
+    _, labels_path = _write_pool(tmp_path)
+    out = str(tmp_path / "missing" / "spec.txt")
+    _fails_writing(capsys, ["spectrum", "--labels", labels_path, "--out", out], out)
+
+
+@pytest.mark.parametrize("row", ["40", "-1"])
+def test_select_query_row_outside_pool(tmp_path, capsys, row):
+    pool_path, labels_path = _write_pool(tmp_path)  # 40 rows
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--base", "subset_utility", "--budget", "3",
+                 "--query-row", row]) == 2
+    err = capsys.readouterr().err
+    assert f"--query-row {row}" in err and "40 rows" in err
+    assert not os.path.exists(out)
+
+
+def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array([1, 1, 2, 3]), labels_path)
+    subset = tmp_path / "subset.txt"
+    subset.write_text("0 1\n2\nx3\n")
+    for command in ("spectrum", "estimate"):
+        assert main([command, "--labels", labels_path,
+                     "--subset", str(subset)]) == 2
+        err = capsys.readouterr().err
+        assert f"{subset}:3" in err and "'x3'" in err
+
+
 def test_synth_pool_and_oracle(tmp_path, capsys):
     stem = str(tmp_path / "syn")
     assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30",
