@@ -4,8 +4,9 @@ Every stage reads and writes plain files (matrix containers, label files,
 CSV), so any stage can be replaced by an external tool; this is also how
 real embedding dumps enter the pipeline. Each artifact gets a sibling
 ``<artifact>.manifest.txt`` recording the stage, the config keys the stage
-read (COMMAND_CONFIG_KEYS), seeds and input hashes; the timestamp is the
-only manifest field allowed to differ between reruns, and artifacts
+read (COMMAND_CONFIG_KEYS), seeds, input hashes and the numeric environment
+(BLAS thread variables, numpy version); the timestamp is the only manifest
+field allowed to differ between reruns in one environment, and artifacts
 themselves are byte-identical when inputs and config are unchanged.
 
 Exit codes: 0 success, 2 configuration or input-format error, 3 missing
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 from contextlib import contextmanager
@@ -218,6 +218,10 @@ def _stage_manifest(
             cfg_used[key], float) else str(cfg_used[key])
     for name in sorted(inputs):
         entries[f"input.{name}.sha256"] = sha256_file(inputs[name])
+    # Float artifacts can depend on the BLAS thread count and numpy version.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        entries[f"env.{name}"] = os.environ.get(name, "unset")
+    entries["env.numpy"] = np.__version__
     if extra:
         entries.update(extra)
     entries["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -580,8 +584,6 @@ def run_pipeline(
         stage_select(paths["reduced"], paths["labels"], select_outs, base, cfg,
                      sgt, seeds, rarity, False, None)
     if "analyze" in stages:
-        for p in select_outs:
-            _require(p, "selection csv")
         stage_analyze(paths["labels"], select_outs, paths["report"])
 
 
@@ -861,8 +863,8 @@ def _cmd_synth(args, cfg) -> int:
         })
         return 0
     t = args.t if args.t is not None else float(cfg["sgt_t"])
-    sgt = dataclasses.replace(_sgt_config(cfg, args), t=t)
-    report = mc_unseen_oracle(pop, args.n, t, args.trials, seed, sgt=sgt,
+    report = mc_unseen_oracle(pop, args.n, t, args.trials, seed,
+                              sgt=_sgt_config(cfg, args),
                               estimator=args.estimator)
     rows = [
         ("trials", str(report.trials)),

@@ -60,10 +60,10 @@ def _canonical_row_order(pool: np.ndarray) -> np.ndarray:
     return np.lexsort(pool.T[::-1])
 
 
-def _init_dictionary(pool: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
-    n = pool.shape[0]
+def _init_dictionary(ordered: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
+    # Rows arrive in canonical order, so the seeded picks see only the row set.
+    n = ordered.shape[0]
     rng = np.random.default_rng(seed)
-    ordered = pool[_canonical_row_order(pool)]
     if n >= n_atoms:
         picks = rng.choice(n, size=n_atoms, replace=False)
         atoms = ordered[np.sort(picks)].T.copy()
@@ -73,7 +73,7 @@ def _init_dictionary(pool: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
             "padding the initial dictionary with random directions",
             stacklevel=3,
         )
-        extra = rng.standard_normal((pool.shape[1], n_atoms - n))
+        extra = rng.standard_normal((ordered.shape[1], n_atoms - n))
         atoms = np.hstack([ordered.T.copy(), extra])
     norms = np.linalg.norm(atoms, axis=0)
     dead = norms <= _ATOM_TOL
@@ -225,7 +225,8 @@ def fit_joint_dictionary(
     mapped = [m @ b for m, b in zip(mats, maps)]
     mean_pool = sum(mapped) / float(n_sources)
 
-    dictionary = _init_dictionary(mean_pool, n_atoms, seed)
+    dictionary = _init_dictionary(
+        mean_pool[_canonical_row_order(mean_pool)], n_atoms, seed)
     codes = _solve_codes(dictionary, mean_pool, alpha_eff)
 
     def joint_objective() -> float:

@@ -30,9 +30,6 @@ _SC_FLOOR = 1e-300
 
 RARITY_VARIANTS = ("B1", "B2")
 
-# Block side of dpp_kernel's in-place symmetrization.
-_SYM_BLOCK = 512
-
 
 @dataclass
 class SelectionConfig:
@@ -89,22 +86,16 @@ def _finish(indices, records, labels, cfg, base) -> SelectionResult:
 
 
 def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> np.ndarray:
-    """L = exp(scale * cosine-similarity), symmetrized, jittered by 1e-8 I.
+    """L = exp(scale * cosine-similarity) + 1e-8 I, one N x N array built in place.
 
-    Built in place: one N x N array plus block-sized temporaries.
+    Exactly symmetric with no symmetrization pass: numpy evaluates unit @ unit.T
+    as one symmetric rank-k update (BLAS syrk) that computes one triangle and
+    mirrors it, so L[i, j] and L[j, i] are the same float.
     """
     unit = l2_normalize_rows(x, eps=0.0)
     kernel = unit @ unit.T
     kernel *= scale
     np.exp(kernel, out=kernel)
-    n = kernel.shape[0]
-    for i0 in range(0, n, _SYM_BLOCK):
-        rows = slice(i0, i0 + _SYM_BLOCK)
-        for j0 in range(i0, n, _SYM_BLOCK):
-            cols = slice(j0, j0 + _SYM_BLOCK)
-            mean = (kernel[rows, cols] + kernel[cols, rows].T) / 2.0
-            kernel[rows, cols] = mean
-            kernel[cols, rows] = mean.T
     kernel[np.diag_indices_from(kernel)] += 1e-8
     return kernel
 

@@ -478,3 +478,33 @@ def test_pipeline_resume_from_later_stage(tmp_path, capsys):
     assert os.path.exists(os.path.join(wd, "report.txt"))
     assert PIPELINE_STAGES[0] == "preprocess"
     capsys.readouterr()
+
+
+def test_pipeline_analyze_missing_selection_csv(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=5, dim=6, seed=5)
+    wd = str(tmp_path / "w")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dict_n_components=4\ndict_pca_dim=5\ndbscan_k=3\ndbscan_q=0.3\n"
+        "budget=3\nn_runs=2\nsgt_t=2.0\n"
+    )
+    assert main(["pipeline", "--input", pool_path, "--workdir", wd,
+                 "--config", str(cfg), "--to-stage", "select"]) == 0
+    os.remove(os.path.join(wd, "select_run01.csv"))
+    capsys.readouterr()
+    assert main(["pipeline", "--input", pool_path, "--workdir", wd,
+                 "--config", str(cfg), "--from-stage", "analyze"]) == 3
+    assert "select_run01.csv" in capsys.readouterr().err
+
+
+def test_manifest_records_numeric_environment(tmp_path, monkeypatch, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    out = str(tmp_path / "reduced.ucsm")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(["preprocess", "--input", pool_path, "--out", out]) == 0
+    manifest = _manifest(out + ".manifest.txt")
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert manifest[f"env.{name}"] == os.environ.get(name, "unset")
+    assert manifest["env.numpy"] == np.__version__
+    capsys.readouterr()

@@ -61,6 +61,31 @@ def test_dpp_kernel_elementwise_recomputation():
     assert np.array_equal(dpp_kernel(x, scale), want)
 
 
+def _dpp_kernel_inputs():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 511, 513, 1025):
+        x = rng.standard_normal((n, 7))
+        yield pytest.param(x, id=f"C{n}")
+        yield pytest.param(np.asfortranarray(x), id=f"F{n}")
+        yield pytest.param(rng.standard_normal((2 * n, 7))[::2], id=f"strided{n}")
+    base = rng.standard_normal((300, 5))
+    base[[3, 70, 299]] = 0.0
+    yield pytest.param(np.vstack([base, base[::3], np.zeros((4, 5))]), id="dup_zero")
+
+
+@pytest.mark.parametrize("x", list(_dpp_kernel_inputs()))
+def test_dpp_kernel_exactly_symmetric(x):
+    # Symmetry rests on numpy evaluating unit @ unit.T as one symmetric
+    # update; sizes straddle 512 and 1024, layouts are C, F and strided.
+    scale = 0.37
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), 0.0)
+    want = np.exp(scale * (unit @ unit.T)) + 1e-8 * np.eye(len(x))
+    kernel = dpp_kernel(x, scale)
+    assert np.array_equal(kernel, kernel.T)
+    assert np.array_equal(kernel, want)
+
+
 def test_dpp_kernel_positive_definite():
     rng = np.random.default_rng(2)
     kernel = dpp_kernel(rng.standard_normal((50, 8)))
