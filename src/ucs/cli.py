@@ -19,7 +19,6 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,7 +27,7 @@ from .clustering import CLUSTERING_METHODS, cluster_pool
 from .coverage import (
     SgtConfig,
     corpus_prior,
-    coverage_phi,
+    coverage_phi,  # unused here; perfbench/spans.py patches ucs.cli.coverage_phi
     gt_unseen,
     sgt_unseen,
     subset_spectrum,
@@ -36,7 +35,6 @@ from .coverage import (
 from .errors import (
     ConfigError,
     DegenerateInput,
-    IoError,
     MissingInput,
     NonFiniteValue,
     ParseError,
@@ -51,6 +49,7 @@ from .latent_dictionary import (
     ridge_encode,
 )
 from .matrix_store import (
+    open_file,
     read_labels,
     read_matrix,
     read_token_bundle,
@@ -80,27 +79,8 @@ from .synth_oracle import (
     sample_pool,
 )
 
-# Flat config-file schema; names follow the hyperparameter tables.
-CONFIG_TYPES: dict[str, type] = {
-    "budget": int,
-    "dict_n_components": int,
-    "dict_alpha": float,
-    "dict_pca_dim": int,
-    "dbscan_k": int,
-    "dbscan_q": float,
-    "dbscan_min_samples": int,
-    "sgt_lambda": float,
-    "sgt_t": float,
-    "sgt_bin_size": int,
-    "sgt_offset": float,
-    "votek_k": int,
-    "dpp_scale_factor": float,
-    "candidate_num": int,
-    "seed": int,
-    "n_runs": int,
-    "clustering": str,
-}
-
+# Flat config-file schema; names follow the hyperparameter tables, and each
+# default's type is its key's type.
 CONFIG_DEFAULTS: dict[str, object] = {
     "budget": 10,
     "dict_n_components": 64,
@@ -120,6 +100,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "n_runs": 3,
     "clustering": "dict_dbscan",
 }
+CONFIG_TYPES: dict[str, type] = {k: type(v) for k, v in CONFIG_DEFAULTS.items()}
 
 PIPELINE_STAGES = (
     "preprocess",
@@ -159,7 +140,7 @@ def load_config(path: str) -> dict[str, object]:
     if not os.path.exists(path):
         raise MissingInput(f"config file not found: {path}")
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -244,21 +225,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-@contextmanager
-def _writing(path: str):
-    """Open path for text output; an OSError becomes IoError naming it."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_selection_csv(path: str, result: SelectionResult) -> None:
     """One row per selected item: step, index, base_gain, coverage_term,
     total, where total = base_gain + lambda * coverage_term. Subset-utility
     results repeat the winning subset's scores on every member row."""
-    with _writing(path) as fh:
+    with open_file(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "index", "base_gain", "coverage_term", "total"])
         if result.base == "subset_utility":
@@ -272,15 +243,33 @@ def _write_selection_csv(path: str, result: SelectionResult) -> None:
                                  _fmt(rec.coverage_term), _fmt(rec.total)])
 
 
-def _read_selection_csv(path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [int(row["index"]) for row in csv.DictReader(fh)]
+def _read_selection_csv(path: str, n: int) -> list[int]:
+    """The index column, each a row of an n-row pool; ParseError names path:line."""
+    with open_file(path) as fh:
+        reader = csv.DictReader(fh)
+        if "index" not in (reader.fieldnames or ()):
+            raise ParseError(f"{path}:1: no index column")
+        indices = []
+        for row in reader:
+            text = row["index"]
+            try:
+                index = int(text)
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"{path}:{reader.line_num}: index is not an integer: {text!r}"
+                ) from None
+            if not 0 <= index < n:
+                raise ParseError(
+                    f"{path}:{reader.line_num}: index {index} outside 0..{n - 1}"
+                )
+            indices.append(index)
+    return indices
 
 
 def _read_subset_file(path: str) -> list[int]:
     """Row indices, whitespace separated; ParseError names the bad token's line."""
     indices: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             for token in line.split():
                 try:
@@ -297,7 +286,7 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
     lines = [f"{name:<{width}}  {value}" for name, value in rows]
     text = "\n".join(lines) + "\n"
     if path:
-        with _writing(path) as fh:
+        with open_file(path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -411,7 +400,7 @@ def stage_prior(labels_path: str, out: str, noise_label: int | None = None,
                          noise_label=noise_label)
     prior = corpus_prior(labels, noise_label=noise_label, **options)
     clusters = sorted(prior.sizes)
-    with _writing(out) as fh:
+    with open_file(out, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "size", "weight"])
         for c in clusters:
@@ -509,7 +498,8 @@ def stage_analyze(labels_path: str, selection_paths: list[str],
                   out: str | None) -> list[tuple[str, str]]:
     labels = read_labels(_require(labels_path, "labels file"), min_label=1)
     selections = [
-        _read_selection_csv(_require(p, "selection csv")) for p in selection_paths
+        _read_selection_csv(_require(p, "selection csv"), labels.size)
+        for p in selection_paths
     ]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
@@ -810,11 +800,12 @@ def _cmd_estimate(args, cfg) -> int:
     subset = (_read_subset_file(_require(args.subset, "subset file"))
               if args.subset else range(labels.size))
     sgt = _sgt_config(cfg, args)
-    phi, k_seen, u_hat = coverage_phi(labels, subset, sgt)
-    spec = subset_spectrum(labels, subset, noise_label=args.noise_label)
+    spec = subset_spectrum(labels, subset, noise_label=sgt.noise_label)
+    u_hat = sgt_unseen(spec, sgt)
+    phi = float(spec.k_seen + u_hat)
     raw = gt_unseen(spec, sgt.t, sgt.bin_size)
     rows = [
-        ("k_seen", str(k_seen)),
+        ("k_seen", str(spec.k_seen)),
         ("u_hat", _fmt(u_hat)),
         ("phi", _fmt(phi)),
         ("gt_raw", _fmt(raw)),

@@ -12,6 +12,8 @@ Matrix files use a fixed little-endian layout:
 All matrices are widened to float64 in memory regardless of the stored dtype.
 A CSV alternative (header ``c0,c1,...``) is accepted on read for interchange.
 Non-finite values are rejected on both read and write.
+
+Every file the package reads or writes goes through open_file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import math
 import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,31 @@ _DTYPE_NAMES = {"f32": 0, "f64": 1}
 _MAX_ELEMENTS = 1 << 40
 
 
+@contextmanager
+def open_file(path: str | os.PathLike, mode: str = "r"):
+    """Open `path` in mode "r", "rb", "w" or "wb"; text is UTF-8, newline="".
+
+    A write goes to `<path>.tmp`, which replaces `path` only once the body
+    finishes, so a failed write leaves the earlier file (or none) and no
+    temp file. An OSError becomes IoError naming `path`.
+    """
+    writing = "w" in mode
+    tmp = f"{os.fspath(path)}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp if writing else path, mode, **text) as fh:
+            yield fh
+        if writing:
+            os.replace(tmp, path)
+    except OSError as exc:  # strerror, because exc names the temp file
+        verb = "write" if writing else "read"
+        raise IoError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+    finally:
+        if writing:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64") -> None:
     """Write a 2-D array to `path` in the binary layout above.
 
@@ -63,12 +91,9 @@ def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64"
     code = _DTYPE_NAMES[dtype]
     payload = arr.astype(_DTYPE_CODES[code], copy=False)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, arr.shape[0], arr.shape[1])
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.tobytes(order="C"))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_file(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.tobytes(order="C"))
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
@@ -77,21 +102,18 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     Returns a float64 array. Raises BadMagic / DimensionOverflow /
     NonFiniteValue / ParseError with the offending offset or line.
     """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-            if head == MAGIC:
-                rest = fh.read(_HEADER.size - 4)
-                if len(rest) != _HEADER.size - 4:
-                    raise DimensionOverflow(
-                        f"{path}: truncated header ({4 + len(rest)} bytes)"
-                    )
-                _, version, code, rows, cols = _HEADER.unpack(head + rest)
-                payload = fh.read()
-            else:
-                payload = None
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    with open_file(path, "rb") as fh:
+        head = fh.read(4)
+        if head == MAGIC:
+            rest = fh.read(_HEADER.size - 4)
+            if len(rest) != _HEADER.size - 4:
+                raise DimensionOverflow(
+                    f"{path}: truncated header ({4 + len(rest)} bytes)"
+                )
+            _, version, code, rows, cols = _HEADER.unpack(head + rest)
+            payload = fh.read()
+        else:
+            payload = None
 
     if payload is None:
         return _read_matrix_csv(path)
@@ -120,9 +142,9 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 
 def _read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_file(path) as fh:
             lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise BadMagic(f"{path}: not a UCSM file and not readable as CSV ({exc})") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -152,12 +174,9 @@ def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for v in arr:
-                fh.write(f"{int(v)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_file(path, "w") as fh:
+        for v in arr:
+            fh.write(f"{int(v)}\n")
 
 
 def read_labels(path: str | os.PathLike, min_label: int = -1,
@@ -168,11 +187,8 @@ def read_labels(path: str | os.PathLike, min_label: int = -1,
     noise_label. The default admits -1, DBSCAN's pre-remap noise; stages
     that take cluster ids pass min_label=1.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    with open_file(path) as fh:
+        lines = fh.read().splitlines()
     out = np.empty(len(lines), dtype=np.int64)
     n = 0
     for lineno, line in enumerate(lines, start=1):
@@ -256,19 +272,13 @@ def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:
         if "=" in key or "\n" in key or "\n" in value:
             raise ValueError(f"manifest entry {key!r} contains a reserved character")
         items.append(f"{key}={value}\n")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(items)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_file(path, "w") as fh:
+        fh.writelines(items)
 
 
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    with open_file(path) as fh:
+        lines = fh.read().splitlines()
     out: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -282,10 +292,7 @@ def read_manifest(path: str | os.PathLike) -> dict[str, str]:
 
 def sha256_file(path: str | os.PathLike) -> str:
     h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise IoError(f"cannot hash {path}: {exc}") from exc
+    with open_file(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()

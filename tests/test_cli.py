@@ -325,6 +325,34 @@ def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
         assert f"{subset}:3" in err and "'x3'" in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--subset", "--selections"])
+def test_directory_input_is_io_error(tmp_path, capsys, flag):
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array([1, 1, 2]), labels_path)
+    d = str(tmp_path / "d")
+    os.mkdir(d)
+    command = "analyze" if flag == "--selections" else "estimate"
+    assert main([command, "--labels", labels_path, flag, d]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and d in err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("step,total\n0,1.0\n", 1, "no index column"),
+    ("step,index\n0,1\n1,x\n", 3, "not an integer: 'x'"),
+    ("step,index\n0,7\n", 2, "index 7 outside 0..2"),
+    ("step,index\n0,0\n1,-1\n", 3, "index -1 outside 0..2"),
+], ids=["no-index-column", "not-an-integer", "past-the-end", "negative"])
+def test_analyze_rejects_bad_selection_csv(tmp_path, capsys, text, line, message):
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array([1, 1, 2]), labels_path)
+    sel = tmp_path / "sel.csv"
+    sel.write_text(text)
+    assert main(["analyze", "--labels", labels_path, "--selections", str(sel)]) == 2
+    err = capsys.readouterr().err
+    assert f"{sel}:{line}: " in err and message in err
+
+
 def test_synth_pool_and_oracle(tmp_path, capsys):
     stem = str(tmp_path / "syn")
     assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30",

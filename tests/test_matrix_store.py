@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ucs.errors import (
     BadMagic,
     DimensionOverflow,
+    IoError,
     NonFiniteValue,
     ParseError,
 )
@@ -202,6 +203,23 @@ def test_manifest_rejects_reserved_characters(tmp_path):
         write_manifest(tmp_path / "m.txt", {"a=b": "1"})
     with pytest.raises(ValueError):
         write_manifest(tmp_path / "m.txt", {"a": "1\n2"})
+
+
+def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "labels.txt"
+    write_labels(np.array([4, 5, 6]), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_labels(np.array([1, 2, "x"], dtype=object), path)  # fails on row 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.txt"]
+
+
+def test_write_into_missing_directory_is_io_error(tmp_path):
+    path = tmp_path / "missing" / "m.ucsm"
+    with pytest.raises(IoError, match=f"cannot write {path}: ") as info:
+        write_matrix(np.eye(2), path)
+    assert ".tmp" not in str(info.value)
 
 
 def test_sha256_matches_hashlib(tmp_path):
