@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,6 +62,7 @@ from .matrix_store import (
 )
 from .preprocess import POOLING_MODES, pool_tokens, preprocess_pool, write_sidecars
 from .selection import (
+    BASE_SELECTORS,
     RARITY_VARIANTS,
     SelectionConfig,
     SelectionResult,
@@ -79,8 +82,17 @@ from .synth_oracle import (
     sample_pool,
 )
 
+
+def finite_float(text: str) -> float:
+    """float(text), refusing NaN and infinities; parses every float key and flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # Flat config-file schema; names follow the hyperparameter tables, and each
-# default's type is its key's type.
+# default's type is its key's type (floats must be finite).
 CONFIG_DEFAULTS: dict[str, object] = {
     "budget": 10,
     "dict_n_components": 64,
@@ -100,7 +112,13 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "n_runs": 3,
     "clustering": "dict_dbscan",
 }
-CONFIG_TYPES: dict[str, type] = {k: type(v) for k, v in CONFIG_DEFAULTS.items()}
+CONFIG_TYPES: dict[str, Callable[[str], object]] = {
+    k: finite_float if isinstance(v, float) else type(v)
+    for k, v in CONFIG_DEFAULTS.items()
+}
+# Every int key but seed counts something, so must be at least 1.
+COUNT_KEYS = tuple(
+    k for k, v in CONFIG_DEFAULTS.items() if type(v) is int and k != "seed")
 
 PIPELINE_STAGES = (
     "preprocess",
@@ -111,8 +129,6 @@ PIPELINE_STAGES = (
     "select",
     "analyze",
 )
-
-BASE_SELECTORS = ("dpp", "votek", "subset_utility")
 
 # The config keys each command reads: its config flags, and the config.*
 # entries of the manifests it writes. Each pipeline stage reads the keys of
@@ -137,8 +153,6 @@ COMMAND_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
 
 def load_config(path: str) -> dict[str, object]:
     """Parse a flat key=value config file; '#' starts a comment line."""
-    if not os.path.exists(path):
-        raise MissingInput(f"config file not found: {path}")
     values: dict[str, object] = {}
     with open_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -173,13 +187,10 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
         raise ConfigError(
             f"clustering must be one of {CLUSTERING_METHODS}, got {cfg['clustering']!r}"
         )
+    for key in COUNT_KEYS:
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     return cfg
-
-
-def _require(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise MissingInput(f"{what} not found: {path}")
-    return path
 
 
 def _config_used(cfg: dict, command: str) -> dict[str, object]:
@@ -243,42 +254,43 @@ def _write_selection_csv(path: str, result: SelectionResult) -> None:
                                  _fmt(rec.coverage_term), _fmt(rec.total)])
 
 
+def _row_index(text: str | None, n: int, where: str) -> int:
+    """text as a row of an n-row pool; a ParseError starts with where."""
+    try:
+        index = int(text)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: index is not an integer: {text!r}") from None
+    if not 0 <= index < n:
+        raise ParseError(f"{where}: index {index} outside 0..{n - 1}")
+    return index
+
+
 def _read_selection_csv(path: str, n: int) -> list[int]:
     """The index column, each a row of an n-row pool; ParseError names path:line."""
     with open_file(path) as fh:
         reader = csv.DictReader(fh)
         if "index" not in (reader.fieldnames or ()):
             raise ParseError(f"{path}:1: no index column")
-        indices = []
-        for row in reader:
-            text = row["index"]
-            try:
-                index = int(text)
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path}:{reader.line_num}: index is not an integer: {text!r}"
-                ) from None
-            if not 0 <= index < n:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: index {index} outside 0..{n - 1}"
-                )
-            indices.append(index)
-    return indices
+        return [_row_index(row["index"], n, f"{path}:{reader.line_num}")
+                for row in reader]
 
 
-def _read_subset_file(path: str) -> list[int]:
-    """Row indices, whitespace separated; ParseError names the bad token's line."""
+def _read_subset_file(path: str, n: int) -> list[int]:
+    """Rows of an n-row pool, whitespace separated; ParseError names path:line."""
     indices: list[int] = []
     with open_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            for token in line.split():
-                try:
-                    indices.append(int(token))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected a row index, got {token!r}"
-                    ) from None
+            indices.extend(_row_index(token, n, f"{path}:{lineno}")
+                           for token in line.split())
     return indices
+
+
+def _labels_and_subset(args) -> tuple[np.ndarray, range | list[int]]:
+    """The --labels file and the rows --subset names (default: every row)."""
+    labels = read_labels(args.labels)
+    if not args.subset:
+        return labels, range(labels.size)
+    return labels, _read_subset_file(args.subset, labels.size)
 
 
 def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
@@ -295,13 +307,6 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
 # Stage implementations (shared by subcommands and run_pipeline)
 
 
-def stage_ingest(input_path: str, out: str, dtype: str) -> None:
-    matrix = read_matrix(_require(input_path, "input matrix"))
-    write_matrix(matrix, out, dtype=dtype)
-    _stage_manifest(out, "ingest", {}, {"matrix": input_path},
-                    {"dtype": dtype})
-
-
 def stage_preprocess(
     input_path: str | None,
     bundle: str | None,
@@ -312,7 +317,6 @@ def stage_preprocess(
     pooling: str,
 ) -> None:
     if bundle is not None:
-        _require(bundle, "token bundle directory")
         rows = [
             pool_tokens(hidden, mask, pooling)
             for _, hidden, mask in read_token_bundle(bundle)
@@ -320,7 +324,7 @@ def stage_preprocess(
         pool = np.stack(rows)
         inputs: dict[str, str] = {}
     else:
-        pool = read_matrix(_require(input_path, "pool matrix"))
+        pool = read_matrix(input_path)
         inputs = {"pool": input_path}
     reduced, scaler, basis = preprocess_pool(
         pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
@@ -339,7 +343,7 @@ def stage_preprocess(
 
 
 def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int) -> CodeBook:
-    pool = read_matrix(_require(input_path, "pool matrix"))
+    pool = read_matrix(input_path)
     book = fit_dictionary(
         pool,
         n_atoms=int(cfg["dict_n_components"]),
@@ -359,8 +363,8 @@ def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int) -> CodeB
 
 def stage_dict_encode(dict_path: str, input_path: str, out: str, cfg: dict,
                       normalize: bool) -> np.ndarray:
-    dictionary = read_matrix(_require(dict_path, "dictionary matrix"))
-    pool = read_matrix(_require(input_path, "pool matrix"))
+    dictionary = read_matrix(dict_path)
+    pool = read_matrix(input_path)
     book = CodeBook(dictionary=dictionary, ridge_alpha=float(cfg["dict_alpha"]))
     codes = ridge_encode(book, pool)
     if normalize:
@@ -374,7 +378,7 @@ def stage_dict_encode(dict_path: str, input_path: str, out: str, cfg: dict,
 
 def stage_cluster(input_path: str, out: str, cfg: dict,
                   eps_override: float | None) -> np.ndarray:
-    x = read_matrix(_require(input_path, "input matrix"))
+    x = read_matrix(input_path)
     assignment = cluster_pool(
         x,
         method=str(cfg["clustering"]),
@@ -396,8 +400,7 @@ def stage_prior(labels_path: str, out: str, noise_label: int | None = None,
                 **options) -> None:
     """Write prior.csv, a report of corpus_prior's weights; options override
     corpus_prior's smoothing and eps, and select recomputes the prior."""
-    labels = read_labels(_require(labels_path, "labels file"), min_label=1,
-                         noise_label=noise_label)
+    labels = read_labels(labels_path, min_label=1, noise_label=noise_label)
     prior = corpus_prior(labels, noise_label=noise_label, **options)
     clusters = sorted(prior.sizes)
     with open_file(out, "w") as fh:
@@ -426,9 +429,7 @@ def run_selection(
         base=base,
         dpp_scale_factor=float(cfg["dpp_scale_factor"]),
         votek_k=int(cfg["votek_k"]),
-        candidate_num=int(cfg["candidate_num"]),
         sgt=sgt,
-        seed=seed,
     )
     if rarity is not None:
         return rarity_controls(x, labels, sel_cfg, rarity)
@@ -439,14 +440,12 @@ def run_selection(
         prior = corpus_prior(labels, noise_label=sgt.noise_label)
         return votek_ucs_select(x, labels, prior, sel_cfg,
                                 freeze_votes=freeze_votes)
-    if base == "subset_utility":
-        query = x[query_row] if query_row is not None else x.mean(axis=0)
-        candidates = sample_candidate_subsets(
-            x, query, sel_cfg.budget, sel_cfg.candidate_num, seed
-        )
-        utilities = redundancy_utility(x, candidates)
-        return subset_utility_ucs(candidates, utilities, labels, sel_cfg)
-    raise ConfigError(f"base must be one of {BASE_SELECTORS}, got {base!r}")
+    query = x[query_row] if query_row is not None else x.mean(axis=0)
+    candidates = sample_candidate_subsets(
+        x, query, sel_cfg.budget, int(cfg["candidate_num"]), seed
+    )
+    utilities = redundancy_utility(x, candidates)
+    return subset_utility_ucs(candidates, utilities, labels, sel_cfg)
 
 
 def stage_select(
@@ -466,8 +465,8 @@ def stage_select(
     Only subset_utility draws from the seed; every other selector is run
     once and its result written under each seed.
     """
-    x = read_matrix(_require(embeddings_path, "embeddings matrix"))
-    labels = read_labels(_require(labels_path, "labels file"), min_label=1)
+    x = read_matrix(embeddings_path)
+    labels = read_labels(labels_path, min_label=1)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
@@ -496,11 +495,8 @@ def stage_select(
 
 def stage_analyze(labels_path: str, selection_paths: list[str],
                   out: str | None) -> list[tuple[str, str]]:
-    labels = read_labels(_require(labels_path, "labels file"), min_label=1)
-    selections = [
-        _read_selection_csv(_require(p, "selection csv"), labels.size)
-        for p in selection_paths
-    ]
+    labels = read_labels(labels_path, min_label=1)
+    selections = [_read_selection_csv(p, labels.size) for p in selection_paths]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
     rows: list[tuple[str, str]] = []
@@ -643,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="codes (dict_* methods) or embeddings (dbscan)")
     p.add_argument("--out", required=True)
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=finite_float, default=None,
                    help="override the kNN-quantile eps")
     _add_config_flags(p, "cluster")
 
@@ -670,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--smoothing", choices=("off", "power_law"), default=None,
                    help="override corpus_prior's default (power_law)")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=finite_float, default=None,
                    help="override corpus_prior's default (1e-6)")
     p.add_argument("--noise-label", type=int, default=None)
     _add_config_flags(p, "prior")
@@ -692,12 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pool", "oracle"), default="pool")
     p.add_argument("--k-types", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--zipf-exponent", type=float, default=None,
+    p.add_argument("--zipf-exponent", type=finite_float, default=None,
                    help="zipf population (default: uniform)")
     p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--spread", type=float, default=0.05)
+    p.add_argument("--spread", type=finite_float, default=0.05)
     p.add_argument("--out-stem", default=None, help="pool mode output stem")
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--t", type=finite_float, default=None,
                    help="oracle second-draw multiple (default: sgt_t)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--estimator", choices=("sgt", "gt"), default="sgt")
@@ -730,7 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args, cfg) -> int:
-    stage_ingest(args.input, args.out, args.dtype)
+    write_matrix(read_matrix(args.input), args.out, dtype=args.dtype)
+    _stage_manifest(args.out, "ingest", {}, {"matrix": args.input},
+                    {"dtype": args.dtype})
     return 0
 
 
@@ -752,7 +750,7 @@ def _cmd_dict_encode(args, cfg) -> int:
 
 
 def _cmd_joint_fit(args, cfg) -> int:
-    sources = [read_matrix(_require(p, "source matrix")) for p in args.inputs]
+    sources = [read_matrix(p) for p in args.inputs]
     book = fit_joint_dictionary(
         sources,
         n_atoms=int(cfg["dict_n_components"]),
@@ -784,9 +782,7 @@ def _cmd_cluster(args, cfg) -> int:
 
 
 def _cmd_spectrum(args, cfg) -> int:
-    labels = read_labels(_require(args.labels, "labels file"))
-    subset = (_read_subset_file(_require(args.subset, "subset file"))
-              if args.subset else range(labels.size))
+    labels, subset = _labels_and_subset(args)
     spec = subset_spectrum(labels, subset, noise_label=args.noise_label)
     rows = [(f"size_{s}", str(int(spec.spectrum[s])))
             for s in sorted(spec.spectrum)]
@@ -796,9 +792,7 @@ def _cmd_spectrum(args, cfg) -> int:
 
 
 def _cmd_estimate(args, cfg) -> int:
-    labels = read_labels(_require(args.labels, "labels file"))
-    subset = (_read_subset_file(_require(args.subset, "subset file"))
-              if args.subset else range(labels.size))
+    labels, subset = _labels_and_subset(args)
     sgt = _sgt_config(cfg, args)
     spec = subset_spectrum(labels, subset, noise_label=sgt.noise_label)
     u_hat = sgt_unseen(spec, sgt)
@@ -884,8 +878,6 @@ def _cmd_pipeline(args, cfg) -> int:
             f"--from-stage {args.from_stage} comes after --to-stage {args.to_stage}"
         )
     stages = list(PIPELINE_STAGES[lo:hi + 1])
-    if lo == 0:
-        _require(args.input, "input pool")
     run_pipeline(cfg, args.input, args.workdir, stages, args.base,
                  rarity=args.rarity)
     print(f"pipeline stages {stages} done in {args.workdir}")

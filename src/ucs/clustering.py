@@ -32,19 +32,16 @@ DEFAULT_TILE_ROWS = 256
 
 @dataclass
 class ClusterAssignment:
-    """Cluster labels for a pool plus the parameters that produced them.
+    """Cluster labels for a pool plus the eps that produced them.
 
     labels are post-remap (1..C, no noise); raw_labels keep DBSCAN's output
-    (0-based clusters, -1 noise) or atom indices for the argmax method.
+    (0-based clusters, -1 noise) or atom indices for the argmax method, which
+    has no eps.
     """
 
     labels: np.ndarray
     raw_labels: np.ndarray
-    method: str
     eps: float | None = None
-    dbscan_k: int | None = None
-    dbscan_q: float | None = None
-    min_samples: int = 1
 
     @property
     def n_clusters(self) -> int:
@@ -253,11 +250,7 @@ def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
 def argmax_atoms(codes: np.ndarray) -> np.ndarray:
     """Assign each row to its largest-magnitude atom (ties: lowest index);
     ids renumbered 1.. by first appearance."""
-    arr = np.asarray(codes, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"expected a 2-D code matrix, got shape {arr.shape}")
-    raw = np.argmax(np.abs(arr), axis=1).astype(np.int64)
-    return remap_noise_to_singletons(raw)
+    return cluster_pool(codes, method="dict_argmax").labels
 
 
 def cluster_pool(
@@ -279,12 +272,11 @@ def cluster_pool(
         raise ValueError(f"unknown clustering method {method!r}")
     arr = np.asarray(x, dtype=np.float64)
     if method == "dict_argmax":
-        labels = argmax_atoms(arr)
-        return ClusterAssignment(
-            labels=labels,
-            raw_labels=np.argmax(np.abs(arr), axis=1).astype(np.int64),
-            method=method,
-        )
+        if arr.ndim != 2 or arr.shape[1] == 0:
+            raise ValueError(f"expected a 2-D code matrix, got shape {arr.shape}")
+        raw = np.argmax(np.abs(arr), axis=1).astype(np.int64)
+        return ClusterAssignment(labels=remap_noise_to_singletons(raw),
+                                 raw_labels=raw)
     if method == "dict_dbscan":
         arr = l2_normalize_rows(arr, eps=1e-12)
     unit = l2_normalize_rows(arr, eps=0.0)
@@ -299,9 +291,5 @@ def cluster_pool(
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),
         raw_labels=raw,
-        method=method,
         eps=float(eps),
-        dbscan_k=dbscan_k,
-        dbscan_q=dbscan_q,
-        min_samples=min_samples,
     )

@@ -27,6 +27,10 @@ class IoError(UcsError):
     """Underlying read/write failure."""
 
 
+class MissingInput(IoError):
+    """A file or directory to be read does not exist."""
+
+
 class ParseError(UcsError):
     """Text input could not be parsed; message names the offending line."""
 
@@ -61,10 +65,6 @@ class SingularKernel(UcsError):
 
 class EmptyCandidateList(UcsError):
     """Subset selection was handed no candidates."""
-
-
-class MissingInput(UcsError):
-    """A required input file does not exist."""
 
 
 class ConfigError(UcsError):

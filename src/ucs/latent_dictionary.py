@@ -118,6 +118,11 @@ def _objective(dictionary, codes, pool, alpha) -> float:
     return float(np.sum(resid * resid) + alpha * np.sum(codes * codes))
 
 
+def _converged(history: list[float]) -> bool:
+    # The last alternation improved the objective by less than REL_TOL.
+    return history[-2] - history[-1] < REL_TOL * max(history[-2], 1e-300)
+
+
 def fit_dictionary(
     pool: np.ndarray,
     n_atoms: int = 64,
@@ -148,24 +153,18 @@ def fit_dictionary(
     arr = arr[_canonical_row_order(arr)]
     dictionary = _init_dictionary(arr, n_atoms, seed)
     codes = _solve_codes(dictionary, arr, ridge_alpha)
-    objective = _objective(dictionary, codes, arr, ridge_alpha)
-    history = [objective]
-    iterations = 0
+    history = [_objective(dictionary, codes, arr, ridge_alpha)]
     for _ in range(max_iter):
         _update_atoms(dictionary, codes, arr)
         codes = _solve_codes(dictionary, arr, ridge_alpha)
-        new_objective = _objective(dictionary, codes, arr, ridge_alpha)
-        history.append(new_objective)
-        iterations += 1
-        if objective - new_objective < REL_TOL * max(objective, 1e-300):
-            objective = new_objective
+        history.append(_objective(dictionary, codes, arr, ridge_alpha))
+        if _converged(history):
             break
-        objective = new_objective
     return CodeBook(
         dictionary=dictionary,
         ridge_alpha=ridge_alpha,
-        n_iter=iterations,
-        objective=objective,
+        n_iter=len(history) - 1,
+        objective=history[-1],
         objective_history=history,
     )
 
@@ -239,10 +238,8 @@ def fit_joint_dictionary(
             float(np.max(np.abs(b.T @ b - np.eye(d_c)))) for b in maps
         )
 
-    objective = joint_objective()
-    history = [objective]
+    history = [joint_objective()]
     orth_history = [max_orth_deviation()]
-    iterations = 0
     for _ in range(max_iter):
         if not fix_maps:
             # Sequential sweep: refresh the target and codes after every
@@ -266,14 +263,10 @@ def fit_joint_dictionary(
                 codes = _solve_codes(dictionary, mean_pool, alpha_eff)
         _update_atoms(dictionary, codes, mean_pool)
         codes = _solve_codes(dictionary, mean_pool, alpha_eff)
-        new_objective = joint_objective()
-        history.append(new_objective)
+        history.append(joint_objective())
         orth_history.append(max_orth_deviation())
-        iterations += 1
-        if objective - new_objective < REL_TOL * max(objective, 1e-300):
-            objective = new_objective
+        if _converged(history):
             break
-        objective = new_objective
     codes_out = np.empty_like(codes)
     codes_out[order] = codes
     return JointCodeBook(
@@ -281,8 +274,8 @@ def fit_joint_dictionary(
         codes=codes_out,
         maps=maps,
         ridge_alpha=ridge_alpha,
-        n_iter=iterations,
-        objective=objective,
+        n_iter=len(history) - 1,
+        objective=history[-1],
         objective_history=history,
         orthogonality_history=orth_history,
     )

@@ -31,6 +31,7 @@ from .errors import (
     BadMagic,
     DimensionOverflow,
     IoError,
+    MissingInput,
     NonFiniteValue,
     ParseError,
 )
@@ -52,7 +53,8 @@ def open_file(path: str | os.PathLike, mode: str = "r"):
 
     A write goes to `<path>.tmp`, which replaces `path` only once the body
     finishes, so a failed write leaves the earlier file (or none) and no
-    temp file. An OSError becomes IoError naming `path`.
+    temp file. An OSError becomes IoError naming `path`; reading a path that
+    does not exist raises its subclass MissingInput.
     """
     writing = "w" in mode
     tmp = f"{os.fspath(path)}.tmp"
@@ -64,7 +66,9 @@ def open_file(path: str | os.PathLike, mode: str = "r"):
             os.replace(tmp, path)
     except OSError as exc:  # strerror, because exc names the temp file
         verb = "write" if writing else "read"
-        raise IoError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+        missing = not writing and isinstance(exc, FileNotFoundError)
+        error = MissingInput if missing else IoError
+        raise error(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
     finally:
         if writing:
             with suppress(FileNotFoundError):
@@ -238,17 +242,14 @@ def read_token_bundle(directory: str | os.PathLike) -> list[tuple[str, np.ndarra
     """Read a token bundle; returns (stem, hidden T x d, mask T) sorted by stem."""
     d = Path(directory)
     if not d.is_dir():
-        raise IoError(f"{directory} is not a directory")
+        raise MissingInput(f"token bundle directory not found: {directory}")
     stems = sorted(p.name[: -len(TOKENS_SUFFIX)] for p in d.glob(f"*{TOKENS_SUFFIX}"))
     if not stems:
         raise ParseError(f"{directory}: no *{TOKENS_SUFFIX} files found")
     out = []
     for stem in stems:
         hidden = read_matrix(d / f"{stem}{TOKENS_SUFFIX}")
-        mask_path = d / f"{stem}{MASK_SUFFIX}"
-        if not mask_path.exists():
-            raise ParseError(f"{directory}: missing mask for {stem}")
-        mask = read_matrix(mask_path)
+        mask = read_matrix(d / f"{stem}{MASK_SUFFIX}")
         if mask.shape != (hidden.shape[0], 1):
             raise DimensionOverflow(
                 f"{directory}/{stem}: mask shape {mask.shape} does not match "

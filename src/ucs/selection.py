@@ -28,6 +28,7 @@ from .preprocess import l2_normalize_rows
 # selectable (with a hugely negative gain) instead of crashing the loop.
 _SC_FLOOR = 1e-300
 
+BASE_SELECTORS = ("dpp", "votek", "subset_utility")
 RARITY_VARIANTS = ("B1", "B2")
 
 
@@ -39,16 +40,14 @@ class SelectionConfig:
     dpp_scale_factor: float = 0.1
     votek_k: int = 3
     votek_discount_base: float = 10.0
-    candidate_num: int = 50
     sgt: SgtConfig = field(default_factory=SgtConfig)
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.base not in ("dpp", "votek", "subset_utility"):
+        if self.base not in BASE_SELECTORS:
             raise ValueError(f"unknown base selector {self.base!r}")
 
 
@@ -67,7 +66,6 @@ class SelectionResult:
     phi: float
     k_seen: int
     base: str
-    lam: float
 
 
 def _finish(indices, records, labels, cfg, base) -> SelectionResult:
@@ -77,7 +75,7 @@ def _finish(indices, records, labels, cfg, base) -> SelectionResult:
         phi, k_seen = float("nan"), 0
     return SelectionResult(
         indices=[int(i) for i in indices], records=records, phi=float(phi),
-        k_seen=int(k_seen), base=base, lam=cfg.lam,
+        k_seen=int(k_seen), base=base,
     )
 
 

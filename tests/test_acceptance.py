@@ -86,7 +86,7 @@ def test_criterion_02_lambda_zero_equivalence():
             votek_select(x, budget), f"votek run {run}"
 
         cfg = SelectionConfig(budget=budget, lam=0.0, base="subset_utility",
-                              sgt=sgt, seed=run)
+                              sgt=sgt)
         candidates = sample_candidate_subsets(x, x.mean(axis=0), budget,
                                               candidate_num=25, seed=run)
         utilities = redundancy_utility(x, candidates)

@@ -78,6 +78,31 @@ def test_resolve_config_precedence(tmp_path):
     assert cfg["votek_k"] == CONFIG_DEFAULTS["votek_k"]
 
 
+@pytest.mark.parametrize("key", ["budget", "n_runs", "dict_pca_dim", "dict_n_components",
+                                 "dbscan_k", "dbscan_min_samples", "sgt_bin_size",
+                                 "votek_k", "candidate_num"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_resolve_config_rejects_count_below_one(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+        resolve_config(argparse.Namespace(**{key: value}))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_config_rejects_non_finite_float(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"budget=4\nsgt_lambda={text}\n")
+    with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for sgt_lambda"):
+        load_config(str(path))
+
+
+def test_non_finite_float_flag_exits_2(tmp_path, capsys):
+    _, labels_path = _write_pool(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--labels", labels_path, "--sgt-t", "nan"])
+    assert info.value.code == 2
+    assert "--sgt-t" in capsys.readouterr().err
+
+
 def test_resolve_config_rejects_bad_clustering():
     with pytest.raises(ConfigError):
         resolve_config(argparse.Namespace(clustering="kmeans"))
@@ -99,8 +124,25 @@ def test_exit_code_config_error(tmp_path):
     assert main(["spectrum", "--labels", labels_path, "--config", str(bad)]) == 2
 
 
-def test_exit_code_missing_input(tmp_path):
-    assert main(["spectrum", "--labels", str(tmp_path / "absent.txt")]) == 3
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--labels", "ABSENT"],
+    ["estimate", "--labels", "LABELS", "--subset", "ABSENT"],
+    ["spectrum", "--labels", "LABELS", "--config", "ABSENT"],
+    ["dict-fit", "--input", "ABSENT", "--out", "OUT"],
+    ["dict-encode", "--dict", "ABSENT", "--input", "POOL", "--out", "OUT"],
+    ["analyze", "--labels", "LABELS", "--selections", "ABSENT"],
+    ["preprocess", "--bundle", "ABSENT", "--out", "OUT"],
+    ["pipeline", "--input", "ABSENT", "--workdir", "OUT"],
+], ids=["--labels", "--subset", "--config", "--input", "--dict", "--selections",
+        "--bundle", "pipeline-input"])
+def test_exit_code_missing_input(tmp_path, capsys, argv):
+    pool_path, labels_path = _write_pool(tmp_path)
+    absent = str(tmp_path / "absent")
+    paths = {"ABSENT": absent, "LABELS": labels_path, "POOL": pool_path,
+             "OUT": str(tmp_path / "out")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and absent in err
 
 
 def test_exit_code_numeric_failure(tmp_path):
@@ -323,6 +365,19 @@ def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
                      "--subset", str(subset)]) == 2
         err = capsys.readouterr().err
         assert f"{subset}:3" in err and "'x3'" in err
+
+
+@pytest.mark.parametrize("index", ["-1", "4"])
+def test_subset_file_index_outside_pool_names_line(tmp_path, capsys, index):
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array([1, 1, 2, 3]), labels_path)
+    subset = tmp_path / "subset.txt"
+    subset.write_text(f"0 1\n2 {index}\n")
+    for command in ("spectrum", "estimate"):
+        assert main([command, "--labels", labels_path,
+                     "--subset", str(subset)]) == 2
+        err = capsys.readouterr().err
+        assert f"{subset}:2: index {index} outside 0..3" in err
 
 
 @pytest.mark.parametrize("flag", ["--config", "--subset", "--selections"])

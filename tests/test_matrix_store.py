@@ -10,6 +10,7 @@ from ucs.errors import (
     BadMagic,
     DimensionOverflow,
     IoError,
+    MissingInput,
     NonFiniteValue,
     ParseError,
 )
@@ -220,6 +221,22 @@ def test_write_into_missing_directory_is_io_error(tmp_path):
     with pytest.raises(IoError, match=f"cannot write {path}: ") as info:
         write_matrix(np.eye(2), path)
     assert ".tmp" not in str(info.value)
+
+
+def test_missing_input_is_an_io_error(tmp_path):
+    absent = tmp_path / "absent"
+    for read in (read_matrix, read_labels, read_token_bundle):
+        with pytest.raises(MissingInput, match=str(absent)) as info:
+            read(absent)
+        assert isinstance(info.value, IoError)
+    with pytest.raises(IoError) as info:  # the file to write is not an input
+        write_matrix(np.eye(2), absent / "m.ucsm")
+    assert not isinstance(info.value, MissingInput)
+    write_token_bundle(tmp_path / "bundle", [(np.eye(2), np.ones(2))])
+    mask = tmp_path / "bundle" / "ex000000.mask.ucsm"
+    mask.unlink()
+    with pytest.raises(MissingInput, match=str(mask)):
+        read_token_bundle(tmp_path / "bundle")
 
 
 def test_sha256_matches_hashlib(tmp_path):
