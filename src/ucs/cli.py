@@ -190,11 +190,21 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     for key in COUNT_KEYS:
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if cfg["dpp_scale_factor"] <= 0:
+        raise ConfigError(
+            f"dpp_scale_factor must be > 0, got {cfg['dpp_scale_factor']}")
+    _sgt_config(cfg, args)  # SgtConfig checks the sgt_* ranges
     return cfg
 
 
 def _config_used(cfg: dict, command: str) -> dict[str, object]:
     return {key: cfg[key] for key in COMMAND_CONFIG_KEYS[command]}
+
+
+def _input_hashes(inputs: dict[str, str]) -> dict[str, str]:
+    """Manifest entries input.<name>.sha256 for each named input path."""
+    return {f"input.{name}.sha256": sha256_file(path)
+            for name, path in inputs.items()}
 
 
 def _stage_manifest(
@@ -208,8 +218,7 @@ def _stage_manifest(
     for key in sorted(cfg_used):
         entries[f"config.{key}"] = repr(cfg_used[key]) if isinstance(
             cfg_used[key], float) else str(cfg_used[key])
-    for name in sorted(inputs):
-        entries[f"input.{name}.sha256"] = sha256_file(inputs[name])
+    entries.update(_input_hashes(inputs))
     # Float artifacts can depend on the BLAS thread count and numpy version.
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         entries[f"env.{name}"] = os.environ.get(name, "unset")
@@ -304,111 +313,99 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared by subcommands and run_pipeline)
+# Pipeline stages: each is its subcommand, and run_pipeline runs them in order
 
 
-def stage_preprocess(
-    input_path: str | None,
-    bundle: str | None,
-    out: str,
-    cfg: dict,
-    standardize: bool,
-    l2norm: bool,
-    pooling: str,
-) -> None:
-    if bundle is not None:
-        rows = [
-            pool_tokens(hidden, mask, pooling)
-            for _, hidden, mask in read_token_bundle(bundle)
-        ]
-        pool = np.stack(rows)
+def stage_preprocess(args, cfg) -> None:
+    if args.bundle is not None:
+        pool = np.stack([
+            pool_tokens(hidden, mask, args.pooling)
+            for _, hidden, mask in read_token_bundle(args.bundle)
+        ])
         inputs: dict[str, str] = {}
     else:
-        pool = read_matrix(input_path)
-        inputs = {"pool": input_path}
+        pool = read_matrix(args.input)
+        inputs = {"pool": args.input}
+    standardize = not args.no_standardize
     reduced, scaler, basis = preprocess_pool(
         pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
-        l2norm=l2norm
+        l2norm=args.l2norm
     )
-    write_matrix(reduced, out)
-    stem = out[: -len(".ucsm")] if out.endswith(".ucsm") else out
+    write_matrix(reduced, args.out)
+    stem = args.out[: -len(".ucsm")] if args.out.endswith(".ucsm") else args.out
     write_sidecars(stem, scaler, basis)
-    _stage_manifest(out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
+    _stage_manifest(args.out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
         "rows": str(reduced.shape[0]),
         "cols": str(reduced.shape[1]),
         "standardize": str(standardize),
-        "l2norm": str(l2norm),
-        "pooling": pooling,
+        "l2norm": str(args.l2norm),
+        "pooling": args.pooling,
     })
 
 
-def stage_dict_fit(input_path: str, out: str, cfg: dict, max_iter: int) -> CodeBook:
-    pool = read_matrix(input_path)
+def stage_dict_fit(args, cfg) -> None:
     book = fit_dictionary(
-        pool,
+        read_matrix(args.input),
         n_atoms=int(cfg["dict_n_components"]),
         ridge_alpha=float(cfg["dict_alpha"]),
-        max_iter=max_iter,
+        max_iter=args.max_iter,
         seed=int(cfg["seed"]),
     )
-    write_matrix(book.dictionary, out)
-    _stage_manifest(out, "dict-fit", _config_used(cfg, "dict-fit"),
-                    {"pool": input_path}, {
+    write_matrix(book.dictionary, args.out)
+    _stage_manifest(args.out, "dict-fit", _config_used(cfg, "dict-fit"),
+                    {"pool": args.input}, {
                         "objective": _fmt(book.objective),
                         "n_iter": str(book.n_iter),
-                        "max_iter": str(max_iter),
+                        "max_iter": str(args.max_iter),
                     })
-    return book
+    print(f"objective {book.objective!r} after {book.n_iter} iterations")
 
 
-def stage_dict_encode(dict_path: str, input_path: str, out: str, cfg: dict,
-                      normalize: bool) -> np.ndarray:
-    dictionary = read_matrix(dict_path)
-    pool = read_matrix(input_path)
-    book = CodeBook(dictionary=dictionary, ridge_alpha=float(cfg["dict_alpha"]))
-    codes = ridge_encode(book, pool)
-    if normalize:
+def stage_dict_encode(args, cfg) -> None:
+    book = CodeBook(dictionary=read_matrix(args.dict_path),
+                    ridge_alpha=float(cfg["dict_alpha"]))
+    codes = ridge_encode(book, read_matrix(args.input))
+    if args.normalize:
         codes = normalize_codes(codes)
-    write_matrix(codes, out)
-    _stage_manifest(out, "dict-encode", _config_used(cfg, "dict-encode"),
-                    {"dict": dict_path, "pool": input_path},
-                    {"normalize": str(normalize)})
-    return codes
+    write_matrix(codes, args.out)
+    _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
+                    {"dict": args.dict_path, "pool": args.input},
+                    {"normalize": str(args.normalize)})
 
 
-def stage_cluster(input_path: str, out: str, cfg: dict,
-                  eps_override: float | None) -> np.ndarray:
-    x = read_matrix(input_path)
+def stage_cluster(args, cfg) -> None:
+    x = read_matrix(args.input)
     assignment = cluster_pool(
         x,
         method=str(cfg["clustering"]),
         dbscan_k=int(cfg["dbscan_k"]),
         dbscan_q=float(cfg["dbscan_q"]),
         min_samples=int(cfg["dbscan_min_samples"]),
-        eps_override=eps_override,
+        eps_override=args.eps,
     )
-    write_labels(assignment.labels, out)
+    write_labels(assignment.labels, args.out)
     extra = {"n_clusters": str(assignment.n_clusters)}
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
-    _stage_manifest(out, "cluster", _config_used(cfg, "cluster"),
-                    {"input": input_path}, extra)
-    return assignment.labels
+    _stage_manifest(args.out, "cluster", _config_used(cfg, "cluster"),
+                    {"input": args.input}, extra)
+    print(f"{assignment.n_clusters} clusters over {x.shape[0]} points")
 
 
-def stage_prior(labels_path: str, out: str, noise_label: int | None = None,
-                **options) -> None:
-    """Write prior.csv, a report of corpus_prior's weights; options override
-    corpus_prior's smoothing and eps, and select recomputes the prior."""
-    labels = read_labels(labels_path, min_label=1, noise_label=noise_label)
-    prior = corpus_prior(labels, noise_label=noise_label, **options)
+def stage_prior(args, cfg) -> None:
+    """Write prior.csv, a report of corpus_prior's weights; --smoothing and
+    --eps override corpus_prior's defaults, and select recomputes the prior."""
+    options = {"smoothing": args.smoothing, "eps": args.eps}
+    labels = read_labels(args.labels, min_label=1, noise_label=args.noise_label)
+    prior = corpus_prior(labels, noise_label=args.noise_label,
+                         **{k: v for k, v in options.items() if v is not None})
     clusters = sorted(prior.sizes)
-    with open_file(out, "w") as fh:
+    with open_file(args.out, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "size", "weight"])
         for c in clusters:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
-    _stage_manifest(out, "prior", {}, {"labels": labels_path},
+    _stage_manifest(args.out, "prior", {}, {"labels": args.labels},
                     {"smoothing": prior.smoothing, "n_clusters": str(len(clusters))})
 
 
@@ -448,55 +445,48 @@ def run_selection(
     return subset_utility_ucs(candidates, utilities, labels, sel_cfg)
 
 
-def stage_select(
-    embeddings_path: str,
-    labels_path: str,
-    outs: list[str],
-    base: str,
-    cfg: dict,
-    sgt: SgtConfig,
-    seeds: list[int],
-    rarity: str | None,
-    freeze_votes: bool,
-    query_row: int | None,
-) -> list[SelectionResult]:
-    """One selection per (out, seed) pair, each with its CSV and manifest.
+def stage_select(args, cfg) -> None:
+    """One selection per --out, the r-th with seed seed + r, each with its
+    CSV and manifest.
 
     Only subset_utility draws from the seed; every other selector is run
     once and its result written under each seed.
     """
-    x = read_matrix(embeddings_path)
-    labels = read_labels(labels_path, min_label=1)
+    x = read_matrix(args.embeddings)
+    labels = read_labels(args.labels, min_label=1)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
         )
-    if query_row is not None and not 0 <= query_row < x.shape[0]:
+    if args.query_row is not None and not 0 <= args.query_row < x.shape[0]:
         raise ConfigError(
-            f"--query-row {query_row} is outside the pool's {x.shape[0]} rows"
+            f"--query-row {args.query_row} is outside the pool's {x.shape[0]} rows"
         )
-    seeded = rarity is None and base == "subset_utility"
-    results: list[SelectionResult] = []
-    for out, seed in zip(outs, seeds):
-        if seeded or not results:
-            result = run_selection(x, labels, base, cfg, seed, sgt, rarity=rarity,
-                                   freeze_votes=freeze_votes, query_row=query_row)
-        results.append(result)
+    sgt = _sgt_config(cfg, args)
+    seeded = args.rarity is None and args.base == "subset_utility"
+    # Hashed once, not once per out, and passed to each manifest as extra.
+    hashes = _input_hashes({"embeddings": args.embeddings, "labels": args.labels})
+    result = None
+    for r, out in enumerate(args.out):
+        seed = int(cfg["seed"]) + r
+        if seeded or result is None:
+            result = run_selection(x, labels, args.base, cfg, seed, sgt,
+                                   rarity=args.rarity, freeze_votes=args.freeze_votes,
+                                   query_row=args.query_row)
         _write_selection_csv(out, result)
-        _stage_manifest(out, "select", _config_used(cfg, "select"),
-                        {"embeddings": embeddings_path, "labels": labels_path}, {
-                            "base": base if rarity is None else f"rarity_{rarity}",
-                            "seed": str(seed),
-                            "phi": _fmt(result.phi),
-                            "k_seen": str(result.k_seen),
-                        })
-    return results
+        _stage_manifest(out, "select", _config_used(cfg, "select"), {}, {
+            **hashes,
+            "base": args.base if args.rarity is None else f"rarity_{args.rarity}",
+            "seed": str(seed),
+            "phi": _fmt(result.phi),
+            "k_seen": str(result.k_seen),
+        })
+        print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
 
 
-def stage_analyze(labels_path: str, selection_paths: list[str],
-                  out: str | None) -> list[tuple[str, str]]:
-    labels = read_labels(labels_path, min_label=1)
-    selections = [_read_selection_csv(p, labels.size) for p in selection_paths]
+def stage_analyze(args, cfg) -> None:
+    labels = read_labels(args.labels, min_label=1)
+    selections = [_read_selection_csv(p, labels.size) for p in args.selections]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
     rows: list[tuple[str, str]] = []
@@ -510,12 +500,11 @@ def stage_analyze(labels_path: str, selection_paths: list[str],
                  f"{report.mean_cluster_size:.4f} +/- {report.size_std:.4f}"))
     rows.append(("mean_inv_size",
                  f"{report.mean_inv_size:.4f} +/- {report.inv_std:.4f}"))
-    _write_table(out, rows)
-    if out:
-        inputs = {"labels": labels_path}
-        inputs.update({f"selection{i}": p for i, p in enumerate(selection_paths)})
-        _stage_manifest(out, "analyze", {}, inputs)
-    return rows
+    _write_table(args.out, rows)
+    if args.out:
+        inputs = {"labels": args.labels}
+        inputs.update({f"selection{i}": p for i, p in enumerate(args.selections)})
+        _stage_manifest(args.out, "analyze", {}, inputs)
 
 
 def run_pipeline(
@@ -527,50 +516,46 @@ def run_pipeline(
     threads: object = None,
     rarity: str | None = None,
 ) -> None:
-    """Run a contiguous stage range, reading earlier artifacts from workdir.
+    """Run a contiguous stage range as the subcommands of the same names.
 
-    Artifacts use fixed names so later invocations can resume: when the
-    range starts after `preprocess` the earlier files must already exist.
-    seed..seed+n_runs-1 drive repeated selection runs; the analyze stage
-    aggregates exposure metrics over those runs as mean +/- std. Selectors
-    that ignore the seed are computed once and written n_runs times.
+    Each stage gets cfg and the argv below, so the file names are fixed and
+    a later invocation can resume: when the range starts after `preprocess`
+    the earlier files must already exist. The n_runs selections use seeds
+    seed..seed+n_runs-1, and analyze reports their exposure metrics as
+    mean +/- std. The workdir is created only when preprocess can read its
+    pool; every argv is parsed before any stage runs.
 
     threads is ignored. It remains so that callers which still pass a
     thread count as the sixth positional argument keep working.
     """
-    os.makedirs(workdir, exist_ok=True)
-    paths = {
-        "reduced": os.path.join(workdir, "pool_reduced.ucsm"),
-        "dict": os.path.join(workdir, "dict.ucsm"),
-        "codes": os.path.join(workdir, "codes.ucsm"),
-        "labels": os.path.join(workdir, "labels.txt"),
-        "prior": os.path.join(workdir, "prior.csv"),
-        "report": os.path.join(workdir, "report.txt"),
+    def path(name: str) -> str:
+        # Absolute, so that no argv value starts with "-".
+        return os.path.abspath(os.path.join(workdir, name))
+
+    reduced, codes, labels = (path(name) for name in
+                              ("pool_reduced.ucsm", "codes.ucsm", "labels.txt"))
+    selections = [path(f"select_run{r:02d}.csv") for r in range(int(cfg["n_runs"]))]
+    argv = {
+        "preprocess": ["--input", os.path.abspath(input_pool), "--out", reduced],
+        "dict-fit": ["--input", reduced, "--out", path("dict.ucsm")],
+        "dict-encode": ["--dict", path("dict.ucsm"), "--input", reduced,
+                        "--out", codes],
+        "cluster": ["--input", reduced if cfg["clustering"] == "dbscan" else codes,
+                    "--out", labels],
+        "prior": ["--labels", labels, "--out", path("prior.csv")],
+        "select": ["--embeddings", reduced, "--labels", labels, "--base", base,
+                   *(["--rarity", rarity] if rarity else []), "--out", *selections],
+        "analyze": ["--labels", labels, "--out", path("report.txt"),
+                    "--selections", *selections],
     }
-    sgt = _sgt_config(cfg, argparse.Namespace())
-    n_runs = int(cfg["n_runs"])
-    select_outs = [
-        os.path.join(workdir, f"select_run{r:02d}.csv") for r in range(n_runs)
-    ]
+    parser = build_parser()
+    parsed = [parser.parse_args([stage, *argv[stage]]) for stage in stages]
     if "preprocess" in stages:
-        stage_preprocess(input_pool, None, paths["reduced"], cfg, True, False,
-                         "mean")
-    if "dict-fit" in stages:
-        stage_dict_fit(paths["reduced"], paths["dict"], cfg, 50)
-    if "dict-encode" in stages:
-        stage_dict_encode(paths["dict"], paths["reduced"], paths["codes"],
-                          cfg, False)
-    if "cluster" in stages:
-        source = paths["reduced"] if cfg["clustering"] == "dbscan" else paths["codes"]
-        stage_cluster(source, paths["labels"], cfg, None)
-    if "prior" in stages:
-        stage_prior(paths["labels"], paths["prior"])
-    if "select" in stages:
-        seeds = [int(cfg["seed"]) + r for r in range(n_runs)]
-        stage_select(paths["reduced"], paths["labels"], select_outs, base, cfg,
-                     sgt, seeds, rarity, False, None)
-    if "analyze" in stages:
-        stage_analyze(paths["labels"], select_outs, paths["report"])
+        with open_file(input_pool, "rb"):
+            pass
+        os.makedirs(workdir, exist_ok=True)
+    for args in parsed:
+        args.run(args, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
     _add_config_flags(p, "ingest")
+    p.set_defaults(run=_cmd_ingest)
 
     p = sub.add_parser("preprocess",
                        help="pool tokens, standardize, and reduce with PCA")
@@ -611,12 +597,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--l2norm", action="store_true")
     _add_config_flags(p, "preprocess")
+    p.set_defaults(run=stage_preprocess)
 
     p = sub.add_parser("dict-fit", help="fit the latent dictionary")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-iter", type=int, default=50)
     _add_config_flags(p, "dict-fit")
+    p.set_defaults(run=stage_dict_fit)
 
     p = sub.add_parser("dict-encode", help="ridge-encode a pool against a dictionary")
     p.add_argument("--dict", dest="dict_path", required=True)
@@ -625,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="row-normalize the codes")
     _add_config_flags(p, "dict-encode")
+    p.set_defaults(run=stage_dict_encode)
 
     p = sub.add_parser("joint-fit",
                        help="fit one dictionary across aligned sources")
@@ -634,6 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--fix-maps", action="store_true")
     _add_config_flags(p, "joint-fit")
+    p.set_defaults(run=_cmd_joint_fit)
 
     p = sub.add_parser("cluster", help="assign latent-cluster labels")
     p.add_argument("--input", required=True,
@@ -642,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=finite_float, default=None,
                    help="override the kNN-quantile eps")
     _add_config_flags(p, "cluster")
+    p.set_defaults(run=stage_cluster)
 
     p = sub.add_parser("spectrum", help="emit the cluster-size spectrum")
     p.add_argument("--labels", required=True)
@@ -650,6 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-label", type=int, default=None)
     p.add_argument("--out", default=None)
     _add_config_flags(p, "spectrum")
+    p.set_defaults(run=_cmd_spectrum)
 
     p = sub.add_parser("estimate", help="estimate unseen clusters and coverage")
     p.add_argument("--labels", required=True)
@@ -660,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the weight truncation depth")
     p.add_argument("--out", default=None)
     _add_config_flags(p, "estimate")
+    p.set_defaults(run=_cmd_estimate)
 
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
@@ -670,11 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override corpus_prior's default (1e-6)")
     p.add_argument("--noise-label", type=int, default=None)
     _add_config_flags(p, "prior")
+    p.set_defaults(run=stage_prior)
 
     p = sub.add_parser("select", help="run a coverage-regularized selector")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", nargs="+", required=True,
+                   help="selection CSVs; the r-th is made with seed seed+r")
     p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
     p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None,
                    help="run a rarity-only control instead of the UCS weights")
@@ -682,6 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-row", type=int, default=None,
                    help="subset_utility query row (default: pool mean)")
     _add_config_flags(p, "select")
+    p.set_defaults(run=stage_select)
 
     p = sub.add_parser("synth", help="generate synthetic pools or run the "
                                      "Monte Carlo unseen-type oracle")
@@ -699,6 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("sgt", "gt"), default="sgt")
     p.add_argument("--out", default=None, help="oracle mode report file")
     _add_config_flags(p, "synth")
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("analyze", help="cluster-size stats and exposure metrics")
     p.add_argument("--labels", required=True)
@@ -706,6 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="selection CSVs from the select stage")
     p.add_argument("--out", default=None)
     _add_config_flags(p, "analyze")
+    p.set_defaults(run=stage_analyze)
 
     p = sub.add_parser("pipeline", help="run a contiguous stage range")
     p.add_argument("--input", required=True, help="raw pooled matrix")
@@ -717,39 +715,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
     p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None)
     _add_config_flags(p, "pipeline")
+    p.set_defaults(run=_cmd_pipeline)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Subcommand dispatch
+# Subcommands that are not pipeline stages
 
 
-def _cmd_ingest(args, cfg) -> int:
+def _cmd_ingest(args, cfg) -> None:
     write_matrix(read_matrix(args.input), args.out, dtype=args.dtype)
     _stage_manifest(args.out, "ingest", {}, {"matrix": args.input},
                     {"dtype": args.dtype})
-    return 0
 
 
-def _cmd_preprocess(args, cfg) -> int:
-    stage_preprocess(args.input, args.bundle, args.out, cfg,
-                     not args.no_standardize, args.l2norm, args.pooling)
-    return 0
-
-
-def _cmd_dict_fit(args, cfg) -> int:
-    book = stage_dict_fit(args.input, args.out, cfg, args.max_iter)
-    print(f"objective {book.objective!r} after {book.n_iter} iterations")
-    return 0
-
-
-def _cmd_dict_encode(args, cfg) -> int:
-    stage_dict_encode(args.dict_path, args.input, args.out, cfg, args.normalize)
-    return 0
-
-
-def _cmd_joint_fit(args, cfg) -> int:
+def _cmd_joint_fit(args, cfg) -> None:
     sources = [read_matrix(p) for p in args.inputs]
     book = fit_joint_dictionary(
         sources,
@@ -772,26 +753,18 @@ def _cmd_joint_fit(args, cfg) -> int:
                         "n_sources": str(len(sources)),
                     })
     print(f"joint objective {book.objective!r} after {book.n_iter} iterations")
-    return 0
 
 
-def _cmd_cluster(args, cfg) -> int:
-    labels = stage_cluster(args.input, args.out, cfg, args.eps)
-    print(f"{np.unique(labels).size} clusters over {labels.size} points")
-    return 0
-
-
-def _cmd_spectrum(args, cfg) -> int:
+def _cmd_spectrum(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
     spec = subset_spectrum(labels, subset, noise_label=args.noise_label)
     rows = [(f"size_{s}", str(int(spec.spectrum[s])))
             for s in sorted(spec.spectrum)]
     rows.insert(0, ("subset_size", str(spec.size)))
     _write_table(args.out, rows)
-    return 0
 
 
-def _cmd_estimate(args, cfg) -> int:
+def _cmd_estimate(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
     sgt = _sgt_config(cfg, args)
     spec = subset_spectrum(labels, subset, noise_label=sgt.noise_label)
@@ -806,26 +779,9 @@ def _cmd_estimate(args, cfg) -> int:
         ("t", _fmt(sgt.t)),
     ]
     _write_table(args.out, rows)
-    return 0
 
 
-def _cmd_prior(args, cfg) -> int:
-    options = {"smoothing": args.smoothing, "eps": args.eps}
-    stage_prior(args.labels, args.out, args.noise_label,
-                **{k: v for k, v in options.items() if v is not None})
-    return 0
-
-
-def _cmd_select(args, cfg) -> int:
-    sgt = _sgt_config(cfg, args)
-    [result] = stage_select(args.embeddings, args.labels, [args.out], args.base,
-                            cfg, sgt, [int(cfg["seed"])], args.rarity,
-                            args.freeze_votes, args.query_row)
-    print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
-    return 0
-
-
-def _cmd_synth(args, cfg) -> int:
+def _cmd_synth(args, cfg) -> None:
     seed = int(cfg["seed"])
     if args.zipf_exponent is None:
         pop = Population.uniform(args.k_types)
@@ -846,7 +802,7 @@ def _cmd_synth(args, cfg) -> int:
             "spread": _fmt(args.spread),
             "population": pop.kind,
         })
-        return 0
+        return
     t = args.t if args.t is not None else float(cfg["sgt_t"])
     report = mc_unseen_oracle(pop, args.n, t, args.trials, seed,
                               sgt=_sgt_config(cfg, args),
@@ -862,15 +818,9 @@ def _cmd_synth(args, cfg) -> int:
         ("mean_abs_estimator_error", _fmt(report.mean_abs_estimator_error)),
     ]
     _write_table(args.out, rows)
-    return 0
 
 
-def _cmd_analyze(args, cfg) -> int:
-    stage_analyze(args.labels, args.selections, args.out)
-    return 0
-
-
-def _cmd_pipeline(args, cfg) -> int:
+def _cmd_pipeline(args, cfg) -> None:
     lo = PIPELINE_STAGES.index(args.from_stage)
     hi = PIPELINE_STAGES.index(args.to_stage)
     if lo > hi:
@@ -881,24 +831,6 @@ def _cmd_pipeline(args, cfg) -> int:
     run_pipeline(cfg, args.input, args.workdir, stages, args.base,
                  rarity=args.rarity)
     print(f"pipeline stages {stages} done in {args.workdir}")
-    return 0
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "preprocess": _cmd_preprocess,
-    "dict-fit": _cmd_dict_fit,
-    "dict-encode": _cmd_dict_encode,
-    "joint-fit": _cmd_joint_fit,
-    "cluster": _cmd_cluster,
-    "spectrum": _cmd_spectrum,
-    "estimate": _cmd_estimate,
-    "prior": _cmd_prior,
-    "select": _cmd_select,
-    "synth": _cmd_synth,
-    "analyze": _cmd_analyze,
-    "pipeline": _cmd_pipeline,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -906,7 +838,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        args.run(args, cfg)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -143,6 +143,7 @@ def test_exit_code_missing_input(tmp_path, capsys, argv):
     assert main([paths.get(arg, arg) for arg in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("missing input: ") and absent in err
+    assert not os.path.exists(paths["OUT"])
 
 
 def test_exit_code_numeric_failure(tmp_path):
@@ -536,6 +537,87 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
         assert got.read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
         assert _manifest(f"{got}.manifest.txt")["seed"] == str(seed)
     capsys.readouterr()
+
+
+def _without_timestamp(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith(".manifest.txt"):
+        data = b"".join(line for line in data.splitlines(True)
+                        if not line.startswith(b"timestamp="))
+    return data
+
+
+@pytest.mark.parametrize("base", ["votek", "dpp"])
+def test_pipeline_equals_the_subcommands(tmp_path, capsys, base):
+    pool_path, _ = _write_pool(tmp_path, n=35, k=5, dim=10, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dict_n_components=6\ndict_pca_dim=8\ndbscan_k=3\ndbscan_q=0.3\n"
+        "budget=4\nn_runs=2\nsgt_t=2.0\nseed=11\n"
+    )
+    wd = tmp_path / "pipeline"
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
+                 "--config", str(cfg), "--base", base]) == 0
+    hand = tmp_path / "hand"
+    hand.mkdir()
+    reduced, dictionary, codes, labels, prior, run00, run01, report = (
+        str(hand / name) for name in (
+            "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
+            "prior.csv", "select_run00.csv", "select_run01.csv", "report.txt"))
+    for argv in (
+        ["preprocess", "--input", pool_path, "--out", reduced],
+        ["dict-fit", "--input", reduced, "--out", dictionary],
+        ["dict-encode", "--dict", dictionary, "--input", reduced, "--out", codes],
+        ["cluster", "--input", codes, "--out", labels],
+        ["prior", "--labels", labels, "--out", prior],
+        ["select", "--embeddings", reduced, "--labels", labels, "--base", base,
+         "--out", run00, run01],
+        ["analyze", "--labels", labels, "--selections", run00, run01,
+         "--out", report],
+    ):
+        assert main(argv + ["--config", str(cfg)]) == 0, argv[0]
+    names = sorted(os.listdir(wd))
+    assert names == sorted(os.listdir(hand)) and len(names) == 18
+    for name in names:
+        assert _without_timestamp(str(wd / name)) == \
+            _without_timestamp(str(hand / name)), name
+    capsys.readouterr()
+
+
+def test_pipeline_workdir_may_start_with_dash(tmp_path, capsys, monkeypatch):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=5, dim=6, seed=5)
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--input", pool_path, "--workdir=-w",
+                 "--dict-n-components", "4", "--dict-pca-dim", "5",
+                 "--dbscan-k", "3", "--budget", "3", "--n-runs", "2"]) == 0
+    assert (tmp_path / "-w" / "report.txt").exists()
+    assert (tmp_path / "-w" / "select_run01.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--sgt-offset", "3"], "offset_alpha"),
+    (["--dpp-scale-factor", "-1", "--base", "dpp"], "dpp_scale_factor"),
+    (["--dpp-scale-factor", "0"], "dpp_scale_factor"),
+], ids=["sgt-offset", "dpp-scale-factor-dpp", "dpp-scale-factor-votek"])
+def test_pipeline_bad_value_fails_before_any_stage_writes(tmp_path, capsys,
+                                                          flags, key):
+    pool_path, _ = _write_pool(tmp_path)
+    wd = tmp_path / "w"
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd)]
+                + flags) == 2
+    assert key in capsys.readouterr().err
+    assert not wd.exists()
+
+
+def test_resumed_pipeline_into_missing_workdir_creates_nothing(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    wd = tmp_path / "w"
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
+                 "--from-stage", "dict-fit"]) == 3
+    assert "pool_reduced.ucsm" in capsys.readouterr().err
+    assert not wd.exists()
 
 
 def test_pipeline_stage_range_validation(tmp_path):
