@@ -4,7 +4,7 @@ Every stage reads and writes plain files (matrix containers, label files,
 CSV), so any stage can be replaced by an external tool; this is also how
 real embedding dumps enter the pipeline. Each artifact gets a sibling
 ``<artifact>.manifest.txt`` recording the stage, the config keys the stage
-read (COMMAND_CONFIG_KEYS), seeds, input hashes and the numeric environment
+read (CONFIG_KEYS names them), seeds, input hashes and the numeric environment
 (BLAS thread variables, numpy version); the timestamp is the only manifest
 field allowed to differ between reruns in one environment, and artifacts
 themselves are byte-identical when inputs and config are unchanged.
@@ -91,34 +91,49 @@ def finite_float(text: str) -> float:
     return value
 
 
-# Flat config-file schema; names follow the hyperparameter tables, and each
-# default's type is its key's type (floats must be finite).
-CONFIG_DEFAULTS: dict[str, object] = {
-    "budget": 10,
-    "dict_n_components": 64,
-    "dict_alpha": 10.0,
-    "dict_pca_dim": 128,
-    "dbscan_k": 20,
-    "dbscan_q": 0.01,
-    "dbscan_min_samples": 1,
-    "sgt_lambda": 0.1,
-    "sgt_t": 5.0,
-    "sgt_bin_size": 20,
-    "sgt_offset": 1.0,
-    "votek_k": 3,
-    "dpp_scale_factor": 0.1,
-    "candidate_num": 50,
-    "seed": 42,
-    "n_runs": 3,
-    "clustering": "dict_dbscan",
+def _max_iter(text: str) -> int:
+    """int(text), refusing negatives; --max-iter 0 keeps the seeded dictionary."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+_COUNT = (">= 1", lambda v: v >= 1)  # every int key but seed counts something
+_POSITIVE = ("> 0", lambda v: v > 0)
+_SGT_READERS = ("estimate", "select", "synth")
+
+# The flat config-file schema; names follow the hyperparameter tables. Each
+# key maps to (default, rule, ok, commands): the default's type is the key's
+# type (floats must be finite), "<key> must be <rule>" unless ok(value), and
+# commands read the key besides pipeline, which reads every key. A command's
+# config flags and its manifests' config.* entries are the keys it reads.
+CONFIG_KEYS: dict[str, tuple] = {
+    "budget": (10, *_COUNT, ("select",)),
+    "dict_n_components": (64, *_COUNT, ("dict-fit", "joint-fit")),
+    "dict_alpha": (10.0, *_POSITIVE, ("dict-fit", "dict-encode", "joint-fit")),
+    "dict_pca_dim": (128, *_COUNT, ("preprocess",)),
+    "dbscan_k": (20, *_COUNT, ("cluster",)),
+    "dbscan_q": (0.01, "in [0, 1]", lambda v: 0 <= v <= 1, ("cluster",)),
+    "dbscan_min_samples": (1, *_COUNT, ("cluster",)),
+    "sgt_lambda": (0.1, ">= 0", lambda v: v >= 0, ("select",)),
+    "sgt_t": (5.0, *_POSITIVE, _SGT_READERS),
+    "sgt_bin_size": (20, *_COUNT, _SGT_READERS),
+    "sgt_offset": (1.0, "in [1, 2]", lambda v: 1 <= v <= 2, _SGT_READERS),
+    "votek_k": (3, *_COUNT, ("select",)),
+    "dpp_scale_factor": (0.1, *_POSITIVE, ("select",)),
+    "candidate_num": (50, *_COUNT, ("select",)),
+    "seed": (42, "any integer", lambda v: True,
+             ("dict-fit", "joint-fit", "select", "synth")),
+    "n_runs": (3, *_COUNT, ()),
+    "clustering": ("dict_dbscan", "one of " + ", ".join(CLUSTERING_METHODS),
+                   lambda v: v in CLUSTERING_METHODS, ("cluster",)),
 }
+CONFIG_DEFAULTS = {key: row[0] for key, row in CONFIG_KEYS.items()}
 CONFIG_TYPES: dict[str, Callable[[str], object]] = {
     k: finite_float if isinstance(v, float) else type(v)
     for k, v in CONFIG_DEFAULTS.items()
 }
-# Every int key but seed counts something, so must be at least 1.
-COUNT_KEYS = tuple(
-    k for k, v in CONFIG_DEFAULTS.items() if type(v) is int and k != "seed")
 
 PIPELINE_STAGES = (
     "preprocess",
@@ -130,25 +145,13 @@ PIPELINE_STAGES = (
     "analyze",
 )
 
-# The config keys each command reads: its config flags, and the config.*
-# entries of the manifests it writes. Each pipeline stage reads the keys of
-# the command of the same name.
-COMMAND_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
-    "ingest": (),
-    "preprocess": ("dict_pca_dim",),
-    "dict-fit": ("dict_n_components", "dict_alpha", "seed"),
-    "dict-encode": ("dict_alpha",),
-    "joint-fit": ("dict_n_components", "dict_alpha", "seed"),
-    "cluster": ("clustering", "dbscan_k", "dbscan_q", "dbscan_min_samples"),
-    "spectrum": (),
-    "estimate": ("sgt_t", "sgt_bin_size", "sgt_offset"),
-    "prior": (),
-    "select": ("budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset",
-               "votek_k", "dpp_scale_factor", "candidate_num", "seed"),
-    "synth": ("seed", "sgt_t", "sgt_bin_size", "sgt_offset"),
-    "analyze": (),
-    "pipeline": tuple(CONFIG_TYPES),
-}
+
+def check_config(cfg: dict, where: str = "") -> None:
+    """Raise a ConfigError, prefixed with where, naming the first key of cfg
+    whose value breaks its rule."""
+    for key, (_, rule, ok, _) in CONFIG_KEYS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError(f"{where}{key} must be {rule}, got {cfg[key]}")
 
 
 def load_config(path: str) -> dict[str, object]:
@@ -171,6 +174,7 @@ def load_config(path: str) -> dict[str, object]:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value for {key}: {text!r}"
                 ) from exc
+            check_config({key: values[key]}, f"{path}:{lineno}: ")
     return values
 
 
@@ -183,22 +187,14 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if cfg["clustering"] not in CLUSTERING_METHODS:
-        raise ConfigError(
-            f"clustering must be one of {CLUSTERING_METHODS}, got {cfg['clustering']!r}"
-        )
-    for key in COUNT_KEYS:
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if cfg["dpp_scale_factor"] <= 0:
-        raise ConfigError(
-            f"dpp_scale_factor must be > 0, got {cfg['dpp_scale_factor']}")
-    _sgt_config(cfg, args)  # SgtConfig checks the sgt_* ranges
+    check_config(cfg)
     return cfg
 
 
 def _config_used(cfg: dict, command: str) -> dict[str, object]:
-    return {key: cfg[key] for key in COMMAND_CONFIG_KEYS[command]}
+    """cfg's values of the keys command reads, in CONFIG_KEYS order."""
+    return {key: cfg[key] for key, (*_, commands) in CONFIG_KEYS.items()
+            if command == "pipeline" or command in commands}
 
 
 def _input_hashes(inputs: dict[str, str]) -> dict[str, str]:
@@ -522,12 +518,14 @@ def run_pipeline(
     a later invocation can resume: when the range starts after `preprocess`
     the earlier files must already exist. The n_runs selections use seeds
     seed..seed+n_runs-1, and analyze reports their exposure metrics as
-    mean +/- std. The workdir is created only when preprocess can read its
-    pool; every argv is parsed before any stage runs.
+    mean +/- std. cfg is checked and every argv parsed before any stage
+    runs, and the workdir is created only when preprocess can read its pool.
 
     threads is ignored. It remains so that callers which still pass a
     thread count as the sixth positional argument keep working.
     """
+    check_config(cfg)
+
     def path(name: str) -> str:
         # Absolute, so that no argv value starts with "-".
         return os.path.abspath(os.path.join(workdir, name))
@@ -563,7 +561,7 @@ def run_pipeline(
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    keys = COMMAND_CONFIG_KEYS[command]
+    keys = _config_used(CONFIG_DEFAULTS, command)
     for key in keys:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, type=CONFIG_TYPES[key], default=None,
@@ -602,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dict-fit", help="fit the latent dictionary")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_max_iter, default=50)
     _add_config_flags(p, "dict-fit")
     p.set_defaults(run=stage_dict_fit)
 
@@ -619,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit one dictionary across aligned sources")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out-stem", required=True)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_max_iter, default=50)
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--fix-maps", action="store_true")
     _add_config_flags(p, "joint-fit")
@@ -850,10 +848,7 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except UcsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UcsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ from ucs.cli import (
     load_config,
     main,
     resolve_config,
+    run_pipeline,
 )
 from ucs.errors import ConfigError, MissingInput
 from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
@@ -108,12 +109,105 @@ def test_resolve_config_rejects_bad_clustering():
         resolve_config(argparse.Namespace(clustering="kmeans"))
 
 
-def test_every_subparser_documents_config_keys():
+# The keys each command read when they were listed by hand in
+# COMMAND_CONFIG_KEYS; deriving them from CONFIG_KEYS must not change them.
+_LEGACY_COMMAND_KEYS = {
+    "ingest": set(),
+    "preprocess": {"dict_pca_dim"},
+    "dict-fit": {"dict_n_components", "dict_alpha", "seed"},
+    "dict-encode": {"dict_alpha"},
+    "joint-fit": {"dict_n_components", "dict_alpha", "seed"},
+    "cluster": {"clustering", "dbscan_k", "dbscan_q", "dbscan_min_samples"},
+    "spectrum": set(),
+    "estimate": {"sgt_t", "sgt_bin_size", "sgt_offset"},
+    "prior": set(),
+    "select": {"budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset",
+               "votek_k", "dpp_scale_factor", "candidate_num", "seed"},
+    "synth": {"seed", "sgt_t", "sgt_bin_size", "sgt_offset"},
+    "analyze": set(),
+    "pipeline": set(CONFIG_DEFAULTS),
+}
+
+
+def _subparsers():
     parser = build_parser()
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for name, sp in sub.choices.items():
+    return sub.choices
+
+
+def test_command_config_flags_are_unchanged():
+    commands = _subparsers()
+    assert set(commands) == set(_LEGACY_COMMAND_KEYS)
+    for name, sp in commands.items():
+        flags = {a.dest for a in sp._actions if a.dest in CONFIG_DEFAULTS}
+        assert flags == _LEGACY_COMMAND_KEYS[name], name
+
+
+def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=5, dim=6, seed=5)
+    wd = tmp_path / "w"
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
+                 "--dict-n-components", "4", "--dict-pca-dim", "5",
+                 "--dbscan-k", "3", "--budget", "3", "--n-runs", "1"]) == 0
+    assert main(["ingest", "--input", pool_path,
+                 "--out", str(tmp_path / "ingested.ucsm")]) == 0
+    assert main(["joint-fit", "--inputs", pool_path, pool_path, "--out-stem",
+                 str(tmp_path / "joint"), "--dict-n-components", "3",
+                 "--max-iter", "2"]) == 0
+    assert main(["synth", "--k-types", "3", "--n", "10",
+                 "--out-stem", str(tmp_path / "syn")]) == 0
+    stages = set()
+    for root, _, names in os.walk(tmp_path):
+        for name in names:
+            if not name.endswith(".manifest.txt"):
+                continue
+            manifest = _manifest(os.path.join(root, name))
+            stage = manifest["stage"]
+            stages.add(stage)
+            used = {k[len("config."):] for k in manifest if k.startswith("config.")}
+            # synth's pool mode reads only the seed; its oracle mode, like
+            # spectrum and estimate, writes no manifest.
+            expected = {"seed"} if stage == "synth" else _LEGACY_COMMAND_KEYS[stage]
+            assert used == expected, name
+    assert stages == set(_LEGACY_COMMAND_KEYS) - {"spectrum", "estimate", "pipeline"}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["dict-fit", "joint-fit"])
+def test_negative_max_iter_is_rejected_by_the_parser(tmp_path, capsys, command):
+    pool_path, _ = _write_pool(tmp_path)
+    out = str(tmp_path / "out")
+    io = (["--input", pool_path, "--out", out] if command == "dict-fit"
+          else ["--inputs", pool_path, "--out-stem", out])
+    with pytest.raises(SystemExit) as info:
+        main([command, *io, "--max-iter", "-3"])
+    assert info.value.code == 2
+    assert "--max-iter: must be >= 0, got -3" in capsys.readouterr().err
+    assert not any(name.startswith("out") for name in os.listdir(tmp_path))
+    # 0 alternations is legal: the fit returns the seeded dictionary.
+    assert main([command, *io, "--max-iter", "0", "--dict-n-components", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_readme_config_table_matches_config_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default, rule = (cell.strip().replace("`", "")
+                                  for cell in line.strip("|").split("|")[:3])
+            rows[key] = (default, rule)
+    assert rows == {key: (str(default), rule)
+                    for key, (default, rule, *_) in ucs.cli.CONFIG_KEYS.items()}
+    assert list(rows) == list(CONFIG_DEFAULTS)
+
+
+def test_every_subparser_documents_config_keys():
+    for name, sp in _subparsers().items():
         assert "config keys consumed:" in sp.format_help(), name
 
 
@@ -597,17 +691,43 @@ def test_pipeline_workdir_may_start_with_dash(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, key", [
-    (["--sgt-offset", "3"], "offset_alpha"),
+    (["--sgt-offset", "3"], "sgt_offset"),
     (["--dpp-scale-factor", "-1", "--base", "dpp"], "dpp_scale_factor"),
     (["--dpp-scale-factor", "0"], "dpp_scale_factor"),
-], ids=["sgt-offset", "dpp-scale-factor-dpp", "dpp-scale-factor-votek"])
+    (["--sgt-lambda", "-1"], "sgt_lambda"),
+    (["--sgt-t", "0"], "sgt_t"),
+    (["--dict-alpha", "-5"], "dict_alpha"),
+    (["--dbscan-q", "2"], "dbscan_q"),
+    (["--clustering", "kmeans"], "clustering"),
+], ids=["sgt-offset", "dpp-scale-factor-dpp", "dpp-scale-factor-votek",
+        "sgt-lambda", "sgt-t", "dict-alpha", "dbscan-q", "clustering"])
 def test_pipeline_bad_value_fails_before_any_stage_writes(tmp_path, capsys,
                                                           flags, key):
     pool_path, _ = _write_pool(tmp_path)
     wd = tmp_path / "w"
     assert main(["pipeline", "--input", pool_path, "--workdir", str(wd)]
                 + flags) == 2
-    assert key in capsys.readouterr().err
+    assert f"config error: {key} must be " in capsys.readouterr().err
+    assert not wd.exists()
+
+
+def test_pipeline_bad_config_file_value_names_line(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget=4\nsgt_offset = 3\n")
+    wd = tmp_path / "w"
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
+                 "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: sgt_offset must be in [1, 2], got 3.0" in capsys.readouterr().err
+    assert not wd.exists()
+
+
+def test_library_pipeline_checks_config_before_any_stage(tmp_path):
+    pool_path, _ = _write_pool(tmp_path)
+    wd = tmp_path / "lib"
+    cfg = dict(CONFIG_DEFAULTS, dpp_scale_factor=-1.0)
+    with pytest.raises(ConfigError, match="dpp_scale_factor must be > 0, got -1.0"):
+        run_pipeline(cfg, pool_path, str(wd), list(PIPELINE_STAGES), "dpp")
     assert not wd.exists()
 
 
