@@ -10,11 +10,9 @@ argmax over candidate subsets).
 from .clustering import (
     CLUSTERING_METHODS,
     ClusterAssignment,
-    argmax_atoms,
     cluster_pool,
     cosine_distance_matrix,
     dbscan_from,
-    knn_quantile_eps,
     knn_quantile_eps_from,
     remap_noise_to_singletons,
 )
@@ -55,7 +53,6 @@ from .latent_dictionary import (
     JointCodeBook,
     fit_dictionary,
     fit_joint_dictionary,
-    normalize_codes,
     ridge_encode,
 )
 from .matrix_store import (

@@ -47,7 +47,6 @@ from .latent_dictionary import (
     CodeBook,
     fit_dictionary,
     fit_joint_dictionary,
-    normalize_codes,
     ridge_encode,
 )
 from .matrix_store import (
@@ -91,8 +90,9 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _max_iter(text: str) -> int:
-    """int(text), refusing negatives; --max-iter 0 keeps the seeded dictionary."""
+def _non_negative_int(text: str) -> int:
+    """int(text), refusing negatives; parses --max-iter (0 keeps the seeded
+    dictionary) and --k0 (0 zeroes every weight)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -148,8 +148,10 @@ PIPELINE_STAGES = (
 
 def check_config(cfg: dict, where: str = "") -> None:
     """Raise a ConfigError, prefixed with where, naming the first key of cfg
-    whose value breaks its rule."""
-    for key, (_, rule, ok, _) in CONFIG_KEYS.items():
+    whose value is not finite (float keys) or breaks its rule."""
+    for key, (default, rule, ok, _) in CONFIG_KEYS.items():
+        if key in cfg and isinstance(default, float) and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{where}{key} must be finite, got {cfg[key]}")
         if key in cfg and not ok(cfg[key]):
             raise ConfigError(f"{where}{key} must be {rule}, got {cfg[key]}")
 
@@ -360,13 +362,9 @@ def stage_dict_fit(args, cfg) -> None:
 def stage_dict_encode(args, cfg) -> None:
     book = CodeBook(dictionary=read_matrix(args.dict_path),
                     ridge_alpha=float(cfg["dict_alpha"]))
-    codes = ridge_encode(book, read_matrix(args.input))
-    if args.normalize:
-        codes = normalize_codes(codes)
-    write_matrix(codes, args.out)
+    write_matrix(ridge_encode(book, read_matrix(args.input)), args.out)
     _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
-                    {"dict": args.dict_path, "pool": args.input},
-                    {"normalize": str(args.normalize)})
+                    {"dict": args.dict_path, "pool": args.input})
 
 
 def stage_cluster(args, cfg) -> None:
@@ -413,7 +411,6 @@ def run_selection(
     seed: int,
     sgt: SgtConfig,
     rarity: str | None = None,
-    freeze_votes: bool = False,
     query_row: int | None = None,
 ) -> SelectionResult:
     sel_cfg = SelectionConfig(
@@ -431,8 +428,7 @@ def run_selection(
         return greedy_dpp_ucs(kernel, labels, sel_cfg)
     if base == "votek":
         prior = corpus_prior(labels, noise_label=sgt.noise_label)
-        return votek_ucs_select(x, labels, prior, sel_cfg,
-                                freeze_votes=freeze_votes)
+        return votek_ucs_select(x, labels, prior, sel_cfg)
     query = x[query_row] if query_row is not None else x.mean(axis=0)
     candidates = sample_candidate_subsets(
         x, query, sel_cfg.budget, int(cfg["candidate_num"]), seed
@@ -467,8 +463,7 @@ def stage_select(args, cfg) -> None:
         seed = int(cfg["seed"]) + r
         if seeded or result is None:
             result = run_selection(x, labels, args.base, cfg, seed, sgt,
-                                   rarity=args.rarity, freeze_votes=args.freeze_votes,
-                                   query_row=args.query_row)
+                                   rarity=args.rarity, query_row=args.query_row)
         _write_selection_csv(out, result)
         _stage_manifest(out, "select", _config_used(cfg, "select"), {}, {
             **hashes,
@@ -520,10 +515,17 @@ def run_pipeline(
     seed..seed+n_runs-1, and analyze reports their exposure metrics as
     mean +/- std. cfg is checked and every argv parsed before any stage
     runs, and the workdir is created only when preprocess can read its pool.
+    cfg must hold exactly the CONFIG_KEYS.
 
     threads is ignored. It remains so that callers which still pass a
     thread count as the sixth positional argument keep working.
     """
+    unknown = sorted(cfg.keys() - CONFIG_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [key for key in CONFIG_KEYS if key not in cfg]
+    if missing:
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
     check_config(cfg)
 
     def path(name: str) -> str:
@@ -600,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dict-fit", help="fit the latent dictionary")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=_max_iter, default=50)
+    p.add_argument("--max-iter", type=_non_negative_int, default=50)
     _add_config_flags(p, "dict-fit")
     p.set_defaults(run=stage_dict_fit)
 
@@ -608,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", dest="dict_path", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--normalize", action="store_true",
-                   help="row-normalize the codes")
     _add_config_flags(p, "dict-encode")
     p.set_defaults(run=stage_dict_encode)
 
@@ -617,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit one dictionary across aligned sources")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out-stem", required=True)
-    p.add_argument("--max-iter", type=_max_iter, default=50)
+    p.add_argument("--max-iter", type=_non_negative_int, default=50)
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--fix-maps", action="store_true")
     _add_config_flags(p, "joint-fit")
@@ -646,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", default=None)
     p.add_argument("--noise-label", type=int, default=None)
     p.add_argument("--smoothing", choices=("off", "power_law"), default="off")
-    p.add_argument("--k0", type=int, default=None,
+    p.add_argument("--k0", type=_non_negative_int, default=None,
                    help="override the weight truncation depth")
     p.add_argument("--out", default=None)
     _add_config_flags(p, "estimate")
@@ -671,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
     p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None,
                    help="run a rarity-only control instead of the UCS weights")
-    p.add_argument("--freeze-votes", action="store_true")
     p.add_argument("--query-row", type=int, default=None,
                    help="subset_utility query row (default: pool mean)")
     _add_config_flags(p, "select")

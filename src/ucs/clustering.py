@@ -48,18 +48,20 @@ class ClusterAssignment:
         return int(self.labels.max()) if self.labels.size else 0
 
 
-def _distance_strips(unit: np.ndarray, consume, rows: int) -> list:
+def _distance_strips(unit: np.ndarray, consume) -> list:
     """consume(i0, strip) for each row strip of the cosine distance matrix of
     the unit rows `unit`, in row order; returns the list of results.
 
     strip is rows i0:i0+rows against all N rows, 1 - <ui, uj> clipped to
-    [0, 2] with a zero diagonal. It is built from rows x rows blocks: the
+    [0, 2] with a zero diagonal; rows is DEFAULT_TILE_ROWS as read at the
+    call, so tests may set it. It is built from rows x rows blocks: the
     blocks left of the diagonal are transposes of the products the earlier
     strips computed, so d(i, j) and d(j, i) are the same float. consume owns
     its strip and may overwrite it. Strips run one after another; BLAS
     threads each block product.
     """
     n = unit.shape[0]
+    rows = DEFAULT_TILE_ROWS
     results = []
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
@@ -77,15 +79,12 @@ def _distance_strips(unit: np.ndarray, consume, rows: int) -> list:
     return results
 
 
-def cosine_distance_matrix(
-    x: np.ndarray,
-    tile_rows: int = DEFAULT_TILE_ROWS,
-) -> np.ndarray:
+def cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances 1 - <xi,xj>/(|xi||xj|), exactly symmetric.
 
     Zero rows sit at distance 1 from everything. The diagonal is zero and
     values are clipped to [0, 2]. The values are those the strip passes of
-    cluster_pool and the VoteK graph see at the same tile_rows.
+    cluster_pool and the VoteK graph see at the current DEFAULT_TILE_ROWS.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
@@ -96,7 +95,7 @@ def cosine_distance_matrix(
     def fill(i0: int, strip: np.ndarray) -> None:
         dist[i0:i0 + strip.shape[0]] = strip
 
-    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill, tile_rows)
+    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill)
     return dist
 
 
@@ -118,10 +117,10 @@ def _kth_excluding_self(block: np.ndarray, i0: int, k: int) -> np.ndarray:
     return block[:, k - 1].copy()
 
 
-def _kth_nearest(unit: np.ndarray, k: int, rows: int) -> np.ndarray:
+def _kth_nearest(unit: np.ndarray, k: int) -> np.ndarray:
     """Each row's k-th nearest cosine distance, self excluded, from strips."""
     return np.concatenate(_distance_strips(
-        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k), rows))
+        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k)))
 
 
 def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
@@ -130,12 +129,6 @@ def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
     _check_knn(dist.shape[0], k, q)
     kth = _kth_excluding_self(np.array(dist, dtype=np.float64), 0, k)
     return float(np.quantile(kth, q))
-
-
-def knn_quantile_eps(x: np.ndarray, k: int, q: float) -> float:
-    unit = l2_normalize_rows(x, eps=0.0)
-    _check_knn(unit.shape[0], k, q)
-    return float(np.quantile(_kth_nearest(unit, k, DEFAULT_TILE_ROWS), q))
 
 
 def _within(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,11 +145,9 @@ def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate([cols for _, cols in parts])
 
 
-def _eps_neighbors(unit: np.ndarray, eps: float,
-                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _eps_neighbors(unit: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """CSR lists of {j : d(i, j) <= eps} (i itself included), from strips."""
-    return _csr(_distance_strips(
-        unit, lambda i0, strip: _within(strip, eps), rows))
+    return _csr(_distance_strips(unit, lambda i0, strip: _within(strip, eps)))
 
 
 def _check_dbscan(eps: float, min_samples: int) -> None:
@@ -222,11 +213,6 @@ def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarra
     return _dbscan_lists(*_csr([_within(dist, eps)]), min_samples)
 
 
-def dbscan(x: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarray:
-    return cluster_pool(x, method="dbscan", eps_override=eps,
-                        min_samples=min_samples).raw_labels
-
-
 def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
     """Renumber clusters 1..C by first appearance; each noise point (-1)
     becomes a fresh singleton cluster C+1, C+2, ... in row order."""
@@ -247,12 +233,6 @@ def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def argmax_atoms(codes: np.ndarray) -> np.ndarray:
-    """Assign each row to its largest-magnitude atom (ties: lowest index);
-    ids renumbered 1.. by first appearance."""
-    return cluster_pool(codes, method="dict_argmax").labels
-
-
 def cluster_pool(
     x: np.ndarray,
     method: str = "dict_dbscan",
@@ -260,13 +240,13 @@ def cluster_pool(
     dbscan_q: float = 0.01,
     min_samples: int = 1,
     eps_override: float | None = None,
-    tile_rows: int = DEFAULT_TILE_ROWS,
 ) -> ClusterAssignment:
     """Cluster a pool of codes or embeddings into latent-cluster labels.
 
     dict_dbscan first row-normalizes codes (the dbscan method takes the
     input as is); both then share one DBSCAN path. dict_argmax skips
-    distances entirely.
+    distances entirely: each row joins its largest-magnitude atom (ties:
+    lowest index), and ids are renumbered 1.. by first appearance.
     """
     if method not in CLUSTERING_METHODS:
         raise ValueError(f"unknown clustering method {method!r}")
@@ -283,10 +263,10 @@ def cluster_pool(
     eps = eps_override
     if eps is None:
         _check_knn(unit.shape[0], dbscan_k, dbscan_q)
-        kth = _kth_nearest(unit, dbscan_k, tile_rows)
+        kth = _kth_nearest(unit, dbscan_k)
         eps = float(np.quantile(kth, dbscan_q))
     _check_dbscan(eps, min_samples)
-    indptr, indices = _eps_neighbors(unit, eps, tile_rows)
+    indptr, indices = _eps_neighbors(unit, eps)
     raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),

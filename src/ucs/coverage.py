@@ -31,7 +31,6 @@ class SubsetSpectrum:
     counts: dict[int, int]  # cluster id -> multiplicity in S
     spectrum: dict[int, int]  # s -> f_s
     size: int  # members counted, after noise exclusion
-    noise_label: int | None = None
 
     @property
     def k_seen(self) -> int:
@@ -92,8 +91,7 @@ def subset_spectrum(
     spectrum: dict[int, int] = {}
     for c in counts.values():
         spectrum[c] = spectrum.get(c, 0) + 1
-    return SubsetSpectrum(counts=counts, spectrum=spectrum, size=size,
-                          noise_label=noise_label)
+    return SubsetSpectrum(counts=counts, spectrum=spectrum, size=size)
 
 
 def _freq_of(spectrum) -> dict[int, float]:
@@ -337,7 +335,6 @@ class CorpusPrior:
     smoothing: str
     eps: float
     n_examples: int
-    noise_label: int | None = None
 
     def log_weight(self, cluster: int) -> float:
         return math.log(self.weights[cluster])
@@ -385,5 +382,4 @@ def corpus_prior(
         smoothing=smoothing,
         eps=eps,
         n_examples=n_examples,
-        noise_label=noise_label,
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, MisalignedSources
-from .preprocess import l2_normalize_rows
 
 # Relative objective improvement below this stops the alternation.
 REL_TOL = 1e-6
@@ -94,10 +93,6 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
     """Code each row of `pool` against the codebook: r = (D^T D + aI)^-1 D^T e."""
     return _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
                         codebook.ridge_alpha)
-
-
-# Codes are row-normalized exactly like embeddings: r / (||r|| + eps).
-normalize_codes = l2_normalize_rows
 
 
 def _update_atoms(dictionary: np.ndarray, codes: np.ndarray, pool: np.ndarray) -> None:

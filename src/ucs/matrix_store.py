@@ -217,12 +217,14 @@ def read_labels(path: str | os.PathLike, min_label: int = -1,
 
 TOKENS_SUFFIX = ".tokens.ucsm"
 MASK_SUFFIX = ".mask.ucsm"
+# Digits of write_token_bundle's stems ex000000, ex000001, ...; the padding
+# keeps stem order equal to example order for up to 10**6 examples.
+STEM_WIDTH = 6
 
 
 def write_token_bundle(
     directory: str | os.PathLike,
     examples: list[tuple[np.ndarray, np.ndarray]],
-    stem_width: int = 6,
 ) -> None:
     """Write (hidden, mask) pairs as a token bundle under `directory`."""
     d = Path(directory)
@@ -233,7 +235,7 @@ def write_token_bundle(
             raise DimensionOverflow(
                 f"example {i}: mask length {mask_col.shape[0]} != token count"
             )
-        stem = f"ex{i:0{stem_width}d}"
+        stem = f"ex{i:0{STEM_WIDTH}d}"
         write_matrix(np.asarray(hidden, dtype=np.float64), d / f"{stem}{TOKENS_SUFFIX}")
         write_matrix(mask_col, d / f"{stem}{MASK_SUFFIX}")
 

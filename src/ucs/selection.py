@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clustering import _distance_strips
 from .coverage import CorpusPrior, CoverageTracker, SgtConfig, coverage_phi, corpus_prior
 from .errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from .preprocess import l2_normalize_rows
@@ -30,6 +31,10 @@ _SC_FLOOR = 1e-300
 
 BASE_SELECTORS = ("dpp", "votek", "subset_utility")
 RARITY_VARIANTS = ("B1", "B2")
+
+# sample_candidate_subsets draws from the max(budget, TOP_POOL) rows most
+# similar to the query.
+TOP_POOL = 30
 
 
 @dataclass
@@ -174,8 +179,6 @@ def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     are sorted. Rows with ties at the k-th distance (or NaN distances) sort
     the whole row.
     """
-    from .clustering import DEFAULT_TILE_ROWS, _distance_strips
-
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
     if not 1 <= k < n:
@@ -199,7 +202,7 @@ def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
         return out
 
     unit = l2_normalize_rows(arr, eps=0.0)
-    return np.concatenate(_distance_strips(unit, nearest, DEFAULT_TILE_ROWS))
+    return np.concatenate(_distance_strips(unit, nearest))
 
 
 def _votes_from_graph(neighbors: np.ndarray, selected: list[int],
@@ -225,7 +228,7 @@ def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) ->
 
 
 def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
-                     freeze_votes: bool, base_tag: str) -> SelectionResult:
+                     base_tag: str) -> SelectionResult:
     n = np.asarray(x).shape[0]
     neighbors = _knn_graph(x, cfg.votek_k)
     steps = min(cfg.budget, n)
@@ -233,8 +236,7 @@ def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
     records: list[StepRecord] = []
     alive = np.ones(n, dtype=bool)
     for _ in range(steps):
-        if not (freeze_votes and selected):  # frozen votes are the first step's
-            votes = _votes_from_graph(neighbors, selected, cfg.votek_discount_base, n)
+        votes = _votes_from_graph(neighbors, selected, cfg.votek_discount_base, n)
         total = votes + cfg.lam * bonus
         masked = np.where(alive, total, -np.inf)
         pick = int(np.argmax(masked))
@@ -252,7 +254,7 @@ def votek_select(x: np.ndarray, budget: int, k: int = 3,
     cfg = SelectionConfig(budget=budget, lam=0.0, base="votek", votek_k=k,
                           votek_discount_base=discount_base)
     n = np.asarray(x).shape[0]
-    result = _iterative_votes(x, None, cfg, np.zeros(n), False, "votek")
+    result = _iterative_votes(x, None, cfg, np.zeros(n), "votek")
     return result.indices
 
 
@@ -267,13 +269,10 @@ def votek_ucs_select(
     labels: np.ndarray,
     prior: CorpusPrior,
     cfg: SelectionConfig,
-    freeze_votes: bool = False,
 ) -> SelectionResult:
     """VoteK with rarity pressure: score(i) = v(i) + lambda * log w_c(i).
 
-    The prior must cover every non-noise cluster id in labels. freeze_votes
-    computes votes once with nothing selected (used to test that coverage
-    pressure is monotone in lambda).
+    The prior must cover every non-noise cluster id in labels.
     """
     def log_weight(cluster: int) -> float:
         if cluster == cfg.sgt.noise_label:
@@ -283,7 +282,7 @@ def votek_ucs_select(
         return prior.log_weight(cluster)
 
     bonus = _per_cluster(labels, log_weight)
-    return _iterative_votes(x, labels, cfg, bonus, freeze_votes, "votek")
+    return _iterative_votes(x, labels, cfg, bonus, "votek")
 
 
 def rarity_controls(
@@ -312,7 +311,7 @@ def rarity_controls(
         return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
 
     bonus = _per_cluster(labels, rarity)
-    return _iterative_votes(x, labels, cfg, bonus, False, f"votek_{variant}")
+    return _iterative_votes(x, labels, cfg, bonus, f"votek_{variant}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +384,9 @@ def sample_candidate_subsets(
     budget: int,
     candidate_num: int,
     seed: int,
-    top_pool: int = 30,
 ) -> list[list[int]]:
     """Seeded top-similarity proposals: rank the pool by cosine similarity to
-    `query`, keep the top max(budget, top_pool) rows, and draw candidate_num
+    `query`, keep the top max(budget, TOP_POOL) rows, and draw candidate_num
     budget-sized subsets from them without replacement (within a subset)."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
@@ -400,7 +398,7 @@ def sample_candidate_subsets(
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where((norms > 0) & (qn > 0), arr @ q / (norms * qn + 1e-300), 0.0)
     order = np.lexsort((np.arange(n), -sims))
-    pool = order[: max(budget, min(top_pool, n))]
+    pool = order[: max(budget, min(TOP_POOL, n))]
     rng = np.random.default_rng(seed)
     return [
         [int(j) for j in rng.choice(pool, size=budget, replace=False)]

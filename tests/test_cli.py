@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -8,15 +10,22 @@ import pytest
 import ucs.cli
 from ucs.cli import (
     CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     PIPELINE_STAGES,
     build_parser,
+    check_config,
     load_config,
     main,
     resolve_config,
     run_pipeline,
 )
+from ucs.clustering import cluster_pool
+from ucs.coverage import SgtConfig
 from ucs.errors import ConfigError, MissingInput
+from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
+from ucs.preprocess import preprocess_pool
+from ucs.selection import SelectionConfig, dpp_kernel
 from ucs.synth_oracle import Population, sample_pool
 
 
@@ -175,20 +184,61 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["dict-fit", "joint-fit"])
-def test_negative_max_iter_is_rejected_by_the_parser(tmp_path, capsys, command):
-    pool_path, _ = _write_pool(tmp_path)
+@pytest.mark.parametrize("command, flag", [
+    ("dict-fit", "--max-iter"), ("joint-fit", "--max-iter"), ("estimate", "--k0"),
+], ids=["dict-fit", "joint-fit", "estimate-k0"])
+def test_negative_max_iter_is_rejected_by_the_parser(tmp_path, capsys, command,
+                                                     flag):
+    pool_path, labels_path = _write_pool(tmp_path)
     out = str(tmp_path / "out")
-    io = (["--input", pool_path, "--out", out] if command == "dict-fit"
-          else ["--inputs", pool_path, "--out-stem", out])
+    io = {"dict-fit": ["--input", pool_path, "--out", out],
+          "joint-fit": ["--inputs", pool_path, "--out-stem", out],
+          "estimate": ["--labels", labels_path, "--out", out]}[command]
     with pytest.raises(SystemExit) as info:
-        main([command, *io, "--max-iter", "-3"])
+        main([command, *io, flag, "-3"])
     assert info.value.code == 2
-    assert "--max-iter: must be >= 0, got -3" in capsys.readouterr().err
+    assert f"{flag}: must be >= 0, got -3" in capsys.readouterr().err
     assert not any(name.startswith("out") for name in os.listdir(tmp_path))
-    # 0 alternations is legal: the fit returns the seeded dictionary.
-    assert main([command, *io, "--max-iter", "0", "--dict-n-components", "3"]) == 0
+    # 0 is legal: 0 alternations return the seeded dictionary, and k0 = 0
+    # zeroes every weight.
+    extra = ["--dict-n-components", "3"] if flag == "--max-iter" else []
+    assert main([command, *io, flag, "0", *extra]) == 0
     capsys.readouterr()
+
+
+def test_library_defaults_match_config_defaults():
+    def signature_defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    selection = {f.name: f.default for f in dataclasses.fields(SelectionConfig)}
+    sgt = {f.name: f.default for f in dataclasses.fields(SgtConfig)}
+    cluster = signature_defaults(cluster_pool)
+    fit = signature_defaults(fit_dictionary)
+    joint = signature_defaults(fit_joint_dictionary)
+    # (library default, config key); seed is left out on purpose: the
+    # library's default is 0 and the CLI's is 42.
+    pairs = [
+        (selection["budget"], "budget"),
+        (selection["lam"], "sgt_lambda"),
+        (selection["dpp_scale_factor"], "dpp_scale_factor"),
+        (selection["votek_k"], "votek_k"),
+        (sgt["t"], "sgt_t"),
+        (sgt["bin_size"], "sgt_bin_size"),
+        (sgt["offset_alpha"], "sgt_offset"),
+        (cluster["method"], "clustering"),
+        (cluster["dbscan_k"], "dbscan_k"),
+        (cluster["dbscan_q"], "dbscan_q"),
+        (cluster["min_samples"], "dbscan_min_samples"),
+        (fit["n_atoms"], "dict_n_components"),
+        (fit["ridge_alpha"], "dict_alpha"),
+        (joint["n_atoms"], "dict_n_components"),
+        (joint["ridge_alpha"], "dict_alpha"),
+        (signature_defaults(preprocess_pool)["d_prime"], "dict_pca_dim"),
+        (signature_defaults(dpp_kernel)["scale"], "dpp_scale_factor"),
+    ]
+    for default, key in pairs:
+        assert default == CONFIG_DEFAULTS[key], key
+        assert type(default) is type(CONFIG_DEFAULTS[key]), key
 
 
 def test_readme_config_table_matches_config_keys():
@@ -340,8 +390,7 @@ def test_select_all_bases_and_rarity(tmp_path, capsys):
     pool_path, labels_path = _write_pool(tmp_path)
     for extra in (["--base", "dpp"], ["--base", "subset_utility"],
                   ["--base", "votek", "--rarity", "B1"],
-                  ["--base", "votek", "--rarity", "B2"],
-                  ["--base", "votek", "--freeze-votes"]):
+                  ["--base", "votek", "--rarity", "B2"]):
         out = str(tmp_path / f"sel_{'_'.join(extra).replace('--', '')}.csv")
         code = main(["select", "--embeddings", pool_path, "--labels",
                      labels_path, "--out", out, "--budget", "4",
@@ -728,6 +777,31 @@ def test_library_pipeline_checks_config_before_any_stage(tmp_path):
     cfg = dict(CONFIG_DEFAULTS, dpp_scale_factor=-1.0)
     with pytest.raises(ConfigError, match="dpp_scale_factor must be > 0, got -1.0"):
         run_pipeline(cfg, pool_path, str(wd), list(PIPELINE_STAGES), "dpp")
+    assert not wd.exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_check_config_rejects_non_finite_float_keys(value):
+    float_keys = [key for key, row in CONFIG_KEYS.items() if isinstance(row[0], float)]
+    assert float_keys
+    for key in float_keys:
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got "):
+            check_config(dict(CONFIG_DEFAULTS, **{key: value}))
+
+
+_NO_LAMBDA = {k: v for k, v in CONFIG_DEFAULTS.items() if k != "sgt_lambda"}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CONFIG_DEFAULTS, sgt_lambda=float("inf")), "sgt_lambda must be finite, got inf"),
+    (_NO_LAMBDA, "missing config keys: sgt_lambda"),
+    (dict(CONFIG_DEFAULTS, sgt_lamda=0.5), "unknown config keys: sgt_lamda"),
+], ids=["infinite-lambda", "missing-key", "unknown-key"])
+def test_library_pipeline_rejects_bad_cfg_before_any_stage(tmp_path, cfg, message):
+    pool_path, _ = _write_pool(tmp_path)
+    wd = tmp_path / "lib"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_pipeline(cfg, pool_path, str(wd), list(PIPELINE_STAGES), "votek")
     assert not wd.exists()
 
 

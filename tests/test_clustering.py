@@ -7,12 +7,9 @@ import ucs.clustering
 from ucs.clustering import (
     _eps_neighbors,
     _kth_nearest,
-    argmax_atoms,
     cluster_pool,
     cosine_distance_matrix,
-    dbscan,
     dbscan_from,
-    knn_quantile_eps,
     knn_quantile_eps_from,
     remap_noise_to_singletons,
 )
@@ -53,10 +50,11 @@ def test_cosine_zero_row_distance_one():
     assert d[0, 0] == 0.0
 
 
-def test_cosine_symmetry_exact():
+def test_cosine_symmetry_exact(monkeypatch):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 7)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((40, 5))
-    d = cosine_distance_matrix(x, tile_rows=7)
+    d = cosine_distance_matrix(x)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert d.min() >= 0.0 and d.max() <= 2.0
@@ -75,14 +73,13 @@ def test_knn_eps_three_codes():
     # every point's nearest neighbor sits at 1 - 1/sqrt(2)
     want = 1.0 - 1.0 / np.sqrt(2.0)
     for q in (0.0, 0.25, 0.5, 1.0):
-        assert knn_quantile_eps(THREE_CODES, k=1, q=q) == pytest.approx(
-            want, abs=1e-9
-        )
+        eps = cluster_pool(THREE_CODES, method="dbscan", dbscan_k=1, dbscan_q=q).eps
+        assert eps == pytest.approx(want, abs=1e-9)
 
 
 def test_knn_eps_identical_points_zero():
     x = np.ones((5, 3))
-    assert knn_quantile_eps(x, k=2, q=0.7) == 0.0
+    assert cluster_pool(x, method="dbscan", dbscan_k=2, dbscan_q=0.7).eps == 0.0
 
 
 def test_knn_eps_q_zero_is_minimum():
@@ -100,26 +97,31 @@ def test_knn_eps_q_zero_is_minimum():
 
 def test_knn_eps_too_few_points():
     with pytest.raises(TooFewPoints):
-        knn_quantile_eps(THREE_CODES, k=3, q=0.5)
+        cluster_pool(THREE_CODES, method="dbscan", dbscan_k=3, dbscan_q=0.5)
 
 
 def test_knn_eps_parameter_validation():
     with pytest.raises(ValueError):
-        knn_quantile_eps(THREE_CODES, k=0, q=0.5)
+        cluster_pool(THREE_CODES, method="dbscan", dbscan_k=0, dbscan_q=0.5)
     with pytest.raises(ValueError):
-        knn_quantile_eps(THREE_CODES, k=1, q=1.5)
+        cluster_pool(THREE_CODES, method="dbscan", dbscan_k=1, dbscan_q=1.5)
+
+
+def _dbscan(x, eps, min_samples=1):
+    return cluster_pool(x, method="dbscan", eps_override=eps,
+                        min_samples=min_samples).raw_labels
 
 
 def test_dbscan_three_codes_one_cluster():
-    assert np.array_equal(dbscan(THREE_CODES, eps=0.3), [0, 0, 0])
+    assert np.array_equal(_dbscan(THREE_CODES, eps=0.3), [0, 0, 0])
 
 
 def test_dbscan_three_codes_singletons():
-    assert np.array_equal(dbscan(THREE_CODES, eps=0.1), [0, 1, 2])
+    assert np.array_equal(_dbscan(THREE_CODES, eps=0.1), [0, 1, 2])
 
 
 def test_dbscan_min_samples_unsatisfiable():
-    assert np.array_equal(dbscan(THREE_CODES, eps=0.3, min_samples=5), [-1, -1, -1])
+    assert np.array_equal(_dbscan(THREE_CODES, eps=0.3, min_samples=5), [-1, -1, -1])
 
 
 def test_dbscan_border_point_joins_first_core_cluster():
@@ -200,11 +202,14 @@ def test_argmax_magnitude_and_tie_rules():
     assign = cluster_pool(codes, method="dict_argmax")
     assert np.array_equal(assign.raw_labels, [1, 0])  # atom 2 then atom 1
     assert np.array_equal(assign.labels, [1, 2])
-    assert np.array_equal(argmax_atoms(np.array([[0.5, 0.5]])), [1])
+    tie = cluster_pool(np.array([[0.5, 0.5]]), method="dict_argmax")
+    assert np.array_equal(tie.raw_labels, [0])  # lowest atom index wins
+    assert np.array_equal(tie.labels, [1])
 
 
 def test_argmax_one_hot_codes():
-    assert np.array_equal(argmax_atoms(np.eye(4)), [1, 2, 3, 4])
+    assert np.array_equal(cluster_pool(np.eye(4), method="dict_argmax").labels,
+                          [1, 2, 3, 4])
 
 
 def test_cluster_pool_permutation_equivariance():
@@ -264,10 +269,10 @@ def test_every_point_gets_positive_label():
 
 # ---------------------------------------------------------------------------
 # Row-strip passes against dense oracles. The oracle matrix comes from
-# cosine_distance_matrix at the same tile height, because BLAS may round a
-# block product differently for another block shape; everything the passes
-# derive from it (k-th distances, eps, neighbour lists, clusters, k-NN
-# graph) is recomputed densely here.
+# cosine_distance_matrix at the same tile height (DEFAULT_TILE_ROWS, set by
+# monkeypatch), because BLAS may round a block product differently for
+# another block shape; everything the passes derive from it (k-th distances,
+# eps, neighbour lists, clusters, k-NN graph) is recomputed densely here.
 
 TILE = 7  # several strips per pool, the last one ragged
 
@@ -298,48 +303,46 @@ def _dense_kth(dist, k):
 # smallest pool is a single strip. BLAS rounds a block product by its shape,
 # so the oracle matrix is built at the same height as the passes it checks.
 @pytest.mark.parametrize("tile_mult", [1, 2, 3])
-def test_strip_passes_match_dense_oracle(tile_mult):
-    tile = TILE * tile_mult
+def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE * tile_mult)
     for pool_id, x in enumerate(_strip_pools()):
         n = x.shape[0]
-        dist = cosine_distance_matrix(x, tile_rows=tile)
+        dist = cosine_distance_matrix(x)
         unit = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
         ref = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
         np.fill_diagonal(ref, 0.0)
         assert np.allclose(dist, ref, atol=1e-12)
         strip_unit = l2_normalize_rows(x, eps=0.0)
         for k in (1, 3, n - 1):
-            kth = _kth_nearest(strip_unit, k, tile)
+            kth = _kth_nearest(strip_unit, k)
             assert np.array_equal(kth, _dense_kth(dist, k)), (pool_id, k)
             for q in (0.0, 0.3, 1.0):
                 want = float(np.quantile(_dense_kth(dist, k), q))
                 assert knn_quantile_eps_from(dist, k, q) == want
-                got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q,
-                                   tile_rows=tile)
+                got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q)
                 assert got.eps == want, (pool_id, k, q)
                 assert _canon(got.raw_labels) == _canon(_components(dist, want))
         for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
-            indptr, indices = _eps_neighbors(strip_unit, eps, tile)
+            indptr, indices = _eps_neighbors(strip_unit, eps)
             assert indptr[0] == 0 and indptr[-1] == indices.size
             for i in range(n):
                 assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
                                       np.flatnonzero(dist[i] <= eps)), (pool_id, eps, i)
             for min_samples in (1, 3):
                 got = cluster_pool(x, method="dbscan", eps_override=eps,
-                                   min_samples=min_samples, tile_rows=tile)
+                                   min_samples=min_samples)
                 assert np.array_equal(got.raw_labels,
                                       dbscan_from(dist, eps, min_samples))
-            got = cluster_pool(x, method="dbscan", eps_override=eps, tile_rows=tile)
+            got = cluster_pool(x, method="dbscan", eps_override=eps)
             assert _canon(got.raw_labels) == _canon(_components(dist, eps))
 
 
 @pytest.mark.parametrize("tile_mult", [1, 2, 3])
 def test_strip_knn_graph_matches_dense_argsort(monkeypatch, tile_mult):
-    tile = TILE * tile_mult
-    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", tile)
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE * tile_mult)
     ties = 0
     for x in _strip_pools():
-        dist = cosine_distance_matrix(x, tile_rows=tile)
+        dist = cosine_distance_matrix(x)
         np.fill_diagonal(dist, np.inf)
         for k in (1, 2, 3, x.shape[0] - 1):
             want = np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -349,17 +352,19 @@ def test_strip_knn_graph_matches_dense_argsort(monkeypatch, tile_mult):
     assert ties > 0  # the whole-row tie path ran
 
 
-def test_cosine_distance_matrix_is_the_strip_values():
+def test_cosine_distance_matrix_is_the_strip_values(monkeypatch):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
     x, _ = sample_pool(Population.zipf(12, 1.1), 50, dim=5, spread=0.3, seed=3)
-    dist = cosine_distance_matrix(x, tile_rows=TILE)
+    dist = cosine_distance_matrix(x)
     strips = ucs.clustering._distance_strips(
-        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip, TILE)
+        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip)
     assert np.array_equal(np.vstack(strips), dist)
     assert np.array_equal(dist, dist.T)
     # one product per rectangular strip is not symmetric at this shape on
     # some BLAS builds; the block construction is symmetric at any shape
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 100)
     y = np.random.default_rng(5).standard_normal((999, 17))
-    wide = cosine_distance_matrix(y, tile_rows=100)
+    wide = cosine_distance_matrix(y)
     assert np.array_equal(wide, wide.T)
 
 

@@ -8,9 +8,9 @@ from ucs.latent_dictionary import (
     CodeBook,
     fit_dictionary,
     fit_joint_dictionary,
-    normalize_codes,
     ridge_encode,
 )
+from ucs.preprocess import l2_normalize_rows
 
 
 def _book(dictionary, alpha):
@@ -57,12 +57,12 @@ def test_ridge_encode_is_linear():
 
 
 def test_normalize_codes_three_four_five():
-    out = normalize_codes(np.array([[3.0, 4.0]]))
+    out = l2_normalize_rows(np.array([[3.0, 4.0]]))
     assert np.allclose(out, [[0.6, 0.8]], atol=1e-11)
 
 
 def test_normalize_codes_zero_row():
-    assert np.array_equal(normalize_codes(np.zeros((1, 4))), np.zeros((1, 4)))
+    assert np.array_equal(l2_normalize_rows(np.zeros((1, 4))), np.zeros((1, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,7 +70,7 @@ def test_normalize_codes_zero_row():
 def test_normalized_code_norm_bounds(row):
     r = np.array([row])
     norm = float(np.linalg.norm(r))
-    out_norm = float(np.linalg.norm(normalize_codes(r)))
+    out_norm = float(np.linalg.norm(l2_normalize_rows(r)))
     assert out_norm <= 1.0 + 1e-12
     assert out_norm >= 1.0 - 1e-12 / (norm + 1e-12) - 1e-9
 

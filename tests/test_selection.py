@@ -287,20 +287,16 @@ def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
     assert result.records == records  # exact float equality, field by field
 
 
-def _strip_distances(x):
-    # the k-NN graph reads its distances from strips of the current tile
-    # height; the oracle must see the same block products
-    return cosine_distance_matrix(x, tile_rows=ucs.clustering.DEFAULT_TILE_ROWS)
-
-
 def _knn_oracle(x, k):
-    dist = _strip_distances(x)
+    # cosine_distance_matrix and the k-NN graph's strips share the current
+    # tile height, so the oracle sees the same block products
+    dist = cosine_distance_matrix(x)
     np.fill_diagonal(dist, np.inf)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def _has_kth_tie(x, k):
-    dist = _strip_distances(x)
+    dist = cosine_distance_matrix(x)
     np.fill_diagonal(dist, np.inf)
     kth = np.sort(dist, axis=1)[:, k - 1:k]
     return bool(((dist <= kth).sum(axis=1) > k).any())
@@ -405,24 +401,6 @@ def test_votek_ucs_large_lambda_selects_singletons():
                           sgt=SgtConfig(t=2.0))
     result = votek_ucs_select(x, labels, prior, cfg)
     assert sorted(labels[result.indices]) == [2, 3, 4]
-
-
-def test_votek_ucs_frozen_votes_monotone_in_lambda():
-    rng = np.random.default_rng(8)
-    centers = rng.standard_normal((8, 5))
-    rows, labels = [], []
-    for c, count in enumerate([6, 6, 6, 1, 1, 1, 1, 1], start=1):
-        rows.append(centers[c - 1] + 0.05 * rng.standard_normal((count, 5)))
-        labels.extend([c] * count)
-    x = np.vstack(rows)
-    labels = np.array(labels)
-    prior = corpus_prior(labels)
-    uniq = []
-    for lam in (0.0, 0.2, 1.0, 5.0, 100.0):
-        cfg = SelectionConfig(budget=5, lam=lam, base="votek", votek_k=3)
-        result = votek_ucs_select(x, labels, prior, cfg, freeze_votes=True)
-        uniq.append(len(set(labels[result.indices])))
-    assert uniq == sorted(uniq)
 
 
 def test_votek_ucs_missing_cluster_weight():
