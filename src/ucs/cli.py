@@ -93,7 +93,10 @@ def finite_float(text: str) -> float:
 def _non_negative_int(text: str) -> int:
     """int(text), refusing negatives; parses --max-iter (0 keeps the seeded
     dictionary) and --k0 (0 zeroes every weight)."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -146,14 +149,27 @@ PIPELINE_STAGES = (
 )
 
 
+# A key's type is its default's: what its values must be and the types that
+# pass. bool subclasses int and is refused everywhere.
+_VALUE_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
+                str: ("a string", str)}
+
+
 def check_config(cfg: dict, where: str = "") -> None:
     """Raise a ConfigError, prefixed with where, naming the first key of cfg
-    whose value is not finite (float keys) or breaks its rule."""
+    whose value has the wrong type, is not finite (float keys) or breaks its
+    rule."""
     for key, (default, rule, ok, _) in CONFIG_KEYS.items():
-        if key in cfg and isinstance(default, float) and not math.isfinite(cfg[key]):
-            raise ConfigError(f"{where}{key} must be finite, got {cfg[key]}")
-        if key in cfg and not ok(cfg[key]):
-            raise ConfigError(f"{where}{key} must be {rule}, got {cfg[key]}")
+        if key not in cfg:
+            continue
+        value = cfg[key]
+        kind, allowed = _VALUE_TYPES[type(default)]
+        if not isinstance(value, allowed) or isinstance(value, bool):
+            raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
+        if isinstance(default, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}{key} must be finite, got {value}")
+        if not ok(value):
+            raise ConfigError(f"{where}{key} must be {rule}, got {value}")
 
 
 def load_config(path: str) -> dict[str, object]:

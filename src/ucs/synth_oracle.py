@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import SgtConfig, gt_unseen, sgt_unseen, subset_spectrum
+from .coverage import (
+    SgtConfig,
+    gt_unseen,
+    sgt_unseen,
+    sgt_weights,
+    subset_spectrum,  # unused here; perfbench/spans.py patches ucs.synth_oracle.subset_spectrum
+)
 
 
 @dataclass
@@ -132,7 +138,15 @@ def mc_unseen_oracle(
     reported unclamped). pool_size switches to a sensitivity mode that
     deals both samples without replacement from one finite pool of that
     size; the default is i.i.d. with replacement.
+
+    Labels are 1..K (K = pop.n_types) in both modes, so each trial counts
+    with bincounts over 0..K: the first draw's per-type counts give the
+    spectrum, and the second draw's types with a zero first count are the
+    new ones. Every trial has size n, so the SGT weights are computed once
+    per call (none for n = 0, whose estimates are all 0).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if estimator not in ("sgt", "gt"):
@@ -141,6 +155,11 @@ def mc_unseen_oracle(
     if cfg.t != t:
         cfg = dataclasses.replace(cfg, t=t)
     m = int(t * n)
+    if pool_size is not None and pool_size < n + m:
+        raise ValueError(f"pool_size {pool_size} cannot supply {n + m} distinct draws")
+    weights = (sgt_weights(cfg.t, cfg.offset_alpha, n, cfg.bin_size, cfg.k0_override)
+               if n else None)
+    bins = pop.n_types + 1
     news = np.empty(trials, dtype=np.float64)
     ests = np.empty(trials, dtype=np.float64)
     for trial in range(trials):
@@ -148,20 +167,16 @@ def mc_unseen_oracle(
         if pool_size is None:
             labels = sample_labels(pop, n + m, trial_seed)
         else:
-            if pool_size < n + m:
-                raise ValueError(
-                    f"pool_size {pool_size} cannot supply {n + m} distinct draws"
-                )
             pool = sample_labels(pop, pool_size, trial_seed)
             order = np.random.default_rng(trial_seed).permutation(pool_size)
             labels = pool[order[: n + m]]
-        first, second = labels[:n], labels[n:]
-        spec = subset_spectrum(first, range(n))
+        seen = np.bincount(labels[:n], minlength=bins)
+        spec = {s: f for s, f in enumerate(np.bincount(seen)) if s and f}
         if estimator == "sgt":
-            ests[trial] = sgt_unseen(spec, cfg)
+            ests[trial] = sgt_unseen(spec, cfg, weights)
         else:
             ests[trial] = gt_unseen(spec, t, cfg.bin_size)
-        news[trial] = np.setdiff1d(second, first).size
+        news[trial] = np.count_nonzero(np.bincount(labels[n:], minlength=bins)[seen == 0])
     return McOracleReport(
         mean_new=float(news.mean()),
         std_new=float(news.std()),

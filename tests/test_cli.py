@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import os
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ def test_negative_max_iter_is_rejected_by_the_parser(tmp_path, capsys, command,
         main([command, *io, flag, "-3"])
     assert info.value.code == 2
     assert f"{flag}: must be >= 0, got -3" in capsys.readouterr().err
+    # a non-integer names the flag and the text, not the parser function
+    for text in ("abc", "1.5"):
+        with pytest.raises(SystemExit) as info:
+            main([command, *io, flag, text])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: not an integer: '{text}'" in err
+        assert "_non_negative_int" not in err
     assert not any(name.startswith("out") for name in os.listdir(tmp_path))
     # 0 is legal: 0 alternations return the seeded dictionary, and k0 = 0
     # zeroes every weight.
@@ -787,6 +796,24 @@ def test_check_config_rejects_non_finite_float_keys(value):
     for key in float_keys:
         with pytest.raises(ConfigError, match=f"^{key} must be finite, got "):
             check_config(dict(CONFIG_DEFAULTS, **{key: value}))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("budget", 2.5, "budget must be an integer, got 2.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("dbscan_k", True, "dbscan_k must be an integer, got True"),
+    ("sgt_lambda", "0.1", "sgt_lambda must be a number, got '0.1'"),
+    ("sgt_t", False, "sgt_t must be a number, got False"),
+    ("clustering", 1, "clustering must be a string, got 1"),
+], ids=["float-for-int", "float-seed", "bool-for-int", "str-for-float",
+        "bool-for-float", "int-for-str"])
+def test_check_config_rejects_wrong_types(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        check_config(dict(CONFIG_DEFAULTS, **{key: value}))
+
+
+def test_check_config_takes_an_int_for_a_float_key():
+    check_config(dict(CONFIG_DEFAULTS, sgt_t=2, sgt_lambda=0))
 
 
 _NO_LAMBDA = {k: v for k, v in CONFIG_DEFAULTS.items() if k != "sgt_lambda"}

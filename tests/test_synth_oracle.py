@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ucs.coverage import SgtConfig
+from ucs.coverage import SgtConfig, gt_unseen, sgt_unseen, subset_spectrum
 from ucs.synth_oracle import (
     Population,
     cluster_stats,
@@ -117,6 +117,50 @@ def test_mc_oracle_validation():
         mc_unseen_oracle(pop, n=5, t=1.0, trials=1, seed=0, estimator="chao")
     with pytest.raises(ValueError):
         mc_unseen_oracle(pop, n=5, t=1.0, trials=1, seed=0, pool_size=8)
+    # the n passed is named, not the n + floor(t*n) draws sample_labels sees
+    for pool_size in (None, 10):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -5$"):
+            mc_unseen_oracle(Population.uniform(5), n=-5, t=5.0, trials=3,
+                             seed=0, pool_size=pool_size)
+
+
+def _recount_oracle(pop, n, t, trials, seed, cfg, estimator, pool_size):
+    """Per-trial (new types, estimate) recomputed with Python sets,
+    subset_spectrum and the estimators' own weights."""
+    m = int(t * n)
+    news, ests = [], []
+    for r in range(trials):
+        if pool_size is None:
+            labels = sample_labels(pop, n + m, seed + r)
+        else:
+            pool = sample_labels(pop, pool_size, seed + r)
+            order = np.random.default_rng(seed + r).permutation(pool_size)
+            labels = pool[order[: n + m]]
+        first = {int(v) for v in labels[:n]}
+        news.append(float(len({int(v) for v in labels[n:]} - first)))
+        spec = subset_spectrum(labels[:n], range(n))
+        ests.append(sgt_unseen(spec, cfg) if estimator == "sgt"
+                    else gt_unseen(spec, t, cfg.bin_size))
+    return np.array(news), np.array(ests)
+
+
+@pytest.mark.parametrize("pool_size", [None, 2000], ids=["iid", "pool"])
+@pytest.mark.parametrize("smoothing", ["off", "power_law"])
+@pytest.mark.parametrize("estimator", ["sgt", "gt"])
+def test_mc_oracle_matches_independent_recount(estimator, smoothing, pool_size):
+    cases = [
+        (Population.zipf(300, 1.1), 200, 2.0, None),
+        (Population.uniform(40), 60, 5.0, None),
+        (Population.zipf(50, 0.8), 30, 1.0, 12),
+        (Population.zipf(20, 1.0), 0, 2.0, None),
+    ]
+    for pop, n, t, k0 in cases:
+        cfg = SgtConfig(t=t, smoothing=smoothing, k0_override=k0)
+        report = mc_unseen_oracle(pop, n, t, trials=12, seed=5, sgt=cfg,
+                                  estimator=estimator, pool_size=pool_size)
+        news, ests = _recount_oracle(pop, n, t, 12, 5, cfg, estimator, pool_size)
+        assert np.array_equal(report.new_counts, news), (pop.kind, n)
+        assert np.array_equal(report.estimates, ests), (pop.kind, n)
 
 
 def test_mc_oracle_finite_pool_mode():
