@@ -31,6 +31,7 @@ from .coverage import (
     corpus_prior,
     coverage_phi,  # unused here; perfbench/spans.py patches ucs.cli.coverage_phi
     gt_unseen,
+    k0_for,
     sgt_unseen,
     subset_spectrum,
 )
@@ -369,6 +370,7 @@ def stage_dict_fit(args, cfg) -> None:
     _stage_manifest(args.out, "dict-fit", _config_used(cfg, "dict-fit"),
                     {"pool": args.input}, {
                         "objective": _fmt(book.objective),
+                        "objective_history": " ".join(map(_fmt, book.objective_history)),
                         "n_iter": str(book.n_iter),
                         "max_iter": str(args.max_iter),
                     })
@@ -394,7 +396,11 @@ def stage_cluster(args, cfg) -> None:
         eps_override=args.eps,
     )
     write_labels(assignment.labels, args.out)
-    extra = {"n_clusters": str(assignment.n_clusters)}
+    sizes = np.bincount(assignment.labels)[1:]
+    extra = {
+        "n_clusters": str(assignment.n_clusters),
+        "singleton_frac": _fmt(np.count_nonzero(sizes == 1) / max(assignment.n_clusters, 1)),
+    }
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
     _stage_manifest(args.out, "cluster", _config_used(cfg, "cluster"),
@@ -487,6 +493,10 @@ def stage_select(args, cfg) -> None:
             "seed": str(seed),
             "phi": _fmt(result.phi),
             "k_seen": str(result.k_seen),
+            "u_hat": _fmt(result.u_hat),
+            # select takes no --noise-label or --k0: u_hat's weights are
+            # those of the whole selection's size.
+            "k0": str(k0_for(sgt.t, len(result.indices))),
         })
         print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
 

@@ -71,16 +71,17 @@ class SelectionResult:
     phi: float
     k_seen: int
     base: str
+    u_hat: float
 
 
 def _finish(indices, records, labels, cfg, base) -> SelectionResult:
     if labels is not None:
-        phi, k_seen, _ = coverage_phi(labels, indices, cfg.sgt)
+        phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
     else:
-        phi, k_seen = float("nan"), 0
+        phi, k_seen, u_hat = float("nan"), 0, float("nan")
     return SelectionResult(
         indices=[int(i) for i in indices], records=records, phi=float(phi),
-        k_seen=int(k_seen), base=base,
+        k_seen=int(k_seen), base=base, u_hat=float(u_hat),
     )
 
 

@@ -21,7 +21,7 @@ from ucs.cli import (
     run_pipeline,
 )
 from ucs.clustering import cluster_pool
-from ucs.coverage import SgtConfig
+from ucs.coverage import SgtConfig, coverage_phi, k0_for
 from ucs.errors import ConfigError, MissingInput
 from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
@@ -581,6 +581,13 @@ def test_synth_pool_and_oracle(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_synth_oracle_zipf_overflow_is_an_error_not_a_traceback(capsys):
+    assert main(["synth", "--mode", "oracle", "--k-types", "50",
+                 "--zipf-exponent", "-400", "--n", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: zipf exponent -400.0 overflows float64 over 50 types\n"
+
+
 def test_synth_pool_requires_out_stem(tmp_path):
     assert main(["synth", "--mode", "pool", "--k-types", "3", "--n", "5"]) == 2
 
@@ -606,6 +613,50 @@ def test_cluster_then_analyze(tmp_path, capsys):
     text = open(report).read()
     assert "uniq_clusters" in text
     assert "mean_inv_size" in text
+    capsys.readouterr()
+
+
+def test_cluster_manifest_singleton_frac(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=4, dim=5, seed=2)
+    out = str(tmp_path / "cl.txt")
+    assert main(["cluster", "--input", pool_path, "--out", out,
+                 "--clustering", "dbscan", "--dbscan-k", "3"]) == 0
+    sizes = np.bincount(read_labels(out))[1:]
+    assert 0 < np.count_nonzero(sizes == 1) < sizes.size
+    assert float(_manifest(out + ".manifest.txt")["singleton_frac"]) == (
+        np.count_nonzero(sizes == 1) / sizes.size)
+    capsys.readouterr()
+
+
+def test_dict_fit_manifest_objective_history(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=4, dim=6, seed=1)
+    out = str(tmp_path / "dict.ucsm")
+    assert main(["dict-fit", "--input", pool_path, "--out", out,
+                 "--dict-n-components", "4", "--max-iter", "5", "--seed", "2"]) == 0
+    book = fit_dictionary(read_matrix(pool_path), n_atoms=4,
+                          ridge_alpha=CONFIG_DEFAULTS["dict_alpha"], max_iter=5, seed=2)
+    manifest = _manifest(out + ".manifest.txt")
+    history = [float(v) for v in manifest["objective_history"].split()]
+    assert history == book.objective_history
+    assert len(history) == int(manifest["n_iter"]) + 1
+    assert history[-1] == float(manifest["objective"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("base", ["votek", "dpp", "subset_utility"])
+def test_select_manifest_u_hat_and_k0(tmp_path, capsys, base):
+    pool_path, labels_path = _write_pool(tmp_path, n=40, k=6)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--base", base, "--budget", "7",
+                 "--sgt-t", "3.0", "--votek-k", "3"]) == 0
+    with open(out, newline="") as fh:
+        indices = [int(row["index"]) for row in csv.DictReader(fh)]
+    manifest = _manifest(out + ".manifest.txt")
+    phi, _, u_hat = coverage_phi(read_labels(labels_path), indices, SgtConfig(t=3.0))
+    assert float(manifest["u_hat"]) == u_hat
+    assert float(manifest["phi"]) == phi
+    assert int(manifest["k0"]) == k0_for(3.0, len(indices)) == 2
     capsys.readouterr()
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucs.coverage import SgtConfig, gt_unseen, sgt_unseen, subset_spectrum
 from ucs.synth_oracle import (
     Population,
+    _inverse_cdf,
     cluster_stats,
     expected_new_types_uniform,
     exposure_metrics,
@@ -22,6 +25,29 @@ def test_population_normalizes_and_validates():
         Population(probs=np.array([0.5, -0.5]))
     with pytest.raises(ValueError):
         Population(probs=np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([1.0, np.nan], "^probs must be finite; type 2 is nan$"),
+    ([np.inf, 1.0], "^probs must be finite; type 1 is inf$"),
+    ([1e308, 1e308], "^probs sum to inf, which is not finite$"),
+])
+def test_population_rejects_non_finite_mass(probs, message):
+    with pytest.raises(ValueError, match=message):
+        Population(probs=np.array(probs))
+
+
+@pytest.mark.parametrize("exponent", [-400.0, -103.0])
+def test_zipf_rejects_exponent_that_overflows(exponent):
+    # -400 overflows single weights; -103 overflows only their sum over 1000
+    with pytest.raises(ValueError, match="overflows float64 over 1000 types"):
+        Population.zipf(1000, exponent)
+
+
+def test_population_probs_are_read_only():
+    pop = Population.zipf(5)
+    with pytest.raises(ValueError):
+        pop.probs[0] = 1.0
 
 
 def test_population_uniform_and_zipf():
@@ -54,6 +80,62 @@ def test_sample_labels_frequencies_within_binomial_bound():
     counts = np.bincount(labels, minlength=k + 1)[1:]
     sigma = np.sqrt(n * (1.0 / k) * (1.0 - 1.0 / k))
     assert np.abs(counts - n / k).max() <= 5.0 * sigma
+
+
+def _reference_labels(pop, u):
+    """Binary search over the cumulative sum: the draw before guide tables."""
+    cdf = np.cumsum(pop.probs)
+    idx = np.searchsorted(cdf, u, "right")
+    return np.minimum(idx, pop.n_types - 1).astype(np.int64) + 1
+
+
+def _populations():
+    """Zero-probability types, K = 1, K not a power of two, steep Zipf and
+    cdf[-1] < 1 (uniform(10)'s cumulative sum ends at 1 - 2^-53)."""
+    explicit = st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+                        min_size=1, max_size=300)
+    return st.one_of(
+        explicit.filter(lambda p: sum(p) > 0).map(lambda p: Population(np.array(p))),
+        st.integers(1, 3000).map(Population.uniform),
+        st.builds(Population.zipf, st.integers(1, 5000), st.floats(0.0, 60.0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_populations(), st.integers(0, 2**32), st.integers(0, 3000))
+def test_sample_labels_equal_binary_search(pop, seed, n):
+    labels = sample_labels(pop, n, seed)
+    want = _reference_labels(pop, np.random.default_rng(seed).random(n))
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want)
+
+
+@pytest.mark.parametrize("pop", [
+    Population(probs=np.array([3.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0])),
+    Population(probs=np.r_[1.0, np.zeros(100), 2.0]),  # a walk past the step cap
+    Population.uniform(1),
+    Population.uniform(10),  # cdf[-1] < 1: the clamp
+    Population.uniform(3),
+    Population.zipf(2000, 1.0),
+    Population.zipf(300, 40.0),
+], ids=["zeros", "zero-run", "k1", "uniform10", "uniform3", "zipf2000", "steep"])
+def test_inverse_cdf_exact_at_adversarial_uniforms(pop):
+    first, ext = pop._guide_table()
+    g = first.size
+    cdf = np.cumsum(pop.probs)
+    assert g & (g - 1) == 0 and g >= 4 * pop.n_types
+    assert np.array_equal(first, np.searchsorted(cdf, np.arange(g) / g, "right"))
+    assert np.array_equal(ext, np.append(cdf, np.inf))
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        np.arange(g) / g, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(_inverse_cdf(pop, u), _reference_labels(pop, u))
+
+
+def test_sample_labels_golden_zipf2000_seed1():
+    labels = sample_labels(Population.zipf(2000, 1.0), 20, seed=1)
+    assert labels.tolist() == [37, 1334, 2, 1314, 7, 18, 489, 16, 50, 1,
+                               266, 46, 8, 355, 7, 23, 2, 15, 3, 5]
 
 
 def test_sample_embeddings_cluster_structure():
