@@ -3,9 +3,12 @@
 Distances are cosine throughout. They are computed in row strips of the
 N x N distance matrix, one strip at a time, and each strip is consumed as
 soon as it exists, so clustering holds one strip rather than the whole
-matrix: a first pass keeps each row's k-th nearest distance (which gives
-eps), a second keeps each row's neighbours within eps as CSR lists, and
-DBSCAN runs on those lists (the neighbourhood-list form of Schubert et al.,
+matrix. Clustering makes one pass: from each strip it takes each row's
+k-th nearest distance (the q-quantile of those is eps) and the entries no
+larger than a bound that is provably >= eps, and once eps is known it cuts
+those candidates down to each row's neighbours within eps, as CSR lists;
+only a strip seen before any bound exists is built a second time. DBSCAN
+runs on the lists (the neighbourhood-list form of Schubert et al.,
 "DBSCAN Revisited", TODS 2017). Strips are assembled from square blocks, and
 the pair (i, j), (j, i) always comes from one block product, so distances
 are exactly symmetric. BLAS threads each block product; the rest runs on
@@ -15,6 +18,7 @@ so that every example carries a cluster id.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,6 +32,8 @@ CLUSTERING_METHODS = ("dict_dbscan", "dbscan", "dict_argmax")
 # Rows per strip and the side of the blocks strips are built from; a strip
 # holds DEFAULT_TILE_ROWS * N float64 values.
 DEFAULT_TILE_ROWS = 256
+# Rows _kth_on_copies copies at a time.
+_KTH_ROWS = 16
 
 
 @dataclass
@@ -48,35 +54,42 @@ class ClusterAssignment:
         return int(self.labels.max()) if self.labels.size else 0
 
 
+def _strip(unit: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Rows i0:i1 of the cosine distance matrix of the unit rows `unit`:
+    1 - <ui, uj> clipped to [0, 2], with a zero diagonal.
+
+    i0 is a multiple of DEFAULT_TILE_ROWS (as read at the call, so tests may
+    set it), and the strip is built from blocks of that side: the blocks
+    left of the diagonal are transposes of the products the strips above
+    compute, so d(i, j) and d(j, i) are the same float. BLAS threads each
+    block product.
+    """
+    n = unit.shape[0]
+    rows = DEFAULT_TILE_ROWS
+    strip = np.empty((i1 - i0, n), dtype=np.float64)
+    for j0 in range(0, n, rows):
+        j1 = min(j0 + rows, n)
+        if j0 < i0:
+            strip[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
+        else:
+            strip[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
+    np.subtract(1.0, strip, out=strip)
+    np.clip(strip, 0.0, 2.0, out=strip)
+    strip[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+    return strip
+
+
 def _distance_strips(unit: np.ndarray, consume) -> list:
     """consume(i0, strip) for each row strip of the cosine distance matrix of
     the unit rows `unit`, in row order; returns the list of results.
 
-    strip is rows i0:i0+rows against all N rows, 1 - <ui, uj> clipped to
-    [0, 2] with a zero diagonal; rows is DEFAULT_TILE_ROWS as read at the
-    call, so tests may set it. It is built from rows x rows blocks: the
-    blocks left of the diagonal are transposes of the products the earlier
-    strips computed, so d(i, j) and d(j, i) are the same float. consume owns
-    its strip and may overwrite it. Strips run one after another; BLAS
-    threads each block product.
+    Each strip is DEFAULT_TILE_ROWS rows (fewer at the end) of _strip, which
+    consume owns and may overwrite. Strips run one after another.
     """
     n = unit.shape[0]
     rows = DEFAULT_TILE_ROWS
-    results = []
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        strip = np.empty((i1 - i0, n), dtype=np.float64)
-        for j0 in range(0, n, rows):
-            j1 = min(j0 + rows, n)
-            if j0 < i0:
-                strip[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
-            else:
-                strip[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
-        np.subtract(1.0, strip, out=strip)
-        np.clip(strip, 0.0, 2.0, out=strip)
-        strip[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
-        results.append(consume(i0, strip))
-    return results
+    return [consume(i0, _strip(unit, i0, min(i0 + rows, n)))
+            for i0 in range(0, n, rows)]
 
 
 def cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
@@ -117,10 +130,16 @@ def _kth_excluding_self(block: np.ndarray, i0: int, k: int) -> np.ndarray:
     return block[:, k - 1].copy()
 
 
-def _kth_nearest(unit: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th nearest cosine distance, self excluded, from strips."""
-    return np.concatenate(_distance_strips(
-        unit, lambda i0, strip: _kth_excluding_self(strip, i0, k)))
+def _kth_on_copies(strip: np.ndarray, i0: int, k: int) -> np.ndarray:
+    """_kth_excluding_self of each row of strip, found on copies of a few
+    rows at a time, so that strip keeps its order."""
+    kth = np.empty(strip.shape[0], dtype=np.float64)
+    scratch = np.empty((_KTH_ROWS, strip.shape[1]), dtype=np.float64)
+    for r0 in range(0, strip.shape[0], _KTH_ROWS):
+        part = scratch[:min(_KTH_ROWS, strip.shape[0] - r0)]
+        np.copyto(part, strip[r0:r0 + part.shape[0]])
+        kth[r0:r0 + part.shape[0]] = _kth_excluding_self(part, i0 + r0, k)
+    return kth
 
 
 def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
@@ -145,9 +164,50 @@ def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate([cols for _, cols in parts])
 
 
-def _eps_neighbors(unit: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """CSR lists of {j : d(i, j) <= eps} (i itself included), from strips."""
-    return _csr(_distance_strips(unit, lambda i0, strip: _within(strip, eps)))
+def _neighbor_lists(unit: np.ndarray, k: int, q: float, eps: float | None):
+    """(kth, eps, indptr, indices): CSR lists of {j : d(i, j) <= eps} (i
+    itself included), from one pass over the strips.
+
+    Given eps, kth is None and each strip keeps its entries <= eps. With eps
+    None, kth holds each row's k-th nearest distance, self excluded, and eps
+    is its q-quantile (linear interpolation). Each strip then keeps its
+    entries <= U, the hi-th smallest k-th distance over the rows before it,
+    hi = ceil(q (N - 1)); the strip holding row hi also counts its own rows.
+    The interpolated quantile never exceeds order statistic hi, which over a
+    subset of the rows can only be larger, so U >= eps and a row's list is
+    its kept entries <= eps. A strip that ends at or before row hi keeps
+    nothing (U = -inf); any strip whose U is below eps is built again.
+    """
+    n = unit.shape[0]
+    if eps is not None:
+        return (None, eps, *_csr(_distance_strips(
+            unit, lambda i0, strip: _within(strip, eps))))
+    kth = np.empty(n, dtype=np.float64)
+    hi = math.ceil(q * (n - 1))
+
+    def keep(i0: int, strip: np.ndarray):
+        i1 = i0 + strip.shape[0]
+        own = i0 <= hi < i1  # row hi's strip: its bound needs its own rows
+        if own:
+            kth[i0:i1] = _kth_on_copies(strip, i0, k)
+        known = i1 if own else i0
+        bound = np.partition(kth[:known], hi)[hi] if known > hi else -np.inf
+        flat = np.flatnonzero(strip <= bound)
+        values = strip.ravel()[flat]
+        if not own:
+            kth[i0:i1] = _kth_excluding_self(strip, i0, k)
+        return i0, i1, bound, flat, values
+
+    kept = _distance_strips(unit, keep)
+    eps = float(np.quantile(kth, q))
+    parts = []
+    for i0, i1, bound, flat, values in kept:
+        if bound < eps:
+            parts.append(_within(_strip(unit, i0, i1), eps))
+        else:
+            flat = flat[values <= eps]
+            parts.append((np.bincount(flat // n, minlength=i1 - i0), flat % n))
+    return (kth, eps, *_csr(parts))
 
 
 def _check_dbscan(eps: float, min_samples: int) -> None:
@@ -260,13 +320,12 @@ def cluster_pool(
     if method == "dict_dbscan":
         arr = l2_normalize_rows(arr, eps=1e-12)
     unit = l2_normalize_rows(arr, eps=0.0)
-    eps = eps_override
-    if eps is None:
+    del arr  # a normalized copy for dict_dbscan; only unit is read below
+    if eps_override is None:
         _check_knn(unit.shape[0], dbscan_k, dbscan_q)
-        kth = _kth_nearest(unit, dbscan_k)
-        eps = float(np.quantile(kth, dbscan_q))
-    _check_dbscan(eps, min_samples)
-    indptr, indices = _eps_neighbors(unit, eps)
+    _check_dbscan(0.0 if eps_override is None else eps_override, min_samples)
+    _, eps, indptr, indices = _neighbor_lists(unit, dbscan_k, dbscan_q,
+                                              eps_override)
     raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),

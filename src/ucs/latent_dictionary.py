@@ -54,9 +54,21 @@ class JointCodeBook:
 
 
 def _canonical_row_order(pool: np.ndarray) -> np.ndarray:
-    # Lexicographic row order; makes the seeded init independent of how the
-    # caller happened to order the pool.
-    return np.lexsort(pool.T[::-1])
+    # Lexicographic row order, ties by row index: the permutation
+    # np.lexsort(pool.T[::-1]) gives. It makes the seeded init independent of
+    # how the caller happened to order the pool. A stable sort of column 0
+    # settles almost every row; only rows in a run of equal first entries
+    # (or unordered ones, such as nan) are lexsorted again, on all columns,
+    # which keeps the runs in place and orders each within itself.
+    order = np.argsort(pool[:, 0], kind="stable")
+    first = pool[order, 0]
+    same = ~(first[1:] > first[:-1])
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    rows = order[tied]
+    order[tied] = rows[np.lexsort(pool[rows].T[::-1])]
+    return order
 
 
 def _init_dictionary(ordered: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:

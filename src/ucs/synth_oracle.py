@@ -75,6 +75,13 @@ class Population:
         self.probs = probs / total
         self.probs.flags.writeable = False
 
+    def __eq__(self, other: object) -> bool:
+        # The generated __eq__ would compare the probs arrays with ==, whose
+        # truth value is ambiguous.
+        if not isinstance(other, Population):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.probs, other.probs)
+
     @property
     def n_types(self) -> int:
         return int(self.probs.size)

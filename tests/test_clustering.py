@@ -5,8 +5,7 @@ import pytest
 
 import ucs.clustering
 from ucs.clustering import (
-    _eps_neighbors,
-    _kth_nearest,
+    _neighbor_lists,
     cluster_pool,
     cosine_distance_matrix,
     dbscan_from,
@@ -314,7 +313,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
         assert np.allclose(dist, ref, atol=1e-12)
         strip_unit = l2_normalize_rows(x, eps=0.0)
         for k in (1, 3, n - 1):
-            kth = _kth_nearest(strip_unit, k)
+            kth = _neighbor_lists(strip_unit, k, 0.0, None)[0]
             assert np.array_equal(kth, _dense_kth(dist, k)), (pool_id, k)
             for q in (0.0, 0.3, 1.0):
                 want = float(np.quantile(_dense_kth(dist, k), q))
@@ -323,7 +322,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
                 assert got.eps == want, (pool_id, k, q)
                 assert _canon(got.raw_labels) == _canon(_components(dist, want))
         for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
-            indptr, indices = _eps_neighbors(strip_unit, eps)
+            _, _, indptr, indices = _neighbor_lists(strip_unit, 1, 0.0, eps)
             assert indptr[0] == 0 and indptr[-1] == indices.size
             for i in range(n):
                 assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
@@ -335,6 +334,56 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
                                       dbscan_from(dist, eps, min_samples))
             got = cluster_pool(x, method="dbscan", eps_override=eps)
             assert _canon(got.raw_labels) == _canon(_components(dist, eps))
+
+
+def _count_strips(monkeypatch):
+    """Record the first row of every strip built from here on."""
+    built = []
+    strip = ucs.clustering._strip
+
+    def counted(unit, i0, i1):
+        built.append(i0)
+        return strip(unit, i0, i1)
+
+    monkeypatch.setattr(ucs.clustering, "_strip", counted)
+    return built
+
+
+def test_cluster_pool_builds_each_strip_once_at_defaults(monkeypatch):
+    x, _ = sample_pool(Population.zipf(200, 1.1), 1000, dim=16, spread=0.3, seed=2)
+    built = _count_strips(monkeypatch)
+    got = cluster_pool(x)
+    assert built == [0, 256, 512, 768]
+    del built[:]
+    # the override path reads the same strips and must give the same labels
+    again = cluster_pool(x, eps_override=got.eps)
+    assert built == [0, 256, 512, 768]
+    assert np.array_equal(again.raw_labels, got.raw_labels)
+
+
+# Strips of two rows: for q > 0 the strips that end at or before row hi have
+# no bound yet, keep nothing, and are built again once eps is known; at q = 1
+# that is every strip but the last.
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_fused_pass_rebuilds_early_strips_and_matches_dense(monkeypatch, q):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 2)
+    k = 3
+    built = _count_strips(monkeypatch)
+    for pool_id, x in enumerate(_strip_pools()):
+        n = x.shape[0]
+        dist = cosine_distance_matrix(x)
+        hi = int(np.ceil(q * (n - 1)))
+        del built[:]
+        kth, eps, indptr, indices = _neighbor_lists(
+            l2_normalize_rows(x, eps=0.0), k, q, None)
+        assert np.array_equal(kth, _dense_kth(dist, k))
+        assert eps == float(np.quantile(_dense_kth(dist, k), q))
+        for i in range(n):
+            assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
+                                  np.flatnonzero(dist[i] <= eps)), (pool_id, i)
+        rebuilt = list(range(0, 2 * (hi // 2), 2))
+        assert rebuilt, (pool_id, hi)
+        assert built == list(range(0, n, 2)) + rebuilt, pool_id
 
 
 @pytest.mark.parametrize("tile_mult", [1, 2, 3])

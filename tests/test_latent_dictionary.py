@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ucs.errors import DegenerateInput, MisalignedSources
 from ucs.latent_dictionary import (
     CodeBook,
+    _canonical_row_order,
     fit_dictionary,
     fit_joint_dictionary,
     ridge_encode,
@@ -73,6 +74,32 @@ def test_normalized_code_norm_bounds(row):
     out_norm = float(np.linalg.norm(l2_normalize_rows(r)))
     assert out_norm <= 1.0 + 1e-12
     assert out_norm >= 1.0 - 1e-12 / (norm + 1e-12) - 1e-9
+
+
+# Few distinct values, so first entries tie often; -0.0 and 0.0 compare equal.
+_TIE_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(
+    -1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_row_order_is_lexsort(data):
+    d = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(_TIE_VALUES, min_size=d, max_size=d),
+                              min_size=1, max_size=6))
+    # rows drawn with repetition: duplicate rows and runs of equal first entries
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
+    pool = np.array([rows[i] for i in picks], dtype=np.float64).reshape(-1, d)
+    assert np.array_equal(_canonical_row_order(pool), np.lexsort(pool.T[::-1]))
+
+
+def test_canonical_row_order_signed_zeros_and_wide_pool():
+    pool = np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]])
+    assert _canonical_row_order(pool).tolist() == [3, 4, 1, 2, 0]
+    wide = np.random.default_rng(4).standard_normal((300, 128))
+    wide[::7, :5] = 0.5  # runs tied on their first five entries
+    wide[50] = wide[10]
+    assert np.array_equal(_canonical_row_order(wide), np.lexsort(wide.T[::-1]))
 
 
 def test_fit_recovers_known_dictionary():

@@ -50,6 +50,16 @@ def test_population_probs_are_read_only():
         pop.probs[0] = 1.0
 
 
+def test_population_equality_compares_probs_and_kind():
+    a = Population.uniform(3)
+    sample_labels(a, 10, np.random.default_rng(0))  # builds a's guide table
+    assert a == Population.uniform(3)
+    assert a != Population.uniform(4)
+    assert a != Population(np.ones(3))  # same probs, kind "explicit"
+    assert Population.zipf(3, 1.1) != Population.zipf(3, 1.2)
+    assert a != "uniform"
+
+
 def test_population_uniform_and_zipf():
     uni = Population.uniform(4)
     assert np.allclose(uni.probs, 0.25)
