@@ -772,6 +772,7 @@ def _cmd_joint_fit(args, cfg) -> None:
     _stage_manifest(stem + ".dict.ucsm", "joint-fit", _config_used(cfg, "joint-fit"),
                     {f"source{i}": p for i, p in enumerate(args.inputs)}, {
                         "objective": _fmt(book.objective),
+                        "objective_history": " ".join(map(_fmt, book.objective_history)),
                         "n_iter": str(book.n_iter),
                         "n_sources": str(len(sources)),
                     })

@@ -1,24 +1,22 @@
 """Discretize codes or embeddings into latent clusters.
 
-Distances are cosine throughout. They are computed in row strips of the
-N x N distance matrix, one strip at a time, and each strip is consumed as
-soon as it exists, so clustering holds one strip rather than the whole
-matrix. Clustering makes one pass: from each strip it takes each row's
-k-th nearest distance (the q-quantile of those is eps) and the entries no
-larger than a bound that is provably >= eps, and once eps is known it cuts
-those candidates down to each row's neighbours within eps, as CSR lists;
-only a strip seen before any bound exists is built a second time. DBSCAN
-runs on the lists (the neighbourhood-list form of Schubert et al.,
-"DBSCAN Revisited", TODS 2017). Strips are assembled from square blocks, and
-the pair (i, j), (j, i) always comes from one block product, so distances
-are exactly symmetric. BLAS threads each block product; the rest runs on
-the calling thread. Noise points are remapped to fresh singleton clusters
-so that every example carries a cluster id.
+Distances are cosine throughout, and each one is defined per pair:
+_pair_distances evaluates d(i, j) = 1 - <u_i, u_j> from the two unit rows
+alone, so d(i, j) and d(j, i) are the same float and no distance depends on
+which others are computed with it, on the strip height or on the BLAS thread
+count. No stage holds the N x N matrix. A float32 screen goes over it one
+row strip at a time (one BLAS product per strip), keeps every pair that can
+be a neighbour, and only those pairs are evaluated exactly. k_nearest finds
+each row's k nearest rows that way; it is VoteK's k-NN graph and gives the
+k-th distances whose q-quantile is eps. A second screened pass then collects
+each row's neighbours within eps as CSR lists, and DBSCAN runs on the lists
+(the neighbourhood-list form of Schubert et al., "DBSCAN Revisited", TODS
+2017). Noise points are remapped to fresh singleton clusters so that every
+example carries a cluster id.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,11 +27,10 @@ from .preprocess import l2_normalize_rows
 
 CLUSTERING_METHODS = ("dict_dbscan", "dbscan", "dict_argmax")
 
-# Rows per strip and the side of the blocks strips are built from; a strip
-# holds DEFAULT_TILE_ROWS * N float64 values.
+# Rows per screened strip; a strip holds DEFAULT_TILE_ROWS * N float32 values.
 DEFAULT_TILE_ROWS = 256
-# Rows _kth_on_copies copies at a time.
-_KTH_ROWS = 16
+# Pairs _pair_distances evaluates at a time.
+_PAIR_CHUNK = 4096
 
 
 @dataclass
@@ -54,62 +51,110 @@ class ClusterAssignment:
         return int(self.labels.max()) if self.labels.size else 0
 
 
-def _strip(unit: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Rows i0:i1 of the cosine distance matrix of the unit rows `unit`:
-    1 - <ui, uj> clipped to [0, 2], with a zero diagonal.
+def _pair_distances(unit: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """d(rows[p], cols[p]) = 1 - <u_i, u_j> for each pair p of the unit rows
+    `unit`, clipped to [0, 2], with d(i, i) = 0.
 
-    i0 is a multiple of DEFAULT_TILE_ROWS (as read at the call, so tests may
-    set it), and the strip is built from blocks of that side: the blocks
-    left of the diagonal are transposes of the products the strips above
-    compute, so d(i, j) and d(j, i) are the same float. BLAS threads each
-    block product.
+    This is the one definition of the cosine distance. Each pair's two rows
+    are multiplied elementwise and summed in one fixed order (einsum), and
+    products commute, so d(i, j) and d(j, i) are the same float; the pairs
+    go _PAIR_CHUNK at a time, and no value depends on the others evaluated
+    with it.
     """
-    n = unit.shape[0]
-    rows = DEFAULT_TILE_ROWS
-    strip = np.empty((i1 - i0, n), dtype=np.float64)
-    for j0 in range(0, n, rows):
-        j1 = min(j0 + rows, n)
-        if j0 < i0:
-            strip[:, j0:j1] = (unit[j0:j1] @ unit[i0:i1].T).T
-        else:
-            strip[:, j0:j1] = unit[i0:i1] @ unit[j0:j1].T
-    np.subtract(1.0, strip, out=strip)
-    np.clip(strip, 0.0, 2.0, out=strip)
-    strip[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
-    return strip
-
-
-def _distance_strips(unit: np.ndarray, consume) -> list:
-    """consume(i0, strip) for each row strip of the cosine distance matrix of
-    the unit rows `unit`, in row order; returns the list of results.
-
-    Each strip is DEFAULT_TILE_ROWS rows (fewer at the end) of _strip, which
-    consume owns and may overwrite. Strips run one after another.
-    """
-    n = unit.shape[0]
-    rows = DEFAULT_TILE_ROWS
-    return [consume(i0, _strip(unit, i0, min(i0 + rows, n)))
-            for i0 in range(0, n, rows)]
+    out = np.empty(rows.size, dtype=np.float64)
+    for s in range(0, rows.size, _PAIR_CHUNK):
+        r, c = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
+        out[s:s + r.size] = np.einsum("ij,ij->i", unit[r], unit[c])
+    np.subtract(1.0, out, out=out)
+    np.clip(out, 0.0, 2.0, out=out)
+    out[rows == cols] = 0.0
+    return out
 
 
 def cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances 1 - <xi,xj>/(|xi||xj|), exactly symmetric.
 
     Zero rows sit at distance 1 from everything. The diagonal is zero and
-    values are clipped to [0, 2]. The values are those the strip passes of
-    cluster_pool and the VoteK graph see at the current DEFAULT_TILE_ROWS.
+    values are clipped to [0, 2]. Every entry is _pair_distances' value, the
+    one the clustering and VoteK passes use.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     n = arr.shape[0]
-    dist = np.empty((n, n), dtype=np.float64)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    return _pair_distances(l2_normalize_rows(arr, eps=0.0), rows, cols).reshape(n, n)
 
-    def fill(i0: int, strip: np.ndarray) -> None:
-        dist[i0:i0 + strip.shape[0]] = strip
 
-    _distance_strips(l2_normalize_rows(arr, eps=0.0), fill)
-    return dist
+def _screened(unit: np.ndarray, limit):
+    """(i0, i1, rows, cols, dist) for each strip of rows i0:i1: the pairs
+    whose screened distance is <= limit(i0, strip, delta), in row-major
+    order, with dist their exact _pair_distances.
+
+    The screen is one float32 product per strip: strip = 1 - fl32(<u_i,
+    u_j>), clipped to [0, 2], zero on the diagonal. limit may overwrite the
+    strip and returns a bound per row or one for all. Off the diagonal
+    |strip - d| <= delta = 4 (d + 4) u, with u = 2^-24 and d the row length,
+    for unit rows (zero rows give 1 in both):
+      - rounding the inputs to float32 scales each product u_ik u_jk by at
+        most (1 + u)^2, which moves the dot product by (2u + u^2) |u_i||u_j|;
+      - a float32 dot product of length d, in any summation order, is off by
+        at most gamma_d = d u / (1 - d u) times sum_k |u_ik u_jk| <= |u_i||u_j|;
+      - 1 - s rounds once, by at most u |1 - s| <= 2u (1 + gamma_d);
+      - clipping to [0, 2], where d lies too, moves nothing further apart.
+    That sums to (d + 4) u to first order. The factor 4 covers the higher
+    order terms, the float64 error of d itself (about d 2^-53), underflow in
+    the float32 inputs (at most d 2^-149) and the rounding of a bound to
+    float32 when it is compared with the strip.
+    """
+    n, d = unit.shape
+    bad = np.flatnonzero(~np.isfinite(unit).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not finite")
+    delta = 4 * (d + 4) * 2.0 ** -24
+    u32 = unit.astype(np.float32)
+    for i0 in range(0, n, DEFAULT_TILE_ROWS):
+        i1 = min(i0 + DEFAULT_TILE_ROWS, n)
+        strip = u32[i0:i1] @ u32.T
+        np.subtract(np.float32(1.0), strip, out=strip)
+        np.clip(strip, 0.0, 2.0, out=strip)
+        own = np.arange(i1 - i0)
+        strip[own, i0 + own] = 0.0
+        bound = limit(i0, strip, delta)
+        rows, cols = np.divmod(np.flatnonzero(strip <= bound), n)
+        rows += i0
+        yield i0, i1, rows, cols, _pair_distances(unit, rows, cols)
+
+
+def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, distances), each N x k: every row's k nearest other rows of
+    the unit rows `unit` and their _pair_distances, ordered by (distance,
+    index). Needs 1 <= k < N.
+
+    A row's float32 k-th distance (self excluded) is within delta of its
+    exact one, so the entries screened at or below it + 2 delta hold every
+    row at or below the exact k-th distance, ties included; those are
+    evaluated exactly and sorted.
+    """
+    n = unit.shape[0]
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k), dtype=np.float64)
+
+    def near_kth(i0: int, strip: np.ndarray, delta: float) -> np.ndarray:
+        own = np.arange(strip.shape[0])
+        strip[own, i0 + own] = np.inf  # self excluded
+        return np.partition(strip, k - 1, axis=1)[:, k - 1:k] + 2 * delta
+
+    for i0, i1, rows, cols, dist in _screened(unit, near_kth):
+        # rows ascend and columns ascend within a row, so the stable lexsort
+        # leaves equal distances in index order
+        order = np.lexsort((dist, rows))
+        starts = np.searchsorted(rows, np.arange(i0, i1))
+        pick = order[starts[:, None] + np.arange(k)]
+        indices[i0:i1] = cols[pick]
+        distances[i0:i1] = dist[pick]
+    return indices, distances
 
 
 def _check_knn(n: int, k: int, q: float) -> None:
@@ -121,33 +166,14 @@ def _check_knn(n: int, k: int, q: float) -> None:
         raise TooFewPoints(f"k={k} neighbors requested but only {n} points")
 
 
-def _kth_excluding_self(block: np.ndarray, i0: int, k: int) -> np.ndarray:
-    """k-th smallest value of each row of block (rows i0.. of a distance
-    matrix), the row's own column excluded; partitions block in place."""
-    r = np.arange(block.shape[0])
-    block[r, i0 + r] = np.inf
-    block.partition(k - 1, axis=1)
-    return block[:, k - 1].copy()
-
-
-def _kth_on_copies(strip: np.ndarray, i0: int, k: int) -> np.ndarray:
-    """_kth_excluding_self of each row of strip, found on copies of a few
-    rows at a time, so that strip keeps its order."""
-    kth = np.empty(strip.shape[0], dtype=np.float64)
-    scratch = np.empty((_KTH_ROWS, strip.shape[1]), dtype=np.float64)
-    for r0 in range(0, strip.shape[0], _KTH_ROWS):
-        part = scratch[:min(_KTH_ROWS, strip.shape[0] - r0)]
-        np.copyto(part, strip[r0:r0 + part.shape[0]])
-        kth[r0:r0 + part.shape[0]] = _kth_excluding_self(part, i0 + r0, k)
-    return kth
-
-
 def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
     """eps = q-quantile (linear interpolation) of each point's k-th nearest
     distance, self excluded. Needs k < N (TooFewPoints)."""
     _check_knn(dist.shape[0], k, q)
-    kth = _kth_excluding_self(np.array(dist, dtype=np.float64), 0, k)
-    return float(np.quantile(kth, q))
+    off = np.array(dist, dtype=np.float64)
+    np.fill_diagonal(off, np.inf)
+    off.partition(k - 1, axis=1)
+    return float(np.quantile(off[:, k - 1], q))
 
 
 def _within(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,50 +190,16 @@ def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate([cols for _, cols in parts])
 
 
-def _neighbor_lists(unit: np.ndarray, k: int, q: float, eps: float | None):
-    """(kth, eps, indptr, indices): CSR lists of {j : d(i, j) <= eps} (i
-    itself included), from one pass over the strips.
-
-    Given eps, kth is None and each strip keeps its entries <= eps. With eps
-    None, kth holds each row's k-th nearest distance, self excluded, and eps
-    is its q-quantile (linear interpolation). Each strip then keeps its
-    entries <= U, the hi-th smallest k-th distance over the rows before it,
-    hi = ceil(q (N - 1)); the strip holding row hi also counts its own rows.
-    The interpolated quantile never exceeds order statistic hi, which over a
-    subset of the rows can only be larger, so U >= eps and a row's list is
-    its kept entries <= eps. A strip that ends at or before row hi keeps
-    nothing (U = -inf); any strip whose U is below eps is built again.
-    """
-    n = unit.shape[0]
-    if eps is not None:
-        return (None, eps, *_csr(_distance_strips(
-            unit, lambda i0, strip: _within(strip, eps))))
-    kth = np.empty(n, dtype=np.float64)
-    hi = math.ceil(q * (n - 1))
-
-    def keep(i0: int, strip: np.ndarray):
-        i1 = i0 + strip.shape[0]
-        own = i0 <= hi < i1  # row hi's strip: its bound needs its own rows
-        if own:
-            kth[i0:i1] = _kth_on_copies(strip, i0, k)
-        known = i1 if own else i0
-        bound = np.partition(kth[:known], hi)[hi] if known > hi else -np.inf
-        flat = np.flatnonzero(strip <= bound)
-        values = strip.ravel()[flat]
-        if not own:
-            kth[i0:i1] = _kth_excluding_self(strip, i0, k)
-        return i0, i1, bound, flat, values
-
-    kept = _distance_strips(unit, keep)
-    eps = float(np.quantile(kth, q))
+def _eps_lists(unit: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of {j : d(i, j) <= eps}, i itself included,
+    columns ascending, from the pairs screened at or below eps + delta.
+    Every distance is <= 2, so a larger eps is screened at 2."""
     parts = []
-    for i0, i1, bound, flat, values in kept:
-        if bound < eps:
-            parts.append(_within(_strip(unit, i0, i1), eps))
-        else:
-            flat = flat[values <= eps]
-            parts.append((np.bincount(flat // n, minlength=i1 - i0), flat % n))
-    return (kth, eps, *_csr(parts))
+    for i0, i1, rows, cols, dist in _screened(
+            unit, lambda i0, strip, delta: min(eps, 2.0) + delta):
+        keep = dist <= eps
+        parts.append((np.bincount(rows[keep] - i0, minlength=i1 - i0), cols[keep]))
+    return _csr(parts)
 
 
 def _check_dbscan(eps: float, min_samples: int) -> None:
@@ -321,11 +313,14 @@ def cluster_pool(
         arr = l2_normalize_rows(arr, eps=1e-12)
     unit = l2_normalize_rows(arr, eps=0.0)
     del arr  # a normalized copy for dict_dbscan; only unit is read below
-    if eps_override is None:
+    eps = eps_override
+    if eps is None:
         _check_knn(unit.shape[0], dbscan_k, dbscan_q)
-    _check_dbscan(0.0 if eps_override is None else eps_override, min_samples)
-    _, eps, indptr, indices = _neighbor_lists(unit, dbscan_k, dbscan_q,
-                                              eps_override)
+    _check_dbscan(0.0 if eps is None else eps, min_samples)
+    if eps is None:
+        kth = k_nearest(unit, dbscan_k)[1][:, dbscan_k - 1]
+        eps = float(np.quantile(kth, dbscan_q))
+    indptr, indices = _eps_lists(unit, eps)
     raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import _distance_strips
+from .clustering import k_nearest
 from .coverage import CorpusPrior, CoverageTracker, SgtConfig, coverage_phi, corpus_prior
 from .errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from .preprocess import l2_normalize_rows
@@ -171,39 +171,16 @@ def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig)
 
 
 def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k nearest neighbors by cosine distance,
-    self excluded, distance ties broken by index.
-
-    Equal to the first k columns of a stable argsort of each distance row,
-    without sorting whole rows or holding the whole matrix: per row strip, a
-    partition finds the k-th distance and only the k columns at or below it
-    are sorted. Rows with ties at the k-th distance (or NaN distances) sort
-    the whole row.
+    """Indices of each row's k nearest neighbors by cosine distance, self
+    excluded, distance ties broken by index: the first k columns of a stable
+    argsort of each row of cosine_distance_matrix(x) with the diagonal left
+    out, found by clustering.k_nearest without the whole matrix.
     """
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
     if not 1 <= k < n:
         raise TooFewPoints(f"votek_k={k} requires at least k+1={k + 1} points, got {n}")
-
-    def nearest(i0: int, block: np.ndarray) -> np.ndarray:
-        rows = np.arange(block.shape[0])
-        block[rows, i0 + rows] = np.inf
-        kth = np.partition(block, k - 1, axis=1)[:, [k - 1]]
-        within = block <= kth
-        count = np.count_nonzero(within, axis=1)
-        exact = np.flatnonzero(count == k)
-        out = np.empty((block.shape[0], k), dtype=np.intp)
-        # flatnonzero walks rows in order and columns ascending, so a stable
-        # sort of each row's k candidates keeps the lowest index first on ties
-        cols = (np.flatnonzero(within[exact]) % n).reshape(-1, k)
-        order = np.argsort(block[exact[:, None], cols], axis=1, kind="stable")
-        out[exact] = np.take_along_axis(cols, order, axis=1)
-        for r in np.flatnonzero(count != k):
-            out[r] = np.argsort(block[r], kind="stable")[:k]
-        return out
-
-    unit = l2_normalize_rows(arr, eps=0.0)
-    return np.concatenate(_distance_strips(unit, nearest))
+    return k_nearest(l2_normalize_rows(arr, eps=0.0), k)[0]
 
 
 def _votes_from_graph(neighbors: np.ndarray, selected: list[int],

@@ -643,6 +643,23 @@ def test_dict_fit_manifest_objective_history(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_joint_fit_manifest_objective_history(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=30, k=4, dim=6, seed=1)
+    stem = str(tmp_path / "joint")
+    assert main(["joint-fit", "--inputs", pool_path, pool_path, "--out-stem", stem,
+                 "--dict-n-components", "3", "--max-iter", "4", "--seed", "2"]) == 0
+    source = read_matrix(pool_path)
+    book = fit_joint_dictionary([source, source], n_atoms=3,
+                                ridge_alpha=CONFIG_DEFAULTS["dict_alpha"],
+                                max_iter=4, seed=2)
+    manifest = _manifest(stem + ".dict.ucsm.manifest.txt")
+    history = [float(v) for v in manifest["objective_history"].split()]
+    assert history == book.objective_history
+    assert len(history) == int(manifest["n_iter"]) + 1
+    assert history[-1] == float(manifest["objective"])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("base", ["votek", "dpp", "subset_utility"])
 def test_select_manifest_u_hat_and_k0(tmp_path, capsys, base):
     pool_path, labels_path = _write_pool(tmp_path, n=40, k=6)

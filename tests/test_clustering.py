@@ -5,10 +5,11 @@ import pytest
 
 import ucs.clustering
 from ucs.clustering import (
-    _neighbor_lists,
+    _eps_lists,
     cluster_pool,
     cosine_distance_matrix,
     dbscan_from,
+    k_nearest,
     knn_quantile_eps_from,
     remap_noise_to_singletons,
 )
@@ -49,8 +50,7 @@ def test_cosine_zero_row_distance_one():
     assert d[0, 0] == 0.0
 
 
-def test_cosine_symmetry_exact(monkeypatch):
-    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 7)
+def test_cosine_symmetry_exact():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((40, 5))
     d = cosine_distance_matrix(x)
@@ -267,11 +267,12 @@ def test_every_point_gets_positive_label():
 
 
 # ---------------------------------------------------------------------------
-# Row-strip passes against dense oracles. The oracle matrix comes from
-# cosine_distance_matrix at the same tile height (DEFAULT_TILE_ROWS, set by
-# monkeypatch), because BLAS may round a block product differently for
-# another block shape; everything the passes derive from it (k-th distances,
-# eps, neighbour lists, clusters, k-NN graph) is recomputed densely here.
+# Row-strip passes against dense oracles. The oracle matrix is
+# cosine_distance_matrix, which holds every pair's distance as the passes
+# evaluate it, whatever the strip height; everything the passes derive from
+# it (k-th distances, eps, neighbour lists, clusters, k-NN graph) is
+# recomputed densely here. The passes run at several strip heights
+# (DEFAULT_TILE_ROWS, set by monkeypatch) against that one oracle.
 
 TILE = 7  # several strips per pool, the last one ragged
 
@@ -298,9 +299,19 @@ def _dense_kth(dist, k):
     return np.sort(off, axis=1)[:, k - 1]
 
 
+def _assert_lists(dist, eps, indptr, indices, tag):
+    n = dist.shape[0]
+    assert indptr[0] == 0 and indptr[-1] == indices.size
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        row = indices[indptr[i]:indptr[i + 1]]
+        assert np.array_equal(row, np.flatnonzero(dist[i] <= eps)), (tag, eps, i)
+        adjacency[i, row] = True
+    assert np.array_equal(adjacency, adjacency.T), (tag, eps)
+
+
 # Strip heights of one, two and three times TILE; at the larger heights the
-# smallest pool is a single strip. BLAS rounds a block product by its shape,
-# so the oracle matrix is built at the same height as the passes it checks.
+# smallest pool is a single strip.
 @pytest.mark.parametrize("tile_mult", [1, 2, 3])
 def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
     monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE * tile_mult)
@@ -313,7 +324,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
         assert np.allclose(dist, ref, atol=1e-12)
         strip_unit = l2_normalize_rows(x, eps=0.0)
         for k in (1, 3, n - 1):
-            kth = _neighbor_lists(strip_unit, k, 0.0, None)[0]
+            kth = k_nearest(strip_unit, k)[1][:, k - 1]
             assert np.array_equal(kth, _dense_kth(dist, k)), (pool_id, k)
             for q in (0.0, 0.3, 1.0):
                 want = float(np.quantile(_dense_kth(dist, k), q))
@@ -322,11 +333,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
                 assert got.eps == want, (pool_id, k, q)
                 assert _canon(got.raw_labels) == _canon(_components(dist, want))
         for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
-            _, _, indptr, indices = _neighbor_lists(strip_unit, 1, 0.0, eps)
-            assert indptr[0] == 0 and indptr[-1] == indices.size
-            for i in range(n):
-                assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
-                                      np.flatnonzero(dist[i] <= eps)), (pool_id, eps, i)
+            _assert_lists(dist, eps, *_eps_lists(strip_unit, eps), pool_id)
             for min_samples in (1, 3):
                 got = cluster_pool(x, method="dbscan", eps_override=eps,
                                    min_samples=min_samples)
@@ -336,54 +343,49 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
             assert _canon(got.raw_labels) == _canon(_components(dist, eps))
 
 
-def _count_strips(monkeypatch):
-    """Record the first row of every strip built from here on."""
-    built = []
-    strip = ucs.clustering._strip
-
-    def counted(unit, i0, i1):
-        built.append(i0)
-        return strip(unit, i0, i1)
-
-    monkeypatch.setattr(ucs.clustering, "_strip", counted)
-    return built
-
-
-def test_cluster_pool_builds_each_strip_once_at_defaults(monkeypatch):
-    x, _ = sample_pool(Population.zipf(200, 1.1), 1000, dim=16, spread=0.3, seed=2)
-    built = _count_strips(monkeypatch)
-    got = cluster_pool(x)
-    assert built == [0, 256, 512, 768]
-    del built[:]
-    # the override path reads the same strips and must give the same labels
-    again = cluster_pool(x, eps_override=got.eps)
-    assert built == [0, 256, 512, 768]
-    assert np.array_equal(again.raw_labels, got.raw_labels)
+def _planted_pool(d, seed):
+    """Random rows plus a band of rows whose distances to row 0 step by
+    delta / 8 across 0.3 +- delta, where delta = 4 (d + 4) 2^-24 bounds the
+    float32 screen's error, so the screen cannot tell the band apart; then
+    copies of rows 0 and 3 and two zero rows."""
+    rng = np.random.default_rng(seed)
+    delta = 4 * (d + 4) * 2.0 ** -24
+    base = rng.standard_normal((30, d))
+    anchor = base[0] / np.linalg.norm(base[0])
+    side = rng.standard_normal((17, d))
+    side -= np.outer(side @ anchor, anchor)
+    side /= np.linalg.norm(side, axis=1, keepdims=True)
+    cos = 1.0 - (0.3 + delta * np.arange(-8, 9) / 8)
+    band = cos[:, None] * anchor + np.sqrt(1.0 - cos ** 2)[:, None] * side
+    return np.vstack([base, band, base[[0, 0, 3]], np.zeros((2, d))]), delta
 
 
-# Strips of two rows: for q > 0 the strips that end at or before row hi have
-# no bound yet, keep nothing, and are built again once eps is known; at q = 1
-# that is every strip but the last.
-@pytest.mark.parametrize("q", [0.3, 1.0])
-def test_fused_pass_rebuilds_early_strips_and_matches_dense(monkeypatch, q):
-    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 2)
-    k = 3
-    built = _count_strips(monkeypatch)
-    for pool_id, x in enumerate(_strip_pools()):
-        n = x.shape[0]
-        dist = cosine_distance_matrix(x)
-        hi = int(np.ceil(q * (n - 1)))
-        del built[:]
-        kth, eps, indptr, indices = _neighbor_lists(
-            l2_normalize_rows(x, eps=0.0), k, q, None)
-        assert np.array_equal(kth, _dense_kth(dist, k))
-        assert eps == float(np.quantile(_dense_kth(dist, k), q))
-        for i in range(n):
-            assert np.array_equal(indices[indptr[i]:indptr[i + 1]],
-                                  np.flatnonzero(dist[i] <= eps)), (pool_id, i)
-        rebuilt = list(range(0, 2 * (hi // 2), 2))
-        assert rebuilt, (pool_id, hi)
-        assert built == list(range(0, n, 2)) + rebuilt, pool_id
+@pytest.mark.parametrize("d", [2, 17, 64, 768])
+def test_screen_keeps_every_exact_candidate(monkeypatch, d):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+    x, delta = _planted_pool(d, seed=d)
+    n = x.shape[0]
+    dist = cosine_distance_matrix(x)
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    unit = l2_normalize_rows(x, eps=0.0)
+    band = dist[0, 30:47]
+    # k values that put row 0's k-th distance inside the band
+    inside = [int((off[0] < band.min()).sum()) + j for j in (1, 9, 17)]
+    for k in sorted({1, 2, 5, n - 1, *inside}):
+        indices, distances = k_nearest(unit, k)
+        want = np.argsort(off, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(indices, want), (d, k)
+        assert np.array_equal(distances, np.take_along_axis(off, want, axis=1))
+    assert np.abs(band - band[8]).max() <= 1.01 * delta  # the band was planted
+    # eps on a planted distance, and delta / 2 to either side of it
+    for eps in (*band[::4], *(band[::4] - delta / 2), *(band[::4] + delta / 2)):
+        _assert_lists(dist, eps, *_eps_lists(unit, eps), d)
+    for k, q in ((inside[1], 1.0), (3, 0.5), (n - 1, 0.0)):
+        want = float(np.quantile(_dense_kth(dist, k), q))
+        got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q)
+        assert got.eps == want, (d, k, q)
+        assert np.array_equal(got.raw_labels, dbscan_from(dist, want, 1))
 
 
 @pytest.mark.parametrize("tile_mult", [1, 2, 3])
@@ -398,23 +400,32 @@ def test_strip_knn_graph_matches_dense_argsort(monkeypatch, tile_mult):
             assert np.array_equal(_knn_graph(x, k), want)
             kth = np.sort(dist, axis=1)[:, k - 1:k]
             ties += int(((dist <= kth).sum(axis=1) > k).sum())
-    assert ties > 0  # the whole-row tie path ran
+    assert ties > 0  # some rows tie at their k-th distance
 
 
 def test_cosine_distance_matrix_is_the_strip_values(monkeypatch):
-    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
-    x, _ = sample_pool(Population.zipf(12, 1.1), 50, dim=5, spread=0.3, seed=3)
-    dist = cosine_distance_matrix(x)
-    strips = ucs.clustering._distance_strips(
-        l2_normalize_rows(x, eps=0.0), lambda i0, strip: strip)
-    assert np.array_equal(np.vstack(strips), dist)
-    assert np.array_equal(dist, dist.T)
-    # one product per rectangular strip is not symmetric at this shape on
-    # some BLAS builds; the block construction is symmetric at any shape
+    # the matrix holds the distances the strip passes report, and its
+    # per-pair definition is symmetric at any width, odd ones included
     monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 100)
     y = np.random.default_rng(5).standard_normal((999, 17))
     wide = cosine_distance_matrix(y)
     assert np.array_equal(wide, wide.T)
+    indices, distances = k_nearest(l2_normalize_rows(y, eps=0.0), 4)
+    assert np.array_equal(distances, np.take_along_axis(wide, indices, axis=1))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_non_finite_rows_are_refused():
+    # an infinite entry normalizes to a row holding nan
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    x[4, 1] = np.inf
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        cluster_pool(x, method="dbscan", dbscan_k=2)
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        cluster_pool(x, method="dbscan", eps_override=0.1)
+    x[4, 1] = -np.inf
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        _knn_graph(x, 2)
 
 
 def _traced_peak(fn):

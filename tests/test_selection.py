@@ -288,8 +288,8 @@ def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
 
 
 def _knn_oracle(x, k):
-    # cosine_distance_matrix and the k-NN graph's strips share the current
-    # tile height, so the oracle sees the same block products
+    # cosine_distance_matrix holds each pair's distance as the k-NN graph
+    # evaluates it, at any strip height
     dist = cosine_distance_matrix(x)
     np.fill_diagonal(dist, np.inf)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -304,7 +304,8 @@ def _has_kth_tie(x, k):
 
 @pytest.fixture
 def small_tiles(monkeypatch):
-    # several row tiles, the last one ragged, at test sizes
+    # several row strips, the last one ragged, at test sizes; the other
+    # graph tests run at the default height, a single strip
     monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", 7)
 
 
