@@ -76,8 +76,6 @@ from .preprocess import (
     masked_mean_pool,
     pool_tokens,
     preprocess_pool,
-    read_sidecars,
-    write_sidecars,
 )
 from .selection import (
     RARITY_VARIANTS,

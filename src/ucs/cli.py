@@ -60,7 +60,7 @@ from .matrix_store import (
     write_manifest,
     write_matrix,
 )
-from .preprocess import POOLING_MODES, pool_tokens, preprocess_pool, write_sidecars
+from .preprocess import POOLING_MODES, pool_tokens, preprocess_pool
 from .selection import (
     BASE_SELECTORS,
     RARITY_VARIANTS,
@@ -262,20 +262,13 @@ def _fmt(value: float) -> str:
 
 def _write_selection_csv(path: str, result: SelectionResult) -> None:
     """One row per selected item: step, index, base_gain, coverage_term,
-    total, where total = base_gain + lambda * coverage_term. Subset-utility
-    results repeat the winning subset's scores on every member row."""
+    total, where total = base_gain + lambda * coverage_term."""
     with open_file(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "index", "base_gain", "coverage_term", "total"])
-        if result.base == "subset_utility":
-            rec = result.records[0]
-            for step, index in enumerate(result.indices):
-                writer.writerow([step, index, _fmt(rec.base_gain),
-                                 _fmt(rec.coverage_term), _fmt(rec.total)])
-        else:
-            for step, rec in enumerate(result.records):
-                writer.writerow([step, rec.index, _fmt(rec.base_gain),
-                                 _fmt(rec.coverage_term), _fmt(rec.total)])
+        for step, rec in enumerate(result.records):
+            writer.writerow([step, rec.index, _fmt(rec.base_gain),
+                             _fmt(rec.coverage_term), _fmt(rec.total)])
 
 
 def _row_index(text: str | None, n: int, where: str) -> int:
@@ -342,13 +335,11 @@ def stage_preprocess(args, cfg) -> None:
         pool = read_matrix(args.input)
         inputs = {"pool": args.input}
     standardize = not args.no_standardize
-    reduced, scaler, basis = preprocess_pool(
+    reduced = preprocess_pool(
         pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
         l2norm=args.l2norm
-    )
+    )[0]
     write_matrix(reduced, args.out)
-    stem = args.out[: -len(".ucsm")] if args.out.endswith(".ucsm") else args.out
-    write_sidecars(stem, scaler, basis)
     _stage_manifest(args.out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
         "rows": str(reduced.shape[0]),
         "cols": str(reduced.shape[1]),

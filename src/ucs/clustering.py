@@ -109,9 +109,6 @@ def _screened(unit: np.ndarray, limit):
     float32 when it is compared with the strip.
     """
     n, d = unit.shape
-    bad = np.flatnonzero(~np.isfinite(unit).all(axis=1))
-    if bad.size:
-        raise ValueError(f"row {bad[0]} is not finite")
     delta = 4 * (d + 4) * 2.0 ** -24
     u32 = unit.astype(np.float32)
     for i0 in range(0, n, DEFAULT_TILE_ROWS):

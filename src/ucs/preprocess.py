@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, TooFewRows
+# unused here; perfbench/spans.py patches ucs.preprocess.read_matrix and write_matrix
 from .matrix_store import read_matrix, write_matrix
 
 POOLING_MODES = ("mean", "first", "last")
@@ -54,9 +55,13 @@ def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Scale each row to unit l2 norm, r / (||r|| + eps); zero rows stay zero.
 
     eps=0 divides by the exact norm, which is what the cosine geometry of
-    clustering and selection uses.
+    clustering and selection uses. A row holding nan or +-inf raises
+    ValueError naming it.
     """
     arr = np.asarray(x, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not finite")
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     return np.divide(arr, norms + eps, out=np.zeros_like(arr), where=norms > 0)
 
@@ -138,8 +143,7 @@ def preprocess_pool(
     """Run the full reduction on a pooled N x d matrix.
 
     d_prime is capped at min(N-1, d). When standardization is off the
-    returned Standardizer is the identity (mean 0, std 1) so sidecars have a
-    uniform shape.
+    returned Standardizer is the identity (mean 0, std 1).
     """
     arr = np.asarray(pool, dtype=np.float64)
     if l2norm:
@@ -155,28 +159,3 @@ def preprocess_pool(
     basis = fit_pca(scaled, d_eff)
     return basis.transform(scaled), scaler, basis
 
-
-def write_sidecars(stem: str, scaler: Standardizer, basis: PcaBasis) -> tuple[str, str]:
-    """Persist the fitted transforms next to the reduced pool.
-
-    <stem>.moments.ucsm is 3 x d (standardizer mean, std, PCA center);
-    <stem>.basis.ucsm is (d+1) x d' (components stacked over explained
-    variance). Returns the two paths.
-    """
-    moments_path = f"{stem}.moments.ucsm"
-    basis_path = f"{stem}.basis.ucsm"
-    write_matrix(np.vstack([scaler.mean, scaler.std, basis.mean]), moments_path)
-    write_matrix(
-        np.vstack([basis.components, basis.explained_variance[None, :]]), basis_path
-    )
-    return moments_path, basis_path
-
-
-def read_sidecars(stem: str) -> tuple[Standardizer, PcaBasis]:
-    moments = read_matrix(f"{stem}.moments.ucsm")
-    stacked = read_matrix(f"{stem}.basis.ucsm")
-    scaler = Standardizer(mean=moments[0], std=moments[1])
-    basis = PcaBasis(
-        mean=moments[2], components=stacked[:-1], explained_variance=stacked[-1]
-    )
-    return scaler, basis

@@ -70,18 +70,17 @@ class SelectionResult:
     records: list[StepRecord]
     phi: float
     k_seen: int
-    base: str
     u_hat: float
 
 
-def _finish(indices, records, labels, cfg, base) -> SelectionResult:
+def _finish(indices, records, labels, cfg) -> SelectionResult:
     if labels is not None:
         phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
     else:
         phi, k_seen, u_hat = float("nan"), 0, float("nan")
     return SelectionResult(
         indices=[int(i) for i in indices], records=records, phi=float(phi),
-        k_seen=int(k_seen), base=base, u_hat=float(u_hat),
+        k_seen=int(k_seen), u_hat=float(u_hat),
     )
 
 
@@ -163,7 +162,7 @@ def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig)
     """Greedy DPP with coverage pressure: each step maximizes the log-det
     gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally."""
     indices, records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget)
-    return _finish(indices, records, labels, cfg, "dpp")
+    return _finish(indices, records, labels, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +204,7 @@ def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) ->
     return _votes_from_graph(neighbors, list(selected), discount_base, x.shape[0])
 
 
-def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
-                     base_tag: str) -> SelectionResult:
+def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray) -> SelectionResult:
     n = np.asarray(x).shape[0]
     neighbors = _knn_graph(x, cfg.votek_k)
     steps = min(cfg.budget, n)
@@ -222,7 +220,7 @@ def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray,
                                   float(total[pick])))
         selected.append(pick)
         alive[pick] = False
-    return _finish(selected, records, labels, cfg, base_tag)
+    return _finish(selected, records, labels, cfg)
 
 
 def votek_select(x: np.ndarray, budget: int, k: int = 3,
@@ -232,7 +230,7 @@ def votek_select(x: np.ndarray, budget: int, k: int = 3,
     cfg = SelectionConfig(budget=budget, lam=0.0, base="votek", votek_k=k,
                           votek_discount_base=discount_base)
     n = np.asarray(x).shape[0]
-    result = _iterative_votes(x, None, cfg, np.zeros(n), "votek")
+    result = _iterative_votes(x, None, cfg, np.zeros(n))
     return result.indices
 
 
@@ -260,7 +258,7 @@ def votek_ucs_select(
         return prior.log_weight(cluster)
 
     bonus = _per_cluster(labels, log_weight)
-    return _iterative_votes(x, labels, cfg, bonus, "votek")
+    return _iterative_votes(x, labels, cfg, bonus)
 
 
 def rarity_controls(
@@ -289,7 +287,7 @@ def rarity_controls(
         return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
 
     bonus = _per_cluster(labels, rarity)
-    return _iterative_votes(x, labels, cfg, bonus, f"votek_{variant}")
+    return _iterative_votes(x, labels, cfg, bonus)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,8 @@ def subset_utility_ucs(
 ) -> SelectionResult:
     """Pick argmax over candidate subsets of utility(S) + lambda * Phi(S).
 
-    Every candidate must have exactly cfg.budget members.
+    Every candidate must have exactly cfg.budget members. Each member of the
+    winning subset gets one record holding the subset's scores.
     """
     scores = _utility_scores(candidates, utilities)
     for pos, subset in enumerate(candidates):
@@ -334,9 +333,10 @@ def subset_utility_ucs(
     )
     totals = scores + cfg.lam * phis
     winner = int(np.argmax(totals))
-    record = StepRecord(winner, float(scores[winner]), float(phis[winner]),
-                        float(totals[winner]))
-    return _finish(list(candidates[winner]), [record], labels, cfg, "subset_utility")
+    picks = [int(i) for i in candidates[winner]]
+    records = [StepRecord(i, float(scores[winner]), float(phis[winner]),
+                          float(totals[winner])) for i in picks]
+    return _finish(picks, records, labels, cfg)
 
 
 def redundancy_utility(x: np.ndarray, candidates: list[list[int]]) -> np.ndarray:

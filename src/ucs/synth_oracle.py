@@ -275,14 +275,13 @@ class ClusterStats:
 def cluster_stats(labels: np.ndarray) -> ClusterStats:
     """Cluster-size exposure histogram over post-remap labels."""
     lab = np.asarray(labels, dtype=np.int64)
-    sizes: dict[int, int] = {}
-    for v in lab:
-        sizes[int(v)] = sizes.get(int(v), 0) + 1
+    # np.unique, not bincount: library labels may be negative
+    sizes = np.unique(lab, return_counts=True)[1].tolist()
     mass = {k: 0 for k in range(1, 9)}
-    for s in sizes.values():
+    for s in sizes:
         if 1 <= s <= 8:
             mass[s] += s
-    top = sorted(sizes.values(), reverse=True)[:8]
+    top = sorted(sizes, reverse=True)[:8]
     return ClusterStats(size_mass=mass, top_sizes=top)
 
 

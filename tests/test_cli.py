@@ -781,10 +781,10 @@ def test_pipeline_equals_the_subcommands(tmp_path, capsys, base):
                  "--config", str(cfg), "--base", base]) == 0
     hand = tmp_path / "hand"
     hand.mkdir()
+    artifacts = ("pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
+                 "prior.csv", "select_run00.csv", "select_run01.csv", "report.txt")
     reduced, dictionary, codes, labels, prior, run00, run01, report = (
-        str(hand / name) for name in (
-            "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
-            "prior.csv", "select_run00.csv", "select_run01.csv", "report.txt"))
+        str(hand / name) for name in artifacts)
     for argv in (
         ["preprocess", "--input", pool_path, "--out", reduced],
         ["dict-fit", "--input", reduced, "--out", dictionary],
@@ -798,7 +798,8 @@ def test_pipeline_equals_the_subcommands(tmp_path, capsys, base):
     ):
         assert main(argv + ["--config", str(cfg)]) == 0, argv[0]
     names = sorted(os.listdir(wd))
-    assert names == sorted(os.listdir(hand)) and len(names) == 18
+    assert names == sorted(os.listdir(hand)) == sorted(
+        name + suffix for name in artifacts for suffix in ("", ".manifest.txt"))
     for name in names:
         assert _without_timestamp(str(wd / name)) == \
             _without_timestamp(str(hand / name)), name
@@ -949,6 +950,16 @@ def test_pipeline_analyze_missing_selection_csv(tmp_path, capsys):
     assert main(["pipeline", "--input", pool_path, "--workdir", wd,
                  "--config", str(cfg), "--from-stage", "analyze"]) == 3
     assert "select_run01.csv" in capsys.readouterr().err
+
+
+def test_preprocess_writes_only_its_matrix_and_manifest(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["preprocess", "--input", pool_path,
+                 "--out", str(out_dir / "p.ucsm")]) == 0
+    assert sorted(os.listdir(out_dir)) == ["p.ucsm", "p.ucsm.manifest.txt"]
+    capsys.readouterr()
 
 
 def test_manifest_records_numeric_environment(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,7 @@ from ucs.clustering import (
 )
 from ucs.errors import TooFewPoints
 from ucs.preprocess import l2_normalize_rows
-from ucs.selection import _knn_graph
+from ucs.selection import _knn_graph, dpp_kernel
 from ucs.synth_oracle import Population, sample_pool
 
 THREE_CODES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array(
@@ -414,9 +414,9 @@ def test_cosine_distance_matrix_is_the_strip_values(monkeypatch):
     assert np.array_equal(distances, np.take_along_axis(wide, indices, axis=1))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 def test_non_finite_rows_are_refused():
-    # an infinite entry normalizes to a row holding nan
+    # refused before normalization divides: a nan row would otherwise
+    # become a zero row at distance 1 from everything
     x = np.random.default_rng(0).standard_normal((6, 3))
     x[4, 1] = np.inf
     with pytest.raises(ValueError, match="row 4 is not finite"):
@@ -426,6 +426,13 @@ def test_non_finite_rows_are_refused():
     x[4, 1] = -np.inf
     with pytest.raises(ValueError, match="row 4 is not finite"):
         _knn_graph(x, 2)
+    x[4, 1] = np.nan
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        cluster_pool(x, method="dbscan", dbscan_k=2)
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        _knn_graph(x, 2)
+    with pytest.raises(ValueError, match="row 4 is not finite"):
+        dpp_kernel(x)
 
 
 def _traced_peak(fn):

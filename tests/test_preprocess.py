@@ -12,8 +12,6 @@ from ucs.preprocess import (
     masked_mean_pool,
     pool_tokens,
     preprocess_pool,
-    read_sidecars,
-    write_sidecars,
 )
 
 
@@ -132,20 +130,6 @@ def test_preprocess_pool_caps_width():
     reduced, _, basis = preprocess_pool(x, d_prime=128)
     assert reduced.shape == (10, 9)  # capped at N - 1
     assert basis.components.shape == (20, 9)
-
-
-def test_sidecars_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal((30, 6))
-    reduced, scaler, basis = preprocess_pool(x, d_prime=4)
-    stem = str(tmp_path / "pool")
-    write_sidecars(stem, scaler, basis)
-    scaler2, basis2 = read_sidecars(stem)
-    assert np.array_equal(scaler2.mean, scaler.mean)
-    assert np.array_equal(scaler2.std, scaler.std)
-    assert np.array_equal(basis2.components, basis.components)
-    again = basis2.transform(scaler2.transform(x))
-    assert np.array_equal(again, reduced)
 
 
 @settings(max_examples=60, deadline=None)

@@ -473,7 +473,7 @@ def test_subset_utility_lambda_zero_plain_argmax():
     cfg = SelectionConfig(budget=2, lam=0.0, base="subset_utility")
     result = subset_utility_ucs(cands, utils, labels, cfg)
     assert result.indices == [2, 3]
-    assert result.records[0].index == 1
+    assert [r.index for r in result.records] == [2, 3]
 
 
 def test_subset_utility_singletons_beat_duplicates():
@@ -525,24 +525,21 @@ def test_step_records_total_identity():
     lam = 0.8
     cfg = SelectionConfig(budget=5, lam=lam, base="votek", votek_k=3,
                           sgt=SgtConfig(t=2.0))
+    cands = [sorted(rng.choice(15, size=5, replace=False).tolist()) for _ in range(4)]
     for result in (
         greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
         votek_ucs_select(x, labels, prior, cfg),
         rarity_controls(x, labels, cfg, "B1"),
         rarity_controls(x, labels, cfg, "B2"),
+        subset_utility_ucs(cands, rng.standard_normal(4), labels, cfg),
     ):
         assert len(result.indices) == 5
         assert len(set(result.indices)) == 5
+        assert [r.index for r in result.records] == result.indices
         for record in result.records:
             assert record.total == pytest.approx(
                 record.base_gain + lam * record.coverage_term, abs=1e-9
             )
-    cands = [sorted(rng.choice(15, size=5, replace=False).tolist()) for _ in range(4)]
-    result = subset_utility_ucs(cands, rng.standard_normal(4), labels, cfg)
-    record = result.records[0]
-    assert record.total == pytest.approx(
-        record.base_gain + lam * record.coverage_term, abs=1e-9
-    )
 
 
 def test_budget_larger_than_pool_is_clamped():
