@@ -7,12 +7,14 @@ which others are computed with it, on the strip height or on the BLAS thread
 count. No stage holds the N x N matrix. A float32 screen goes over it one
 row strip at a time (one BLAS product per strip), keeps every pair that can
 be a neighbour, and only those pairs are evaluated exactly. k_nearest finds
-each row's k nearest rows that way; it is VoteK's k-NN graph and gives the
-k-th distances whose q-quantile is eps. A second screened pass then collects
-each row's neighbours within eps as CSR lists, and DBSCAN runs on the lists
-(the neighbourhood-list form of Schubert et al., "DBSCAN Revisited", TODS
-2017). Noise points are remapped to fresh singleton clusters so that every
-example carries a cluster id.
+each row's k nearest rows that way, bounding each row's k-th distance by
+minima over groups of columns; it is VoteK's k-NN graph and gives the k-th
+distances whose q-quantile is eps. Each row's neighbours within eps are
+then collected as CSR lists: a row whose k-th distance exceeds eps finds
+them all among its k nearest, and only the other rows (about q N) are
+screened again. DBSCAN runs on the lists (the neighbourhood-list form of
+Schubert et al., "DBSCAN Revisited", TODS 2017). Noise points are remapped
+to fresh singleton clusters so that every example carries a cluster id.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ CLUSTERING_METHODS = ("dict_dbscan", "dbscan", "dict_argmax")
 
 # Rows per screened strip; a strip holds DEFAULT_TILE_ROWS * N float32 values.
 DEFAULT_TILE_ROWS = 256
+# Column groups whose nearest entries bound a row's k-th distance in k_nearest.
+SCREEN_GROUPS = 256
 # Pairs _pair_distances evaluates at a time.
 _PAIR_CHUNK = 4096
 
@@ -87,41 +91,54 @@ def cosine_distance_matrix(x: np.ndarray) -> np.ndarray:
     return _pair_distances(l2_normalize_rows(arr, eps=0.0), rows, cols).reshape(n, n)
 
 
-def _screened(unit: np.ndarray, limit):
-    """(i0, i1, rows, cols, dist) for each strip of rows i0:i1: the pairs
-    whose screened distance is <= limit(i0, strip, delta), in row-major
-    order, with dist their exact _pair_distances.
+def _column_order(n: int) -> np.ndarray:
+    """The fixed pseudo-random order in which _screened lays out columns."""
+    return np.random.default_rng(0).permutation(n)
 
-    The screen is one float32 product per strip: strip = 1 - fl32(<u_i,
-    u_j>), clipped to [0, 2], zero on the diagonal. limit may overwrite the
-    strip and returns a bound per row or one for all. Off the diagonal
-    |strip - d| <= delta = 4 (d + 4) u, with u = 2^-24 and d the row length,
-    for unit rows (zero rows give 1 in both):
+
+def _screened(unit: np.ndarray, rows: np.ndarray, limit):
+    """(strip_rows, rows, cols, dist) for each strip of up to
+    DEFAULT_TILE_ROWS of the row indices `rows` (ascending): the pairs whose
+    screened similarity is >= limit(strip, own, delta), grouped by row in
+    strip order, with dist their exact _pair_distances.
+
+    The screen is one float32 product per strip, strip = fl32(<u_i, u_j>),
+    with the columns in _column_order and +inf at each row's own column,
+    strip[own] (the one pair at distance 0 by definition). limit may
+    overwrite the strip and returns a floor per row or one for all. Off the
+    diagonal |strip - (1 - dist)| <= delta = 4 (d + 4) u, with u = 2^-24 and
+    d the row length, for unit rows (zero rows give 0 in both):
       - rounding the inputs to float32 scales each product u_ik u_jk by at
         most (1 + u)^2, which moves the dot product by (2u + u^2) |u_i||u_j|;
       - a float32 dot product of length d, in any summation order, is off by
         at most gamma_d = d u / (1 - d u) times sum_k |u_ik u_jk| <= |u_i||u_j|;
-      - 1 - s rounds once, by at most u |1 - s| <= 2u (1 + gamma_d);
-      - clipping to [0, 2], where d lies too, moves nothing further apart.
-    That sums to (d + 4) u to first order. The factor 4 covers the higher
-    order terms, the float64 error of d itself (about d 2^-53), underflow in
-    the float32 inputs (at most d 2^-149) and the rounding of a bound to
+      - 1 - dist is <u_i, u_j> clipped to [-1, 1], where the dot product of
+        two unit rows lies, so the clip moves nothing further apart.
+    That sums to (d + 2) u to first order. The factor 4 covers the higher
+    order terms, the float64 error of dist itself (about d 2^-53), underflow
+    in the float32 inputs (at most d 2^-149) and the rounding of a floor to
     float32 when it is compared with the strip.
     """
     n, d = unit.shape
     delta = 4 * (d + 4) * 2.0 ** -24
-    u32 = unit.astype(np.float32)
-    for i0 in range(0, n, DEFAULT_TILE_ROWS):
-        i1 = min(i0 + DEFAULT_TILE_ROWS, n)
-        strip = u32[i0:i1] @ u32.T
-        np.subtract(np.float32(1.0), strip, out=strip)
-        np.clip(strip, 0.0, 2.0, out=strip)
-        own = np.arange(i1 - i0)
-        strip[own, i0 + own] = 0.0
-        bound = limit(i0, strip, delta)
-        rows, cols = np.divmod(np.flatnonzero(strip <= bound), n)
-        rows += i0
-        yield i0, i1, rows, cols, _pair_distances(unit, rows, cols)
+    order = _column_order(n)
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    # the float32 copy in column order, filled a strip at a time so that
+    # no second full copy is held
+    u32 = np.empty(unit.shape, dtype=np.float32)
+    for s in range(0, n, DEFAULT_TILE_ROWS):
+        u32[s:s + DEFAULT_TILE_ROWS] = unit[order[s:s + DEFAULT_TILE_ROWS]]
+    for s in range(0, rows.size, DEFAULT_TILE_ROWS):
+        idx = rows[s:s + DEFAULT_TILE_ROWS]
+        strip = u32[place[idx]] @ u32.T
+        own = (np.arange(idx.size), place[idx])
+        strip[own] = np.inf
+        floor = limit(strip, own, delta)
+        r, c = np.divmod(np.flatnonzero(strip >= floor), n)
+        del strip  # freed before the next strip is built
+        r, c = idx[r], order[c]
+        yield idx, r, c, _pair_distances(unit, r, c)
 
 
 def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,28 +146,43 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the unit rows `unit` and their _pair_distances, ordered by (distance,
     index). Needs 1 <= k < N.
 
-    A row's float32 k-th distance (self excluded) is within delta of its
-    exact one, so the entries screened at or below it + 2 delta hold every
-    row at or below the exact k-th distance, ties included; those are
-    evaluated exactly and sorted.
+    Each strip row's own similarity is set to -inf and the columns, in
+    _column_order, are dealt into g = max(k + 1, min(N, SCREEN_GROUPS))
+    groups by position mod g (the last N mod g columns join none). The k-th
+    largest of the g group maxima, m, is the smallest of k similarities
+    from k distinct columns other than the row's own, so m is <= the row's
+    k-th largest float32 similarity, which lies within delta of 1 - the
+    exact k-th distance. In distances: the k-th smallest group minimum
+    bounds the k-th distance from above. The entries screened at or above
+    m - 2 delta therefore hold every row at or below the exact k-th
+    distance, ties included; those are evaluated exactly and sorted. At
+    g = N, m is the float32 k-th itself.
+
+    The order is pseudo-random rather than the row order because m is tight
+    only when a row's near neighbours spread over many groups. In a pool
+    whose types repeat with period g, position mod g in row order would put
+    each type into a group of its own, so m would reach k - 1 other types
+    and let all their rows through.
     """
     n = unit.shape[0]
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=np.float64)
+    groups = max(k + 1, min(n, SCREEN_GROUPS))
+    width = n // groups
+    kth = groups - k  # where the k-th largest of g values sorts, ascending
 
-    def near_kth(i0: int, strip: np.ndarray, delta: float) -> np.ndarray:
-        own = np.arange(strip.shape[0])
-        strip[own, i0 + own] = np.inf  # self excluded
-        return np.partition(strip, k - 1, axis=1)[:, k - 1:k] + 2 * delta
+    def near_kth(strip: np.ndarray, own: tuple, delta: float) -> np.ndarray:
+        strip[own] = -np.inf  # self excluded
+        maxima = strip[:, :groups * width].reshape(-1, width, groups).max(axis=1)
+        return np.partition(maxima, kth, axis=1)[:, kth:kth + 1] - 2 * delta
 
-    for i0, i1, rows, cols, dist in _screened(unit, near_kth):
-        # rows ascend and columns ascend within a row, so the stable lexsort
-        # leaves equal distances in index order
-        order = np.lexsort((dist, rows))
-        starts = np.searchsorted(rows, np.arange(i0, i1))
+    for idx, rows, cols, dist in _screened(unit, np.arange(n), near_kth):
+        # candidates are in column order, so ties go by an explicit index key
+        order = np.lexsort((cols, dist, rows))
+        starts = np.searchsorted(rows, idx)
         pick = order[starts[:, None] + np.arange(k)]
-        indices[i0:i1] = cols[pick]
-        distances[i0:i1] = dist[pick]
+        indices[idx] = cols[pick]
+        distances[idx] = dist[pick]
     return indices, distances
 
 
@@ -173,30 +205,44 @@ def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
     return float(np.quantile(off[:, k - 1], q))
 
 
-def _within(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row count and ascending column indices of the entries <= eps."""
-    mask = block <= eps
-    return np.count_nonzero(mask, axis=1), np.flatnonzero(mask) % block.shape[1]
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the pairs (rows, cols), columns ascending."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
 
 
-def _csr(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Join per-strip (counts, columns) into CSR (indptr, indices)."""
-    counts = np.concatenate([c for c, _ in parts])
-    indptr = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.concatenate([cols for _, cols in parts])
-
-
-def _eps_lists(unit: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _eps_lists(unit: np.ndarray, eps: float,
+               knn: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of {j : d(i, j) <= eps}, i itself included,
-    columns ascending, from the pairs screened at or below eps + delta.
-    Every distance is <= 2, so a larger eps is screened at 2."""
-    parts = []
-    for i0, i1, rows, cols, dist in _screened(
-            unit, lambda i0, strip, delta: min(eps, 2.0) + delta):
+    columns ascending.
+
+    knn is k_nearest's (indices, distances) for `unit`, or None. A row whose
+    k-th distance exceeds eps has every j with d(i, j) <= eps < kth among
+    its k nearest, so its list is i and those; d(i, j) and d(j, i) are one
+    float, so the lists stay symmetric. Every other row (every row when knn
+    is None) is screened at the similarity floor 1 - min(eps, 2) - delta (no
+    distance exceeds 2) and keeps the exact distances <= eps.
+    """
+    n = unit.shape[0]
+    screen = np.arange(n)
+    rows, cols = [], []
+    if knn is not None:
+        indices, distances = knn
+        inside = distances[:, -1] > eps
+        screen = np.flatnonzero(~inside)
+        near = inside[:, None] & (distances <= eps)
+        own = np.flatnonzero(inside)
+        rows += [own, np.nonzero(near)[0]]
+        cols += [own, indices[near]]
+    floor = 1.0 - min(eps, 2.0)
+    for _, r, c, dist in _screened(unit, screen,
+                                   lambda strip, own, delta: floor - delta):
         keep = dist <= eps
-        parts.append((np.bincount(rows[keep] - i0, minlength=i1 - i0), cols[keep]))
-    return _csr(parts)
+        rows.append(r[keep])
+        cols.append(c[keep])
+    return _csr(n, np.concatenate(rows), np.concatenate(cols))
 
 
 def _check_dbscan(eps: float, min_samples: int) -> None:
@@ -259,7 +305,8 @@ def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarra
     they are handed to the same list-based DBSCAN that cluster_pool runs.
     """
     _check_dbscan(eps, min_samples)
-    return _dbscan_lists(*_csr([_within(dist, eps)]), min_samples)
+    d = np.asarray(dist)
+    return _dbscan_lists(*_csr(d.shape[0], *np.nonzero(d <= eps)), min_samples)
 
 
 def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
@@ -314,10 +361,11 @@ def cluster_pool(
     if eps is None:
         _check_knn(unit.shape[0], dbscan_k, dbscan_q)
     _check_dbscan(0.0 if eps is None else eps, min_samples)
+    knn = None
     if eps is None:
-        kth = k_nearest(unit, dbscan_k)[1][:, dbscan_k - 1]
-        eps = float(np.quantile(kth, dbscan_q))
-    indptr, indices = _eps_lists(unit, eps)
+        knn = k_nearest(unit, dbscan_k)
+        eps = float(np.quantile(knn[1][:, -1], dbscan_q))
+    indptr, indices = _eps_lists(unit, eps, knn)
     raw = _dbscan_lists(indptr, indices, min_samples)
     return ClusterAssignment(
         labels=remap_noise_to_singletons(raw),

@@ -19,6 +19,8 @@ POOLING_MODES = ("mean", "first", "last")
 
 # Coordinates smaller than this are treated as zero by the sign convention.
 _SIGN_TOL = 1e-12
+# A norm below this may have lost squares to underflow.
+_NORM_MIN = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def masked_mean_pool(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -56,14 +58,26 @@ def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
     eps=0 divides by the exact norm, which is what the cosine geometry of
     clustering and selection uses. A row holding nan or +-inf raises
-    ValueError naming it.
+    ValueError naming it. A nonzero row whose squares overflow (norm inf) or
+    fall below the normal range (norm < _NORM_MIN) is first divided by its
+    largest magnitude; every other row is divided by its norm directly.
     """
     arr = np.asarray(x, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise ValueError(f"row {bad[0]} is not finite")
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    return np.divide(arr, norms + eps, out=np.zeros_like(arr), where=norms > 0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    out = np.divide(arr, norms + eps, out=np.zeros_like(arr), where=norms > 0)
+    odd = np.flatnonzero(np.isinf(norms[:, 0]) | (norms[:, 0] < _NORM_MIN))
+    odd = odd[arr[odd].any(axis=1)]  # zero rows stay zero
+    if odd.size:
+        peak = np.abs(arr[odd]).max(axis=1, keepdims=True)
+        scaled = arr[odd] / peak
+        with np.errstate(over="ignore"):
+            out[odd] = scaled / (np.linalg.norm(scaled, axis=1, keepdims=True)
+                                 + eps / peak)
+    return out
 
 
 @dataclass

@@ -403,6 +403,110 @@ def test_strip_knn_graph_matches_dense_argsort(monkeypatch, tile_mult):
     assert ties > 0  # some rows tie at their k-th distance
 
 
+def _interleaved_pool(period, n=47, d=5, seed=3):
+    """Row i belongs to type i mod period: with the columns in row order,
+    position mod period would put each type into a group of its own."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((period, d))
+    return centers[np.arange(n) % period] + 0.05 * rng.standard_normal((n, d))
+
+
+_COLUMN_ORDERS = {
+    "identity": np.arange,
+    "reversed": lambda n: np.arange(n)[::-1].copy(),
+    "random": lambda n: np.random.default_rng(7).permutation(n),
+}
+
+
+# Group counts small enough that the test pools have several columns per
+# group and a ragged tail of columns in no group.
+@pytest.mark.parametrize("groups", [2, 4, 5, 7])
+def test_group_bound_and_knn_lists_match_dense_oracle(monkeypatch, groups):
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+    monkeypatch.setattr(ucs.clustering, "SCREEN_GROUPS", groups)
+    for pool_id, x in enumerate([*_strip_pools(), _interleaved_pool(groups)]):
+        n = x.shape[0]
+        dist = cosine_distance_matrix(x)
+        off = dist.copy()
+        np.fill_diagonal(off, np.inf)
+        unit = l2_normalize_rows(x, eps=0.0)
+        for k in (1, 3, n - 1):
+            want = np.argsort(off, axis=1, kind="stable")[:, :k]
+            for name, order in _COLUMN_ORDERS.items():
+                monkeypatch.setattr(ucs.clustering, "_column_order", order)
+                knn = k_nearest(unit, k)
+                assert np.array_equal(knn[0], want), (pool_id, k, name)
+                assert np.array_equal(knn[1], np.take_along_axis(off, want, axis=1))
+            kth = knn[1][:, -1]
+            # q = 0 and 1 put eps on a k-th distance exactly, as does every
+            # third distinct k-th distance; at q = 1 every row is screened
+            qs = [float(np.quantile(kth, q)) for q in (0.0, 0.3, 1.0)]
+            for eps in (*qs, *np.unique(kth)[::3]):
+                tag = (pool_id, k, eps)
+                _assert_lists(dist, eps, *_eps_lists(unit, eps, knn), tag)
+        for q in (0.0, 0.3, 1.0):
+            got = cluster_pool(x, method="dbscan", dbscan_k=3, dbscan_q=q)
+            assert got.eps == float(np.quantile(_dense_kth(dist, 3), q))
+            assert np.array_equal(got.raw_labels, dbscan_from(dist, got.eps, 1))
+        for eps in (0.0, 0.05, float(np.median(dist))):
+            got = cluster_pool(x, method="dbscan", eps_override=eps, min_samples=3)
+            assert np.array_equal(got.raw_labels, dbscan_from(dist, eps, 3))
+
+
+def _candidates_per_row(monkeypatch, unit, k):
+    pairs = []
+    real = ucs.clustering._pair_distances
+
+    def counting(u, rows, cols):
+        pairs.append(rows.size)
+        return real(u, rows, cols)
+
+    monkeypatch.setattr(ucs.clustering, "_pair_distances", counting)
+    k_nearest(unit, k)
+    monkeypatch.setattr(ucs.clustering, "_pair_distances", real)
+    return sum(pairs) / unit.shape[0]
+
+
+def test_random_column_order_keeps_the_group_bound_tight(monkeypatch):
+    # types repeating with the group count's period: in row order each type
+    # fills one group, so k-1 of the k smallest group minima come from other
+    # types and the screen lets their rows through
+    monkeypatch.setattr(ucs.clustering, "SCREEN_GROUPS", 16)
+    unit = l2_normalize_rows(_interleaved_pool(16, n=16 * 30, d=8), eps=0.0)
+    k = 5
+    tight = _candidates_per_row(monkeypatch, unit, k)
+    monkeypatch.setattr(ucs.clustering, "_column_order", np.arange)
+    strided = _candidates_per_row(monkeypatch, unit, k)
+    assert tight < 2 * k < strided
+
+
+def test_cluster_pool_screens_only_rows_the_knn_pass_cannot_settle(monkeypatch):
+    # one full screened pass (k_nearest) plus the rows with kth <= eps; with
+    # eps given, one full pass
+    screened = []
+    real = ucs.clustering._screened
+
+    def counting(unit, rows, limit):
+        for strip in real(unit, rows, limit):
+            screened.append(strip[0].size)
+            yield strip
+
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+    monkeypatch.setattr(ucs.clustering, "_screened", counting)
+    x, _ = sample_pool(Population.zipf(12, 1.1), 59, dim=6, spread=0.3, seed=0)
+    n = x.shape[0]
+    dist = cosine_distance_matrix(x)
+    for k, q in ((20, 0.01), (3, 0.3), (1, 1.0)):
+        screened.clear()
+        got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q)
+        settled = int((_dense_kth(dist, k) > got.eps).sum())
+        assert sum(screened) == n + (n - settled), (k, q)
+        assert settled > 0 or q == 1.0
+    screened.clear()
+    cluster_pool(x, method="dbscan", eps_override=0.1)
+    assert sum(screened) == n
+
+
 def test_cosine_distance_matrix_is_the_strip_values(monkeypatch):
     # the matrix holds the distances the strip passes report, and its
     # per-pair definition is symmetric at any width, odd ones included
@@ -433,6 +537,16 @@ def test_non_finite_rows_are_refused():
         _knn_graph(x, 2)
     with pytest.raises(ValueError, match="row 4 is not finite"):
         dpp_kernel(x)
+
+
+def test_row_whose_norm_overflows_clusters_like_its_unscaled_self():
+    # row 4 scaled by 1e160 has squares that overflow; it used to normalize
+    # to a zero row at distance 1 from everything
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    want = cluster_pool(x, method="dbscan", dbscan_k=2).labels
+    assert want.tolist() == [1, 2, 3, 4, 4, 4]
+    x[4] *= 1e160
+    assert np.array_equal(cluster_pool(x, method="dbscan", dbscan_k=2).labels, want)
 
 
 def _traced_peak(fn):

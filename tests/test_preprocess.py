@@ -143,3 +143,14 @@ def test_preprocess_pool_caps_width():
 def test_l2_normalized_rows_have_norm_at_most_one(x):
     norms = np.linalg.norm(l2_normalize_rows(x), axis=1)
     assert np.all(norms <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_l2_normalize_rows_whose_squares_overflow_or_underflow(scale):
+    # such a row used to come out as a zero row; the other rows keep the
+    # exact bits of a plain divide by the norm
+    x = np.array([[scale, scale], [1.0, 2.0], [0.0, 0.0]])
+    out = l2_normalize_rows(x, eps=0.0)
+    assert np.allclose(out[0], [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15, atol=0)
+    assert np.array_equal(out[1], x[1] / np.linalg.norm(x[1]))
+    assert np.array_equal(out[2], [0.0, 0.0])
