@@ -371,7 +371,13 @@ def stage_dict_fit(args, cfg) -> None:
 def stage_dict_encode(args, cfg) -> None:
     book = CodeBook(dictionary=read_matrix(args.dict_path),
                     ridge_alpha=float(cfg["dict_alpha"]))
-    write_matrix(ridge_encode(book, read_matrix(args.input)), args.out)
+    pool = read_matrix(args.input)
+    if pool.shape[1] != book.dictionary.shape[0]:
+        raise ConfigError(
+            f"--input {args.input} has {pool.shape[1]} columns but "
+            f"--dict {args.dict_path} has {book.dictionary.shape[0]} rows"
+        )
+    write_matrix(ridge_encode(book, pool), args.out)
     _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
                     {"dict": args.dict_path, "pool": args.input})
 
@@ -461,7 +467,8 @@ def stage_select(args, cfg) -> None:
     labels = read_labels(args.labels, min_label=1)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
-            f"labels cover {labels.shape[0]} rows but pool has {x.shape[0]}"
+            f"--labels {args.labels} covers {labels.shape[0]} rows but "
+            f"--embeddings {args.embeddings} has {x.shape[0]}"
         )
     if args.query_row is not None and not 0 <= args.query_row < x.shape[0]:
         raise ConfigError(

@@ -95,14 +95,19 @@ def _init_dictionary(ordered: np.ndarray, n_atoms: int, seed: int) -> np.ndarray
 
 
 def _solve_codes(dictionary: np.ndarray, pool: np.ndarray, alpha: float) -> np.ndarray:
-    # One factorization shared by the whole batch.
+    # G = D^T D + aI is symmetric, so the codes (G^-1 D^T E^T)^T equal
+    # E D G^-1: one K x K solve with d' right-hand sides, whatever N is,
+    # then one N x d' x K product.
     k = dictionary.shape[1]
     gram = dictionary.T @ dictionary + alpha * np.eye(k)
-    return np.linalg.solve(gram, dictionary.T @ pool.T).T
+    return pool @ np.linalg.solve(gram, dictionary.T).T
 
 
 def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
-    """Code each row of `pool` against the codebook: r = (D^T D + aI)^-1 D^T e."""
+    """Code each row of `pool` against the codebook.
+
+    Row form: R = E D (D^T D + aI)^-1, i.e. r = (D^T D + aI)^-1 D^T e per row.
+    """
     return _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
                         codebook.ridge_alpha)
 

@@ -508,6 +508,33 @@ def test_select_query_row_outside_pool(tmp_path, capsys, row):
     assert not os.path.exists(out)
 
 
+def test_select_labels_row_count_mismatch_names_both_files(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)  # 40 rows
+    short = str(tmp_path / "short_labels.txt")
+    write_labels(np.ones(39, dtype=np.int64), short)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", short,
+                 "--out", out, "--budget", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"--labels {short}" in err and f"--embeddings {pool_path}" in err
+    assert "39 rows" in err and "40" in err
+    assert not os.path.exists(out)
+
+
+def test_dict_encode_width_mismatch_names_both_files(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, dim=6)
+    dictionary = str(tmp_path / "dict.ucsm")
+    write_matrix(np.eye(8, 4), dictionary)
+    out = str(tmp_path / "codes.ucsm")
+    assert main(["dict-encode", "--dict", dictionary, "--input", pool_path,
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--input {pool_path} has 6 columns" in err
+    assert f"--dict {dictionary} has 8 rows" in err
+    assert "matmul" not in err
+    assert not os.path.exists(out)
+
+
 def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2, 3]), labels_path)

@@ -7,6 +7,7 @@ from ucs.errors import DegenerateInput, MisalignedSources
 from ucs.latent_dictionary import (
     CodeBook,
     _canonical_row_order,
+    _objective,
     fit_dictionary,
     fit_joint_dictionary,
     ridge_encode,
@@ -55,6 +56,56 @@ def test_ridge_encode_is_linear():
     lhs = ridge_encode(book, 1.5 * x - 0.25 * y)
     rhs = 1.5 * ridge_encode(book, x) - 0.25 * ridge_encode(book, y)
     assert np.abs(lhs - rhs).max() < 1e-9
+
+
+def _unit_columns(rng, rows, cols):
+    d = rng.standard_normal((rows, cols))
+    return d / np.linalg.norm(d, axis=0)
+
+
+def _collinear_pair(rng, rows, cols, gap):
+    # Atoms 0 and 1 differ by about `gap`, so D^T D is nearly singular.
+    d = _unit_columns(rng, rows, cols)
+    d[:, 1] = d[:, 0] + gap * rng.standard_normal(rows)
+    return d / np.linalg.norm(d, axis=0)
+
+
+@pytest.mark.parametrize("shape, alpha, gap, min_cond", [
+    ((4000, 128, 64), 10.0, None, 1.0),   # the pipeline's shape and alpha
+    ((300, 16, 8), 1e-6, 1e-3, 1e5),
+    ((300, 16, 8), 1e-8, 1e-4, 1e7),
+], ids=["pipeline", "ill-conditioned", "more-ill-conditioned"])
+def test_ridge_encode_matches_augmented_least_squares(shape, alpha, gap, min_cond):
+    # Independent oracle: each code is the least-squares solution of the
+    # augmented system [D; sqrt(a) I] r = [e; 0], solved by SVD (lstsq), which
+    # never forms the normal equations. The bound is the backward-stable
+    # solve's forward error, 100 cond(G) 2^-52 max|r|, with G = D^T D + aI.
+    n, dim, k = shape
+    rng = np.random.default_rng(12)
+    d = (_unit_columns(rng, dim, k) if gap is None
+         else _collinear_pair(rng, dim, k, gap))
+    x = rng.standard_normal((n, dim))
+    cond = np.linalg.cond(d.T @ d + alpha * np.eye(k))
+    assert cond >= min_cond
+    augmented = np.vstack([d, np.sqrt(alpha) * np.eye(k)])
+    rhs = np.vstack([x.T, np.zeros((k, n))])
+    oracle = np.linalg.lstsq(augmented, rhs, rcond=None)[0].T
+    codes = ridge_encode(_book(d, alpha), x)
+    assert codes.shape == (n, k)
+    bound = 100 * cond * 2.0 ** -52 * np.abs(oracle).max()
+    assert np.abs(codes - oracle).max() <= bound
+
+
+def test_fit_objective_is_that_of_the_encoded_codes():
+    # dict-fit's manifest objective must describe the codes dict-encode
+    # writes: recompute it from ridge_encode on a row-permuted pool.
+    rng = np.random.default_rng(13)
+    pool = rng.standard_normal((400, 16))
+    shuffled = pool[rng.permutation(400)]
+    book = fit_dictionary(pool, n_atoms=8, ridge_alpha=2.0, seed=3)
+    codes = ridge_encode(book, shuffled)
+    objective = _objective(book.dictionary, codes, shuffled, book.ridge_alpha)
+    assert objective == pytest.approx(book.objective, rel=1e-12, abs=0)
 
 
 def test_normalize_codes_three_four_five():
