@@ -250,7 +250,6 @@ def _sgt_config(cfg: dict[str, object], args: argparse.Namespace) -> SgtConfig:
         bin_size=int(cfg["sgt_bin_size"]),
         offset_alpha=float(cfg["sgt_offset"]),
         smoothing=getattr(args, "smoothing", None) or "off",
-        noise_label=getattr(args, "noise_label", None),
         k0_override=getattr(args, "k0", None),
     )
 
@@ -303,11 +302,19 @@ def _read_subset_file(path: str, n: int) -> list[int]:
 
 
 def _labels_and_subset(args) -> tuple[np.ndarray, range | list[int]]:
-    """The --labels file and the rows --subset names (default: every row)."""
-    labels = read_labels(args.labels)
-    if not args.subset:
-        return labels, range(labels.size)
-    return labels, _read_subset_file(args.subset, labels.size)
+    """The --labels file and the rows --subset names (default: every row),
+    less the rows that carry --noise-label. Besides cluster_pool's remap,
+    this is the one place that knows about noise: everything counted
+    downstream is a cluster id."""
+    noise = args.noise_label
+    labels = read_labels(args.labels, noise_label=noise)
+    subset_path = getattr(args, "subset", None)  # prior takes no --subset
+    if subset_path:
+        subset = _read_subset_file(subset_path, labels.size)
+        return labels, subset if noise is None else [i for i in subset if labels[i] != noise]
+    if noise is not None:
+        labels = labels[labels != noise]
+    return labels, range(labels.size)
 
 
 def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
@@ -409,9 +416,8 @@ def stage_prior(args, cfg) -> None:
     """Write prior.csv, a report of corpus_prior's weights; --smoothing and
     --eps override corpus_prior's defaults, and select recomputes the prior."""
     options = {"smoothing": args.smoothing, "eps": args.eps}
-    labels = read_labels(args.labels, min_label=1, noise_label=args.noise_label)
-    prior = corpus_prior(labels, noise_label=args.noise_label,
-                         **{k: v for k, v in options.items() if v is not None})
+    labels = _labels_and_subset(args)[0]
+    prior = corpus_prior(labels, **{k: v for k, v in options.items() if v is not None})
     clusters = sorted(prior.sizes)
     with open_file(args.out, "w") as fh:
         writer = csv.writer(fh)
@@ -446,7 +452,7 @@ def run_selection(
         kernel = dpp_kernel(x, scale=sel_cfg.dpp_scale_factor)
         return greedy_dpp_ucs(kernel, labels, sel_cfg)
     if base == "votek":
-        prior = corpus_prior(labels, noise_label=sgt.noise_label)
+        prior = corpus_prior(labels)
         return votek_ucs_select(x, labels, prior, sel_cfg)
     query = x[query_row] if query_row is not None else x.mean(axis=0)
     candidates = sample_candidate_subsets(
@@ -463,8 +469,15 @@ def stage_select(args, cfg) -> None:
     Only subset_utility draws from the seed; every other selector is run
     once and its result written under each seed.
     """
+    seeded = args.rarity is None and args.base == "subset_utility"
+    if args.query_row is not None and not seeded:
+        rarity = f" --rarity {args.rarity}" if args.rarity else ""
+        raise ConfigError(
+            "--query-row applies only to --base subset_utility without --rarity; "
+            f"--base {args.base}{rarity} would ignore it"
+        )
     x = read_matrix(args.embeddings)
-    labels = read_labels(args.labels, min_label=1)
+    labels = read_labels(args.labels)
     if labels.shape[0] != x.shape[0]:
         raise ConfigError(
             f"--labels {args.labels} covers {labels.shape[0]} rows but "
@@ -475,7 +488,7 @@ def stage_select(args, cfg) -> None:
             f"--query-row {args.query_row} is outside the pool's {x.shape[0]} rows"
         )
     sgt = _sgt_config(cfg, args)
-    seeded = args.rarity is None and args.base == "subset_utility"
+    query = {} if args.query_row is None else {"query_row": str(args.query_row)}
     # Hashed once, not once per out, and passed to each manifest as extra.
     hashes = _input_hashes({"embeddings": args.embeddings, "labels": args.labels})
     result = None
@@ -495,12 +508,13 @@ def stage_select(args, cfg) -> None:
             # select takes no --noise-label or --k0: u_hat's weights are
             # those of the whole selection's size.
             "k0": str(k0_for(sgt.t, len(result.indices))),
+            **query,
         })
         print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
 
 
 def stage_analyze(args, cfg) -> None:
-    labels = read_labels(args.labels, min_label=1)
+    labels = read_labels(args.labels)
     selections = [_read_selection_csv(p, labels.size) for p in args.selections]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
@@ -779,7 +793,7 @@ def _cmd_joint_fit(args, cfg) -> None:
 
 def _cmd_spectrum(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
-    spec = subset_spectrum(labels, subset, noise_label=args.noise_label)
+    spec = subset_spectrum(labels, subset)
     rows = [(f"size_{s}", str(int(spec.spectrum[s])))
             for s in sorted(spec.spectrum)]
     rows.insert(0, ("subset_size", str(spec.size)))
@@ -789,7 +803,7 @@ def _cmd_spectrum(args, cfg) -> None:
 def _cmd_estimate(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
     sgt = _sgt_config(cfg, args)
-    spec = subset_spectrum(labels, subset, noise_label=sgt.noise_label)
+    spec = subset_spectrum(labels, subset)
     u_hat = sgt_unseen(spec, sgt)
     phi = float(spec.k_seen + u_hat)
     raw = gt_unseen(spec, sgt.t, sgt.bin_size)

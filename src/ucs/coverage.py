@@ -30,7 +30,7 @@ class SubsetSpectrum:
 
     counts: dict[int, int]  # cluster id -> multiplicity in S
     spectrum: dict[int, int]  # s -> f_s
-    size: int  # members counted, after noise exclusion
+    size: int  # members counted
 
     @property
     def k_seen(self) -> int:
@@ -51,7 +51,6 @@ class SgtConfig:
     bin_size: int = 20
     offset_alpha: float = 1.0
     smoothing: str = "off"
-    noise_label: int | None = None
     k0_override: int | None = None
 
     def __post_init__(self) -> None:
@@ -67,13 +66,11 @@ class SgtConfig:
             raise ValueError("k0_override must be >= 0")
 
 
-def subset_spectrum(
-    labels: np.ndarray, subset, noise_label: int | None = None
-) -> SubsetSpectrum:
+def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
     """Count cluster multiplicities over `subset` (row indices into labels).
 
-    Members carrying noise_label are excluded from all counts. Raises
-    IndexOutOfRange for indices outside the pool.
+    Every label is a cluster id. Raises IndexOutOfRange for indices outside
+    the pool.
     """
     lab = np.asarray(labels)
     counts: dict[int, int] = {}
@@ -84,8 +81,6 @@ def subset_spectrum(
         if i < 0 or i >= n:
             raise IndexOutOfRange(f"subset index {i} outside pool of {n} rows")
         value = int(lab[i])
-        if noise_label is not None and value == noise_label:
-            continue
         counts[value] = counts.get(value, 0) + 1
         size += 1
     spectrum: dict[int, int] = {}
@@ -221,7 +216,7 @@ def sgt_unseen(spectrum, cfg: SgtConfig, weights: np.ndarray | None = None) -> f
 
 def coverage_phi(labels: np.ndarray, subset, cfg: SgtConfig) -> tuple[float, int, float]:
     """Coverage Phi(S) = K_seen(S) + U_sgt(S); returns (phi, k_seen, u_hat)."""
-    spec = subset_spectrum(labels, subset, cfg.noise_label)
+    spec = subset_spectrum(labels, subset)
     u_hat = sgt_unseen(spec, cfg)
     return float(spec.k_seen + u_hat), int(spec.k_seen), u_hat
 
@@ -242,11 +237,9 @@ class CoverageTracker:
         self.k_seen = 0
         self._weights_cache: dict[int, np.ndarray] = {}
         # Each row's position among the distinct labels, and each label's
-        # count in the subset (-1 marks noise, which never counts).
+        # count in the subset.
         distinct, self._row_cluster = np.unique(np.asarray(labels), return_inverse=True)
         self._cluster_count = np.zeros(distinct.size, dtype=np.int64)
-        if cfg.noise_label is not None:
-            self._cluster_count[distinct == cfg.noise_label] = -1
 
     def _unseen(self) -> float:
         if self.size <= 0:
@@ -283,35 +276,29 @@ class CoverageTracker:
 
     def gain_if_added(self, index: int, phi_now: float | None = None) -> float:
         """Phi(S + {i}) - Phi(S)."""
-        count = int(self._cluster_count[self._row_cluster[index]])
-        if count < 0:  # noise
-            return 0.0
         if phi_now is None:
             phi_now = self.phi()
-        return self._gain(count, phi_now)
+        return self._gain(int(self._cluster_count[self._row_cluster[index]]), phi_now)
 
     def gains_if_added(self, indices) -> np.ndarray:
         """gain_if_added for every index, bit for bit.
 
-        The gain depends only on whether an item is noise and on its
-        cluster's current count, so Phi is evaluated once per distinct count
-        and the gains are gathered from a table indexed by count + 1 (noise
-        at 0, gain 0).
+        The gain depends only on the item's cluster's current count, so Phi
+        is evaluated once per distinct count and the gains are gathered from
+        a table indexed by count.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        slot = self._cluster_count[self._row_cluster[idx]] + 1
-        present = np.bincount(slot)
+        count = self._cluster_count[self._row_cluster[idx]]
+        present = np.bincount(count)
         table = np.zeros(present.size)
         phi_now = self.phi()
-        for c in np.flatnonzero(present[1:]):
-            table[c + 1] = self._gain(int(c), phi_now)
-        return table[slot]
+        for c in np.flatnonzero(present):
+            table[c] = self._gain(int(c), phi_now)
+        return table[count]
 
     def add(self, index: int) -> None:
         row = self._row_cluster[index]
         count = int(self._cluster_count[row])
-        if count < 0:  # noise
-            return
         self._move(count, count + 1)
         self._cluster_count[row] += 1
 
@@ -323,7 +310,7 @@ class CorpusPrior:
     The probability mass of a size-s cluster is p(s) = s*/N with
     s* = (s+1) g_hat(s+1) / g_hat(s) (fallback s* = s when either bin is
     empty); each cluster gets weight 1/(p(n_u) + eps), normalized to mean 1
-    over the non-ignored clusters.
+    over the clusters.
     """
 
     weights: dict[int, float]
@@ -344,7 +331,6 @@ def corpus_prior(
     labels: np.ndarray,
     smoothing: str = "power_law",
     eps: float = 1e-6,
-    noise_label: int | None = None,
 ) -> CorpusPrior:
     """Rarity prior over clusters; smoothing defaults to the power-law fit
     (raw spectrum fallback when it has fewer than two nonzero bins). Callers
@@ -353,7 +339,7 @@ def corpus_prior(
         raise ValueError(f"smoothing must be one of {_SMOOTHING_MODES}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    spec = subset_spectrum(labels, range(len(labels)), noise_label)
+    spec = subset_spectrum(labels, range(len(labels)))
     sizes, spectrum, n_examples = spec.counts, spec.spectrum, spec.size
     max_size = max(spectrum) if spectrum else 0
     smoothed = _power_law(spectrum, max_size, max_size + 1) \

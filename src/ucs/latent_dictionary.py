@@ -34,10 +34,6 @@ class CodeBook:
     objective: float = float("nan")
     objective_history: list[float] = field(default_factory=list)
 
-    @property
-    def n_atoms(self) -> int:
-        return self.dictionary.shape[1]
-
 
 @dataclass
 class JointCodeBook:

@@ -183,13 +183,12 @@ def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
             fh.write(f"{int(v)}\n")
 
 
-def read_labels(path: str | os.PathLike, min_label: int = -1,
-                noise_label: int | None = None) -> np.ndarray:
+def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.ndarray:
     """Read one integer label per line.
 
-    Labels below min_label raise ParseError naming the line, except
-    noise_label. The default admits -1, DBSCAN's pre-remap noise; stages
-    that take cluster ids pass min_label=1.
+    Cluster ids are >= 1 (cluster_pool maps DBSCAN noise to singletons), so
+    any other value raises ParseError naming the line, unless it equals
+    noise_label. A caller that declares a noise label drops its rows.
     """
     with open_file(path) as fh:
         lines = fh.read().splitlines()
@@ -203,8 +202,8 @@ def read_labels(path: str | os.PathLike, min_label: int = -1,
             value = int(text)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: not an integer: {text!r}") from exc
-        if value < min_label and value != noise_label:
-            raise ParseError(f"{path}: line {lineno}: label {value} below {min_label}")
+        if value < 1 and value != noise_label:
+            raise ParseError(f"{path}: line {lineno}: label {value} below 1")
         out[n] = value
         n += 1
     return out[:n].copy()

@@ -248,11 +248,9 @@ def votek_ucs_select(
 ) -> SelectionResult:
     """VoteK with rarity pressure: score(i) = v(i) + lambda * log w_c(i).
 
-    The prior must cover every non-noise cluster id in labels.
+    The prior must cover every cluster id in labels.
     """
     def log_weight(cluster: int) -> float:
-        if cluster == cfg.sgt.noise_label:
-            return 0.0  # noise carries no coverage pressure
         if cluster not in prior.weights:
             raise ValueError(f"prior has no weight for cluster {cluster}")
         return prior.log_weight(cluster)
@@ -275,13 +273,11 @@ def rarity_controls(
     """
     if variant not in RARITY_VARIANTS:
         raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
-    prior = corpus_prior(labels, noise_label=cfg.sgt.noise_label)
+    prior = corpus_prior(labels)
     c_total = len(prior.sizes)
 
     def rarity(cluster: int) -> float:
-        size = prior.sizes.get(cluster)
-        if size is None:
-            return 0.0  # noise
+        size = prior.sizes[cluster]
         if variant == "B1":
             return 1.0 / size
         return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))

@@ -205,22 +205,19 @@ def mc_unseen_oracle(
     seed: int,
     sgt: SgtConfig | None = None,
     estimator: str = "sgt",
-    pool_size: int | None = None,
 ) -> McOracleReport:
     """Monte Carlo ground truth for the unseen-cluster estimator.
 
     Each trial draws n labels, runs the estimator on their spectrum, draws
     floor(t*n) more labels, and counts genuinely new types. Trial r uses
     seed + r. estimator is 'sgt' or 'gt' (the unweighted truncated sum,
-    reported unclamped). pool_size switches to a sensitivity mode that
-    deals both samples without replacement from one finite pool of that
-    size; the default is i.i.d. with replacement.
+    reported unclamped). Draws are i.i.d. with replacement.
 
-    Labels are 1..K (K = pop.n_types) in both modes, so each trial counts
-    with bincounts over 0..K: the first draw's per-type counts give the
-    spectrum, and the second draw's types with a zero first count are the
-    new ones. Every trial has size n, so the SGT weights are computed once
-    per call (none for n = 0, whose estimates are all 0).
+    Labels are 1..K (K = pop.n_types), so each trial counts with bincounts
+    over 0..K: the first draw's per-type counts give the spectrum, and the
+    second draw's types with a zero first count are the new ones. Every
+    trial has size n, so the SGT weights are computed once per call (none
+    for n = 0, whose estimates are all 0).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -232,21 +229,13 @@ def mc_unseen_oracle(
     if cfg.t != t:
         cfg = dataclasses.replace(cfg, t=t)
     m = int(t * n)
-    if pool_size is not None and pool_size < n + m:
-        raise ValueError(f"pool_size {pool_size} cannot supply {n + m} distinct draws")
     weights = (sgt_weights(cfg.t, cfg.offset_alpha, n, cfg.bin_size, cfg.k0_override)
                if n else None)
     bins = pop.n_types + 1
     news = np.empty(trials, dtype=np.float64)
     ests = np.empty(trials, dtype=np.float64)
     for trial in range(trials):
-        trial_seed = seed + trial
-        if pool_size is None:
-            labels = sample_labels(pop, n + m, trial_seed)
-        else:
-            pool = sample_labels(pop, pool_size, trial_seed)
-            order = np.random.default_rng(trial_seed).permutation(pool_size)
-            labels = pool[order[: n + m]]
+        labels = sample_labels(pop, n + m, seed + trial)
         seen = np.bincount(labels[:n], minlength=bins)
         spec = {s: f for s, f in enumerate(np.bincount(seen)) if s and f}
         if estimator == "sgt":

@@ -470,6 +470,61 @@ def test_analyze_rejects_labels_below_one(tmp_path, capsys):
     _rejects_line_4(capsys, bad)
 
 
+def _noisy_label_files(tmp_path, noise):
+    """A 300-row labels file with 60 rows of `noise` and a subset file over
+    it; then the same two with the noise rows removed in plain Python (the
+    subset filtered and renumbered to the kept rows)."""
+    rng = np.random.default_rng(4)
+    labels = [int(v) for v in rng.integers(1, 40, size=300)]
+    for i in rng.choice(300, size=60, replace=False):
+        labels[int(i)] = noise
+    subset = [int(i) for i in rng.choice(300, size=120, replace=False)]
+    kept = [i for i, v in enumerate(labels) if v != noise]
+    renumber = {i: r for r, i in enumerate(kept)}
+    files = {}
+    for name, lines in (("labels", labels), ("subset", subset),
+                        ("clean_labels", [labels[i] for i in kept]),
+                        ("clean_subset", [renumber[i] for i in subset if i in renumber])):
+        files[name] = str(tmp_path / f"{name}.txt")
+        with open(files[name], "w") as fh:
+            fh.write("".join(f"{v}\n" for v in lines))
+    return files
+
+
+@pytest.mark.parametrize("noise", [-1, -5])
+@pytest.mark.parametrize("command", [
+    ["spectrum"],
+    ["spectrum", "--subset", "{subset}"],
+    ["estimate", "--subset", "{subset}"],
+    ["estimate", "--smoothing", "power_law", "--sgt-t", "2.0"],
+    ["estimate", "--subset", "{subset}", "--smoothing", "power_law"],
+    ["prior"],
+], ids=["spectrum", "spectrum-subset", "estimate-subset", "estimate-power_law",
+        "estimate-subset-power_law", "prior"])
+def test_noise_label_drops_its_rows(tmp_path, capsys, command, noise):
+    files = _noisy_label_files(tmp_path, noise)
+    outputs = []
+    for labels, subset, flags in (("labels", "subset", ["--noise-label", str(noise)]),
+                                  ("clean_labels", "clean_subset", [])):
+        out = str(tmp_path / f"{labels}.out")
+        argv = [w.format(subset=files[subset]) for w in command]
+        assert main([*argv, "--labels", files[labels], "--out", out, *flags]) == 0
+        with open(out, "rb") as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("command", ["spectrum", "estimate"])
+def test_label_below_one_without_noise_label_rejected(tmp_path, capsys, command, value):
+    bad = str(tmp_path / "labels.txt")
+    with open(bad, "w") as fh:
+        fh.write(f"1\n2\n2\n{value}\n3\n")
+    assert main([command, "--labels", bad]) == 2
+    assert f"{bad}: line 4: label {value} below 1" in capsys.readouterr().err
+
+
 def _fails_writing(capsys, argv, out):
     """argv exits 2 with an error naming the unwritable out, no traceback."""
     assert main(argv) == 2
@@ -506,6 +561,32 @@ def test_select_query_row_outside_pool(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert f"--query-row {row}" in err and "40 rows" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("selector", [["--base", "votek"], ["--base", "dpp"],
+                                      ["--base", "subset_utility", "--rarity", "B1"]],
+                         ids=["votek", "dpp", "subset_utility-B1"])
+def test_select_query_row_refused_where_ignored(tmp_path, capsys, selector):
+    pool_path, labels_path = _write_pool(tmp_path)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--budget", "3", "--query-row", "3", *selector]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --query-row")
+    assert " ".join(selector) in err
+    assert not os.path.exists(out)
+
+
+def test_select_query_row_recorded_in_manifest(tmp_path, capsys):
+    pool_path, labels_path = _write_pool(tmp_path)
+    outs = [str(tmp_path / "mean.csv"), str(tmp_path / "row3.csv")]
+    for out, flags in zip(outs, ([], ["--query-row", "3"])):
+        assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                     "--out", out, "--base", "subset_utility", "--budget", "3",
+                     "--candidate-num", "10", *flags]) == 0
+    assert "query_row" not in _manifest(outs[0] + ".manifest.txt")
+    assert _manifest(outs[1] + ".manifest.txt")["query_row"] == "3"
+    capsys.readouterr()
 
 
 def test_select_labels_row_count_mismatch_names_both_files(tmp_path, capsys):

@@ -40,12 +40,6 @@ def test_subset_spectrum_triple():
     assert spec.spectrum == {3: 1}
 
 
-def test_subset_spectrum_noise_excluded():
-    spec = subset_spectrum(np.array([1, 9, 2, 9]), [0, 1, 2, 3], noise_label=9)
-    assert spec.counts == {1: 1, 2: 1}
-    assert spec.size == 2
-
-
 def test_subset_spectrum_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         subset_spectrum(np.array([1, 2]), [0, 5])
@@ -177,7 +171,7 @@ def test_coverage_tracker_matches_from_scratch():
     for cfg in (
         SgtConfig(t=3.0),
         SgtConfig(t=5.0, smoothing="power_law"),
-        SgtConfig(t=2.0, noise_label=7),
+        SgtConfig(t=2.0),
     ):
         tracker = CoverageTracker(labels, cfg)
         chosen: list[int] = []
@@ -191,13 +185,13 @@ def test_coverage_tracker_matches_from_scratch():
             chosen.append(int(idx))
             assert tracker.phi() == pytest.approx(phi_after, abs=1e-9)
             assert tracker.k_seen == coverage_phi(labels, chosen, cfg)[1]
-            spec = subset_spectrum(labels, chosen, cfg.noise_label)
+            spec = subset_spectrum(labels, chosen)
             assert tracker.spectrum == spec.spectrum  # zeroed bins deleted
             assert (tracker.size, tracker.k_seen) == (spec.size, spec.k_seen)
 
 
 @pytest.mark.parametrize("cfg", [
-    SgtConfig(t=2.0, noise_label=3),
+    SgtConfig(t=2.0),
     SgtConfig(t=5.0, smoothing="power_law"),
     SgtConfig(t=3.0, bin_size=2),  # cluster 1 grows to 8 members, above bin_size
 ])
@@ -213,8 +207,6 @@ def test_gains_if_added_bit_equal_to_gain_if_added(cfg):
         batch = tracker.gains_if_added(candidates)
         single = np.array([tracker.gain_if_added(int(i)) for i in candidates])
         assert np.array_equal(batch, single)  # bit-equal, not approximately
-        if cfg.noise_label is not None:
-            assert (batch[labels[candidates] == cfg.noise_label] == 0.0).all()
         tracker.add(int(idx))
         chosen.append(int(idx))
     assert np.count_nonzero(labels[chosen] == 1) >= 8
@@ -258,12 +250,6 @@ def test_corpus_prior_relabel_invariant():
     prior2 = corpus_prior(relabeled)
     for u, w in prior.weights.items():
         assert prior2.weights[shift[u]] == pytest.approx(w, abs=1e-12)
-
-
-def test_corpus_prior_noise_excluded():
-    prior = corpus_prior(np.array([1, 1, 2, 3, 9, 9, 9]), noise_label=9)
-    assert 9 not in prior.weights
-    assert prior.n_examples == 4
 
 
 def test_corpus_prior_log_weight_cached():

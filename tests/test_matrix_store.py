@@ -152,15 +152,15 @@ def test_csv_nan_rejected(tmp_path):
 
 def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.txt"
-    write_labels(np.array([0, 0, 1]), path)
-    assert np.array_equal(read_labels(path), [0, 0, 1])
-    assert path.read_text() == "0\n0\n1\n"
+    write_labels(np.array([1, 1, 2]), path)
+    assert np.array_equal(read_labels(path), [1, 1, 2])
+    assert path.read_text() == "1\n1\n2\n"
 
 
 def test_labels_allow_noise_marker(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("-1\n2\n")
-    assert np.array_equal(read_labels(path), [-1, 2])
+    assert np.array_equal(read_labels(path, noise_label=-1), [-1, 2])
 
 
 def test_labels_parse_error_names_line(tmp_path):
@@ -173,9 +173,10 @@ def test_labels_parse_error_names_line(tmp_path):
 
 def test_labels_below_noise_rejected(tmp_path):
     path = tmp_path / "labels.txt"
-    path.write_text("-2\n")
-    with pytest.raises(ParseError):
-        read_labels(path)
+    path.write_text("2\n0\n-2\n")
+    for noise_label in (None, -1, -2):  # ids start at 1, whatever the noise label
+        with pytest.raises(ParseError, match="line 2: label 0 below 1"):
+            read_labels(path, noise_label=noise_label)
 
 
 def test_token_bundle_round_trip(tmp_path):

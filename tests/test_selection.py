@@ -273,7 +273,7 @@ def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
 
 @pytest.mark.parametrize("sgt", [
     SgtConfig(),
-    SgtConfig(t=2.0, smoothing="power_law", noise_label=1),
+    SgtConfig(t=2.0, smoothing="power_law"),
     SgtConfig(t=3.0, bin_size=2),
 ])
 def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
