@@ -270,35 +270,42 @@ def _write_selection_csv(path: str, result: SelectionResult) -> None:
                              _fmt(rec.coverage_term), _fmt(rec.total)])
 
 
-def _row_index(text: str | None, n: int, where: str) -> int:
-    """text as a row of an n-row pool; a ParseError starts with where."""
+def _row_index(text: str | None, n: int, where: str, seen: dict[int, str]) -> int:
+    """text as a row of an n-row pool that seen (row -> where it was read)
+    does not hold yet; the row is added to seen. A ParseError starts with
+    where."""
     try:
         index = int(text)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: index is not an integer: {text!r}") from None
     if not 0 <= index < n:
         raise ParseError(f"{where}: index {index} outside 0..{n - 1}")
+    if index in seen:
+        raise ParseError(f"{where}: index {index} already listed at {seen[index]}")
+    seen[index] = where
     return index
 
 
 def _read_selection_csv(path: str, n: int) -> list[int]:
-    """The index column, each a row of an n-row pool; ParseError names path:line."""
+    """The index column, distinct rows of an n-row pool; ParseError names path:line."""
+    seen: dict[int, str] = {}
     with open_file(path) as fh:
         reader = csv.DictReader(fh)
         if "index" not in (reader.fieldnames or ()):
             raise ParseError(f"{path}:1: no index column")
-        return [_row_index(row["index"], n, f"{path}:{reader.line_num}")
+        return [_row_index(row["index"], n, f"{path}:{reader.line_num}", seen)
                 for row in reader]
 
 
 def _read_subset_file(path: str, n: int) -> list[int]:
-    """Rows of an n-row pool, whitespace separated; ParseError names path:line."""
-    indices: list[int] = []
+    """Distinct rows of an n-row pool, whitespace separated, in the order
+    read; ParseError names path:line."""
+    seen: dict[int, str] = {}
     with open_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            indices.extend(_row_index(token, n, f"{path}:{lineno}")
-                           for token in line.split())
-    return indices
+            for token in line.split():
+                _row_index(token, n, f"{path}:{lineno}", seen)
+    return list(seen)
 
 
 def _labels_and_subset(args) -> tuple[np.ndarray, range | list[int]]:

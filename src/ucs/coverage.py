@@ -14,6 +14,7 @@ used wherever logs appear.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,7 @@ def k0_for(t: float, sample_size: int) -> int:
     return max(0, math.ceil(0.5 * math.log2(x)))
 
 
+@functools.lru_cache(maxsize=1024)
 def sgt_weights(
     t: float,
     offset_alpha: float,
@@ -132,36 +134,39 @@ def sgt_weights(
     """Damping weights w_s = P(L >= s), L ~ Binomial(k0, alpha/(t+alpha)).
 
     Tails are accumulated in log space so large k0 overrides stay stable.
-    Weights are non-increasing in s; k0 = 0 gives all zeros.
+    Weights are non-increasing in s; k0 = 0 gives all zeros. This is the
+    one cache of the weights: results are memoized on the arguments (the
+    last 1024 argument tuples), and the array returned is shared, so it is
+    read-only.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     k0 = k0_for(t, sample_size) if k0_override is None else int(k0_override)
     p0 = offset_alpha / (t + offset_alpha)
     weights = np.zeros(bin_size, dtype=np.float64)
-    if k0 == 0 or p0 <= 0.0:
-        return weights
-    log_p = math.log(p0)
-    log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
-    lg_k = math.lgamma(k0 + 1)
+    if k0 and p0 > 0.0:
+        log_p = math.log(p0)
+        log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
+        lg_k = math.lgamma(k0 + 1)
 
-    def pmf(j: int) -> float:
-        return math.exp(lg_k - math.lgamma(j + 1) - math.lgamma(k0 - j + 1)
-                        + j * log_p + (k0 - j) * log_q)
+        def pmf(j: int) -> float:
+            return math.exp(lg_k - math.lgamma(j + 1) - math.lgamma(k0 - j + 1)
+                            + j * log_p + (k0 - j) * log_q)
 
-    for s in range(1, min(bin_size, k0) + 1):
-        # P(L >= s) via whichever side of the CDF has fewer terms. Explicit
-        # += keeps the summation order (sum() compensates on Python >= 3.12).
-        if k0 - s + 1 <= s:
-            tail = 0.0
-            for j in range(s, k0 + 1):
-                tail += pmf(j)
-            weights[s - 1] = min(1.0, tail)
-        else:
-            head = 0.0
-            for j in range(s):
-                head += pmf(j)
-            weights[s - 1] = min(1.0, max(0.0, 1.0 - head))
+        for s in range(1, min(bin_size, k0) + 1):
+            # P(L >= s) via whichever side of the CDF has fewer terms. Explicit
+            # += keeps the summation order (sum() compensates on Python >= 3.12).
+            if k0 - s + 1 <= s:
+                tail = 0.0
+                for j in range(s, k0 + 1):
+                    tail += pmf(j)
+                weights[s - 1] = min(1.0, tail)
+            else:
+                head = 0.0
+                for j in range(s):
+                    head += pmf(j)
+                weights[s - 1] = min(1.0, max(0.0, 1.0 - head))
+    weights.flags.writeable = False
     return weights
 
 
@@ -191,21 +196,18 @@ def _power_law(freq: dict, fit_bins: int, out_bins: int) -> dict[int, float] | N
     return out
 
 
-def sgt_unseen(spectrum, cfg: SgtConfig, weights: np.ndarray | None = None) -> float:
+def sgt_unseen(spectrum, cfg: SgtConfig) -> float:
     """Smoothed Good-Turing estimate of unseen clusters; always >= 0.
 
-    weights, when given, must be sgt_weights for the spectrum's size;
-    callers that evaluate many spectra of few sizes pass them from a cache.
+    spectrum is a SubsetSpectrum or a mapping s -> f_s. Its size |S| =
+    sum_s s*f_s picks the damping weights from sgt_weights' cache, so many
+    spectra of few sizes compute few weight vectors; |S| = 0 gives 0.
     """
     freq = _freq_of(spectrum)
-    if weights is None:
-        if isinstance(spectrum, SubsetSpectrum):
-            size = spectrum.size
-        else:
-            size = int(round(sum(s * f for s, f in freq.items())))
-        if size <= 0:
-            return 0.0
-        weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
+    size = int(round(sum(s * f for s, f in freq.items())))
+    if size <= 0:
+        return 0.0
+    weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
     if cfg.smoothing == "power_law":
         freq = smooth_spectrum(freq, cfg.bin_size)
     total = _truncated_sum(freq, cfg.t, cfg.bin_size, weights)
@@ -226,8 +228,8 @@ class CoverageTracker:
 
     Keeps the spectrum, size and k_seen of the current subset, plus each
     cluster's count in it, and evaluates the coverage gain of adding one
-    item without rebuilding anything. Weight vectors are cached per subset
-    size.
+    item without rebuilding anything. Phi is evaluated by sgt_unseen, whose
+    weights come from the sgt_weights cache.
     """
 
     def __init__(self, labels: np.ndarray, cfg: SgtConfig):
@@ -235,26 +237,13 @@ class CoverageTracker:
         self.spectrum: dict[int, int] = {}
         self.size = 0
         self.k_seen = 0
-        self._weights_cache: dict[int, np.ndarray] = {}
         # Each row's position among the distinct labels, and each label's
         # count in the subset.
         distinct, self._row_cluster = np.unique(np.asarray(labels), return_inverse=True)
         self._cluster_count = np.zeros(distinct.size, dtype=np.int64)
 
-    def _unseen(self) -> float:
-        if self.size <= 0:
-            return 0.0
-        weights = self._weights_cache.get(self.size)
-        if weights is None:
-            weights = sgt_weights(
-                self.cfg.t, self.cfg.offset_alpha, self.size,
-                self.cfg.bin_size, self.cfg.k0_override,
-            )
-            self._weights_cache[self.size] = weights
-        return sgt_unseen(self.spectrum, self.cfg, weights)
-
     def phi(self) -> float:
-        return self.k_seen + self._unseen()
+        return self.k_seen + sgt_unseen(self.spectrum, self.cfg)
 
     def _move(self, old: int, new: int) -> None:
         """Move one cluster from count old to count new (0: not in S)."""
@@ -274,11 +263,9 @@ class CoverageTracker:
         self._move(count + 1, count)
         return phi_new - phi_now
 
-    def gain_if_added(self, index: int, phi_now: float | None = None) -> float:
+    def gain_if_added(self, index: int) -> float:
         """Phi(S + {i}) - Phi(S)."""
-        if phi_now is None:
-            phi_now = self.phi()
-        return self._gain(int(self._cluster_count[self._row_cluster[index]]), phi_now)
+        return self._gain(int(self._cluster_count[self._row_cluster[index]]), self.phi())
 
     def gains_if_added(self, indices) -> np.ndarray:
         """gain_if_added for every index, bit for bit.

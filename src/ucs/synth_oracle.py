@@ -28,7 +28,6 @@ from .coverage import (
     SgtConfig,
     gt_unseen,
     sgt_unseen,
-    sgt_weights,
     subset_spectrum,  # unused here; perfbench/spans.py patches ucs.synth_oracle.subset_spectrum
 )
 
@@ -216,8 +215,8 @@ def mc_unseen_oracle(
     Labels are 1..K (K = pop.n_types), so each trial counts with bincounts
     over 0..K: the first draw's per-type counts give the spectrum, and the
     second draw's types with a zero first count are the new ones. Every
-    trial has size n, so the SGT weights are computed once per call (none
-    for n = 0, whose estimates are all 0).
+    trial has size n, so every SGT estimate reads the one weight vector
+    that sgt_weights caches for n (n = 0 estimates 0).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -229,8 +228,6 @@ def mc_unseen_oracle(
     if cfg.t != t:
         cfg = dataclasses.replace(cfg, t=t)
     m = int(t * n)
-    weights = (sgt_weights(cfg.t, cfg.offset_alpha, n, cfg.bin_size, cfg.k0_override)
-               if n else None)
     bins = pop.n_types + 1
     news = np.empty(trials, dtype=np.float64)
     ests = np.empty(trials, dtype=np.float64)
@@ -239,7 +236,7 @@ def mc_unseen_oracle(
         seen = np.bincount(labels[:n], minlength=bins)
         spec = {s: f for s, f in enumerate(np.bincount(seen)) if s and f}
         if estimator == "sgt":
-            ests[trial] = sgt_unseen(spec, cfg, weights)
+            ests[trial] = sgt_unseen(spec, cfg)
         else:
             ests[trial] = gt_unseen(spec, t, cfg.bin_size)
         news[trial] = np.count_nonzero(np.bincount(labels[n:], minlength=bins)[seen == 0])

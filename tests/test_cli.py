@@ -641,6 +641,19 @@ def test_subset_file_index_outside_pool_names_line(tmp_path, capsys, index):
         assert f"{subset}:2: index {index} outside 0..3" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "estimate"])
+def test_subset_file_repeated_row_is_refused(tmp_path, capsys, command):
+    # a subset is a set of rows: counting row 0 twice would make one row
+    # two members of its cluster
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array([1, 2, 3]), labels_path)
+    subset = tmp_path / "subset.txt"
+    subset.write_text("0 1\n2 0\n")
+    assert main([command, "--labels", labels_path, "--subset", str(subset)]) == 2
+    err = capsys.readouterr().err
+    assert f"{subset}:2: index 0 already listed at {subset}:1" in err
+
+
 @pytest.mark.parametrize("flag", ["--config", "--subset", "--selections"])
 def test_directory_input_is_io_error(tmp_path, capsys, flag):
     labels_path = str(tmp_path / "labels.txt")
@@ -658,7 +671,8 @@ def test_directory_input_is_io_error(tmp_path, capsys, flag):
     ("step,index\n0,1\n1,x\n", 3, "not an integer: 'x'"),
     ("step,index\n0,7\n", 2, "index 7 outside 0..2"),
     ("step,index\n0,0\n1,-1\n", 3, "index -1 outside 0..2"),
-], ids=["no-index-column", "not-an-integer", "past-the-end", "negative"])
+    ("step,index\n0,1\n1,2\n2,1\n", 4, "index 1 already listed at"),
+], ids=["no-index-column", "not-an-integer", "past-the-end", "negative", "repeated-row"])
 def test_analyze_rejects_bad_selection_csv(tmp_path, capsys, text, line, message):
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2]), labels_path)

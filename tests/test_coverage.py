@@ -105,6 +105,30 @@ def test_sgt_weights_requires_positive_sample():
         sgt_weights(t=1.0, offset_alpha=1.0, sample_size=0)
 
 
+def test_sgt_weights_are_cached_and_read_only():
+    # the one cache of the weights hands the same array to every caller
+    w = sgt_weights(5.0, 1.0, 200, 20, None)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert np.array_equal(w, sgt_weights(t=5.0, offset_alpha=1.0, sample_size=200,
+                                         bin_size=20, k0_override=None))
+    assert np.array_equal(w, sgt_weights(5.0, 1.0, 200))
+    assert w[0] > 0
+    zeros = sgt_weights(t=1.0, offset_alpha=1.0, sample_size=1)  # k0 = 0
+    with pytest.raises(ValueError):
+        zeros[0] = 1.0
+
+
+@pytest.mark.parametrize("smoothing", ["off", "power_law"])
+def test_sgt_unseen_subset_spectrum_equals_its_mapping(smoothing):
+    labels = np.random.default_rng(3).integers(1, 120, size=300)
+    spec = subset_spectrum(labels, range(0, 300, 2))
+    cfg = SgtConfig(t=2.0, smoothing=smoothing)
+    u_hat = sgt_unseen(spec, cfg)
+    assert u_hat > 0
+    assert u_hat == sgt_unseen(spec.spectrum, cfg)
+
+
 def test_smooth_spectrum_exact_power_law_self_consistent():
     truth = {s: 64.0 * s**-2.0 for s in range(1, 5)}
     out = smooth_spectrum(truth, bin_size=4)
@@ -180,10 +204,10 @@ def test_coverage_tracker_matches_from_scratch():
             gain = tracker.gain_if_added(int(idx))
             phi_before = coverage_phi(labels, chosen, cfg)[0]
             phi_after = coverage_phi(labels, chosen + [int(idx)], cfg)[0]
-            assert gain == pytest.approx(phi_after - phi_before, abs=1e-9)
+            assert gain == phi_after - phi_before
             tracker.add(int(idx))
             chosen.append(int(idx))
-            assert tracker.phi() == pytest.approx(phi_after, abs=1e-9)
+            assert tracker.phi() == phi_after
             assert tracker.k_seen == coverage_phi(labels, chosen, cfg)[1]
             spec = subset_spectrum(labels, chosen)
             assert tracker.spectrum == spec.spectrum  # zeroed bins deleted

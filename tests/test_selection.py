@@ -255,8 +255,7 @@ def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
     for s in range(steps):
         candidates = np.flatnonzero(alive)
         base_gain = np.log(np.maximum(sc[candidates], 1e-300))
-        phi_now = tracker.phi()
-        coverage = np.array([tracker.gain_if_added(int(i), phi_now) for i in candidates])
+        coverage = np.array([tracker.gain_if_added(int(i)) for i in candidates])
         total = base_gain + cfg.lam * coverage
         pos = int(np.argmax(total))
         pick = int(candidates[pos])
