@@ -90,10 +90,10 @@ def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
     return SubsetSpectrum(counts=counts, spectrum=spectrum, size=size)
 
 
-def _freq_of(spectrum) -> dict[int, float]:
-    if isinstance(spectrum, SubsetSpectrum):
-        return dict(spectrum.spectrum)
-    return {int(s): float(f) for s, f in dict(spectrum).items()}
+def _bins(spectrum):
+    """The s -> f_s mapping of a SubsetSpectrum, or the mapping itself;
+    never a copy."""
+    return spectrum.spectrum if isinstance(spectrum, SubsetSpectrum) else spectrum
 
 
 def _truncated_sum(freq: dict, t: float, bin_size: int, weights=None) -> float:
@@ -112,7 +112,7 @@ def _truncated_sum(freq: dict, t: float, bin_size: int, weights=None) -> float:
 
 def gt_unseen(spectrum, t: float, bin_size: int = 20) -> float:
     """Unweighted truncated Good-Turing estimate; may be negative."""
-    return _truncated_sum(_freq_of(spectrum), float(t), bin_size)
+    return float(_truncated_sum(_bins(spectrum), float(t), bin_size))
 
 
 def k0_for(t: float, sample_size: int) -> int:
@@ -174,8 +174,8 @@ def smooth_spectrum(spectrum, bin_size: int = 20) -> dict[int, float]:
     """Replace f_s for s = 1..bin_size by a power-law fit of the nonzero bins
     (_power_law); with fewer than two nonzero bins the spectrum is returned
     unchanged."""
-    freq = _freq_of(spectrum)
-    return _power_law(freq, bin_size, bin_size) or freq
+    freq = _bins(spectrum)
+    return _power_law(freq, bin_size, bin_size) or {int(s): float(f) for s, f in freq.items()}
 
 
 def _power_law(freq: dict, fit_bins: int, out_bins: int) -> dict[int, float] | None:
@@ -203,7 +203,7 @@ def sgt_unseen(spectrum, cfg: SgtConfig) -> float:
     sum_s s*f_s picks the damping weights from sgt_weights' cache, so many
     spectra of few sizes compute few weight vectors; |S| = 0 gives 0.
     """
-    freq = _freq_of(spectrum)
+    freq = _bins(spectrum)
     size = int(round(sum(s * f for s, f in freq.items())))
     if size <= 0:
         return 0.0

@@ -6,8 +6,14 @@ others), so the penalized objective
 
     sum_i ||e_i - D r_i||^2 + alpha * ||r_i||^2
 
-never increases across alternations. The multi-source fit aligns sources
-into a shared code space with orthogonal maps before the same alternation.
+never increases across alternations. The ridge codes R = E W, with
+W = D (D^T D + aI)^-1, enter the alternation only through the moments
+E^T R = C W and R^T R = W^T C W of C = E^T E (the sufficient statistics of
+Mairal et al., "Online Learning for Matrix Factorization and Sparse
+Coding", JMLR 2010). So the fit forms C once, in O(N d'^2), and each
+alternation costs O(d'^2 K + K^3) whatever N is; the codes themselves are
+computed only by ridge_encode. The multi-source fit aligns sources into a
+shared code space with orthogonal maps before the same alternation.
 """
 
 from __future__ import annotations
@@ -90,13 +96,18 @@ def _init_dictionary(ordered: np.ndarray, n_atoms: int, seed: int) -> np.ndarray
     return atoms / norms
 
 
-def _solve_codes(dictionary: np.ndarray, pool: np.ndarray, alpha: float) -> np.ndarray:
-    # G = D^T D + aI is symmetric, so the codes (G^-1 D^T E^T)^T equal
-    # E D G^-1: one K x K solve with d' right-hand sides, whatever N is,
-    # then one N x d' x K product.
+def _ridge_map(dictionary: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    # G = D^T D + aI is symmetric, so the codes (G^-1 D^T E^T)^T equal E W
+    # with W = D G^-1: one K x K solve with d' right-hand sides, whatever N
+    # is. Returns (G, W).
     k = dictionary.shape[1]
-    gram = dictionary.T @ dictionary + alpha * np.eye(k)
-    return pool @ np.linalg.solve(gram, dictionary.T).T
+    system = dictionary.T @ dictionary + alpha * np.eye(k)
+    return system, np.linalg.solve(system, dictionary.T).T
+
+
+def _solve_codes(dictionary: np.ndarray, pool: np.ndarray, alpha: float) -> np.ndarray:
+    # One N x d' x K product against the ridge map.
+    return pool @ _ridge_map(dictionary, alpha)[1]
 
 
 def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
@@ -108,12 +119,11 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
                         codebook.ridge_alpha)
 
 
-def _update_atoms(dictionary: np.ndarray, codes: np.ndarray, pool: np.ndarray) -> None:
-    # Gauss-Seidel over atoms; each update is the exact minimizer of the
-    # reconstruction term under ||d_j|| = 1, so the objective cannot rise.
-    # Atoms with no code support are left untouched.
-    gram = codes.T @ codes
-    corr = pool.T @ codes
+def _update_atoms(dictionary: np.ndarray, gram: np.ndarray, corr: np.ndarray) -> None:
+    # Gauss-Seidel over atoms from the code moments gram = R^T R and
+    # corr = E^T R; each update is the exact minimizer of the reconstruction
+    # term under ||d_j|| = 1, so the objective cannot rise. Atoms with no
+    # code support are left untouched.
     for j in range(dictionary.shape[1]):
         direction = corr[:, j] - dictionary @ gram[:, j] + dictionary[:, j] * gram[j, j]
         norm = np.linalg.norm(direction)
@@ -121,9 +131,16 @@ def _update_atoms(dictionary: np.ndarray, codes: np.ndarray, pool: np.ndarray) -
             dictionary[:, j] = direction / norm
 
 
-def _objective(dictionary, codes, pool, alpha) -> float:
-    resid = pool - codes @ dictionary.T
-    return float(np.sum(resid * resid) + alpha * np.sum(codes * codes))
+def _moments(dictionary: np.ndarray, second: np.ndarray,
+             alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    # The ridge codes R = E W enter the alternation only through
+    # E^T R = C W and R^T R = W^T C W, with C = E^T E = `second`.
+    # Returns (R^T R, E^T R, objective in Gram form).
+    system, ridge = _ridge_map(dictionary, alpha)
+    corr = second @ ridge
+    gram = ridge.T @ corr
+    objective = np.trace(second) - 2.0 * np.vdot(dictionary, corr) + np.vdot(system, gram)
+    return gram, corr, float(objective)
 
 
 def _converged(history: list[float]) -> bool:
@@ -144,6 +161,24 @@ def fit_dictionary(
     improvement drops below 1e-6. max_iter=0 returns the seeded
     initialization with its objective. Raises DegenerateInput when the pool
     is entirely zero.
+
+    Cost: one O(N d'^2) pass forms C = E^T E from a canonical-order copy of
+    the pool, the only N x d' array the fit allocates; every alternation
+    then takes O(d'^2 K + K^3) time and O(d'^2 + d'K + K^2) memory.
+
+    The objective is evaluated in Gram form from G = D^T D + aI and the
+    computed W = D G^-1:
+
+        tr(C) - 2 <D, C W> + <G, W^T C W>,
+
+    which equals the residual form ||E - E W D^T||_F^2 + a ||E W||_F^2.
+    Its three terms can cancel down to a small residual, so its rounding is
+    absolute, not relative: to first order it is at most c 2^-52 ||E||_F^2
+    with c = (N + 3d' + d'K + K^2 + 3) ((1 + s)^2 + a || |W| ||_2^2) and
+    s = || |D| ||_2 || |W| ||_2 (|.| entrywise). Each term is a sum over
+    rows of e^T M e whose absolute mass is at most ||E||_F^2, 2s ||E||_F^2
+    or (s^2 + a || |W| ||_2^2) ||E||_F^2, and the longest chain of
+    roundings behind any entry has N + 3d' + d'K + K^2 + 3 of them.
     """
     arr = np.asarray(pool, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -160,12 +195,14 @@ def fit_dictionary(
     # summation order. Codes are recovered per caller row via ridge_encode.
     arr = arr[_canonical_row_order(arr)]
     dictionary = _init_dictionary(arr, n_atoms, seed)
-    codes = _solve_codes(dictionary, arr, ridge_alpha)
-    history = [_objective(dictionary, codes, arr, ridge_alpha)]
+    second = arr.T @ arr
+    del arr
+    gram, corr, objective = _moments(dictionary, second, ridge_alpha)
+    history = [objective]
     for _ in range(max_iter):
-        _update_atoms(dictionary, codes, arr)
-        codes = _solve_codes(dictionary, arr, ridge_alpha)
-        history.append(_objective(dictionary, codes, arr, ridge_alpha))
+        _update_atoms(dictionary, gram, corr)
+        gram, corr, objective = _moments(dictionary, second, ridge_alpha)
+        history.append(objective)
         if _converged(history):
             break
     return CodeBook(
@@ -269,7 +306,7 @@ def fit_joint_dictionary(
                 mapped[m_idx] = mat @ b_new
                 mean_pool = sum(mapped) / float(n_sources)
                 codes = _solve_codes(dictionary, mean_pool, alpha_eff)
-        _update_atoms(dictionary, codes, mean_pool)
+        _update_atoms(dictionary, codes.T @ codes, mean_pool.T @ codes)
         codes = _solve_codes(dictionary, mean_pool, alpha_eff)
         history.append(joint_objective())
         orth_history.append(max_orth_deviation())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from ucs.errors import DegenerateInput, MisalignedSources
 from ucs.latent_dictionary import (
+    REL_TOL,
     CodeBook,
     _canonical_row_order,
-    _objective,
     fit_dictionary,
     fit_joint_dictionary,
     ridge_encode,
@@ -104,7 +106,9 @@ def test_fit_objective_is_that_of_the_encoded_codes():
     shuffled = pool[rng.permutation(400)]
     book = fit_dictionary(pool, n_atoms=8, ridge_alpha=2.0, seed=3)
     codes = ridge_encode(book, shuffled)
-    objective = _objective(book.dictionary, codes, shuffled, book.ridge_alpha)
+    resid = shuffled - codes @ book.dictionary.T
+    objective = float(np.sum(resid * resid)
+                      + book.ridge_alpha * np.sum(codes * codes))
     assert objective == pytest.approx(book.objective, rel=1e-12, abs=0)
 
 
@@ -164,6 +168,110 @@ def test_fit_recovers_known_dictionary():
     codes = ridge_encode(book, pool)
     recon_err = float(np.sum((pool - codes @ book.dictionary.T) ** 2))
     assert recon_err < 1e-4
+
+
+def _residual_objective(pool, dictionary, codes, alpha):
+    # The penalized objective from the codes themselves, in extended
+    # precision, so its own rounding is far below the Gram form's.
+    e, d, r = (np.asarray(m, dtype=np.longdouble) for m in (pool, dictionary, codes))
+    resid = e - r @ d.T
+    return float(np.sum(resid * resid) + np.longdouble(alpha) * np.sum(r * r))
+
+
+def _gram_form_bound(pool, dictionary, alpha):
+    # fit_dictionary's stated bound on its Gram-form objective's rounding:
+    # c 2^-52 ||E||_F^2 with c = (N + 3d' + d'K + K^2 + 3)((1 + s)^2 + a),
+    # s = || |D| ||_2 || |W| ||_2 and a = alpha || |W| ||_2^2.
+    n, dim = pool.shape
+    k = dictionary.shape[1]
+    ridge = np.linalg.solve(dictionary.T @ dictionary + alpha * np.eye(k),
+                            dictionary.T).T
+    w_norm = np.linalg.norm(np.abs(ridge), 2)
+    s = np.linalg.norm(np.abs(dictionary), 2) * w_norm
+    c = (n + 3 * dim + dim * k + k * k + 3) * ((1 + s) ** 2 + alpha * w_norm ** 2)
+    return c * 2.0 ** -52 * float(np.sum(pool * pool))
+
+
+def _row_space_fit(pool, dictionary, alpha, max_iter):
+    # Independent oracle for fit_dictionary's alternation: code every row
+    # (N right-hand sides), move each atom to its unit-norm minimizer given
+    # the others, and score the residual form after every step.
+    dictionary = dictionary.copy()
+    k = dictionary.shape[1]
+
+    def codes_and_objective():
+        codes = np.linalg.solve(dictionary.T @ dictionary + alpha * np.eye(k),
+                                dictionary.T @ pool.T).T
+        resid = pool - codes @ dictionary.T
+        return codes, float(np.sum(resid * resid) + alpha * np.sum(codes * codes))
+
+    codes, objective = codes_and_objective()
+    history = [objective]
+    for _ in range(max_iter):
+        for j in range(k):
+            others = np.delete(np.arange(k), j)
+            target = pool - codes[:, others] @ dictionary[:, others].T
+            direction = target.T @ codes[:, j]
+            if np.linalg.norm(direction) > 1e-12:
+                dictionary[:, j] = direction / np.linalg.norm(direction)
+        codes, objective = codes_and_objective()
+        history.append(objective)
+        if history[-2] - history[-1] < REL_TOL * history[-2]:
+            break
+    return dictionary, history
+
+
+@pytest.mark.parametrize("shape, n_atoms, alpha", [
+    ((300, 16), 8, 2.0),
+    ((120, 6), 12, 0.5),   # more atoms than dimensions
+    ((5, 8), 12, 1.0),     # fewer rows than atoms
+], ids=["K<d", "K>d", "N<K"])
+@pytest.mark.filterwarnings("ignore:pool has")
+def test_fit_matches_row_space_alternation(shape, n_atoms, alpha):
+    # The d'-space loop must walk the same path as coding the rows: same
+    # number of alternations, unit atoms equal to 1e-12 (4500 ulps of 1.0,
+    # room for rounding drift over up to 50 alternations), and each
+    # objective within the Gram form's rounding bound of the residual form,
+    # taken at the larger bound of the path's two ends.
+    rng = np.random.default_rng(shape[0])
+    pool = rng.standard_normal(shape) * rng.uniform(0.5, 2.0, shape[1])
+    start = fit_dictionary(pool, n_atoms=n_atoms, ridge_alpha=alpha,
+                           max_iter=0, seed=5).dictionary
+    book = fit_dictionary(pool, n_atoms=n_atoms, ridge_alpha=alpha, seed=5)
+    oracle_dict, oracle_hist = _row_space_fit(pool, start, alpha, max_iter=50)
+    assert book.n_iter == len(oracle_hist) - 1
+    assert np.abs(book.dictionary - oracle_dict).max() <= 1e-12
+    bound = max(_gram_form_bound(pool, d, alpha) for d in (start, oracle_dict))
+    assert np.abs(np.array(book.objective_history) - oracle_hist).max() <= bound
+
+
+def test_gram_form_objective_on_exact_low_rank_pool():
+    # The pool lies exactly in the span of four orthonormal atoms, so at a
+    # tiny ridge the residual almost vanishes and the Gram form's three
+    # terms cancel down to it: the case its rounding bound is for.
+    rng = np.random.default_rng(3)
+    atoms, _ = np.linalg.qr(rng.standard_normal((10, 4)))
+    pool = rng.standard_normal((200, 4)) @ atoms.T
+    alpha = 1e-10
+    book = fit_dictionary(pool, n_atoms=4, ridge_alpha=alpha, max_iter=200, seed=0)
+    residual = _residual_objective(pool, book.dictionary,
+                                   ridge_encode(book, pool), alpha)
+    assert residual < 1e-6 * float(np.sum(pool * pool))
+    bound = _gram_form_bound(pool, book.dictionary, alpha)
+    assert abs(book.objective - residual) <= bound
+
+
+def test_fit_memory_is_one_copy_of_the_pool():
+    # Past the canonical-order copy, the fit holds only d' x d' and d' x K
+    # arrays: its traced peak stays under 1.5x the pool's bytes.
+    pool = np.random.default_rng(14).standard_normal((20000, 128))
+    tracemalloc.start()
+    try:
+        fit_dictionary(pool, n_atoms=64, ridge_alpha=10.0, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * pool.nbytes
 
 
 def test_single_atom_matches_rank_one_svd_oracle():
