@@ -70,20 +70,24 @@ class SgtConfig:
 def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
     """Count cluster multiplicities over `subset` (row indices into labels).
 
-    Every label is a cluster id. Raises IndexOutOfRange for indices outside
-    the pool.
+    Every label is a cluster id. A subset is a set of rows: raises
+    IndexOutOfRange for indices outside the pool and ValueError for an index
+    that repeats.
     """
     lab = np.asarray(labels)
     counts: dict[int, int] = {}
-    size = 0
+    position: dict[int, int] = {}
     n = lab.shape[0]
-    for idx in subset:
+    for pos, idx in enumerate(subset):
         i = int(idx)
         if i < 0 or i >= n:
             raise IndexOutOfRange(f"subset index {i} outside pool of {n} rows")
+        first = position.setdefault(i, pos)
+        if first != pos:
+            raise ValueError(f"subset index {i} repeats at positions {first} and {pos}")
         value = int(lab[i])
         counts[value] = counts.get(value, 0) + 1
-        size += 1
+    size = len(position)
     spectrum: dict[int, int] = {}
     for c in counts.values():
         spectrum[c] = spectrum.get(c, 0) + 1

@@ -4,7 +4,9 @@ Three base selectors are provided: greedy log-det DPP, iterative discounted
 VoteK, and an argmax over externally scored candidate subsets (the stand-in
 for perplexity-style subset utilities). Each has a UCS variant that adds
 lambda times a coverage term; at lambda = 0 every variant reproduces its
-base selector bit-exactly. Ties are always broken toward the lowest index.
+base selector bit-exactly. Every selector picks by one rule, written once in
+_pick: the first argmax of base + lambda * coverage over the unpicked rows
+(candidate subsets for subset_utility), so ties go to the lowest index.
 
 Greedy DPP is the fast greedy MAP of Chen, Zhang & Zhou (NeurIPS 2018): each
 step adds one incremental Cholesky row and updates every candidate's Schur
@@ -16,7 +18,7 @@ another step follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,15 +75,24 @@ class SelectionResult:
     u_hat: float
 
 
-def _finish(indices, records, labels, cfg) -> SelectionResult:
-    if labels is not None:
-        phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
-    else:
-        phi, k_seen, u_hat = float("nan"), 0, float("nan")
-    return SelectionResult(
-        indices=[int(i) for i in indices], records=records, phi=float(phi),
-        k_seen=int(k_seen), u_hat=float(u_hat),
-    )
+def _pick(base_gain: np.ndarray, coverage: np.ndarray, lam: float,
+          alive: np.ndarray) -> StepRecord:
+    """The one pick rule: the first argmax of base_gain + lam * coverage over
+    the rows still alive, so ties go to the lowest index. Marks the row
+    picked (alive[row] = False) and returns its record."""
+    total = base_gain + lam * coverage
+    candidates = np.flatnonzero(alive)
+    pick = int(candidates[np.argmax(total[candidates])])
+    alive[pick] = False
+    return StepRecord(pick, float(base_gain[pick]), float(coverage[pick]),
+                      float(total[pick]))
+
+
+def _finish(records: list[StepRecord], labels, cfg) -> SelectionResult:
+    indices = [r.index for r in records]
+    phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
+    return SelectionResult(indices=indices, records=records, phi=float(phi),
+                           k_seen=int(k_seen), u_hat=float(u_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +114,7 @@ def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> np.ndarray:
     return kernel
 
 
-def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget):
+def _greedy_dpp(kernel, labels, cfg: SgtConfig, lam, budget) -> list[StepRecord]:
     """Greedy MAP with incremental Cholesky rows (Chen, Zhang & Zhou, 2018).
 
     sc holds every item's Schur complement L_ii - L_iS L_SS^-1 L_Si, the
@@ -115,35 +126,24 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig | None, lam, budget):
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be square, got {kernel.shape}")
     steps = min(budget, n)
-    tracker = CoverageTracker(labels, cfg) if labels is not None else None
+    tracker = CoverageTracker(labels, cfg)
+    everyone = np.arange(n)
     sc = kernel.diagonal().astype(np.float64)  # a copy, never the caller's
     chol = np.empty((steps, n))
-    selected: list[int] = []
     records: list[StepRecord] = []
     alive = np.ones(n, dtype=bool)
     for s in range(steps):
-        candidates = np.flatnonzero(alive)
-        base_gain = np.log(np.maximum(sc[candidates], _SC_FLOOR))
-        if tracker is not None:
-            coverage = tracker.gains_if_added(candidates)
-        else:
-            coverage = np.zeros(candidates.size)
-        total = base_gain + lam * coverage
-        pos = int(np.argmax(total))  # first max -> lowest index on ties
-        pick = int(candidates[pos])
-        records.append(StepRecord(pick, float(base_gain[pos]),
-                                  float(coverage[pos]), float(total[pos])))
-        selected.append(pick)
-        alive[pick] = False
-        if tracker is not None:
-            tracker.add(pick)
+        records.append(_pick(np.log(np.maximum(sc, _SC_FLOOR)),
+                             tracker.gains_if_added(everyone), lam, alive))
+        pick = records[-1].index
+        tracker.add(pick)
         if s + 1 < steps:
             if not sc[pick] > 0:  # also catches NaN
                 raise SingularKernel(f"kernel submatrix of order {s + 1} is singular")
             e = (kernel[pick] - chol[:s, pick] @ chol[:s]) / math.sqrt(sc[pick])
             chol[s] = e
             sc -= e * e
-    return selected, records
+    return records
 
 
 def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
@@ -154,15 +154,18 @@ def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
     floored at log(1e-300); SingularKernel is raised when a picked item's
     Schur complement is not > 0 (or NaN) and another step follows.
     """
-    indices, _ = _greedy_dpp(kernel, None, None, 0.0, budget)
-    return indices
+    # lambda = 0 over one cluster: the coverage term is finite, so it adds
+    # exactly 0 to every log-det gain.
+    one_cluster = np.zeros(len(kernel), dtype=np.int64)
+    records = _greedy_dpp(kernel, one_cluster, SgtConfig(), 0.0, budget)
+    return [r.index for r in records]
 
 
 def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig) -> SelectionResult:
     """Greedy DPP with coverage pressure: each step maximizes the log-det
     gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally."""
-    indices, records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget)
-    return _finish(indices, records, labels, cfg)
+    records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget)
+    return _finish(records, labels, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -182,45 +185,32 @@ def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     return k_nearest(l2_normalize_rows(arr, eps=0.0), k)[0]
 
 
-def _votes_from_graph(neighbors: np.ndarray, selected: list[int],
-                      discount_base: float, n: int) -> np.ndarray:
-    k = neighbors.shape[1]
-    if selected:
-        chosen = np.zeros(n, dtype=bool)
-        chosen[selected] = True
-        overlap = chosen[neighbors].sum(axis=1).astype(np.float64)
-        voter_weight = discount_base ** (-overlap)
-    else:
-        voter_weight = np.ones(n, dtype=np.float64)
-    return np.bincount(
-        neighbors.ravel(), weights=np.repeat(voter_weight, k), minlength=n
-    )
+def _votes_from_graph(neighbors: np.ndarray, chosen: np.ndarray,
+                      discount_base: float) -> np.ndarray:
+    """Votes of every row given the boolean mask of rows chosen so far; with
+    none chosen every voter weighs discount_base ** -0.0 == 1.0."""
+    overlap = chosen[neighbors].sum(axis=1).astype(np.float64)
+    voter_weight = np.repeat(discount_base ** (-overlap), neighbors.shape[1])
+    return np.bincount(neighbors.ravel(), weights=voter_weight, minlength=chosen.size)
 
 
 def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) -> np.ndarray:
     """Discounted vote scores: j votes for its k nearest neighbors with
     weight discount_base^-(selected among j's neighbors)."""
     neighbors = _knn_graph(x, k)
-    return _votes_from_graph(neighbors, list(selected), discount_base, x.shape[0])
+    chosen = np.zeros(len(neighbors), dtype=bool)
+    chosen[list(selected)] = True
+    return _votes_from_graph(neighbors, chosen, discount_base)
 
 
-def _iterative_votes(x, labels, cfg: SelectionConfig, bonus: np.ndarray) -> SelectionResult:
-    n = np.asarray(x).shape[0]
+def _iterative_votes(x, cfg: SelectionConfig, bonus: np.ndarray) -> list[StepRecord]:
     neighbors = _knn_graph(x, cfg.votek_k)
-    steps = min(cfg.budget, n)
-    selected: list[int] = []
-    records: list[StepRecord] = []
-    alive = np.ones(n, dtype=bool)
-    for _ in range(steps):
-        votes = _votes_from_graph(neighbors, selected, cfg.votek_discount_base, n)
-        total = votes + cfg.lam * bonus
-        masked = np.where(alive, total, -np.inf)
-        pick = int(np.argmax(masked))
-        records.append(StepRecord(pick, float(votes[pick]), float(bonus[pick]),
-                                  float(total[pick])))
-        selected.append(pick)
-        alive[pick] = False
-    return _finish(selected, records, labels, cfg)
+    alive = np.ones(neighbors.shape[0], dtype=bool)
+    return [
+        _pick(_votes_from_graph(neighbors, ~alive, cfg.votek_discount_base),
+              bonus, cfg.lam, alive)
+        for _ in range(min(cfg.budget, alive.size))
+    ]
 
 
 def votek_select(x: np.ndarray, budget: int, k: int = 3,
@@ -229,9 +219,7 @@ def votek_select(x: np.ndarray, budget: int, k: int = 3,
     recomputing votes as selections accumulate."""
     cfg = SelectionConfig(budget=budget, lam=0.0, base="votek", votek_k=k,
                           votek_discount_base=discount_base)
-    n = np.asarray(x).shape[0]
-    result = _iterative_votes(x, None, cfg, np.zeros(n))
-    return result.indices
+    return [r.index for r in _iterative_votes(x, cfg, np.zeros(len(x)))]
 
 
 def _per_cluster(labels: np.ndarray, bonus) -> np.ndarray:
@@ -256,7 +244,7 @@ def votek_ucs_select(
         return prior.log_weight(cluster)
 
     bonus = _per_cluster(labels, log_weight)
-    return _iterative_votes(x, labels, cfg, bonus)
+    return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
 
 
 def rarity_controls(
@@ -283,7 +271,7 @@ def rarity_controls(
         return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
 
     bonus = _per_cluster(labels, rarity)
-    return _iterative_votes(x, labels, cfg, bonus)
+    return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +315,9 @@ def subset_utility_ucs(
     phis = np.array(
         [coverage_phi(labels, subset, cfg.sgt)[0] for subset in candidates]
     )
-    totals = scores + cfg.lam * phis
-    winner = int(np.argmax(totals))
-    picks = [int(i) for i in candidates[winner]]
-    records = [StepRecord(i, float(scores[winner]), float(phis[winner]),
-                          float(totals[winner])) for i in picks]
-    return _finish(picks, records, labels, cfg)
+    won = _pick(scores, phis, cfg.lam, np.ones(len(candidates), dtype=bool))
+    records = [replace(won, index=int(i)) for i in candidates[won.index]]
+    return _finish(records, labels, cfg)
 
 
 def redundancy_utility(x: np.ndarray, candidates: list[list[int]]) -> np.ndarray:
@@ -371,7 +356,7 @@ def sample_candidate_subsets(
     qn = np.linalg.norm(q)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where((norms > 0) & (qn > 0), arr @ q / (norms * qn + 1e-300), 0.0)
-    order = np.lexsort((np.arange(n), -sims))
+    order = np.argsort(-sims, kind="stable")
     pool = order[: max(budget, min(TOP_POOL, n))]
     rng = np.random.default_rng(seed)
     return [

@@ -45,6 +45,15 @@ def test_subset_spectrum_index_out_of_range():
         subset_spectrum(np.array([1, 2]), [0, 5])
 
 
+def test_subset_spectrum_repeated_index():
+    # A subset is a set of rows: one row named three times is refused, not
+    # counted as three members of its cluster.
+    with pytest.raises(ValueError, match="subset index 0 repeats at positions 0 and 1"):
+        subset_spectrum(np.array([1, 2, 3]), [0, 0, 0])
+    with pytest.raises(ValueError, match="subset index 1 repeats at positions 1 and 3"):
+        coverage_phi(np.array([1, 2, 3]), [2, 1, 0, 1], SgtConfig(t=2.0))
+
+
 def test_gt_hand_values():
     assert gt_unseen({1: 2, 2: 1}, t=1.0) == pytest.approx(1.0, abs=1e-12)
     assert gt_unseen({1: 3}, t=2.0) == pytest.approx(6.0, abs=1e-12)

@@ -457,6 +457,75 @@ def test_rarity_unknown_variant():
         rarity_controls(CHAIN, np.arange(5), cfg, "B3")
 
 
+def _votek_reference(x, k, discount_base, bonus, lam, budget):
+    """Iterative VoteK written out: at each step score every row by
+    votek_votes(x, k, selected) + lam * bonus and take the highest unpicked
+    row, the lowest index on ties."""
+    selected, records = [], []
+    for _ in range(min(budget, len(x))):
+        votes = votek_votes(x, k, selected, discount_base)
+        best = None
+        for i in range(len(x)):
+            if i in selected:
+                continue
+            if best is None or votes[i] + lam * bonus[i] > votes[best] + lam * bonus[best]:
+                best = i
+        selected.append(best)
+        records.append(StepRecord(best, float(votes[best]), float(bonus[best]),
+                                  float(votes[best] + lam * bonus[best])))
+    return records
+
+
+def _votek_pools():
+    for seed in (1, 2):
+        x, types = sample_pool(Population.zipf(30, 1.1), 90, dim=8, spread=0.3, seed=seed)
+        yield pytest.param(x, types, id=f"zipf{seed}")
+    # a regular 12-gon: every point's two nearest neighbours are its two
+    # sides, so every row starts on exactly 2 votes
+    yield pytest.param(_angles(np.arange(12) * 30.0),
+                       np.array([1] * 6 + [2] * 4 + [3, 4]), id="vote_ties")
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("x, labels", list(_votek_pools()))
+def test_votek_records_match_reference_loop(x, labels, lam):
+    budget, k, discount_base = 8, 2, 10.0
+    cfg = SelectionConfig(budget=budget, lam=lam, base="votek", votek_k=k,
+                          votek_discount_base=discount_base)
+    prior = corpus_prior(labels)
+    c_total = len(prior.sizes)
+    sizes = [prior.sizes[int(c)] for c in labels]
+    bonuses = {
+        "ucs": [math.log(prior.weights[int(c)]) for c in labels],
+        "B1": [1.0 / size for size in sizes],
+        "B2": [math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
+               for size in sizes],
+    }
+    results = {
+        "ucs": votek_ucs_select(x, labels, prior, cfg),
+        "B1": rarity_controls(x, labels, cfg, "B1"),
+        "B2": rarity_controls(x, labels, cfg, "B2"),
+    }
+    for name, result in results.items():
+        want = _votek_reference(x, k, discount_base, bonuses[name], lam, budget)
+        assert result.records == want, name
+        assert result.indices == [r.index for r in want], name
+    plain = _votek_reference(x, k, discount_base, [0.0] * len(x), 0.0, budget)
+    assert votek_select(x, budget, k, discount_base) == [r.index for r in plain]
+
+
+def test_subset_utility_tied_totals_take_first_candidate():
+    labels = np.array([1, 2, 3, 4, 5, 6])
+    cands = [[0, 1], [2, 3], [4, 5]]  # every candidate covers two clusters
+    cfg = SelectionConfig(budget=2, lam=0.5, base="subset_utility",
+                          sgt=SgtConfig(t=2.0))
+    result = subset_utility_ucs(cands, [0.25, 0.75, 0.75], labels, cfg)
+    phi = coverage_phi(labels, [2, 3], cfg.sgt)[0]
+    assert phi == coverage_phi(labels, [4, 5], cfg.sgt)[0]
+    assert result.indices == [2, 3]
+    assert result.records == [StepRecord(i, 0.75, phi, 0.75 + 0.5 * phi) for i in (2, 3)]
+
+
 def test_best_subset_argmax_and_ties():
     assert best_subset([[0], [1], [2]], [0.3, 0.9, 0.9]) == 1
     with pytest.raises(EmptyCandidateList):
