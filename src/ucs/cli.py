@@ -60,7 +60,7 @@ from .matrix_store import (
     write_manifest,
     write_matrix,
 )
-from .preprocess import POOLING_MODES, pool_tokens, preprocess_pool
+from .preprocess import POOLING_MODES, l2_normalize_rows, pool_tokens, preprocess_pool
 from .selection import (
     BASE_SELECTORS,
     RARITY_VARIANTS,
@@ -138,6 +138,11 @@ CONFIG_TYPES: dict[str, Callable[[str], object]] = {
     k: finite_float if isinstance(v, float) else type(v)
     for k, v in CONFIG_DEFAULTS.items()
 }
+
+# A subset_utility query whose norm is at most this fraction of the median
+# row norm points nowhere above rounding: the mean of N unit rows carries an
+# absolute error up to about N 2^-53, 1e-9 at N = 10^7.
+QUERY_MIN_FRACTION = 1e-8
 
 PIPELINE_STAGES = (
     "preprocess",
@@ -461,12 +466,32 @@ def run_selection(
     if base == "votek":
         prior = corpus_prior(labels)
         return votek_ucs_select(x, labels, prior, sel_cfg)
-    query = x[query_row] if query_row is not None else x.mean(axis=0)
+    query = _subset_query(x, query_row)
     candidates = sample_candidate_subsets(
         x, query, sel_cfg.budget, int(cfg["candidate_num"]), seed
     )
     utilities = redundancy_utility(x, candidates)
     return subset_utility_ucs(candidates, utilities, labels, sel_cfg)
+
+
+def _subset_query(x: np.ndarray, query_row: int | None) -> np.ndarray:
+    """subset_utility's query: pool row query_row, or by default the mean of
+    the unit rows (the mean of a centred pool's rows is rounding noise).
+    Raises ConfigError when its norm is at most QUERY_MIN_FRACTION of the
+    median norm of the rows it is drawn from."""
+    rows = x if query_row is not None else l2_normalize_rows(x, eps=0.0)
+    query = rows[query_row] if query_row is not None else rows.mean(axis=0)
+    norm = float(np.linalg.norm(query))
+    median = float(np.median(np.linalg.norm(rows, axis=1)))
+    if not norm > QUERY_MIN_FRACTION * median:
+        what = (f"--query-row {query_row}" if query_row is not None
+                else "the mean of the unit rows")
+        raise ConfigError(
+            f"subset_utility query {what} has norm {norm:.3g}, at most "
+            f"{QUERY_MIN_FRACTION:g} of the median row norm {median:.3g}; "
+            "it has no direction to rank the pool by"
+        )
+    return query
 
 
 def stage_select(args, cfg) -> None:
@@ -717,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None,
                    help="run a rarity-only control instead of the UCS weights")
     p.add_argument("--query-row", type=int, default=None,
-                   help="subset_utility query row (default: pool mean)")
+                   help="subset_utility query row (default: the mean of the unit rows)")
     _add_config_flags(p, "select")
     p.set_defaults(run=stage_select)
 

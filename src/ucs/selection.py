@@ -52,8 +52,8 @@ class SelectionConfig:
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.base not in BASE_SELECTORS:
             raise ValueError(f"unknown base selector {self.base!r}")
 
@@ -196,10 +196,20 @@ def _votes_from_graph(neighbors: np.ndarray, chosen: np.ndarray,
 
 def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) -> np.ndarray:
     """Discounted vote scores: j votes for its k nearest neighbors with
-    weight discount_base^-(selected among j's neighbors)."""
+    weight discount_base^-(selected among j's neighbors).
+
+    selected is a set of rows: raises ValueError for an index outside the
+    pool or one that repeats.
+    """
     neighbors = _knn_graph(x, k)
     chosen = np.zeros(len(neighbors), dtype=bool)
-    chosen[list(selected)] = True
+    for pos, idx in enumerate(selected):
+        i = int(idx)
+        if not 0 <= i < chosen.size:
+            raise ValueError(f"selected index {i} outside pool of {chosen.size} rows")
+        if chosen[i]:
+            raise ValueError(f"selected index {i} repeats (position {pos})")
+        chosen[i] = True
     return _votes_from_graph(neighbors, chosen, discount_base)
 
 

@@ -26,7 +26,13 @@ from ucs.errors import ConfigError, MissingInput
 from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
 from ucs.preprocess import preprocess_pool
-from ucs.selection import SelectionConfig, dpp_kernel
+from ucs.selection import (
+    SelectionConfig,
+    dpp_kernel,
+    redundancy_utility,
+    sample_candidate_subsets,
+    subset_utility_ucs,
+)
 from ucs.synth_oracle import Population, sample_pool
 
 
@@ -587,6 +593,43 @@ def test_select_query_row_recorded_in_manifest(tmp_path, capsys):
     assert "query_row" not in _manifest(outs[0] + ".manifest.txt")
     assert _manifest(outs[1] + ".manifest.txt")["query_row"] == "3"
     capsys.readouterr()
+
+
+def test_subset_utility_default_query_is_the_mean_of_the_unit_rows():
+    # on a centred pool the plain row mean is rounding noise (norm ~1e-16);
+    # the mean of the unit rows keeps a direction
+    x, labels = sample_pool(Population.uniform(6), 60, dim=8, seed=4)
+    x = x - x.mean(axis=0)
+    cfg = dict(CONFIG_DEFAULTS, budget=4, candidate_num=12)
+    got = ucs.cli.run_selection(x, labels, "subset_utility", cfg, 3, SgtConfig())
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    candidates = sample_candidate_subsets(x, unit.mean(axis=0), 4, 12, 3)
+    want = subset_utility_ucs(candidates, redundancy_utility(x, candidates), labels,
+                              SelectionConfig(budget=4, lam=cfg["sgt_lambda"],
+                                              base="subset_utility"))
+    assert got.indices == want.indices
+
+
+@pytest.mark.parametrize("query", ["row", "mean"])
+def test_select_refuses_a_query_with_no_direction(tmp_path, capsys, query):
+    x, labels = sample_pool(Population.uniform(6), 20, dim=8, seed=2)
+    if query == "row":
+        x[3] = 1e-9 * x[3]  # below 1e-8 of the median row norm
+        flags, named = ["--query-row", "3"], "--query-row 3"
+    else:
+        x = np.vstack([x, -x])  # the unit rows cancel
+        labels = np.concatenate([labels, labels])
+        flags, named = [], "the mean of the unit rows"
+    pool_path, labels_path = str(tmp_path / "pool.ucsm"), str(tmp_path / "labels.txt")
+    write_matrix(x, pool_path)
+    write_labels(labels, labels_path)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--base", "subset_utility", "--budget", "3", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: subset_utility query {named} has norm")
+    assert "median row norm" in err
+    assert not os.path.exists(out)
 
 
 def test_select_labels_row_count_mismatch_names_both_files(tmp_path, capsys):

@@ -154,3 +154,83 @@ def test_l2_normalize_rows_whose_squares_overflow_or_underflow(scale):
     assert np.allclose(out[0], [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15, atol=0)
     assert np.array_equal(out[1], x[1] / np.linalg.norm(x[1]))
     assert np.array_equal(out[2], [0.0, 0.0])
+
+
+def _pool_with_spectrum(rng, n, singular_values):
+    """A centred n x d pool X = U diag(s) V^T with the given singular values."""
+    d = len(singular_values)
+    u = rng.standard_normal((n, d))
+    u, _ = np.linalg.qr(u - u.mean(axis=0))  # orthonormal, and orthogonal to the ones vector
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (u * np.asarray(singular_values)) @ v.T
+
+
+@pytest.mark.parametrize("seed, n, d_prime", [(0, 200, 4), (1, 50, 8), (2, 1000, 3)])
+def test_pca_matches_an_svd_oracle_on_separated_spectra(seed, n, d_prime):
+    # Independent oracle: the SVD of the centred pool. Every eigengap of
+    # X^T X here is above 1, against a rounding bound of about 3e-12, so each
+    # direction is determined: equal up to sign to 1e-9.
+    rng = np.random.default_rng(seed)
+    s = 30.0 * 0.6 ** np.arange(8)
+    x = _pool_with_spectrum(rng, n, s) + rng.standard_normal(8)
+    basis = fit_pca(x, d_prime)
+    _, sv, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    oracle = vt[:d_prime].T
+    signs = np.sign(np.sum(basis.components * oracle, axis=0))
+    assert np.abs(basis.components - oracle * signs).max() < 1e-9
+    assert np.allclose(basis.explained_variance, sv[:d_prime] ** 2 / (n - 1),
+                       rtol=1e-10, atol=0)
+
+
+def test_pca_small_variances_come_from_the_scores():
+    # singular values over eight decades: the eigenvalues of X^T X carry an
+    # absolute error near 2^-52 * 1e8, here 27% of the smallest (1e-8),
+    # while ||X v||^2 is within 7e-6 of it
+    s = np.array([1e4, 1e2, 1.0, 1e-2, 1e-4])
+    x = _pool_with_spectrum(np.random.default_rng(37), 100, s) + 5.0
+    basis = fit_pca(x, 5)
+    assert np.allclose(basis.explained_variance, s ** 2 / 99, rtol=1e-3, atol=0)
+
+
+@pytest.mark.parametrize("pool", ["random", "all-gaps-zero"])
+def test_full_width_reduction_keeps_pairwise_distances(pool):
+    # at d' = d the projection is a rotation of the standardized pool,
+    # whatever the eigengaps: distances agree to rounding
+    if pool == "random":
+        x = np.random.default_rng(23).standard_normal((40, 6)) * [1, 2, 3, 4, 5, 6]
+    else:
+        x = np.vstack([np.eye(6), -np.eye(6)])  # X^T X is a multiple of I
+    reduced, scaler, _ = preprocess_pool(x, d_prime=6)
+    scaled = scaler.transform(x)
+
+    def distances(a):
+        return np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
+
+    want = distances(scaled)
+    assert np.abs(distances(reduced) - want).max() < 1e-12 * want.max()
+
+
+def test_pca_rank_deficient_pool_keeps_orthonormal_components():
+    # N < d and a constant column: X^T X has rank N - 1 < d
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((6, 10))
+    x[:, 4] = 7.0
+    basis = fit_pca(x, 5)
+    gram = basis.components.T @ basis.components
+    assert np.abs(gram - np.eye(5)).max() < 1e-12
+    # the constant column carries no variance, so no direction uses it
+    assert np.abs(basis.components[4]).max() < 1e-12
+    # the five directions span the centred rows
+    centered = x - basis.mean
+    scores = basis.transform(x)
+    assert np.abs(scores @ basis.components.T - centered).max() < 1e-12
+    assert np.all(basis.explained_variance > 0)
+
+
+@pytest.mark.parametrize("standardize, l2norm", [(True, False), (False, True)])
+def test_preprocess_pool_rows_are_the_basis_transform(standardize, l2norm):
+    x = np.random.default_rng(31).standard_normal((80, 12)) + 3.0
+    reduced, scaler, basis = preprocess_pool(x, d_prime=5, standardize=standardize,
+                                             l2norm=l2norm)
+    source = l2_normalize_rows(x) if l2norm else x
+    assert np.array_equal(reduced, basis.transform(scaler.transform(source)))

@@ -366,6 +366,26 @@ def test_votek_votes_discount_base_one_disables_discounting():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("selected, message", [
+    ([-1], "selected index -1 outside pool of 5 rows"),
+    ([5], "selected index 5 outside pool of 5 rows"),
+    ([2, 0, 2], "selected index 2 repeats"),
+], ids=["negative", "past-the-end", "repeated"])
+def test_votek_votes_refuses_bad_selected(selected, message):
+    # [-1] used to discount the last row's voters and [2, 0, 2] to count as
+    # [0, 2]
+    with pytest.raises(ValueError, match=message):
+        votek_votes(CHAIN, k=1, selected=selected)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_selection_config_refuses_lambda_not_finite_and_non_negative(lam):
+    # a NaN or infinite lambda made every total NaN or infinite, and the
+    # picks the first alive rows
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        SelectionConfig(budget=3, lam=lam)
+
+
 def test_votek_requires_enough_points():
     with pytest.raises(TooFewPoints):
         votek_votes(CHAIN, k=5, selected=[])
