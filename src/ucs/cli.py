@@ -27,6 +27,7 @@ import numpy as np
 
 from .clustering import CLUSTERING_METHODS, cluster_pool
 from .coverage import (
+    SMOOTHING_MODES,
     SgtConfig,
     corpus_prior,
     coverage_phi,  # unused here; perfbench/spans.py patches ucs.cli.coverage_phi
@@ -51,6 +52,7 @@ from .latent_dictionary import (
     ridge_encode,
 )
 from .matrix_store import (
+    DTYPE_NAMES,
     open_file,
     read_labels,
     read_matrix,
@@ -75,6 +77,7 @@ from .selection import (
     votek_ucs_select,
 )
 from .synth_oracle import (
+    ORACLE_ESTIMATORS,
     Population,
     cluster_stats,
     exposure_metrics,
@@ -461,7 +464,12 @@ def run_selection(
     if rarity is not None:
         return rarity_controls(x, labels, sel_cfg, rarity)
     if base == "dpp":
-        kernel = dpp_kernel(x, scale=sel_cfg.dpp_scale_factor)
+        scale = sel_cfg.dpp_scale_factor
+        kernel = dpp_kernel(x, scale=scale)
+        # the diagonal of unit (or zero) rows in exact arithmetic: rounding
+        # gives |u_i|^2 two values, which would decide the first pick's tie
+        kernel[np.diag_indices_from(kernel)] = (
+            np.where(np.any(x, axis=1), math.exp(scale), 1.0) + 1e-8)
         return greedy_dpp_ucs(kernel, labels, sel_cfg)
     if base == "votek":
         prior = corpus_prior(labels)
@@ -653,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="re-encode a CSV or binary matrix as f64")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dtype", choices=("f64", "f32"), default="f64")
+    p.add_argument("--dtype", choices=tuple(DTYPE_NAMES), default="f64")
     _add_config_flags(p, "ingest")
     p.set_defaults(run=_cmd_ingest)
 
@@ -715,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--subset", default=None)
     p.add_argument("--noise-label", type=int, default=None)
-    p.add_argument("--smoothing", choices=("off", "power_law"), default="off")
+    p.add_argument("--smoothing", choices=SMOOTHING_MODES, default="off")
     p.add_argument("--k0", type=_non_negative_int, default=None,
                    help="override the weight truncation depth")
     p.add_argument("--out", default=None)
@@ -725,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--smoothing", choices=("off", "power_law"), default=None,
+    p.add_argument("--smoothing", choices=SMOOTHING_MODES, default=None,
                    help="override corpus_prior's default (power_law)")
     p.add_argument("--eps", type=finite_float, default=None,
                    help="override corpus_prior's default (1e-6)")
@@ -746,8 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "select")
     p.set_defaults(run=stage_select)
 
-    p = sub.add_parser("synth", help="generate synthetic pools or run the "
-                                     "Monte Carlo unseen-type oracle")
+    p = sub.add_parser("synth", allow_abbrev=False,  # so --t is not --trials
+                       help="generate synthetic pools or run the "
+                            "Monte Carlo unseen-type oracle")
     p.add_argument("--mode", choices=("pool", "oracle"), default="pool")
     p.add_argument("--k-types", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -756,10 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--spread", type=finite_float, default=0.05)
     p.add_argument("--out-stem", default=None, help="pool mode output stem")
-    p.add_argument("--t", type=finite_float, default=None,
-                   help="oracle second-draw multiple (default: sgt_t)")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--estimator", choices=("sgt", "gt"), default="sgt")
+    p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default="sgt")
     p.add_argument("--out", default=None, help="oracle mode report file")
     _add_config_flags(p, "synth")
     p.set_defaults(run=_cmd_synth)
@@ -871,14 +878,13 @@ def _cmd_synth(args, cfg) -> None:
             "population": pop.kind,
         })
         return
-    t = args.t if args.t is not None else float(cfg["sgt_t"])
-    report = mc_unseen_oracle(pop, args.n, t, args.trials, seed,
-                              sgt=_sgt_config(cfg, args),
+    sgt = _sgt_config(cfg, args)
+    report = mc_unseen_oracle(pop, args.n, sgt.t, args.trials, seed, sgt=sgt,
                               estimator=args.estimator)
     rows = [
         ("trials", str(report.trials)),
         ("estimator", args.estimator),
-        ("t", _fmt(t)),
+        ("t", _fmt(sgt.t)),
         ("mean_new", _fmt(report.mean_new)),
         ("std_new", _fmt(report.std_new)),
         ("mean_estimate", _fmt(report.mean_estimate)),

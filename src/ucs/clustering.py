@@ -144,7 +144,7 @@ def _screened(unit: np.ndarray, rows: np.ndarray, limit):
 def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances), each N x k: every row's k nearest other rows of
     the unit rows `unit` and their _pair_distances, ordered by (distance,
-    index). Needs 1 <= k < N.
+    index). Raises ValueError for k < 1 and TooFewPoints for k >= N.
 
     Each strip row's own similarity is set to -inf and the columns, in
     _column_order, are dealt into g = max(k + 1, min(N, SCREEN_GROUPS))
@@ -165,6 +165,7 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     and let all their rows through.
     """
     n = unit.shape[0]
+    _check_k(n, k)
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=np.float64)
     groups = max(k + 1, min(n, SCREEN_GROUPS))
@@ -186,19 +187,24 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, distances
 
 
-def _check_knn(n: int, k: int, q: float) -> None:
+def _check_k(n: int, k: int) -> None:
+    """The neighbour count of every k-NN pass over n points: 1 <= k < n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
     if k >= n:
         raise TooFewPoints(f"k={k} neighbors requested but only {n} points")
+
+
+def _check_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
 
 
 def knn_quantile_eps_from(dist: np.ndarray, k: int, q: float) -> float:
     """eps = q-quantile (linear interpolation) of each point's k-th nearest
     distance, self excluded. Needs k < N (TooFewPoints)."""
-    _check_knn(dist.shape[0], k, q)
+    _check_k(dist.shape[0], k)
+    _check_q(q)
     off = np.array(dist, dtype=np.float64)
     np.fill_diagonal(off, np.inf)
     off.partition(k - 1, axis=1)
@@ -252,6 +258,15 @@ def _check_dbscan(eps: float, min_samples: int) -> None:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
 
 
+def _first_appearance(ids: np.ndarray) -> np.ndarray:
+    """ids renumbered 0, 1, ... in the order of the first row that holds each;
+    the smallest member of a cluster is the first row holding its id."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
 def _dbscan_lists(indptr: np.ndarray, indices: np.ndarray,
                   min_samples: int) -> np.ndarray:
     """DBSCAN on CSR neighbourhood lists (each list includes its point).
@@ -259,7 +274,7 @@ def _dbscan_lists(indptr: np.ndarray, indices: np.ndarray,
     Returns raw labels: clusters 0..C-1, noise -1. Points are scanned in
     index order and clusters expanded breadth-first, so a border point joins
     the first core cluster that reaches it; clusters are then renumbered by
-    smallest member index.
+    smallest member index (_first_appearance).
     """
     n = indptr.size - 1
     bounds = indptr.tolist()
@@ -285,16 +300,8 @@ def _dbscan_lists(indptr: np.ndarray, indices: np.ndarray,
                 queue.extend(indices[bounds[j]:bounds[j + 1]].tolist())
         cluster += 1
     raw = np.array(labels, dtype=np.int64)
-    if cluster > 1:
-        first_member = np.full(cluster, n, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            if raw[i] >= 0:
-                first_member[raw[i]] = i
-        order = np.argsort(first_member, kind="stable")
-        renumber = np.empty(cluster, dtype=np.int64)
-        renumber[order] = np.arange(cluster)
-        mask = raw >= 0
-        raw[mask] = renumber[raw[mask]]
+    member = raw != NOISE
+    raw[member] = _first_appearance(raw[member])
     return raw
 
 
@@ -313,19 +320,10 @@ def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:
     """Renumber clusters 1..C by first appearance; each noise point (-1)
     becomes a fresh singleton cluster C+1, C+2, ... in row order."""
     raw = np.asarray(raw_labels, dtype=np.int64)
-    out = np.zeros_like(raw)
-    mapping: dict[int, int] = {}
-    for i, value in enumerate(raw):
-        if value == -1:
-            continue
-        v = int(value)
-        if v not in mapping:
-            mapping[v] = len(mapping) + 1
-        out[i] = mapping[v]
-    next_id = len(mapping) + 1
-    for i in np.flatnonzero(raw == -1):
-        out[i] = next_id
-        next_id += 1
+    noise = raw == -1
+    out = np.empty_like(raw)
+    out[~noise] = _first_appearance(raw[~noise]) + 1
+    out[noise] = out[~noise].max(initial=0) + 1 + np.arange(np.count_nonzero(noise))
     return out
 
 
@@ -351,24 +349,20 @@ def cluster_pool(
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise ValueError(f"expected a 2-D code matrix, got shape {arr.shape}")
         raw = np.argmax(np.abs(arr), axis=1).astype(np.int64)
-        return ClusterAssignment(labels=remap_noise_to_singletons(raw),
-                                 raw_labels=raw)
-    if method == "dict_dbscan":
-        arr = l2_normalize_rows(arr, eps=1e-12)
-    unit = l2_normalize_rows(arr, eps=0.0)
-    del arr  # a normalized copy for dict_dbscan; only unit is read below
-    eps = eps_override
-    if eps is None:
-        _check_knn(unit.shape[0], dbscan_k, dbscan_q)
-    _check_dbscan(0.0 if eps is None else eps, min_samples)
-    knn = None
-    if eps is None:
-        knn = k_nearest(unit, dbscan_k)
-        eps = float(np.quantile(knn[1][:, -1], dbscan_q))
-    indptr, indices = _eps_lists(unit, eps, knn)
-    raw = _dbscan_lists(indptr, indices, min_samples)
-    return ClusterAssignment(
-        labels=remap_noise_to_singletons(raw),
-        raw_labels=raw,
-        eps=float(eps),
-    )
+        eps = None
+    else:
+        if method == "dict_dbscan":
+            arr = l2_normalize_rows(arr, eps=1e-12)
+        unit = l2_normalize_rows(arr, eps=0.0)
+        del arr  # a normalized copy for dict_dbscan; only unit is read below
+        eps = eps_override
+        _check_dbscan(0.0 if eps is None else eps, min_samples)
+        knn = None
+        if eps is None:
+            _check_q(dbscan_q)
+            knn = k_nearest(unit, dbscan_k)
+            eps = np.quantile(knn[1][:, -1], dbscan_q)
+        eps = float(eps)
+        raw = _dbscan_lists(*_eps_lists(unit, eps, knn), min_samples)
+    return ClusterAssignment(labels=remap_noise_to_singletons(raw),
+                             raw_labels=raw, eps=eps)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-_SMOOTHING_MODES = ("off", "power_law")
+SMOOTHING_MODES = ("off", "power_law")
 
 
 @dataclass
@@ -61,8 +61,8 @@ class SgtConfig:
             raise ValueError(f"bin_size must be >= 1, got {self.bin_size}")
         if not 1.0 <= self.offset_alpha <= 2.0:
             raise ValueError(f"offset_alpha must be in [1, 2], got {self.offset_alpha}")
-        if self.smoothing not in _SMOOTHING_MODES:
-            raise ValueError(f"smoothing must be one of {_SMOOTHING_MODES}")
+        if self.smoothing not in SMOOTHING_MODES:
+            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}")
         if self.k0_override is not None and self.k0_override < 0:
             raise ValueError("k0_override must be >= 0")
 
@@ -326,8 +326,8 @@ def corpus_prior(
     """Rarity prior over clusters; smoothing defaults to the power-law fit
     (raw spectrum fallback when it has fewer than two nonzero bins). Callers
     that keep a default omit it instead of restating it."""
-    if smoothing not in _SMOOTHING_MODES:
-        raise ValueError(f"smoothing must be one of {_SMOOTHING_MODES}")
+    if smoothing not in SMOOTHING_MODES:
+        raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     spec = subset_spectrum(labels, range(len(labels)))

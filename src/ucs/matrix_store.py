@@ -41,7 +41,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBQQ")  # magic, version, dtype, rows, cols
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_NAMES = {"f32": 0, "f64": 1}
+DTYPE_NAMES = {"f32": 0, "f64": 1}  # write_matrix's dtype -> header code
 
 # Hard cap on declared element count; anything larger is a corrupt header.
 _MAX_ELEMENTS = 1 << 40
@@ -82,8 +82,8 @@ def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64"
     Raises NonFiniteValue if the array contains NaN or Inf, IoError on
     filesystem failure.
     """
-    if dtype not in _DTYPE_NAMES:
-        raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'")
+    if dtype not in DTYPE_NAMES:
+        raise ValueError(f"unsupported dtype {dtype!r}; expected one of {tuple(DTYPE_NAMES)}")
     arr = np.ascontiguousarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
@@ -92,7 +92,7 @@ def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64"
         raise NonFiniteValue(
             f"non-finite value at row {bad[0]}, col {bad[1]}; refusing to write"
         )
-    code = _DTYPE_NAMES[dtype]
+    code = DTYPE_NAMES[dtype]
     payload = arr.astype(_DTYPE_CODES[code], copy=False)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, arr.shape[0], arr.shape[1])
     with open_file(path, "wb") as fh:

@@ -26,10 +26,21 @@ _NORM_MIN = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def masked_mean_pool(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Average the rows of `hidden` (T x d) where `mask` is nonzero.
+    """Average the rows of `hidden` (T x d) where `mask` is nonzero, weighted
+    by the mask: pool_tokens' mean mode."""
+    return pool_tokens(hidden, mask, "mean")
 
-    Raises EmptyMask when the mask selects nothing.
+
+def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.ndarray:
+    """Pool one example's token states `hidden` (T x d). mode 'mean' takes
+    the mask-weighted average, 'first' and 'last' the first and the last row
+    whose mask entry is nonzero.
+
+    In every mode the mask needs one entry per token (ValueError) and a
+    positive sum (EmptyMask).
     """
+    if mode not in POOLING_MODES:
+        raise ValueError(f"unknown pooling mode {mode!r}")
     h = np.asarray(hidden, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64).ravel()
     if h.shape[0] != m.shape[0]:
@@ -37,22 +48,10 @@ def masked_mean_pool(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
     total = m.sum()
     if total <= 0:
         raise EmptyMask("mask sums to zero; no tokens to pool")
-    return (m @ h) / total
-
-
-def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Pool one example's token states. mode is 'mean', 'first', or 'last'."""
-    if mode not in POOLING_MODES:
-        raise ValueError(f"unknown pooling mode {mode!r}")
     if mode == "mean":
-        return masked_mean_pool(hidden, mask)
-    h = np.asarray(hidden, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64).ravel()
-    active = np.flatnonzero(m != 0)
-    if active.size == 0:
-        raise EmptyMask("mask sums to zero; no tokens to pool")
-    row = active[0] if mode == "first" else active[-1]
-    return h[row].copy()
+        return (m @ h) / total
+    active = np.flatnonzero(m)
+    return h[active[0] if mode == "first" else active[-1]].copy()
 
 
 def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

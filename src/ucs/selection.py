@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import k_nearest
 from .coverage import CorpusPrior, CoverageTracker, SgtConfig, coverage_phi, corpus_prior
-from .errors import EmptyCandidateList, SingularKernel, TooFewPoints
+from .errors import EmptyCandidateList, SingularKernel
 from .preprocess import l2_normalize_rows
 
 # Floor for Schur complements before taking logs; keeps degenerate candidates
@@ -56,6 +56,13 @@ class SelectionConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.base not in BASE_SELECTORS:
             raise ValueError(f"unknown base selector {self.base!r}")
+        scale, discount = self.dpp_scale_factor, self.votek_discount_base
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"dpp_scale_factor must be finite and > 0, got {scale}")
+        if self.votek_k < 1:
+            raise ValueError(f"votek_k must be >= 1, got {self.votek_k}")
+        if not (math.isfinite(discount) and discount >= 1):  # 1: votes undiscounted
+            raise ValueError(f"votek_discount_base must be finite and >= 1, got {discount}")
 
 
 @dataclass
@@ -178,11 +185,7 @@ def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     argsort of each row of cosine_distance_matrix(x) with the diagonal left
     out, found by clustering.k_nearest without the whole matrix.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.shape[0]
-    if not 1 <= k < n:
-        raise TooFewPoints(f"votek_k={k} requires at least k+1={k + 1} points, got {n}")
-    return k_nearest(l2_normalize_rows(arr, eps=0.0), k)[0]
+    return k_nearest(l2_normalize_rows(x, eps=0.0), k)[0]
 
 
 def _votes_from_graph(neighbors: np.ndarray, chosen: np.ndarray,

@@ -31,6 +31,7 @@ from .coverage import (
     subset_spectrum,  # unused here; perfbench/spans.py patches ucs.synth_oracle.subset_spectrum
 )
 
+ORACLE_ESTIMATORS = ("sgt", "gt")  # mc_unseen_oracle's estimator names
 
 # Guide-table buckets per type. On a 2-core Intel Xeon, 1500 draws from
 # zipf(2000, 1.0) took 137, 96, 77 and 88 us at 1, 2, 4 and 8 buckets per
@@ -222,8 +223,8 @@ def mc_unseen_oracle(
         raise ValueError(f"n must be >= 0, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if estimator not in ("sgt", "gt"):
-        raise ValueError(f"estimator must be 'sgt' or 'gt', got {estimator!r}")
+    if estimator not in ORACLE_ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ORACLE_ESTIMATORS}, got {estimator!r}")
     cfg = sgt if sgt is not None else SgtConfig(t=t)
     if cfg.t != t:
         cfg = dataclasses.replace(cfg, t=t)
@@ -289,11 +290,12 @@ def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> Exposur
     size of the selected items, averaged over selections (std across them)."""
     if not selections:
         raise ValueError("need at least one selection")
-    lab = np.asarray(labels, dtype=np.int64)
-    sizes = np.bincount(lab)
+    # np.unique, not bincount: every id is a cluster, negative ones too
+    _, cluster, sizes = np.unique(np.asarray(labels, dtype=np.int64),
+                                  return_inverse=True, return_counts=True)
     uniq, mean_size, mean_inv = [], [], []
     for sel in selections:
-        chosen = lab[list(sel)]
+        chosen = cluster[list(sel)]
         uniq.append(float(np.unique(chosen).size))
         member_sizes = sizes[chosen].astype(np.float64)
         mean_size.append(float(member_sizes.mean()))

@@ -19,13 +19,20 @@ from ucs.cli import (
     main,
     resolve_config,
     run_pipeline,
+    run_selection,
 )
 from ucs.clustering import cluster_pool
 from ucs.coverage import SgtConfig, coverage_phi, k0_for
 from ucs.errors import ConfigError, MissingInput
 from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
-from ucs.matrix_store import read_labels, read_matrix, write_labels, write_matrix
-from ucs.preprocess import preprocess_pool
+from ucs.matrix_store import (
+    read_labels,
+    read_matrix,
+    write_labels,
+    write_matrix,
+    write_token_bundle,
+)
+from ucs.preprocess import pool_tokens, preprocess_pool
 from ucs.selection import (
     SelectionConfig,
     dpp_kernel,
@@ -33,7 +40,7 @@ from ucs.selection import (
     sample_candidate_subsets,
     subset_utility_ucs,
 )
-from ucs.synth_oracle import Population, sample_pool
+from ucs.synth_oracle import Population, mc_unseen_oracle, sample_pool
 
 
 def _manifest(path):
@@ -325,6 +332,69 @@ def test_ingest_roundtrip(tmp_path, capsys):
     assert "timestamp" in manifest
 
 
+def test_ingest_f32_is_write_matrix_f32(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    out, want = str(tmp_path / "f32.ucsm"), str(tmp_path / "want.ucsm")
+    assert main(["ingest", "--input", pool_path, "--out", out, "--dtype", "f32"]) == 0
+    write_matrix(read_matrix(pool_path), want, dtype="f32")
+    with open(out, "rb") as got_fh, open(want, "rb") as want_fh:
+        assert got_fh.read() == want_fh.read()
+    assert _manifest(out + ".manifest.txt")["dtype"] == "f32"
+
+
+@pytest.mark.parametrize("flags", [["--no-standardize"], ["--l2norm"],
+                                   ["--no-standardize", "--l2norm"]])
+def test_preprocess_flags_are_preprocess_pool_options(tmp_path, capsys, flags):
+    pool_path, _ = _write_pool(tmp_path, n=40, dim=8)
+    out = str(tmp_path / "reduced.ucsm")
+    assert main(["preprocess", "--input", pool_path, "--out", out,
+                 "--dict-pca-dim", "5", *flags]) == 0
+    want = preprocess_pool(read_matrix(pool_path), d_prime=5,
+                           standardize="--no-standardize" not in flags,
+                           l2norm="--l2norm" in flags)[0]
+    assert np.array_equal(read_matrix(out), want)
+    manifest = _manifest(out + ".manifest.txt")
+    assert manifest["standardize"] == str("--no-standardize" not in flags)
+    assert manifest["l2norm"] == str("--l2norm" in flags)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["first", "last"])
+def test_preprocess_bundle_pooling_is_pool_tokens(tmp_path, capsys, mode):
+    rng = np.random.default_rng(2)
+    examples = []
+    for _ in range(12):
+        mask = (rng.random(6) < 0.6).astype(np.float64)
+        mask[rng.integers(6)] = 1.0
+        examples.append((rng.standard_normal((6, 5)), mask))
+    write_token_bundle(tmp_path / "bundle", examples)
+    out = str(tmp_path / "reduced.ucsm")
+    assert main(["preprocess", "--bundle", str(tmp_path / "bundle"), "--out", out,
+                 "--pooling", mode, "--dict-pca-dim", "4"]) == 0
+    pooled = np.stack([pool_tokens(h, m, mode) for h, m in examples])
+    assert np.array_equal(read_matrix(out), preprocess_pool(pooled, d_prime=4)[0])
+    assert _manifest(out + ".manifest.txt")["pooling"] == mode
+    capsys.readouterr()
+
+
+def test_joint_fit_latent_dim_and_fix_maps_are_library_options(tmp_path, capsys):
+    a_path, _ = _write_pool(tmp_path, n=30, k=4, dim=6, seed=1, name="a.ucsm")
+    b_path, _ = _write_pool(tmp_path, n=30, k=4, dim=5, seed=2, name="b.ucsm")
+    stem = str(tmp_path / "joint")
+    assert main(["joint-fit", "--inputs", a_path, b_path, "--out-stem", stem,
+                 "--dict-n-components", "3", "--max-iter", "4", "--seed", "2",
+                 "--latent-dim", "4", "--fix-maps"]) == 0
+    book = fit_joint_dictionary([read_matrix(a_path), read_matrix(b_path)], n_atoms=3,
+                                ridge_alpha=CONFIG_DEFAULTS["dict_alpha"], max_iter=4,
+                                seed=2, d_c=4, fix_maps=True)
+    assert np.array_equal(read_matrix(stem + ".dict.ucsm"), book.dictionary)
+    assert np.array_equal(read_matrix(stem + ".codes.ucsm"), book.codes)
+    for m, mapping in enumerate(book.maps):
+        assert np.array_equal(read_matrix(f"{stem}.map{m}.ucsm"), mapping)
+    assert book.dictionary.shape[0] == 4
+    capsys.readouterr()
+
+
 def test_spectrum_and_estimate_reports(tmp_path, capsys):
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2, 3]), labels_path)
@@ -414,6 +484,32 @@ def test_select_all_bases_and_rarity(tmp_path, capsys):
         with open(out, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
     capsys.readouterr()
+
+
+def _dpp_picks(x, labels):
+    return run_selection(x, labels, "dpp", CONFIG_DEFAULTS, 42, SgtConfig()).indices
+
+
+# every row is nonzero, so every unit row's kernel diagonal is exp(0.1) + 1e-8
+# in exact arithmetic; computed, it took two values, and the first pick went
+# to row 1, the first row whose |u_i|^2 rounded up
+DPP_TIE_POOL = sample_pool(Population.zipf(20, 1.1), 60, dim=16, spread=0.3, seed=0)
+
+
+def test_dpp_first_pick_is_the_lowest_index_on_a_tie():
+    x, labels = DPP_TIE_POOL
+    assert np.all(np.any(x, axis=1))
+    assert _dpp_picks(x, labels)[0] == 0
+
+
+def test_dpp_picks_do_not_move_with_ulp_perturbations():
+    x, labels = DPP_TIE_POOL
+    want = _dpp_picks(x, labels)
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        toward = np.where(rng.random(x.shape) < 0.5, -np.inf, np.inf)
+        y = np.nextafter(np.nextafter(x, toward), toward)  # 2 ulps per entry
+        assert _dpp_picks(y, labels) == want
 
 
 def test_select_rerun_identical_artifact(tmp_path, capsys):
@@ -738,11 +834,45 @@ def test_synth_pool_and_oracle(tmp_path, capsys):
 
     report = str(tmp_path / "oracle.txt")
     assert main(["synth", "--mode", "oracle", "--k-types", "5", "--n", "20",
-                 "--trials", "5", "--t", "1.0", "--seed", "3",
+                 "--trials", "5", "--sgt-t", "1.0", "--seed", "3",
                  "--out", report]) == 0
     text = open(report).read()
     for name in ("mean_new", "mean_estimate", "mean_abs_estimator_error"):
         assert name in text
+    capsys.readouterr()
+
+
+def test_synth_horizon_has_one_flag(tmp_path, capsys):
+    # --t is not a flag, nor an abbreviation of --trials
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--mode", "oracle", "--k-types", "5", "--n", "20", "--t", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _table(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return dict(line.split() for line in fh)
+
+
+def test_synth_estimator_and_spread_flags_are_the_library_calls(tmp_path, capsys):
+    report = str(tmp_path / "oracle.txt")
+    assert main(["synth", "--mode", "oracle", "--k-types", "30", "--zipf-exponent",
+                 "1.1", "--n", "40", "--trials", "7", "--sgt-t", "2.0", "--seed", "5",
+                 "--estimator", "gt", "--out", report]) == 0
+    want = mc_unseen_oracle(Population.zipf(30, 1.1), 40, 2.0, 7, 5,
+                            sgt=SgtConfig(t=2.0), estimator="gt")
+    table = _table(report)
+    assert table["estimator"] == "gt"
+    for name in ("mean_new", "mean_estimate", "std_estimate",
+                 "mean_abs_estimator_error"):
+        assert float(table[name]) == getattr(want, name)
+    stem = str(tmp_path / "syn")
+    assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30", "--dim", "6",
+                 "--spread", "0.2", "--seed", "1", "--out-stem", stem]) == 0
+    x, labels = sample_pool(Population.uniform(5), 30, dim=6, spread=0.2, seed=1)
+    assert np.array_equal(read_matrix(stem + ".pool.ucsm"), x)
+    assert np.array_equal(read_labels(stem + ".labels.txt"), labels)
     capsys.readouterr()
 
 

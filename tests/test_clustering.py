@@ -196,6 +196,48 @@ def test_remap_examples():
     assert np.array_equal(remap_noise_to_singletons(np.array([-1, -1])), [1, 2])
 
 
+def test_remap_matches_first_appearance_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(30):
+        raw = rng.integers(-1, int(rng.integers(1, 12)), size=int(rng.integers(0, 60)))
+        kept = raw != -1
+        want = np.empty(raw.size, dtype=np.int64)
+        want[kept] = np.array(_canon(raw[kept]), dtype=np.int64) + 1
+        start = int(want[kept].max()) + 1 if kept.any() else 1
+        want[~kept] = np.arange(start, start + np.count_nonzero(~kept))
+        assert np.array_equal(remap_noise_to_singletons(raw), want), f"trial {trial}"
+
+
+@pytest.mark.parametrize("min_samples", [1, 3])
+def test_dbscan_clusters_numbered_by_first_member_with_noise(min_samples):
+    # raw ids run 0..C-1 in the order of each cluster's first row, noise is -1,
+    # and cluster_pool's labels are that numbering remapped
+    x, _ = sample_pool(Population.zipf(30, 1.1), 300, dim=12, spread=0.4, seed=2)
+    d = cosine_distance_matrix(x)
+    eps = knn_quantile_eps_from(d, k=5, q=0.3)
+    raw = dbscan_from(d, eps, min_samples)
+    member = raw[raw >= 0]
+    assert np.array_equal(member, _canon(member))
+    if min_samples > 1:
+        assert (raw == -1).any()
+    assign = cluster_pool(x, method="dbscan", dbscan_k=5, dbscan_q=0.3,
+                          min_samples=min_samples)
+    assert np.array_equal(assign.raw_labels, raw)
+    assert np.array_equal(assign.labels, remap_noise_to_singletons(raw))
+
+
+def test_k_nearest_checks_the_neighbour_count():
+    # numpy's partition and reshape used to fail first, with their own messages
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    unit = l2_normalize_rows(x, eps=0.0)
+    for search in (lambda k: k_nearest(unit, k), lambda k: _knn_graph(x, k)):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            search(0)
+        for k in (5, 6):
+            with pytest.raises(TooFewPoints, match=f"k={k} neighbors requested but only 5"):
+                search(k)
+
+
 def test_argmax_magnitude_and_tie_rules():
     codes = np.array([[0.1, -0.9, 0.2], [1.0, 0.0, 0.0]])
     assign = cluster_pool(codes, method="dict_argmax")

@@ -38,6 +38,28 @@ def test_first_and_last_pooling_skip_masked_tokens():
     assert np.array_equal(pool_tokens(h, mask, "mean"), (h[1] + h[2]) / 2)
 
 
+@pytest.mark.parametrize("mode", ["mean", "first", "last"])
+def test_every_pooling_mode_checks_the_mask(mode):
+    # first and last used to skip both checks: a short mask pooled h[1], and
+    # a mask summing to 0 pooled its first or last nonzero entry
+    h = np.arange(15.0).reshape(5, 3)
+    with pytest.raises(ValueError, match="mask length 3 != token count 5"):
+        pool_tokens(h, np.array([1.0, 1.0, 0.0]), mode)
+    with pytest.raises(EmptyMask):
+        pool_tokens(h, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), mode)
+
+
+def test_masked_mean_pool_is_the_mean_mode():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        h = rng.standard_normal((7, 4))
+        mask = rng.integers(0, 3, size=7).astype(np.float64)
+        mask[rng.integers(7)] += 1.0
+        want = (mask @ h) / mask.sum()
+        assert np.array_equal(masked_mean_pool(h, mask), want)
+        assert np.array_equal(pool_tokens(h, mask, "mean"), want)
+
+
 def test_l2_normalize_three_four_five():
     out = l2_normalize_rows(np.array([[3.0, 4.0]]))
     assert np.allclose(out, [[0.6, 0.8]], atol=1e-11)

@@ -386,6 +386,27 @@ def test_selection_config_refuses_lambda_not_finite_and_non_negative(lam):
         SelectionConfig(budget=3, lam=lam)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_selection_config_refuses_dpp_scale_factor_not_finite_and_positive(scale):
+    # NaN raised SingularKernel at order 1 and -1 at order 2; 0 made every
+    # kernel entry 1 and picked the first rows
+    with pytest.raises(ValueError, match="dpp_scale_factor must be finite and > 0"):
+        SelectionConfig(dpp_scale_factor=scale)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_selection_config_refuses_votek_k_below_one(k):
+    with pytest.raises(ValueError, match="votek_k must be >= 1"):
+        SelectionConfig(votek_k=k)
+
+
+@pytest.mark.parametrize("base", [float("nan"), float("inf"), 0.0, 0.5, -2.0])
+def test_selection_config_refuses_votek_discount_base_below_one(base):
+    # NaN, 0 and -2 were accepted silently, 0 with a divide-by-zero warning
+    with pytest.raises(ValueError, match="votek_discount_base must be finite and >= 1"):
+        SelectionConfig(votek_discount_base=base)
+
+
 def test_votek_requires_enough_points():
     with pytest.raises(TooFewPoints):
         votek_votes(CHAIN, k=5, selected=[])

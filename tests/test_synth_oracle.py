@@ -298,6 +298,19 @@ def test_exposure_one_big_cluster():
     assert report.mean_inv_size == pytest.approx(0.125)
 
 
+def test_exposure_treats_every_id_as_a_cluster():
+    # bincount refused the negative ids with numpy's own message
+    report = exposure_metrics(np.array([-1, -1, 2]), [[0, 2]])
+    assert report.uniq_clusters == 2.0
+    assert report.mean_cluster_size == 1.5
+    rng = np.random.default_rng(3)
+    labels = rng.integers(1, 12, size=50)
+    selections = [list(rng.choice(50, size=6, replace=False)) for _ in range(3)]
+    want = exposure_metrics(labels, selections)
+    for shift in (-5, -20, 1000):
+        assert exposure_metrics(labels + shift, selections) == want
+
+
 def test_exposure_mixed_hand_arithmetic():
     labels = np.array([1, 1, 1, 2, 3])  # sizes: 3, 1, 1
     report = exposure_metrics(labels, [[0, 3], [1, 2]])
