@@ -651,8 +651,15 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.epilog = "config keys consumed: " + (", ".join(keys) if keys else "none")
 
 
+class _Parser(argparse.ArgumentParser):
+    # No flag abbreviations, so a removed or renamed flag cannot silently
+    # land on another that shares its prefix. Subparsers take this class too.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ucs",
         description="Coverage-regularized demonstration selection pipeline.",
     )
@@ -754,9 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "select")
     p.set_defaults(run=stage_select)
 
-    p = sub.add_parser("synth", allow_abbrev=False,  # so --t is not --trials
-                       help="generate synthetic pools or run the "
-                            "Monte Carlo unseen-type oracle")
+    p = sub.add_parser("synth", help="generate synthetic pools or run the "
+                                     "Monte Carlo unseen-type oracle")
     p.add_argument("--mode", choices=("pool", "oracle"), default="pool")
     p.add_argument("--k-types", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

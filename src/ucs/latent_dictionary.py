@@ -12,8 +12,8 @@ E^T R = C W and R^T R = W^T C W of C = E^T E (the sufficient statistics of
 Mairal et al., "Online Learning for Matrix Factorization and Sparse
 Coding", JMLR 2010). So the fit forms C once, in O(N d'^2), and each
 alternation costs O(d'^2 K + K^3) whatever N is; the codes themselves are
-computed only by ridge_encode. The multi-source fit aligns sources into a
-shared code space with orthogonal maps before the same alternation.
+computed only by ridge_encode. The multi-source fit likewise reads only
+the cross moments X_m^T X_l of the sources it aligns with orthogonal maps.
 """
 
 from __future__ import annotations
@@ -214,12 +214,6 @@ def fit_dictionary(
     )
 
 
-def _procrustes_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # Orthogonal-column map maximizing tr(B^T source^T target).
-    u, _, vt = np.linalg.svd(source.T @ target, full_matrices=False)
-    return u @ vt
-
-
 def fit_joint_dictionary(
     sources: list[np.ndarray],
     n_atoms: int = 64,
@@ -231,22 +225,33 @@ def fit_joint_dictionary(
 ) -> JointCodeBook:
     """Fit one dictionary over several embedding sources of the same pool.
 
-    Minimizes sum_m ||E^(m) B^(m) - R D^T||_F^2 + alpha ||R||_F^2 over
-    orthogonal-column maps B^(m) (d_m x d_c), shared codes R, and unit
-    atoms. Each iteration updates maps by orthogonal Procrustes, then the
-    dictionary and codes by the single-source alternation on the mean of the
-    mapped sources. d_c defaults to the smallest source width. With
-    fix_maps=True and one square source this reduces exactly to
-    fit_dictionary.
+    Minimizes sum_m ||X_m B_m - R D^T||_F^2 + alpha ||R||_F^2 over
+    orthogonal-column maps B_m (d_m x d_c), shared codes R and unit atoms:
+    each iteration fits the maps by orthogonal Procrustes, one source at a
+    time, then takes fit_dictionary's step on M = (1/S) sum_m X_m B_m at
+    alpha / S. d_c defaults to the smallest source width. With
+    fix_maps=True and one square source this is fit_dictionary, bit for bit.
+
+    Cost: one O(N (sum_m d_m)^2) pass forms the cross moments X_m^T X_l;
+    each alternation then costs O(S^2 d_max^2 d_c + d_c^2 K + K^3) whatever
+    N is, and the codes are solved once, after the last alternation.
+
+    The objective, sum_m ||X_m B_m||_F^2 - S ||M||_F^2 + S f(M) with f
+    fit_dictionary's Gram form at alpha / S, equals the residual form for
+    the returned maps, codes and dictionary. Its rounding is absolute: to
+    first order at most c 2^-52 b^2 sum_m ||X_m||_F^2, with
+    b = max_m || |B_m| ||_2, c = (N + 2d_max + 2S + 3d_c + d_c K + K^2 + 8)
+    (2 + (1 + s)^2 + (alpha / S) || |W| ||_2^2), s and W fit_dictionary's
+    for D at alpha / S: the terms' absolute masses are b^2, b^2 and
+    (1 + s)^2 + ... times sum_m ||X_m||_F^2, and M^T M adds 2d_max + 2S + 2
+    roundings to C's N. Near an exact fit this exceeds REL_TOL's step.
     """
     if not sources:
         raise MisalignedSources("need at least one source")
     mats = [np.asarray(s, dtype=np.float64) for s in sources]
     n = mats[0].shape[0]
     if any(m.ndim != 2 or m.shape[0] != n for m in mats):
-        raise MisalignedSources(
-            f"sources disagree on row count: {[m.shape for m in mats]}"
-        )
+        raise MisalignedSources(f"sources disagree on row count: {[m.shape for m in mats]}")
     if n == 0:
         raise ValueError("sources are empty")
     widths = [m.shape[1] for m in mats]
@@ -258,69 +263,64 @@ def fit_joint_dictionary(
         raise DegenerateInput("all sources are zero; nothing to align")
 
     # One shared canonical order (keyed on the first source) keeps the fit a
-    # pure function of the aligned row set; codes are restored to the
-    # caller's row order on return.
+    # pure function of the aligned row set; the codes return in caller order.
     order = _canonical_row_order(mats[0])
     mats = [m[order] for m in mats]
-
     n_sources = len(mats)
     alpha_eff = ridge_alpha / n_sources
     maps = [np.eye(w, d_c) for w in widths]
-    mapped = [m @ b for m, b in zip(mats, maps)]
-    mean_pool = sum(mapped) / float(n_sources)
 
-    dictionary = _init_dictionary(
-        mean_pool[_canonical_row_order(mean_pool)], n_atoms, seed)
-    codes = _solve_codes(dictionary, mean_pool, alpha_eff)
+    def mean_pool() -> np.ndarray:
+        return sum(m @ b for m, b in zip(mats, maps)) / float(n_sources)
 
-    def joint_objective() -> float:
-        target = codes @ dictionary.T
-        recon = sum(float(np.sum((x - target) ** 2)) for x in mapped)
-        return recon + ridge_alpha * float(np.sum(codes * codes))
+    pool = mean_pool()
+    dictionary = _init_dictionary(pool[_canonical_row_order(pool)], n_atoms, seed)
+    del pool
+    # Until the codes are solved, the sources enter only as X_m^T X_l.
+    cross = [[x.T @ y for y in mats] for x in mats]
+
+    def source_mean(m_idx: int) -> np.ndarray:
+        # X_m^T M
+        return sum(c @ b for c, b in zip(cross[m_idx], maps)) / float(n_sources)
+
+    def moments() -> tuple[np.ndarray, np.ndarray, float]:
+        # fit_dictionary's moments of M at alpha / S, and the joint objective.
+        second = sum(b.T @ source_mean(i) for i, b in enumerate(maps)) / float(n_sources)
+        gram, corr, fit = _moments(dictionary, second, alpha_eff)
+        mapped = sum(np.trace(b.T @ cross[i][i] @ b) for i, b in enumerate(maps))
+        return gram, corr, float(mapped - n_sources * np.trace(second) + n_sources * fit)
 
     def max_orth_deviation() -> float:
-        return max(
-            float(np.max(np.abs(b.T @ b - np.eye(d_c)))) for b in maps
-        )
+        return max(float(np.max(np.abs(b.T @ b - np.eye(d_c)))) for b in maps)
 
-    history = [joint_objective()]
+    gram, corr, objective = moments()
+    history = [objective]
     orth_history = [max_orth_deviation()]
     for _ in range(max_iter):
         if not fix_maps:
-            # Sequential sweep: refresh the target and codes after every
-            # map update. A simultaneous sweep against one stale target
-            # stalls when the initial mean collapses directions (sources
-            # that nearly cancel), since the collapsed subspace then never
-            # enters the target.
-            for m_idx, mat in enumerate(mats):
-                target = codes @ dictionary.T
-                b_new = _procrustes_map(mat, target)
-                # The SVD map is exact for square maps; for rectangular maps
-                # it can raise the residual, so keep the better of the two.
+            # Sequential sweep: each map fits T = M W D^T of the maps before it;
+            # a stale T stalls when the initial mean collapses directions.
+            to_target = _ridge_map(dictionary, alpha_eff)[1] @ dictionary.T  # T = M to_target
+            for m_idx, b_old in enumerate(maps):
+                x_t = source_mean(m_idx) @ to_target  # X_m^T T
+                u, _, vt = np.linalg.svd(x_t, full_matrices=False)
+                b_new = u @ vt
+                # Exact for square maps; a rectangular one can raise
+                # ||X_m B - T||^2 (||T||^2 aside), so keep the better.
                 if widths[m_idx] > d_c:
-                    old_err = np.sum((mat @ maps[m_idx] - target) ** 2)
-                    new_err = np.sum((mat @ b_new - target) ** 2)
-                    if new_err > old_err:
+                    cost = [np.trace(b.T @ cross[m_idx][m_idx] @ b) - 2.0 * np.vdot(b, x_t)
+                            for b in (b_old, b_new)]
+                    if cost[1] > cost[0]:
                         continue
                 maps[m_idx] = b_new
-                mapped[m_idx] = mat @ b_new
-                mean_pool = sum(mapped) / float(n_sources)
-                codes = _solve_codes(dictionary, mean_pool, alpha_eff)
-        _update_atoms(dictionary, codes.T @ codes, mean_pool.T @ codes)
-        codes = _solve_codes(dictionary, mean_pool, alpha_eff)
-        history.append(joint_objective())
+            gram, corr, _ = moments()
+        _update_atoms(dictionary, gram, corr)
+        gram, corr, objective = moments()
+        history.append(objective)
         orth_history.append(max_orth_deviation())
         if _converged(history):
             break
-    codes_out = np.empty_like(codes)
-    codes_out[order] = codes
-    return JointCodeBook(
-        dictionary=dictionary,
-        codes=codes_out,
-        maps=maps,
-        ridge_alpha=ridge_alpha,
-        n_iter=len(history) - 1,
-        objective=history[-1],
-        objective_history=history,
-        orthogonality_history=orth_history,
-    )
+    codes = _solve_codes(dictionary, mean_pool(), alpha_eff)[np.argsort(order)]
+    return JointCodeBook(dictionary=dictionary, codes=codes, maps=maps, ridge_alpha=ridge_alpha,
+                         n_iter=len(history) - 1, objective=history[-1],
+                         objective_history=history, orthogonality_history=orth_history)

@@ -287,15 +287,28 @@ class ExposureReport:
 
 def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> ExposureReport:
     """Distinct-cluster count, mean global cluster size, and mean inverse
-    size of the selected items, averaged over selections (std across them)."""
+    size of the selected items, averaged over selections (std across them).
+
+    Each selection is a set of rows: an index outside [0, N) or one that
+    repeats raises ValueError naming the selection and the position.
+    """
     if not selections:
         raise ValueError("need at least one selection")
     # np.unique, not bincount: every id is a cluster, negative ones too
     _, cluster, sizes = np.unique(np.asarray(labels, dtype=np.int64),
                                   return_inverse=True, return_counts=True)
     uniq, mean_size, mean_inv = [], [], []
-    for sel in selections:
-        chosen = cluster[list(sel)]
+    for s, sel in enumerate(selections):
+        position: dict[int, int] = {}
+        for pos, idx in enumerate(sel):
+            i = int(idx)
+            if not 0 <= i < cluster.size:
+                raise ValueError(f"selection {s}, position {pos}: index {i} "
+                                 f"outside pool of {cluster.size} rows")
+            if position.setdefault(i, pos) != pos:
+                raise ValueError(f"selection {s}, position {pos}: index {i} "
+                                 f"repeats position {position[i]}")
+        chosen = cluster[list(position)]
         uniq.append(float(np.unique(chosen).size))
         member_sizes = sizes[chosen].astype(np.float64)
         mean_size.append(float(member_sizes.mean()))

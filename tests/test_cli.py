@@ -850,6 +850,19 @@ def test_synth_horizon_has_one_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["estimate", "--labels", "l.txt", "--sgt-o", "1.5"], "--sgt-o"),
+    (["select", "--embeddings", "x.ucsm", "--labels", "l.txt", "--out", "s.csv",
+      "--rar", "B1"], "--rar"),
+], ids=["estimate", "select"])
+def test_flag_prefixes_are_not_abbreviations(argv, prefix, capsys):
+    # a prefix of --sgt-offset or --rarity is an unknown flag, not that flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+
 def _table(path):
     with open(path, "r", encoding="utf-8") as fh:
         return dict(line.split() for line in fh)

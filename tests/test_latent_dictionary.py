@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucs import latent_dictionary
 from ucs.errors import DegenerateInput, MisalignedSources
 from ucs.latent_dictionary import (
     REL_TOL,
@@ -336,7 +337,10 @@ def test_joint_single_source_reduces_to_fit_dictionary():
     pool = rng.standard_normal((40, 6))
     single = fit_dictionary(pool, n_atoms=5, seed=3)
     joint = fit_joint_dictionary([pool], n_atoms=5, seed=3, fix_maps=True)
-    assert abs(joint.objective - single.objective) < 1e-8
+    assert np.array_equal(joint.dictionary, single.dictionary)
+    assert joint.objective == single.objective
+    assert joint.objective_history == single.objective_history
+    assert joint.n_iter == single.n_iter
     assert np.array_equal(joint.maps[0], np.eye(6))
 
 
@@ -377,3 +381,75 @@ def test_joint_free_maps_no_worse_than_identity_maps():
 def test_joint_row_count_mismatch():
     with pytest.raises(MisalignedSources):
         fit_joint_dictionary([np.ones((3, 2)), np.ones((4, 2))], n_atoms=2)
+
+
+def _monotone_sources():
+    # test_joint_objective_monotone's pool: a square and a rectangular map.
+    rng = np.random.default_rng(11)
+    sources = [rng.standard_normal((30, 6)), rng.standard_normal((30, 9))]
+    return sources, dict(n_atoms=8, seed=1, max_iter=40)
+
+
+def _rotated_sources():
+    # test_joint_rotated_copy_aligns's pool: a near-exact fit at a tiny ridge.
+    rng = np.random.default_rng(10)
+    pool = rng.standard_normal((50, 8))
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    return [pool, pool @ q], dict(n_atoms=16, ridge_alpha=1e-10, seed=0, max_iter=100)
+
+
+@pytest.mark.parametrize("max_iter, n_iter", [(1, 1), (40, 34)])
+def test_joint_fit_solves_codes_once(monkeypatch, max_iter, n_iter):
+    # Every alternation runs on the cross moments; the N-row codes are
+    # solved once, after the last one.
+    calls = []
+    solve = latent_dictionary._solve_codes
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(latent_dictionary, "_solve_codes", counted)
+    sources, kwargs = _monotone_sources()
+    book = fit_joint_dictionary(sources, **{**kwargs, "max_iter": max_iter})
+    assert book.n_iter == n_iter
+    assert len(calls) == 1
+
+
+def _joint_residual_objective(sources, book):
+    # sum_m ||X_m B_m - R D^T||_F^2 + alpha ||R||_F^2 from the returned
+    # maps, codes and dictionary, in extended precision.
+    d, r = (np.asarray(m, dtype=np.longdouble) for m in (book.dictionary, book.codes))
+    target = r @ d.T
+    total = np.longdouble(book.ridge_alpha) * np.sum(r * r)
+    for x, b in zip(sources, book.maps):
+        resid = np.asarray(x, dtype=np.longdouble) @ np.asarray(b, dtype=np.longdouble) - target
+        total += np.sum(resid * resid)
+    return float(total)
+
+
+def _joint_form_bound(sources, book):
+    # fit_joint_dictionary's stated bound: c 2^-52 b^2 sum_m ||X_m||_F^2 with
+    # b = max_m || |B_m| ||_2, c = (N + 2d_max + 2S + 3d_c + d_c K + K^2 + 8)
+    # (2 + (1 + s)^2 + (alpha / S) || |W| ||_2^2), s and W at alpha / S.
+    n_sources, n = len(sources), sources[0].shape[0]
+    d_max = max(x.shape[1] for x in sources)
+    d_c, k = book.dictionary.shape
+    alpha = book.ridge_alpha / n_sources
+    ridge = np.linalg.solve(book.dictionary.T @ book.dictionary + alpha * np.eye(k),
+                            book.dictionary.T).T
+    w_norm = np.linalg.norm(np.abs(ridge), 2)
+    s = np.linalg.norm(np.abs(book.dictionary), 2) * w_norm
+    b = max(np.linalg.norm(np.abs(m), 2) for m in book.maps)
+    c = ((n + 2 * d_max + 2 * n_sources + 3 * d_c + d_c * k + k * k + 8)
+         * (2 + (1 + s) ** 2 + alpha * w_norm ** 2))
+    return c * 2.0 ** -52 * b ** 2 * sum(float(np.sum(x * x)) for x in sources)
+
+
+@pytest.mark.parametrize("pool", [_monotone_sources, _rotated_sources],
+                         ids=["monotone", "rotated"])
+def test_joint_objective_matches_residual_form(pool):
+    sources, kwargs = pool()
+    book = fit_joint_dictionary(sources, **kwargs)
+    residual = _joint_residual_objective(sources, book)
+    assert abs(book.objective - residual) <= _joint_form_bound(sources, book)

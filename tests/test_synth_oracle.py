@@ -311,6 +311,18 @@ def test_exposure_treats_every_id_as_a_cluster():
         assert exposure_metrics(labels + shift, selections) == want
 
 
+@pytest.mark.parametrize("selections, message", [
+    ([[-1]], r"selection 0, position 0: index -1 outside pool of 3 rows"),
+    ([[0, 0]], r"selection 0, position 1: index 0 repeats position 0"),
+    ([[3]], r"selection 0, position 0: index 3 outside pool of 3 rows"),
+], ids=["negative", "repeated", "past-the-end"])
+def test_exposure_selections_are_sets_of_rows(selections, message):
+    # these used to read the last row, count row 0 twice (mean_cluster_size
+    # 2.0) and fail with numpy's IndexError
+    with pytest.raises(ValueError, match=message):
+        exposure_metrics(np.array([1, 1, 2]), selections)
+
+
 def test_exposure_mixed_hand_arithmetic():
     labels = np.array([1, 1, 1, 2, 3])  # sizes: 3, 1, 1
     report = exposure_metrics(labels, [[0, 3], [1, 2]])
