@@ -8,18 +8,22 @@ count. No stage holds the N x N matrix. A float32 screen goes over it one
 row strip at a time (one BLAS product per strip), keeps every pair that can
 be a neighbour, and only those pairs are evaluated exactly. k_nearest finds
 each row's k nearest rows that way, bounding each row's k-th distance by
-minima over groups of columns; it is VoteK's k-NN graph and gives the k-th
+minima over groups of columns, and sorts each row's candidates in one
+padded row per strip row; it is VoteK's k-NN graph and gives the k-th
 distances whose q-quantile is eps. Each row's neighbours within eps are
 then collected as CSR lists: a row whose k-th distance exceeds eps finds
 them all among its k nearest, and only the other rows (about q N) are
 screened again. DBSCAN runs on the lists (the neighbourhood-list form of
-Schubert et al., "DBSCAN Revisited", TODS 2017). Noise points are remapped
-to fresh singleton clusters so that every example carries a cluster id.
+Schubert et al., "DBSCAN Revisited", TODS 2017) as array code, with no
+per-point loop: the clusters are the connected components of the core
+points, found by min-label propagation with pointer jumping, and each
+border point joins the one with the smallest core point among its
+neighbours'. Noise points are remapped to fresh singleton clusters so that
+every example carries a cluster id.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +162,15 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     distance, ties included; those are evaluated exactly and sorted. At
     g = N, m is the float32 k-th itself.
 
+    Each strip's candidates are sorted in two padded arrays, distances and
+    indices, of (strip rows) x (the most candidates any one of them has),
+    padded with (+inf, N) so that padding sorts last; every row has at least
+    k real candidates. A row has at most N - 1 candidates, so the pair holds
+    at most DEFAULT_TILE_ROWS (N - 1) entries of 16 bytes, four times the
+    float32 strip. The widest row sets the width of its whole strip: a
+    block of b identical rows gives each of them at least b - 1 candidates
+    at distance 0, so a strip holding one of them is at least b - 1 wide.
+
     The order is pseudo-random rather than the row order because m is tight
     only when a row's near neighbours spread over many groups. In a pool
     whose types repeat with period g, position mod g in row order would put
@@ -178,12 +191,18 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.partition(maxima, kth, axis=1)[:, kth:kth + 1] - 2 * delta
 
     for idx, rows, cols, dist in _screened(unit, np.arange(n), near_kth):
-        # candidates are in column order, so ties go by an explicit index key
-        order = np.lexsort((cols, dist, rows))
-        starts = np.searchsorted(rows, idx)
-        pick = order[starts[:, None] + np.arange(k)]
-        indices[idx] = cols[pick]
-        distances[idx] = dist[pick]
+        # candidates arrive grouped by row, in column order: each row's go
+        # into one padded row, sorted by (distance, index)
+        line = rows - idx[0]
+        counts = np.bincount(line, minlength=idx.size)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        pad_dist = np.full((idx.size, counts.max()), np.inf)
+        pad_cols = np.full(pad_dist.shape, n, dtype=np.intp)
+        pad_dist[line, slot] = dist
+        pad_cols[line, slot] = cols
+        pick = np.lexsort((pad_cols, pad_dist), axis=1)[:, :k]
+        indices[idx] = np.take_along_axis(pad_cols, pick, axis=1)
+        distances[idx] = np.take_along_axis(pad_dist, pick, axis=1)
     return indices, distances
 
 
@@ -267,40 +286,68 @@ def _first_appearance(ids: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(root, rounds): root[i] is the smallest node of i's connected
+    component in the graph on n nodes with the edges (a[e], b[e]), and
+    rounds is the number of hooking rounds taken.
+
+    Min-label propagation with pointer jumping. Each round hooks every root
+    onto the smallest root across its edges (parent[hi] = min(parent[hi],
+    lo) for each edge's two roots), then jumps pointers until every tree
+    is a star, and drops the edges that now lie inside one tree. A parent
+    is never larger than its node, so every root is its tree's smallest
+    node. A tree that does not hook in a round is a local minimum among its
+    neighbours, which all hook; in the next round it has a smaller
+    neighbour and hooks itself. So every tree merges within two rounds,
+    the trees of a component at least halve every two rounds, and the loop
+    ends after at most 2 ceil(log2 n) rounds. On a path of trees only the
+    local minima stay roots, so the trees halve every round: at most
+    ceil(log2 n) rounds, and a path numbered in order along its length
+    takes one.
+    """
+    parent = np.arange(n)
+    rounds = 0
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        rounds += 1
+        apart = parent[a] != parent[b]
+        a, b = a[apart], b[apart]
+    return parent, rounds
+
+
 def _dbscan_lists(indptr: np.ndarray, indices: np.ndarray,
                   min_samples: int) -> np.ndarray:
-    """DBSCAN on CSR neighbourhood lists (each list includes its point).
+    """DBSCAN on symmetric CSR neighbourhood lists (each list includes its
+    point).
 
-    Returns raw labels: clusters 0..C-1, noise -1. Points are scanned in
-    index order and clusters expanded breadth-first, so a border point joins
-    the first core cluster that reaches it; clusters are then renumbered by
-    smallest member index (_first_appearance).
+    Returns raw labels: clusters 0..C-1, noise -1. A point is core when its
+    list holds at least min_samples points. The clusters are the connected
+    components of the core points (_components), and a border point, one
+    that is not core but lies in a core point's list, joins the component
+    with the smallest core point among its core neighbours'. That is the
+    breadth-first scan's rule, a border point joins the first cluster that
+    reaches it, because the scan opens clusters in index order of their
+    smallest core point. Clusters are then numbered by smallest member
+    (_first_appearance).
     """
     n = indptr.size - 1
-    bounds = indptr.tolist()
-    UNSEEN, NOISE = -2, -1
-    labels = [UNSEEN] * n
-    cluster = 0
-    for i in range(n):
-        if labels[i] != UNSEEN:
-            continue
-        if bounds[i + 1] - bounds[i] < min_samples:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        queue = deque(indices[bounds[i]:bounds[i + 1]].tolist())
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point, claimed once
-            if labels[j] != UNSEEN:
-                continue
-            labels[j] = cluster
-            if bounds[j + 1] - bounds[j] >= min_samples:
-                queue.extend(indices[bounds[j]:bounds[j + 1]].tolist())
-        cluster += 1
-    raw = np.array(labels, dtype=np.int64)
-    member = raw != NOISE
+    sizes = np.diff(indptr)
+    core = sizes >= min_samples
+    rows = np.repeat(np.arange(n), sizes)
+    from_core = core[rows]
+    both = from_core & core[indices]
+    root, _ = _components(n, rows[both], indices[both])
+    raw = np.where(core, root, n)
+    border = from_core & ~core[indices]
+    np.minimum.at(raw, indices[border], root[rows[border]])
+    raw[raw == n] = -1
+    member = raw != -1
     raw[member] = _first_appearance(raw[member])
     return raw
 

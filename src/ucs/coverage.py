@@ -75,23 +75,32 @@ def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
     that repeats.
     """
     lab = np.asarray(labels)
-    counts: dict[int, int] = {}
-    position: dict[int, int] = {}
     n = lab.shape[0]
-    for pos, idx in enumerate(subset):
-        i = int(idx)
-        if i < 0 or i >= n:
+    try:
+        rows = np.fromiter(subset, dtype=np.int64)
+    except OverflowError as exc:  # beyond int64, so outside any pool
+        raise IndexOutOfRange(f"subset index outside pool of {n} rows: {exc}") from exc
+    uniq, first = np.unique(rows, return_index=True)
+    bad = np.ones(rows.size, dtype=bool)
+    bad[first] = False  # every later occurrence of a row is a repeat
+    bad |= (rows < 0) | (rows >= n)
+    if bad.any():  # the first bad position, checked as the rows are read
+        pos = int(np.argmax(bad))
+        i = rows[pos]
+        if not 0 <= i < n:
             raise IndexOutOfRange(f"subset index {i} outside pool of {n} rows")
-        first = position.setdefault(i, pos)
-        if first != pos:
-            raise ValueError(f"subset index {i} repeats at positions {first} and {pos}")
-        value = int(lab[i])
-        counts[value] = counts.get(value, 0) + 1
-    size = len(position)
-    spectrum: dict[int, int] = {}
-    for c in counts.values():
-        spectrum[c] = spectrum.get(c, 0) + 1
-    return SubsetSpectrum(counts=counts, spectrum=spectrum, size=size)
+        was = first[np.searchsorted(uniq, i)]
+        raise ValueError(f"subset index {i} repeats at positions {was} and {pos}")
+    counts = _counts_in_first_order(lab[rows].astype(np.int64))
+    spectrum = _counts_in_first_order(np.fromiter(counts.values(), dtype=np.int64))
+    return SubsetSpectrum(counts=counts, spectrum=spectrum, size=int(rows.size))
+
+
+def _counts_in_first_order(values: np.ndarray) -> dict[int, int]:
+    """{value: count} over `values`, keyed in order of first appearance."""
+    uniq, first, count = np.unique(values, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(uniq[order].tolist(), count[order].tolist()))
 
 
 def _bins(spectrum):

@@ -18,6 +18,7 @@ the cross moments X_m^T X_l of the sources it aligns with orthogonal maps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -126,7 +127,7 @@ def _update_atoms(dictionary: np.ndarray, gram: np.ndarray, corr: np.ndarray) ->
     # code support are left untouched.
     for j in range(dictionary.shape[1]):
         direction = corr[:, j] - dictionary @ gram[:, j] + dictionary[:, j] * gram[j, j]
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction.dot(direction))  # np.linalg.norm's value
         if norm > _ATOM_TOL:
             dictionary[:, j] = direction / norm
 
@@ -146,6 +147,14 @@ def _moments(dictionary: np.ndarray, second: np.ndarray,
 def _converged(history: list[float]) -> bool:
     # The last alternation improved the objective by less than REL_TOL.
     return history[-2] - history[-1] < REL_TOL * max(history[-2], 1e-300)
+
+
+def _check_fit(n_atoms: int, ridge_alpha: float) -> None:
+    """The atom count and ridge strength of every dictionary fit."""
+    if n_atoms < 1:
+        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
+    if ridge_alpha <= 0:
+        raise ValueError(f"ridge_alpha must be > 0, got {ridge_alpha}")
 
 
 def fit_dictionary(
@@ -183,10 +192,7 @@ def fit_dictionary(
     arr = np.asarray(pool, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"expected a non-empty 2-D pool, got shape {arr.shape}")
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    if ridge_alpha <= 0:
-        raise ValueError(f"ridge_alpha must be > 0, got {ridge_alpha}")
+    _check_fit(n_atoms, ridge_alpha)
     if not np.any(arr):
         raise DegenerateInput("pool is all zeros; nothing to factorize")
 
@@ -259,6 +265,7 @@ def fit_joint_dictionary(
         d_c = min(widths)
     if not 1 <= d_c <= min(widths):
         raise ValueError(f"d_c must be in [1, {min(widths)}], got {d_c}")
+    _check_fit(n_atoms, ridge_alpha)
     if not any(np.any(m) for m in mats):
         raise DegenerateInput("all sources are zero; nothing to align")
 

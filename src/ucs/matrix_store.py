@@ -45,6 +45,8 @@ DTYPE_NAMES = {"f32": 0, "f64": 1}  # write_matrix's dtype -> header code
 
 # Hard cap on declared element count; anything larger is a corrupt header.
 _MAX_ELEMENTS = 1 << 40
+# Bytes of the float64 result that read_matrix reads and checks at a time.
+_READ_BLOCK = 1 << 20
 
 
 @contextmanager
@@ -105,23 +107,25 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 
     Returns a float64 array. Raises BadMagic / DimensionOverflow /
     NonFiniteValue / ParseError with the offending offset or line.
+
+    The payload is read once, straight into the float64 result, up to
+    _READ_BLOCK bytes of the result at a time: a float32 file goes through
+    one block-sized buffer and is widened per block, and each block is
+    checked for finiteness as it lands. Memory is the result plus at most
+    one block.
     """
     with open_file(path, "rb") as fh:
-        head = fh.read(4)
-        if head == MAGIC:
-            rest = fh.read(_HEADER.size - 4)
-            if len(rest) != _HEADER.size - 4:
-                raise DimensionOverflow(
-                    f"{path}: truncated header ({4 + len(rest)} bytes)"
-                )
-            _, version, code, rows, cols = _HEADER.unpack(head + rest)
-            payload = fh.read()
-        else:
-            payload = None
+        if fh.read(4) == MAGIC:
+            return _read_matrix_binary(fh, path)
+    return _read_matrix_csv(path)
 
-    if payload is None:
-        return _read_matrix_csv(path)
 
+def _read_matrix_binary(fh, path: str | os.PathLike) -> np.ndarray:
+    # fh is positioned just past the magic
+    rest = fh.read(_HEADER.size - 4)
+    if len(rest) != _HEADER.size - 4:
+        raise DimensionOverflow(f"{path}: truncated header ({4 + len(rest)} bytes)")
+    _, version, code, rows, cols = _HEADER.unpack(MAGIC + rest)
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
     if code not in _DTYPE_CODES:
@@ -132,15 +136,25 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
         raise DimensionOverflow(f"{path}: declared {rows}x{cols} exceeds element cap")
     dt = _DTYPE_CODES[code]
     expected = rows * cols * dt.itemsize
-    if len(payload) != expected:
-        raise DimensionOverflow(
-            f"{path}: payload is {len(payload)} bytes, header declares {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=dt).reshape(rows, cols).astype(np.float64)
-    if rows and not np.isfinite(arr).all():
-        flat = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-        offset = _HEADER.size + flat * dt.itemsize
-        raise NonFiniteValue(f"{path}: non-finite value at byte offset {offset}")
+    size = fh.seek(0, os.SEEK_END) - _HEADER.size
+    if size != expected:
+        raise DimensionOverflow(f"{path}: payload is {size} bytes, header declares {expected}")
+    fh.seek(_HEADER.size)
+    arr = np.empty((rows, cols), dtype=np.float64)
+    step = max(1, _READ_BLOCK // (8 * cols))  # rows per block of the result
+    widen = dt != arr.dtype  # float32, or any file on a big-endian host
+    buffer = np.empty((min(step, rows), cols), dtype=dt) if widen else None
+    for start in range(0, rows, step):
+        block = arr[start:start + step]
+        into = buffer[:len(block)] if widen else block
+        if fh.readinto(memoryview(into).cast("B")) != into.nbytes:
+            raise IoError(f"cannot read {path}: the file shrank while it was read")
+        finite = np.isfinite(into)
+        if not finite.all():
+            offset = _HEADER.size + (start * cols + int(np.argmin(finite))) * dt.itemsize
+            raise NonFiniteValue(f"{path}: non-finite value at byte offset {offset}")
+        if widen:
+            block[...] = into
     return arr
 
 
@@ -192,8 +206,7 @@ def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.n
     """
     with open_file(path) as fh:
         lines = fh.read().splitlines()
-    out = np.empty(len(lines), dtype=np.int64)
-    n = 0
+    values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -204,9 +217,8 @@ def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.n
             raise ParseError(f"{path}: line {lineno}: not an integer: {text!r}") from exc
         if value < 1 and value != noise_label:
             raise ParseError(f"{path}: line {lineno}: label {value} below 1")
-        out[n] = value
-        n += 1
-    return out[:n].copy()
+        values.append(value)
+    return np.array(values, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucs.clustering
 from ucs.clustering import (
@@ -610,3 +613,127 @@ def test_strip_passes_hold_no_square_matrix():
     bound = n * n * 8 / 4
     assert _traced_peak(lambda: cluster_pool(x, method="dict_dbscan")) < bound
     assert _traced_peak(lambda: _knn_graph(x, 3)) < bound
+
+
+def _bfs_dbscan(lists, min_samples):
+    """DBSCAN by breadth-first expansion over neighbour lists (each list
+    holds its point): points scanned in index order, a border point claimed
+    by the first cluster that reaches it, clusters then numbered by smallest
+    member."""
+    n = len(lists)
+    core = [len(lst) >= min_samples for lst in lists]
+    labels = [-1] * n
+    cluster = 0
+    for seed in range(n):
+        if not core[seed] or labels[seed] != -1:
+            continue
+        labels[seed] = cluster
+        queue = deque([seed])
+        while queue:
+            for j in lists[queue.popleft()]:
+                if labels[j] == -1:
+                    labels[j] = cluster
+                    if core[j]:
+                        queue.append(j)
+        cluster += 1
+    raw = np.array(labels, dtype=np.int64)
+    member = raw >= 0
+    raw[member] = _canon(raw[member])
+    return raw
+
+
+def _symmetric_lists(n, a, b):
+    """CSR lists of the undirected graph on n points with the edges
+    (a[e], b[e]) and a self loop at every point, columns ascending, plus the
+    same lists as Python lists."""
+    own = np.arange(n)
+    rows = np.concatenate([own, a, b]).astype(np.int64)
+    cols = np.concatenate([own, b, a]).astype(np.int64)
+    rows, cols = np.divmod(np.unique(rows * n + cols), n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols, [c.tolist() for c in np.split(cols, indptr[1:-1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 0.4), min_samples=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_dbscan_lists_match_bfs_reference(n, density, min_samples, seed):
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(*np.nonzero(np.triu(rng.random((n, n)) < density, 1))))
+    # a star whose centre is core and whose leaves are not (for
+    # min_samples >= 3), sharing its last leaf with a second such star: border
+    # points, one of them reachable from two clusters
+    centres = n + np.arange(2) * min_samples
+    for centre in centres:
+        pairs += [(centre, centre + j) for j in range(1, min_samples)]
+    pairs.append((centres[1], centres[0] + min_samples - 1))
+    total = n + 2 * min_samples
+    relabel = rng.permutation(total)  # stars at random positions
+    a, b = relabel[np.array(pairs, dtype=np.intp).T]
+    indptr, indices, lists = _symmetric_lists(total, a, b)
+    got = ucs.clustering._dbscan_lists(indptr, indices, min_samples)
+    want = _bfs_dbscan(lists, min_samples)
+    assert np.array_equal(got, want)
+    if min_samples >= 3:
+        sizes = np.diff(indptr)
+        assert ((sizes < min_samples) & (got >= 0)).any()  # border points present
+
+
+def test_components_round_count_on_a_chain():
+    # the docstring's counts: a path numbered in order along its length takes
+    # one round, and any path at most ceil(log2 n)
+    n = 10_000
+    a = np.arange(n - 1)
+    for name, order in (("natural", np.arange(n)),
+                        ("shuffled", np.random.default_rng(0).permutation(n))):
+        root, rounds = ucs.clustering._components(n, order[a], order[a + 1])
+        assert (root == 0).all(), name
+        if name == "natural":
+            assert rounds == 1
+        else:
+            assert 1 < rounds <= int(np.ceil(np.log2(n))), rounds
+        indptr, indices, _ = _symmetric_lists(n, order[a], order[a + 1])
+        for min_samples in (1, 3):
+            raw = ucs.clustering._dbscan_lists(indptr, indices, min_samples)
+            want = np.zeros(n, dtype=np.int64)
+            if min_samples == 3:  # the two ends are border points
+                assert np.diff(indptr)[order[[0, -1]]].tolist() == [2, 2]
+            assert np.array_equal(raw, want), (name, min_samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), density=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1))
+def test_components_are_the_smallest_member_within_the_round_bound(n, density, seed):
+    rng = np.random.default_rng(seed)
+    a, b = np.nonzero(np.triu(rng.random((n, n)) < density, 1))
+    root, rounds = ucs.clustering._components(n, a, b)
+    dist = np.ones((n, n))
+    dist[a, b] = dist[b, a] = 0.0
+    want = _components(dist, 0.5)  # union-find
+    assert _canon(root) == _canon(want)
+    assert all(root[i] == min(np.flatnonzero(root == root[i])) for i in range(n))
+    assert rounds <= 2 * int(np.ceil(np.log2(max(n, 1)))), rounds
+
+
+def test_k_nearest_ties_in_a_block_of_identical_rows():
+    # 320 copies of one row: each copy's k nearest are other copies, all at
+    # one distance (0 up to rounding), the lowest indices first
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((700, 16))
+    block = np.sort(rng.choice(700, size=320, replace=False))
+    x[block] = x[block[0]]
+    dist = cosine_distance_matrix(x)
+    np.fill_diagonal(dist, np.inf)
+    unit = l2_normalize_rows(x, eps=0.0)
+    for k in (1, 5, 20, 400):
+        want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        indices, distances = k_nearest(unit, k)
+        assert np.array_equal(indices, want), k
+        assert np.array_equal(distances, np.take_along_axis(dist, want, axis=1)), k
+        for i in block[[0, 7, -1]]:
+            others = block[block != i]
+            if k <= others.size:
+                assert np.array_equal(indices[i], others[:k]), (k, i)
+                assert (distances[i] == dist[i, others[0]]).all()
+                assert distances[i, 0] <= 1e-15

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +457,61 @@ def test_joint_objective_matches_residual_form(pool):
     book = fit_joint_dictionary(sources, **kwargs)
     residual = _joint_residual_objective(sources, book)
     assert abs(book.objective - residual) <= _joint_form_bound(sources, book)
+
+
+def _joint_pair():
+    rng = np.random.default_rng(12)
+    return [rng.standard_normal((20, 4)), rng.standard_normal((20, 4))]
+
+
+def test_joint_fit_refuses_fewer_than_one_atom():
+    # the same check and message as fit_dictionary; n_atoms=0 used to return
+    # a d x 0 dictionary
+    sources = _joint_pair()
+    for fit in (fit_dictionary, lambda pool, **kw: fit_joint_dictionary(sources, **kw)):
+        with pytest.raises(ValueError, match=r"^n_atoms must be >= 1, got 0$"):
+            fit(sources[0], n_atoms=0)
+
+
+def test_joint_fit_refuses_a_ridge_strength_that_is_not_positive():
+    # ridge_alpha=-1.0 used to return a negative objective
+    sources = _joint_pair()
+    for fit in (fit_dictionary, lambda pool, **kw: fit_joint_dictionary(sources, **kw)):
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^ridge_alpha must be > 0, got {alpha}$"):
+                fit(sources[0], n_atoms=3, ridge_alpha=alpha)
+
+
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from ucs.latent_dictionary import fit_dictionary, ridge_encode
+from ucs.preprocess import preprocess_pool
+from ucs.synth_oracle import Population, sample_pool
+
+x, _ = sample_pool(Population.zipf(100, 1.1), 3000, dim=128, spread=0.3, seed=1)
+reduced, scaler, basis = preprocess_pool(x, d_prime=64)
+book = fit_dictionary(reduced, n_atoms=64, ridge_alpha=10.0, seed=0)
+codes = ridge_encode(book, reduced)
+for name, value in (("reduced", reduced), ("scaler.mean", scaler.mean),
+                    ("scaler.std", scaler.std), ("basis.mean", basis.mean),
+                    ("basis.components", basis.components),
+                    ("basis.explained_variance", basis.explained_variance),
+                    ("dictionary", book.dictionary),
+                    ("objective_history", np.array(book.objective_history)),
+                    ("codes", codes)):
+    print(name, hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest())
+"""
+
+
+def test_preprocess_and_dictionary_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(latent_dictionary.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs[threads] = proc.stdout.splitlines()
+    assert len(outputs["1"]) == 9
+    assert outputs["1"] == outputs["2"]

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ucs import matrix_store
 from ucs.errors import (
     BadMagic,
     DimensionOverflow,
@@ -260,3 +262,97 @@ def test_round_trip_is_identity_for_finite_f64(tmp_path_factory, m):
     path = tmp_path_factory.mktemp("rt") / "m.ucsm"
     write_matrix(m, path)
     assert np.array_equal(read_matrix(path), m)
+
+
+def _block_rows(cols):
+    """Rows per block that read_matrix reads and checks at a time."""
+    return max(1, matrix_store._READ_BLOCK // (8 * cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from(["f32", "f64"]), cols=st.integers(1, 300),
+       blocks=st.integers(0, 2), shift=st.integers(-1, 1),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_on_both_sides_of_a_read_block(tmp_path_factory, dtype, cols, blocks,
+                                                  shift, scale, seed):
+    rows = max(0, blocks * _block_rows(cols) + shift)
+    x = np.random.default_rng(seed).standard_normal((rows, cols)) * scale
+    path = tmp_path_factory.mktemp("rt") / "m.ucsm"
+    write_matrix(x, path, dtype=dtype)
+    got = read_matrix(path)
+    want = x.astype(np.float32).astype(np.float64) if dtype == "f32" else x
+    assert got.dtype == np.float64 and got.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_zero_row_matrix_round_trip(tmp_path, dtype):
+    path = tmp_path / "empty.ucsm"
+    write_matrix(np.empty((0, 5)), path, dtype=dtype)
+    got = read_matrix(path)
+    assert got.shape == (0, 5) and got.dtype == np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 2**63 - 1), max_size=200))
+def test_labels_round_trip_property(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("lab") / "labels.txt"
+    write_labels(np.array(values, dtype=np.int64), path)
+    got = read_labels(path)
+    assert got.dtype == np.int64 and got.tolist() == values
+
+
+def _raises_exactly(cls, message, fn):
+    with pytest.raises(cls) as info:
+        fn()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_truncated_header_short_and_long_payload_messages(tmp_path):
+    path = tmp_path / "m.ucsm"
+    path.write_bytes(MAGIC + b"\x01\x00\x01\x03\x00")
+    _raises_exactly(DimensionOverflow, f"{path}: truncated header (9 bytes)",
+                    lambda: read_matrix(path))
+    header = HEADER.pack(MAGIC, FORMAT_VERSION, 1, 3, 4)
+    for size in (95, 97):
+        path.write_bytes(header + b"\x00" * size)
+        _raises_exactly(DimensionOverflow,
+                        f"{path}: payload is {size} bytes, header declares 96",
+                        lambda: read_matrix(path))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_non_finite_offset_in_first_middle_and_last_block(tmp_path, dtype):
+    cols = 1000
+    step = _block_rows(cols)
+    x = np.ones((3 * step, cols))
+    itemsize = 4 if dtype == "f32" else 8
+    # the first bad value in each block, and a later one that must not be named
+    last = (3 * step - 1, cols - 1)
+    for row, col, value in ((0, 5, np.nan), (step + step // 2, 7, np.inf), (*last, -np.inf)):
+        cells = [(row, col, value)] + ([(*last, np.nan)] if (row, col) != last else [])
+        path = tmp_path / f"bad{row}.ucsm"
+        write_matrix(x, path, dtype=dtype)
+        with open(path, "r+b") as fh:  # write_matrix refuses non-finite values
+            for r, c, v in cells:
+                fh.seek(HEADER.size + (r * cols + c) * itemsize)
+                fh.write(np.array(v, dtype=f"<f{itemsize}").tobytes())
+        offset = HEADER.size + (row * cols + col) * itemsize
+        _raises_exactly(NonFiniteValue, f"{path}: non-finite value at byte offset {offset}",
+                        lambda: read_matrix(path))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_read_matrix_peak_is_one_result_plus_one_block(tmp_path, dtype):
+    x = np.random.default_rng(0).standard_normal((3000, 300))
+    path = tmp_path / "big.ucsm"
+    write_matrix(x, path, dtype=dtype)
+    tracemalloc.start()
+    try:
+        got = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == x.nbytes
+    assert peak <= got.nbytes + matrix_store._READ_BLOCK, peak - got.nbytes
