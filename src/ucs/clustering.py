@@ -357,10 +357,15 @@ def dbscan_from(dist: np.ndarray, eps: float, min_samples: int = 1) -> np.ndarra
 
     Neighborhoods are {j : d(i,j) <= eps} and include the point itself;
     they are handed to the same list-based DBSCAN that cluster_pool runs.
+    That DBSCAN reads the lists as an undirected graph, so the relation
+    d(i,j) <= eps must be symmetric (cosine_distance_matrix's is); a square
+    matrix whose relation is not raises ValueError.
     """
     _check_dbscan(eps, min_samples)
-    d = np.asarray(dist)
-    return _dbscan_lists(*_csr(d.shape[0], *np.nonzero(d <= eps)), min_samples)
+    near = np.asarray(dist) <= eps
+    if not np.array_equal(near, near.T):
+        raise ValueError("dist must be square with d(i,j) <= eps exactly when d(j,i) <= eps")
+    return _dbscan_lists(*_csr(near.shape[0], *np.nonzero(near)), min_samples)
 
 
 def remap_noise_to_singletons(raw_labels: np.ndarray) -> np.ndarray:

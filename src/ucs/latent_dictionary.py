@@ -18,7 +18,6 @@ the cross moments X_m^T X_l of the sources it aligns with orthogonal maps.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,7 +126,7 @@ def _update_atoms(dictionary: np.ndarray, gram: np.ndarray, corr: np.ndarray) ->
     # code support are left untouched.
     for j in range(dictionary.shape[1]):
         direction = corr[:, j] - dictionary @ gram[:, j] + dictionary[:, j] * gram[j, j]
-        norm = math.sqrt(direction.dot(direction))  # np.linalg.norm's value
+        norm = np.linalg.norm(direction)
         if norm > _ATOM_TOL:
             dictionary[:, j] = direction / norm
 

@@ -7,10 +7,10 @@ verdict per criterion.
 
 import os
 import time
-from collections import deque
 
 import numpy as np
 
+from dbscan_oracle import reference_dbscan
 from ucs.cli import main
 from ucs.clustering import cluster_pool, cosine_distance_matrix, dbscan_from
 from ucs.coverage import SgtConfig, corpus_prior, coverage_phi, sgt_unseen, subset_spectrum
@@ -140,40 +140,6 @@ def _union_find_partition(dist: np.ndarray, eps: float) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def _reference_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
-    """Independent DBSCAN: core mask first, BFS over the core graph in index
-    order, borders claimed by the first cluster that reaches them, clusters
-    renumbered by smallest member."""
-    n = dist.shape[0]
-    neigh = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = np.array([nb.size >= min_samples for nb in neigh])
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = cluster
-        queue = deque([seed])
-        while queue:
-            i = queue.popleft()
-            for j in neigh[i]:
-                if labels[j] == -1:
-                    labels[j] = cluster
-                    if core[j]:
-                        queue.append(int(j))
-        cluster += 1
-    if cluster > 1:
-        first = np.full(cluster, n)
-        for i in range(n - 1, -1, -1):
-            if labels[i] >= 0:
-                first[labels[i]] = i
-        renumber = np.empty(cluster, dtype=np.int64)
-        renumber[np.argsort(first, kind="stable")] = np.arange(cluster)
-        mask = labels >= 0
-        labels[mask] = renumber[labels[mask]]
-    return labels
-
-
 def _canon(labels) -> list[int]:
     seen: dict[int, int] = {}
     return [seen.setdefault(int(v), len(seen)) for v in labels]
@@ -205,7 +171,7 @@ def test_criterion_04_dbscan_equivalence():
         off = dist[~np.eye(n, dtype=bool)]
         eps = float(np.quantile(off, rng.uniform(0.05, 0.25)))
         got = dbscan_from(dist, eps, min_samples)
-        want = _reference_dbscan(dist, eps, min_samples)
+        want = reference_dbscan(dist, eps, min_samples)
         assert np.array_equal(got, want), f"case {case}"
         neigh_sizes = (dist <= eps).sum(axis=1)
         borders_seen += int(((neigh_sizes < min_samples) & (got >= 0)).sum())

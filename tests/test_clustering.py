@@ -1,11 +1,11 @@
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbscan_oracle import reference_dbscan
 import ucs.clustering
 from ucs.clustering import (
     _eps_lists,
@@ -189,6 +189,15 @@ def test_dbscan_numbering_by_smallest_member():
     )
     raw = dbscan_from(d, eps=0.2, min_samples=1)
     assert np.array_equal(raw, [0, 1, 0])
+
+
+def test_dbscan_from_refuses_an_asymmetric_neighbourhood():
+    # 1 lies within eps of 0 but not 0 of 1: the lists would not be the
+    # undirected graph DBSCAN reads them as
+    with pytest.raises(ValueError, match="d\\(j,i\\) <= eps"):
+        dbscan_from(np.array([[0.0, 5.0], [0.1, 0.0]]), eps=1.0, min_samples=1)
+    with pytest.raises(ValueError, match="square"):
+        dbscan_from(np.zeros((2, 3)), eps=1.0)
 
 
 def test_remap_examples():
@@ -615,44 +624,16 @@ def test_strip_passes_hold_no_square_matrix():
     assert _traced_peak(lambda: _knn_graph(x, 3)) < bound
 
 
-def _bfs_dbscan(lists, min_samples):
-    """DBSCAN by breadth-first expansion over neighbour lists (each list
-    holds its point): points scanned in index order, a border point claimed
-    by the first cluster that reaches it, clusters then numbered by smallest
-    member."""
-    n = len(lists)
-    core = [len(lst) >= min_samples for lst in lists]
-    labels = [-1] * n
-    cluster = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = cluster
-        queue = deque([seed])
-        while queue:
-            for j in lists[queue.popleft()]:
-                if labels[j] == -1:
-                    labels[j] = cluster
-                    if core[j]:
-                        queue.append(j)
-        cluster += 1
-    raw = np.array(labels, dtype=np.int64)
-    member = raw >= 0
-    raw[member] = _canon(raw[member])
-    return raw
-
-
 def _symmetric_lists(n, a, b):
     """CSR lists of the undirected graph on n points with the edges
-    (a[e], b[e]) and a self loop at every point, columns ascending, plus the
-    same lists as Python lists."""
+    (a[e], b[e]) and a self loop at every point, columns ascending."""
     own = np.arange(n)
     rows = np.concatenate([own, a, b]).astype(np.int64)
     cols = np.concatenate([own, b, a]).astype(np.int64)
     rows, cols = np.divmod(np.unique(rows * n + cols), n)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols, [c.tolist() for c in np.split(cols, indptr[1:-1])]
+    return indptr, cols
 
 
 @settings(max_examples=200, deadline=None)
@@ -671,10 +652,12 @@ def test_dbscan_lists_match_bfs_reference(n, density, min_samples, seed):
     total = n + 2 * min_samples
     relabel = rng.permutation(total)  # stars at random positions
     a, b = relabel[np.array(pairs, dtype=np.intp).T]
-    indptr, indices, lists = _symmetric_lists(total, a, b)
+    indptr, indices = _symmetric_lists(total, a, b)
     got = ucs.clustering._dbscan_lists(indptr, indices, min_samples)
-    want = _bfs_dbscan(lists, min_samples)
-    assert np.array_equal(got, want)
+    dist = np.ones((total, total))
+    dist[a, b] = dist[b, a] = 0.0
+    np.fill_diagonal(dist, 0.0)
+    assert np.array_equal(got, reference_dbscan(dist, 0.5, min_samples))
     if min_samples >= 3:
         sizes = np.diff(indptr)
         assert ((sizes < min_samples) & (got >= 0)).any()  # border points present
@@ -693,7 +676,7 @@ def test_components_round_count_on_a_chain():
             assert rounds == 1
         else:
             assert 1 < rounds <= int(np.ceil(np.log2(n))), rounds
-        indptr, indices, _ = _symmetric_lists(n, order[a], order[a + 1])
+        indptr, indices = _symmetric_lists(n, order[a], order[a + 1])
         for min_samples in (1, 3):
             raw = ucs.clustering._dbscan_lists(indptr, indices, min_samples)
             want = np.zeros(n, dtype=np.int64)
