@@ -67,30 +67,38 @@ class SgtConfig:
             raise ValueError("k0_override must be >= 0")
 
 
-def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
-    """Count cluster multiplicities over `subset` (row indices into labels).
+def row_set(indices, n: int, what: str) -> np.ndarray:
+    """The rows `indices` names in a pool of n rows, as int64 in their order.
 
-    Every label is a cluster id. A subset is a set of rows: raises
-    IndexOutOfRange for indices outside the pool and ValueError for an index
-    that repeats.
-    """
-    lab = np.asarray(labels)
-    n = lab.shape[0]
+    A set of rows names each row at most once. The first bad position raises
+    IndexOutOfRange (a ValueError too) for an index outside [0, n) or
+    ValueError for a repeat; the message starts with `what` and names the
+    index, its position(s) and n."""
+    values = list(indices)
     try:
-        rows = np.fromiter(subset, dtype=np.int64)
-    except OverflowError as exc:  # beyond int64, so outside any pool
-        raise IndexOutOfRange(f"subset index outside pool of {n} rows: {exc}") from exc
+        rows = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # beyond int64, so outside any pool: refused below
+        rows = np.array([int(v) for v in values], dtype=object)
     uniq, first = np.unique(rows, return_index=True)
     bad = np.ones(rows.size, dtype=bool)
     bad[first] = False  # every later occurrence of a row is a repeat
     bad |= (rows < 0) | (rows >= n)
-    if bad.any():  # the first bad position, checked as the rows are read
+    if bad.any():
         pos = int(np.argmax(bad))
-        i = rows[pos]
+        i = int(rows[pos])
         if not 0 <= i < n:
-            raise IndexOutOfRange(f"subset index {i} outside pool of {n} rows")
-        was = first[np.searchsorted(uniq, i)]
-        raise ValueError(f"subset index {i} repeats at positions {was} and {pos}")
+            raise IndexOutOfRange(f"{what} index {i} outside pool of {n} rows (position {pos})")
+        was = int(first[np.searchsorted(uniq, i)])
+        raise ValueError(f"{what} index {i} repeats at positions {was} and {pos} "
+                         f"(pool of {n} rows)")
+    return rows
+
+
+def subset_spectrum(labels: np.ndarray, subset) -> SubsetSpectrum:
+    """Count cluster multiplicities over `subset`, a set of row indices into
+    labels (checked by row_set). Every label is a cluster id."""
+    lab = np.asarray(labels)
+    rows = row_set(subset, lab.shape[0], "subset")
     counts = _counts_in_first_order(lab[rows].astype(np.int64))
     spectrum = _counts_in_first_order(np.fromiter(counts.values(), dtype=np.int64))
     return SubsetSpectrum(counts=counts, spectrum=spectrum, size=int(rows.size))
@@ -239,7 +247,7 @@ def coverage_phi(labels: np.ndarray, subset, cfg: SgtConfig) -> tuple[float, int
 class CoverageTracker:
     """Incrementally maintained spectrum for greedy selection loops.
 
-    Keeps the spectrum, size and k_seen of the current subset, plus each
+    Keeps the spectrum and k_seen of the current subset, plus each
     cluster's count in it, and evaluates the coverage gain of adding one
     item without rebuilding anything. Phi is evaluated by sgt_unseen, whose
     weights come from the sgt_weights cache.
@@ -248,7 +256,6 @@ class CoverageTracker:
     def __init__(self, labels: np.ndarray, cfg: SgtConfig):
         self.cfg = cfg
         self.spectrum: dict[int, int] = {}
-        self.size = 0
         self.k_seen = 0
         # Each row's position among the distinct labels, and each label's
         # count in the subset.
@@ -266,7 +273,6 @@ class CoverageTracker:
                 del self.spectrum[old]
         if new:
             self.spectrum[new] = self.spectrum.get(new, 0) + 1
-        self.size += new - old
         self.k_seen += (new > 0) - (old > 0)
 
     def _gain(self, count: int, phi_now: float) -> float:
@@ -321,7 +327,6 @@ class CorpusPrior:
     mass: dict[int, float]  # size -> p(size)
     smoothing: str
     eps: float
-    n_examples: int
 
     def log_weight(self, cluster: int) -> float:
         return math.log(self.weights[cluster])
@@ -367,5 +372,4 @@ def corpus_prior(
         mass=mass,
         smoothing=smoothing,
         eps=eps,
-        n_examples=n_examples,
     )

@@ -55,8 +55,8 @@ class TooFewPoints(UcsError):
     """Neighborhood statistics need more points than were provided."""
 
 
-class IndexOutOfRange(UcsError):
-    """A subset refers to a row that does not exist."""
+class IndexOutOfRange(UcsError, ValueError):
+    """A set of rows names a row that does not exist; also a ValueError."""
 
 
 class SingularKernel(UcsError):

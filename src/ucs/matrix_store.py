@@ -81,21 +81,21 @@ def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64"
     """Write a 2-D array to `path` in the binary layout above.
 
     dtype is "f64" (default, exact round trip) or "f32" (lossy storage).
-    Raises NonFiniteValue if the array contains NaN or Inf, IoError on
-    filesystem failure.
+    Raises NonFiniteValue, writing nothing, for a NaN or Inf in the stored
+    dtype (f32 overflow too), IoError on filesystem failure.
     """
     if dtype not in DTYPE_NAMES:
         raise ValueError(f"unsupported dtype {dtype!r}; expected one of {tuple(DTYPE_NAMES)}")
     arr = np.ascontiguousarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteValue(
-            f"non-finite value at row {bad[0]}, col {bad[1]}; refusing to write"
-        )
     code = DTYPE_NAMES[dtype]
-    payload = arr.astype(_DTYPE_CODES[code], copy=False)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        payload = arr.astype(_DTYPE_CODES[code], copy=False)
+    if not np.isfinite(payload).all():
+        row, col = np.argwhere(~np.isfinite(payload))[0]
+        raise NonFiniteValue(f"value {float(arr[row, col])!r} at row {row}, col {col} is not "
+                             f"finite as {dtype}; refusing to write")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, arr.shape[0], arr.shape[1])
     with open_file(path, "wb") as fh:
         fh.write(header)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import k_nearest
-from .coverage import CorpusPrior, CoverageTracker, SgtConfig, coverage_phi, corpus_prior
+from .coverage import CorpusPrior, CoverageTracker, SgtConfig, corpus_prior, coverage_phi, row_set
 from .errors import EmptyCandidateList, SingularKernel
 from .preprocess import l2_normalize_rows
 
@@ -95,6 +95,12 @@ def _pick(base_gain: np.ndarray, coverage: np.ndarray, lam: float,
                       float(total[pick]))
 
 
+def _check_labels(labels, n: int) -> None:
+    """Refuse a label vector without one entry per pool row."""
+    if len(labels) != n:
+        raise ValueError(f"labels has {len(labels)} entries for a pool of {n} rows")
+
+
 def _finish(records: list[StepRecord], labels, cfg) -> SelectionResult:
     indices = [r.index for r in records]
     phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
@@ -132,6 +138,7 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig, lam, budget) -> list[StepRecord]
     n = kernel.shape[0]
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be square, got {kernel.shape}")
+    _check_labels(labels, n)
     steps = min(budget, n)
     tracker = CoverageTracker(labels, cfg)
     everyone = np.arange(n)
@@ -201,18 +208,12 @@ def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) ->
     """Discounted vote scores: j votes for its k nearest neighbors with
     weight discount_base^-(selected among j's neighbors).
 
-    selected is a set of rows: raises ValueError for an index outside the
-    pool or one that repeats.
+    selected is a set of rows, checked by coverage.row_set: IndexOutOfRange
+    for an index outside the pool, ValueError for one that repeats.
     """
     neighbors = _knn_graph(x, k)
     chosen = np.zeros(len(neighbors), dtype=bool)
-    for pos, idx in enumerate(selected):
-        i = int(idx)
-        if not 0 <= i < chosen.size:
-            raise ValueError(f"selected index {i} outside pool of {chosen.size} rows")
-        if chosen[i]:
-            raise ValueError(f"selected index {i} repeats (position {pos})")
-        chosen[i] = True
+    chosen[row_set(selected, chosen.size, "selected")] = True
     return _votes_from_graph(neighbors, chosen, discount_base)
 
 
@@ -251,6 +252,8 @@ def votek_ucs_select(
 
     The prior must cover every cluster id in labels.
     """
+    _check_labels(labels, len(x))
+
     def log_weight(cluster: int) -> float:
         if cluster not in prior.weights:
             raise ValueError(f"prior has no weight for cluster {cluster}")
@@ -274,6 +277,7 @@ def rarity_controls(
     """
     if variant not in RARITY_VARIANTS:
         raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
+    _check_labels(labels, len(x))
     prior = corpus_prior(labels)
     c_total = len(prior.sizes)
 
@@ -335,11 +339,12 @@ def subset_utility_ucs(
 
 def redundancy_utility(x: np.ndarray, candidates: list[list[int]]) -> np.ndarray:
     """Synthetic offline utility: negative mean pairwise cosine similarity
-    inside each subset (0 for singletons)."""
+    inside each subset (0 for singletons). Candidate c is a set of rows,
+    checked by coverage.row_set as "candidate c"."""
     unit = l2_normalize_rows(x, eps=0.0)
     out = np.empty(len(candidates), dtype=np.float64)
     for pos, subset in enumerate(candidates):
-        rows = unit[list(subset)]
+        rows = unit[row_set(subset, unit.shape[0], f"candidate {pos}")]
         m = len(subset)
         if m < 2:
             out[pos] = 0.0
@@ -359,16 +364,15 @@ def sample_candidate_subsets(
 ) -> list[list[int]]:
     """Seeded top-similarity proposals: rank the pool by cosine similarity to
     `query`, keep the top max(budget, TOP_POOL) rows, and draw candidate_num
-    budget-sized subsets from them without replacement (within a subset)."""
+    budget-sized subsets from them without replacement (within a subset).
+    Similarity is unit row @ unit query (l2_normalize_rows): a zero row or
+    query gives 0, ties keep index order, and nan or inf raises ValueError."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
     if budget > n:
         raise ValueError(f"budget {budget} exceeds pool size {n}")
     q = np.asarray(query, dtype=np.float64).ravel()
-    norms = np.linalg.norm(arr, axis=1)
-    qn = np.linalg.norm(q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where((norms > 0) & (qn > 0), arr @ q / (norms * qn + 1e-300), 0.0)
+    sims = l2_normalize_rows(arr, eps=0.0) @ l2_normalize_rows(q[None], eps=0.0)[0]
     order = np.argsort(-sims, kind="stable")
     pool = order[: max(budget, min(TOP_POOL, n))]
     rng = np.random.default_rng(seed)

@@ -19,17 +19,13 @@ table costs O(K) memory, about 40 MB at K = 10^6.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import (
-    SgtConfig,
-    gt_unseen,
-    sgt_unseen,
-    subset_spectrum,  # unused here; perfbench/spans.py patches ucs.synth_oracle.subset_spectrum
-)
+from .coverage import SgtConfig, gt_unseen, row_set, sgt_unseen
+# unused here; perfbench/spans.py patches ucs.synth_oracle.subset_spectrum
+from .coverage import subset_spectrum  # noqa: F401
 
 ORACLE_ESTIMATORS = ("sgt", "gt")  # mc_unseen_oracle's estimator names
 
@@ -211,7 +207,8 @@ def mc_unseen_oracle(
     Each trial draws n labels, runs the estimator on their spectrum, draws
     floor(t*n) more labels, and counts genuinely new types. Trial r uses
     seed + r. estimator is 'sgt' or 'gt' (the unweighted truncated sum,
-    reported unclamped). Draws are i.i.d. with replacement.
+    reported unclamped). Draws are i.i.d. with replacement. sgt defaults
+    to SgtConfig(t=t); ValueError names both horizons if sgt.t != t.
 
     Labels are 1..K (K = pop.n_types), so each trial counts with bincounts
     over 0..K: the first draw's per-type counts give the spectrum, and the
@@ -227,7 +224,7 @@ def mc_unseen_oracle(
         raise ValueError(f"estimator must be one of {ORACLE_ESTIMATORS}, got {estimator!r}")
     cfg = sgt if sgt is not None else SgtConfig(t=t)
     if cfg.t != t:
-        cfg = dataclasses.replace(cfg, t=t)
+        raise ValueError(f"sgt.t = {cfg.t} differs from t = {t}")
     m = int(t * n)
     bins = pop.n_types + 1
     news = np.empty(trials, dtype=np.float64)
@@ -289,8 +286,9 @@ def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> Exposur
     """Distinct-cluster count, mean global cluster size, and mean inverse
     size of the selected items, averaged over selections (std across them).
 
-    Each selection is a set of rows: an index outside [0, N) or one that
-    repeats raises ValueError naming the selection and the position.
+    Each selection s is a set of rows, checked by coverage.row_set as
+    "selection s": IndexOutOfRange for an index outside [0, N), ValueError
+    for one that repeats.
     """
     if not selections:
         raise ValueError("need at least one selection")
@@ -299,16 +297,7 @@ def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> Exposur
                                   return_inverse=True, return_counts=True)
     uniq, mean_size, mean_inv = [], [], []
     for s, sel in enumerate(selections):
-        position: dict[int, int] = {}
-        for pos, idx in enumerate(sel):
-            i = int(idx)
-            if not 0 <= i < cluster.size:
-                raise ValueError(f"selection {s}, position {pos}: index {i} "
-                                 f"outside pool of {cluster.size} rows")
-            if position.setdefault(i, pos) != pos:
-                raise ValueError(f"selection {s}, position {pos}: index {i} "
-                                 f"repeats position {position[i]}")
-        chosen = cluster[list(position)]
+        chosen = cluster[row_set(sel, cluster.size, f"selection {s}")]
         uniq.append(float(np.unique(chosen).size))
         member_sizes = sizes[chosen].astype(np.float64)
         mean_size.append(float(member_sizes.mean()))

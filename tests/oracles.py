@@ -1,5 +1,6 @@
-"""An independent DBSCAN on a distance matrix, the oracle the clustering
-tests compare the array DBSCAN with."""
+"""Test oracles shared by the test modules, one copy each: an independent
+DBSCAN and union-find components on a distance matrix, first-appearance
+renumbering for comparing partitions, and a plain manifest reader."""
 
 from collections import deque
 
@@ -38,3 +39,39 @@ def reference_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarr
         mask = labels >= 0
         labels[mask] = renumber[labels[mask]]
     return labels
+
+
+def union_find_partition(dist: np.ndarray, eps: float) -> list[int]:
+    """Connected components of the graph dist <= eps (upper triangle), by
+    union-find: each row's root."""
+    n = dist.shape[0]
+    parent = np.arange(n)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    ii, jj = np.nonzero(np.triu(dist <= eps, 1))
+    for a, b in zip(ii.tolist(), jj.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(i) for i in range(n)]
+
+
+def canon(labels) -> list[int]:
+    """First-appearance renumbering, for comparing partitions."""
+    seen: dict[int, int] = {}
+    return [seen.setdefault(int(v), len(seen)) for v in labels]
+
+
+def read_manifest(path) -> dict[str, str]:
+    """key -> value of each key=value line of a manifest file."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.rstrip("\n").partition("=")
+            out[key] = value
+    return out

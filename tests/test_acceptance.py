@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from dbscan_oracle import reference_dbscan
+from oracles import canon, read_manifest, reference_dbscan, union_find_partition
 from ucs.cli import main
 from ucs.clustering import cluster_pool, cosine_distance_matrix, dbscan_from
 from ucs.coverage import SgtConfig, corpus_prior, coverage_phi, sgt_unseen, subset_spectrum
@@ -122,29 +122,6 @@ def test_criterion_03_greedy_dpp_brute_force():
     print(f"[criterion 03] PASS 20 pools N<=12 B<=4, worst gain diff {worst:.1e}")
 
 
-def _union_find_partition(dist: np.ndarray, eps: float) -> list[int]:
-    n = dist.shape[0]
-    parent = np.arange(n)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ii, jj = np.nonzero(np.triu(dist <= eps, 1))
-    for a, b in zip(ii.tolist(), jj.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(i) for i in range(n)]
-
-
-def _canon(labels) -> list[int]:
-    seen: dict[int, int] = {}
-    return [seen.setdefault(int(v), len(seen)) for v in labels]
-
-
 def test_criterion_04_dbscan_equivalence():
     rng = np.random.default_rng(1)
     for pool_id in range(100):
@@ -154,7 +131,7 @@ def test_criterion_04_dbscan_equivalence():
         eps = float(np.quantile(off, rng.uniform(0.02, 0.3))) if n > 1 else 0.1
         raw = dbscan_from(dist, eps, min_samples=1)
         assert (raw >= 0).all()
-        assert _canon(raw) == _canon(_union_find_partition(dist, eps)), \
+        assert canon(raw) == canon(union_find_partition(dist, eps)), \
             f"pool {pool_id} (n={n})"
 
     borders_seen = 0
@@ -328,15 +305,6 @@ def test_criterion_10_desk_scale_performance():
           f"({assignment.n_clusters} clusters)")
 
 
-def _read_manifest(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            out[key] = value
-    return out
-
-
 def test_criterion_11_determinism(tmp_path, capsys):
     x, _ = sample_pool(Population.uniform(6), 40, dim=10, seed=5)
     pool_path = str(tmp_path / "pool.ucsm")
@@ -363,10 +331,10 @@ def test_criterion_11_determinism(tmp_path, capsys):
         for other in ("rerun", "resumed"):
             got = open(os.path.join(workdirs[other], name), "rb").read()
             assert got == ref_bytes, f"{name} differs in {other}"
-        ref_manifest = _read_manifest(os.path.join(reference, name + ".manifest.txt"))
+        ref_manifest = read_manifest(os.path.join(reference, name + ".manifest.txt"))
         ref_manifest.pop("timestamp")
         for other in ("rerun", "resumed"):
-            got_manifest = _read_manifest(
+            got_manifest = read_manifest(
                 os.path.join(workdirs[other], name + ".manifest.txt"))
             got_manifest.pop("timestamp")
             assert got_manifest == ref_manifest, f"manifest {name} in {other}"

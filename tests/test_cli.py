@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import read_manifest
 import ucs.cli
 from ucs.cli import (
     CONFIG_DEFAULTS,
@@ -41,15 +42,6 @@ from ucs.selection import (
     subset_utility_ucs,
 )
 from ucs.synth_oracle import Population, mc_unseen_oracle, sample_pool
-
-
-def _manifest(path):
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            out[key] = value
-    return out
 
 
 def _write_pool(tmp_path, n=40, k=6, dim=8, seed=0, name="pool.ucsm"):
@@ -186,7 +178,7 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
         for name in names:
             if not name.endswith(".manifest.txt"):
                 continue
-            manifest = _manifest(os.path.join(root, name))
+            manifest = read_manifest(os.path.join(root, name))
             stage = manifest["stage"]
             stages.add(stage)
             used = {k[len("config."):] for k in manifest if k.startswith("config.")}
@@ -326,7 +318,7 @@ def test_ingest_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "m.ucsm")
     assert main(["ingest", "--input", str(src), "--out", out]) == 0
     assert np.array_equal(read_matrix(out), [[1.5, 2.5], [-3.0, 4.0]])
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     assert manifest["stage"] == "ingest"
     assert "input.matrix.sha256" in manifest
     assert "timestamp" in manifest
@@ -339,7 +331,7 @@ def test_ingest_f32_is_write_matrix_f32(tmp_path, capsys):
     write_matrix(read_matrix(pool_path), want, dtype="f32")
     with open(out, "rb") as got_fh, open(want, "rb") as want_fh:
         assert got_fh.read() == want_fh.read()
-    assert _manifest(out + ".manifest.txt")["dtype"] == "f32"
+    assert read_manifest(out + ".manifest.txt")["dtype"] == "f32"
 
 
 @pytest.mark.parametrize("flags", [["--no-standardize"], ["--l2norm"],
@@ -353,7 +345,7 @@ def test_preprocess_flags_are_preprocess_pool_options(tmp_path, capsys, flags):
                            standardize="--no-standardize" not in flags,
                            l2norm="--l2norm" in flags)[0]
     assert np.array_equal(read_matrix(out), want)
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     assert manifest["standardize"] == str("--no-standardize" not in flags)
     assert manifest["l2norm"] == str("--l2norm" in flags)
     capsys.readouterr()
@@ -373,7 +365,7 @@ def test_preprocess_bundle_pooling_is_pool_tokens(tmp_path, capsys, mode):
                  "--pooling", mode, "--dict-pca-dim", "4"]) == 0
     pooled = np.stack([pool_tokens(h, m, mode) for h, m in examples])
     assert np.array_equal(read_matrix(out), preprocess_pool(pooled, d_prime=4)[0])
-    assert _manifest(out + ".manifest.txt")["pooling"] == mode
+    assert read_manifest(out + ".manifest.txt")["pooling"] == mode
     capsys.readouterr()
 
 
@@ -441,7 +433,7 @@ def test_prior_csv_mean_one(tmp_path):
     assert [row["cluster"] for row in rows] == ["1", "2", "3", "4"]
     weights = [float(row["weight"]) for row in rows]
     assert np.mean(weights) == pytest.approx(1.0, abs=1e-9)
-    assert _manifest(out + ".manifest.txt")["stage"] == "prior"
+    assert read_manifest(out + ".manifest.txt")["stage"] == "prior"
 
 
 def test_select_csv_schema_and_identity(tmp_path, capsys):
@@ -464,7 +456,7 @@ def test_select_csv_schema_and_identity(tmp_path, capsys):
         assert total == pytest.approx(
             float(row["base_gain"]) + lam * float(row["coverage_term"]), abs=1e-9
         )
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     assert manifest["stage"] == "select"
     assert manifest["base"] == "votek"
     assert manifest["config.budget"] == "5"
@@ -519,8 +511,8 @@ def test_select_rerun_identical_artifact(tmp_path, capsys):
         assert main(["select", "--embeddings", pool_path, "--labels",
                      labels_path, "--out", out, "--budget", "6"]) == 0
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
-    a = _manifest(outs[0] + ".manifest.txt")
-    b = _manifest(outs[1] + ".manifest.txt")
+    a = read_manifest(outs[0] + ".manifest.txt")
+    b = read_manifest(outs[1] + ".manifest.txt")
     a.pop("timestamp"), b.pop("timestamp")
     assert a == b
     capsys.readouterr()
@@ -686,8 +678,8 @@ def test_select_query_row_recorded_in_manifest(tmp_path, capsys):
         assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
                      "--out", out, "--base", "subset_utility", "--budget", "3",
                      "--candidate-num", "10", *flags]) == 0
-    assert "query_row" not in _manifest(outs[0] + ".manifest.txt")
-    assert _manifest(outs[1] + ".manifest.txt")["query_row"] == "3"
+    assert "query_row" not in read_manifest(outs[0] + ".manifest.txt")
+    assert read_manifest(outs[1] + ".manifest.txt")["query_row"] == "3"
     capsys.readouterr()
 
 
@@ -908,7 +900,7 @@ def test_cluster_then_analyze(tmp_path, capsys):
                  "--dbscan-q", "0.5"]) == 0
     labels = read_labels(labels_out)
     assert labels.min() >= 1
-    manifest = _manifest(labels_out + ".manifest.txt")
+    manifest = read_manifest(labels_out + ".manifest.txt")
     assert manifest["stage"] == "cluster"
     assert "eps" in manifest
 
@@ -931,7 +923,7 @@ def test_cluster_manifest_singleton_frac(tmp_path, capsys):
                  "--clustering", "dbscan", "--dbscan-k", "3"]) == 0
     sizes = np.bincount(read_labels(out))[1:]
     assert 0 < np.count_nonzero(sizes == 1) < sizes.size
-    assert float(_manifest(out + ".manifest.txt")["singleton_frac"]) == (
+    assert float(read_manifest(out + ".manifest.txt")["singleton_frac"]) == (
         np.count_nonzero(sizes == 1) / sizes.size)
     capsys.readouterr()
 
@@ -943,7 +935,7 @@ def test_dict_fit_manifest_objective_history(tmp_path, capsys):
                  "--dict-n-components", "4", "--max-iter", "5", "--seed", "2"]) == 0
     book = fit_dictionary(read_matrix(pool_path), n_atoms=4,
                           ridge_alpha=CONFIG_DEFAULTS["dict_alpha"], max_iter=5, seed=2)
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     history = [float(v) for v in manifest["objective_history"].split()]
     assert history == book.objective_history
     assert len(history) == int(manifest["n_iter"]) + 1
@@ -960,7 +952,7 @@ def test_joint_fit_manifest_objective_history(tmp_path, capsys):
     book = fit_joint_dictionary([source, source], n_atoms=3,
                                 ridge_alpha=CONFIG_DEFAULTS["dict_alpha"],
                                 max_iter=4, seed=2)
-    manifest = _manifest(stem + ".dict.ucsm.manifest.txt")
+    manifest = read_manifest(stem + ".dict.ucsm.manifest.txt")
     history = [float(v) for v in manifest["objective_history"].split()]
     assert history == book.objective_history
     assert len(history) == int(manifest["n_iter"]) + 1
@@ -977,7 +969,7 @@ def test_select_manifest_u_hat_and_k0(tmp_path, capsys, base):
                  "--sgt-t", "3.0", "--votek-k", "3"]) == 0
     with open(out, newline="") as fh:
         indices = [int(row["index"]) for row in csv.DictReader(fh)]
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     phi, _, u_hat = coverage_phi(read_labels(labels_path), indices, SgtConfig(t=3.0))
     assert float(manifest["u_hat"]) == u_hat
     assert float(manifest["phi"]) == phi
@@ -1009,11 +1001,11 @@ def test_pipeline_end_to_end_and_rerun(tmp_path, capsys):
     fields = dict(line.split(None, 1) for line in report.splitlines())
     assert fields["n_selections"].strip() == "2"
     # each manifest carries only the config keys its stage read
-    labels_manifest = _manifest(os.path.join(workdirs[0], "labels.txt.manifest.txt"))
+    labels_manifest = read_manifest(os.path.join(workdirs[0], "labels.txt.manifest.txt"))
     assert labels_manifest["config.dbscan_k"] == "3"
     assert "config.budget" not in labels_manifest
     for run in ("00", "01"):
-        select_manifest = _manifest(
+        select_manifest = read_manifest(
             os.path.join(workdirs[0], f"select_run{run}.csv.manifest.txt"))
         assert select_manifest["config.budget"] == "4"
         assert "config.dbscan_k" not in select_manifest
@@ -1063,7 +1055,7 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
                      "--config", str(cfg), "--seed", str(seed)] + extra) == 0
         got = tmp_path / "w" / name
         assert got.read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
-        assert _manifest(f"{got}.manifest.txt")["seed"] == str(seed)
+        assert read_manifest(f"{got}.manifest.txt")["seed"] == str(seed)
     capsys.readouterr()
 
 
@@ -1276,7 +1268,7 @@ def test_manifest_records_numeric_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert main(["preprocess", "--input", pool_path, "--out", out]) == 0
-    manifest = _manifest(out + ".manifest.txt")
+    manifest = read_manifest(out + ".manifest.txt")
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         assert manifest[f"env.{name}"] == os.environ.get(name, "unset")
     assert manifest["env.numpy"] == np.__version__

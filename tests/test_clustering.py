@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbscan_oracle import reference_dbscan
+from oracles import canon, reference_dbscan, union_find_partition
 import ucs.clustering
 from ucs.clustering import (
     _eps_lists,
@@ -24,18 +24,6 @@ from ucs.synth_oracle import Population, sample_pool
 THREE_CODES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array(
     [[1.0], [1.0], [np.sqrt(2.0)]]
 )
-
-
-def _canon(labels):
-    """First-appearance renumbering, for comparing partitions."""
-    mapping = {}
-    out = []
-    for v in labels:
-        v = int(v)
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out.append(mapping[v])
-    return out
 
 
 def test_cosine_hand_values():
@@ -143,26 +131,6 @@ def test_dbscan_border_point_joins_first_core_cluster():
     assert np.array_equal(raw, [0, 0, 0, 0, 1, 1, 1])
 
 
-def _components(d, eps):
-    """Connected components of the graph d <= eps, by union-find."""
-    n = d.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= eps:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    return [find(i) for i in range(n)]
-
-
 def test_dbscan_matches_union_find_components():
     # With min_samples=1 every point is core, so clusters are exactly the
     # connected components of the eps graph.
@@ -175,7 +143,7 @@ def test_dbscan_matches_union_find_components():
         eps = float(np.quantile(off_diag, rng.uniform(0.05, 0.6))) if n > 1 else 0.1
         raw = dbscan_from(d, eps, min_samples=1)
         assert (raw >= 0).all()
-        assert _canon(raw) == _canon(_components(d, eps)), f"trial {trial}"
+        assert canon(raw) == canon(union_find_partition(d, eps)), f"trial {trial}"
 
 
 def test_dbscan_numbering_by_smallest_member():
@@ -214,7 +182,7 @@ def test_remap_matches_first_appearance_reference():
         raw = rng.integers(-1, int(rng.integers(1, 12)), size=int(rng.integers(0, 60)))
         kept = raw != -1
         want = np.empty(raw.size, dtype=np.int64)
-        want[kept] = np.array(_canon(raw[kept]), dtype=np.int64) + 1
+        want[kept] = np.array(canon(raw[kept]), dtype=np.int64) + 1
         start = int(want[kept].max()) + 1 if kept.any() else 1
         want[~kept] = np.arange(start, start + np.count_nonzero(~kept))
         assert np.array_equal(remap_noise_to_singletons(raw), want), f"trial {trial}"
@@ -229,7 +197,7 @@ def test_dbscan_clusters_numbered_by_first_member_with_noise(min_samples):
     eps = knn_quantile_eps_from(d, k=5, q=0.3)
     raw = dbscan_from(d, eps, min_samples)
     member = raw[raw >= 0]
-    assert np.array_equal(member, _canon(member))
+    assert np.array_equal(member, canon(member))
     if min_samples > 1:
         assert (raw == -1).any()
     assign = cluster_pool(x, method="dbscan", dbscan_k=5, dbscan_q=0.3,
@@ -272,7 +240,7 @@ def test_cluster_pool_permutation_equivariance():
     base = cluster_pool(x, method="dbscan", dbscan_k=3, dbscan_q=0.5)
     shuffled = cluster_pool(x[perm], method="dbscan", dbscan_k=3, dbscan_q=0.5)
     assert shuffled.eps == base.eps
-    assert _canon(base.labels[perm]) == _canon(shuffled.labels)
+    assert canon(base.labels[perm]) == canon(shuffled.labels)
 
 
 def test_cluster_pool_scale_invariance():
@@ -385,7 +353,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
                 assert knn_quantile_eps_from(dist, k, q) == want
                 got = cluster_pool(x, method="dbscan", dbscan_k=k, dbscan_q=q)
                 assert got.eps == want, (pool_id, k, q)
-                assert _canon(got.raw_labels) == _canon(_components(dist, want))
+                assert canon(got.raw_labels) == canon(union_find_partition(dist, want))
         for eps in (0.0, 0.05, float(np.median(dist)), 1.0, 2.0):
             _assert_lists(dist, eps, *_eps_lists(strip_unit, eps), pool_id)
             for min_samples in (1, 3):
@@ -394,7 +362,7 @@ def test_strip_passes_match_dense_oracle(monkeypatch, tile_mult):
                 assert np.array_equal(got.raw_labels,
                                       dbscan_from(dist, eps, min_samples))
             got = cluster_pool(x, method="dbscan", eps_override=eps)
-            assert _canon(got.raw_labels) == _canon(_components(dist, eps))
+            assert canon(got.raw_labels) == canon(union_find_partition(dist, eps))
 
 
 def _planted_pool(d, seed):
@@ -693,8 +661,8 @@ def test_components_are_the_smallest_member_within_the_round_bound(n, density, s
     root, rounds = ucs.clustering._components(n, a, b)
     dist = np.ones((n, n))
     dist[a, b] = dist[b, a] = 0.0
-    want = _components(dist, 0.5)  # union-find
-    assert _canon(root) == _canon(want)
+    want = union_find_partition(dist, 0.5)  # union-find
+    assert canon(root) == canon(want)
     assert all(root[i] == min(np.flatnonzero(root == root[i])) for i in range(n))
     assert rounds <= 2 * int(np.ceil(np.log2(max(n, 1)))), rounds
 

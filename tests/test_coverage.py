@@ -12,6 +12,7 @@ from ucs.coverage import (
     coverage_phi,
     gt_unseen,
     k0_for,
+    row_set,
     sgt_unseen,
     sgt_weights,
     smooth_spectrum,
@@ -52,6 +53,31 @@ def test_subset_spectrum_repeated_index():
         subset_spectrum(np.array([1, 2, 3]), [0, 0, 0])
     with pytest.raises(ValueError, match="subset index 1 repeats at positions 1 and 3"):
         coverage_phi(np.array([1, 2, 3]), [2, 1, 0, 1], SgtConfig(t=2.0))
+
+
+@pytest.mark.parametrize("indices, error, message", [
+    ([0, 5], IndexOutOfRange, r"^subset index 5 outside pool of 2 rows \(position 1\)$"),
+    ([1, -1], IndexOutOfRange, r"^subset index -1 outside pool of 2 rows \(position 1\)$"),
+    ([0, 2**70], IndexOutOfRange,
+     rf"^subset index {2**70} outside pool of 2 rows \(position 1\)$"),
+    ([1, 1, 2**70], ValueError,
+     r"^subset index 1 repeats at positions 0 and 1 \(pool of 2 rows\)$"),
+], ids=["past-the-end", "negative", "beyond-int64", "repeat-before-beyond-int64"])
+def test_row_set_names_the_first_bad_index_its_position_and_the_pool(indices, error, message):
+    with pytest.raises(error, match=message):
+        row_set(indices, 2, "subset")
+
+
+def test_row_set_returns_the_rows_in_their_order():
+    for indices in ([2, 0], (2, 0), np.array([2, 0]), iter([2, 0])):
+        rows = row_set(indices, 3, "subset")
+        assert rows.dtype == np.int64 and rows.tolist() == [2, 0]
+    assert row_set(range(0), 0, "subset").tolist() == []
+
+
+def test_index_out_of_range_is_a_value_error():
+    with pytest.raises(ValueError):
+        subset_spectrum(np.array([1, 2]), [0, 5])
 
 
 def test_gt_hand_values():
@@ -220,7 +246,8 @@ def test_coverage_tracker_matches_from_scratch():
             assert tracker.k_seen == coverage_phi(labels, chosen, cfg)[1]
             spec = subset_spectrum(labels, chosen)
             assert tracker.spectrum == spec.spectrum  # zeroed bins deleted
-            assert (tracker.size, tracker.k_seen) == (spec.size, spec.k_seen)
+            tracked_size = sum(s * f for s, f in tracker.spectrum.items())
+            assert (tracked_size, tracker.k_seen) == (spec.size, spec.k_seen)
 
 
 @pytest.mark.parametrize("cfg", [

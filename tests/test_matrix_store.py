@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -74,6 +75,19 @@ def test_write_rejects_nan(tmp_path):
     with pytest.raises(NonFiniteValue) as err:
         write_matrix(np.array([[1.0, np.nan]]), tmp_path / "bad.ucsm")
     assert "row 0, col 1" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [1e300, -3.5e38])
+def test_write_f32_refuses_a_value_beyond_float32(tmp_path, value):
+    # this used to write inf with numpy's overflow warning, and read_matrix
+    # then refused the file ("non-finite value at byte offset 23")
+    path = tmp_path / "big.ucsm"
+    want = re.escape(f"value {value!r} at row 1, col 0 is not finite as f32")
+    with pytest.raises(NonFiniteValue, match=f"^{want}"):
+        write_matrix(np.array([[1.0, 2.0], [value, 3.0]]), path, dtype="f32")
+    assert not path.exists()
+    write_matrix(np.array([[value]]), path)  # finite as f64
+    assert read_matrix(path)[0, 0] == value
 
 
 def test_read_rejects_nonfinite_payload_with_offset(tmp_path):

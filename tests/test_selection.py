@@ -683,6 +683,70 @@ def test_sample_candidate_subsets_seeded_and_sized():
         sample_candidate_subsets(x, query, budget=41, candidate_num=1, seed=0)
 
 
+def _drawn_from(pool, budget, candidate_num, seed):
+    rng = np.random.default_rng(seed)
+    return [[int(j) for j in rng.choice(pool, size=budget, replace=False)]
+            for _ in range(candidate_num)]
+
+
+def test_sample_candidate_subsets_zero_query_ranks_in_index_order():
+    x = np.random.default_rng(4).standard_normal((45, 5))
+    got = sample_candidate_subsets(x, np.zeros(5), budget=4, candidate_num=6, seed=2)
+    assert got == _drawn_from(np.arange(30), 4, 6, 2)
+
+
+def test_sample_candidate_subsets_zero_rows_have_similarity_zero():
+    rng = np.random.default_rng(5)
+    query = rng.standard_normal(5)
+    x = rng.standard_normal((45, 5))
+    x[::3] = 0.0
+    norms = np.linalg.norm(x, axis=1)
+    sims = np.zeros(45)
+    live = norms > 0
+    sims[live] = x[live] @ query / (norms[live] * np.linalg.norm(query))
+    pool = np.argsort(-sims, kind="stable")[:30]
+    zero_rows = pool[~live[pool]]
+    assert zero_rows.size and np.array_equal(zero_rows, np.sort(zero_rows))
+    got = sample_candidate_subsets(x, query, budget=4, candidate_num=6, seed=2)
+    assert got == _drawn_from(pool, 4, 6, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_candidate_subsets_refuses_non_finite_query(bad):
+    x = np.random.default_rng(6).standard_normal((40, 3))
+    with pytest.raises(ValueError, match="not finite"):
+        sample_candidate_subsets(x, np.array([1.0, bad, 0.0]), budget=4,
+                                 candidate_num=2, seed=0)
+
+
+@pytest.mark.parametrize("select", [
+    lambda x, labels, cfg: greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
+    lambda x, labels, cfg: votek_ucs_select(x, labels, corpus_prior(labels), cfg),
+    lambda x, labels, cfg: rarity_controls(x, labels, cfg, "B1"),
+], ids=["dpp", "votek", "rarity"])
+@pytest.mark.parametrize("n_labels", [39, 80])
+def test_selectors_refuse_labels_of_another_length(select, n_labels):
+    # 80 labels on 40 rows used to give DPP picks silently, and VoteK a numpy
+    # broadcast error or an IndexError
+    x = np.random.default_rng(0).standard_normal((40, 4))
+    labels = sample_labels(Population.zipf(6, 1.0), n_labels, seed=1)
+    with pytest.raises(ValueError, match=rf"^labels has {n_labels} entries for a pool of 40 rows$"):
+        select(x, labels, SelectionConfig(budget=5, lam=0.5))
+
+
+@pytest.mark.parametrize("candidates, message", [
+    ([[0, 1], [0, 0, 1]], r"^candidate 1 index 0 repeats at positions 0 and 1 \(pool of 3 rows\)$"),
+    ([[0, 3]], r"^candidate 0 index 3 outside pool of 3 rows \(position 1\)$"),
+], ids=["repeated", "past-the-end"])
+def test_redundancy_utility_candidates_are_sets_of_rows(candidates, message):
+    # a repeat used to count a row's similarity with itself (-0.8 for
+    # [0, 0, 1] on a 40-row pool) and a row past the end raised numpy's
+    # IndexError
+    x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=message):
+        redundancy_utility(x, candidates)
+
+
 def test_redundancy_utility_hand_values():
     x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     utils = redundancy_utility(x, [[0, 1], [0, 2], [0], [0, 1, 2]])

@@ -246,13 +246,15 @@ def test_mc_oracle_matches_independent_recount(estimator, smoothing):
         assert np.array_equal(report.estimates, ests), (pop.kind, n)
 
 
-def test_mc_oracle_custom_sgt_config_t_is_overridden():
-    cfg = SgtConfig(t=99.0, bin_size=10)
-    report = mc_unseen_oracle(Population.uniform(20), n=30, t=2.0, trials=5,
-                              seed=3, sgt=cfg)
-    direct = mc_unseen_oracle(Population.uniform(20), n=30, t=2.0, trials=5,
-                              seed=3, sgt=SgtConfig(t=2.0, bin_size=10))
-    assert np.array_equal(report.estimates, direct.estimates)
+def test_mc_oracle_refuses_sgt_t_other_than_t():
+    # sgt.t used to be replaced by t without a word
+    pop = Population.uniform(20)
+    with pytest.raises(ValueError, match=r"sgt.t = 99.0 differs from t = 2.0"):
+        mc_unseen_oracle(pop, n=30, t=2.0, trials=5, seed=3,
+                         sgt=SgtConfig(t=99.0, bin_size=10))
+    report = mc_unseen_oracle(pop, n=30, t=2.0, trials=5, seed=3,
+                              sgt=SgtConfig(t=2.0, bin_size=10))
+    assert report.trials == 5
 
 
 def test_cluster_stats_hand_case():
@@ -312,9 +314,9 @@ def test_exposure_treats_every_id_as_a_cluster():
 
 
 @pytest.mark.parametrize("selections, message", [
-    ([[-1]], r"selection 0, position 0: index -1 outside pool of 3 rows"),
-    ([[0, 0]], r"selection 0, position 1: index 0 repeats position 0"),
-    ([[3]], r"selection 0, position 0: index 3 outside pool of 3 rows"),
+    ([[-1]], r"selection 0 index -1 outside pool of 3 rows \(position 0\)"),
+    ([[0, 0]], r"selection 0 index 0 repeats at positions 0 and 1 \(pool of 3 rows\)"),
+    ([[3]], r"selection 0 index 3 outside pool of 3 rows \(position 0\)"),
 ], ids=["negative", "repeated", "past-the-end"])
 def test_exposure_selections_are_sets_of_rows(selections, message):
     # these used to read the last row, count row 0 twice (mean_cluster_size
