@@ -100,7 +100,7 @@ from .synth_oracle import (
     McOracleReport,
     Population,
     cluster_stats,
-    expected_new_types_uniform,
+    expected_new_types,
     exposure_metrics,
     mc_unseen_oracle,
     sample_embeddings,

@@ -295,14 +295,18 @@ def _row_index(text: str | None, n: int, where: str, seen: dict[int, str]) -> in
 
 
 def _read_selection_csv(path: str, n: int) -> list[int]:
-    """The index column, distinct rows of an n-row pool; ParseError names path:line."""
+    """The index column, distinct rows of an n-row pool, at least one;
+    ParseError names path:line."""
     seen: dict[int, str] = {}
     with open_file(path) as fh:
         reader = csv.DictReader(fh)
         if "index" not in (reader.fieldnames or ()):
             raise ParseError(f"{path}:1: no index column")
-        return [_row_index(row["index"], n, f"{path}:{reader.line_num}", seen)
+        rows = [_row_index(row["index"], n, f"{path}:{reader.line_num}", seen)
                 for row in reader]
+        if not rows:
+            raise ParseError(f"{path}:{reader.line_num}: no selected rows after the header")
+    return rows
 
 
 def _read_subset_file(path: str, n: int) -> list[int]:
@@ -450,7 +454,6 @@ def run_selection(
     cfg: dict,
     seed: int,
     sgt: SgtConfig,
-    rarity: str | None = None,
     query_row: int | None = None,
 ) -> SelectionResult:
     sel_cfg = SelectionConfig(
@@ -461,8 +464,8 @@ def run_selection(
         votek_k=int(cfg["votek_k"]),
         sgt=sgt,
     )
-    if rarity is not None:
-        return rarity_controls(x, labels, sel_cfg, rarity)
+    if base in RARITY_VARIANTS:
+        return rarity_controls(x, labels, sel_cfg)
     if base == "dpp":
         scale = sel_cfg.dpp_scale_factor
         kernel = dpp_kernel(x, scale=scale)
@@ -509,12 +512,11 @@ def stage_select(args, cfg) -> None:
     Only subset_utility draws from the seed; every other selector is run
     once and its result written under each seed.
     """
-    seeded = args.rarity is None and args.base == "subset_utility"
+    seeded = args.base == "subset_utility"
     if args.query_row is not None and not seeded:
-        rarity = f" --rarity {args.rarity}" if args.rarity else ""
         raise ConfigError(
-            "--query-row applies only to --base subset_utility without --rarity; "
-            f"--base {args.base}{rarity} would ignore it"
+            "--query-row applies only to --base subset_utility; "
+            f"--base {args.base} would ignore it"
         )
     x = read_matrix(args.embeddings)
     labels = read_labels(args.labels)
@@ -536,11 +538,11 @@ def stage_select(args, cfg) -> None:
         seed = int(cfg["seed"]) + r
         if seeded or result is None:
             result = run_selection(x, labels, args.base, cfg, seed, sgt,
-                                   rarity=args.rarity, query_row=args.query_row)
+                                   query_row=args.query_row)
         _write_selection_csv(out, result)
         _stage_manifest(out, "select", _config_used(cfg, "select"), {}, {
             **hashes,
-            "base": args.base if args.rarity is None else f"rarity_{args.rarity}",
+            "base": args.base,
             "seed": str(seed),
             "phi": _fmt(result.phi),
             "k_seen": str(result.k_seen),
@@ -583,7 +585,6 @@ def run_pipeline(
     stages: list[str],
     base: str,
     threads: object = None,
-    rarity: str | None = None,
 ) -> None:
     """Run a contiguous stage range as the subcommands of the same names.
 
@@ -622,7 +623,7 @@ def run_pipeline(
                     "--out", labels],
         "prior": ["--labels", labels, "--out", path("prior.csv")],
         "select": ["--embeddings", reduced, "--labels", labels, "--base", base,
-                   *(["--rarity", rarity] if rarity else []), "--out", *selections],
+                   "--out", *selections],
         "analyze": ["--labels", labels, "--out", path("report.txt"),
                     "--selections", *selections],
     }
@@ -753,9 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", nargs="+", required=True,
                    help="selection CSVs; the r-th is made with seed seed+r")
-    p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
-    p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None,
-                   help="run a rarity-only control instead of the UCS weights")
+    p.add_argument("--base", choices=BASE_SELECTORS, default="votek",
+                   help="selector; B1 and B2 are the rarity-only controls")
     p.add_argument("--query-row", type=int, default=None,
                    help="subset_utility query row (default: the mean of the unit rows)")
     _add_config_flags(p, "select")
@@ -792,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PIPELINE_STAGES[0])
     p.add_argument("--to-stage", choices=PIPELINE_STAGES,
                    default=PIPELINE_STAGES[-1])
-    p.add_argument("--base", choices=BASE_SELECTORS, default="votek")
-    p.add_argument("--rarity", choices=RARITY_VARIANTS, default=None)
+    p.add_argument("--base", choices=BASE_SELECTORS, default="votek",
+                   help="selector; B1 and B2 are the rarity-only controls")
     _add_config_flags(p, "pipeline")
     p.set_defaults(run=_cmd_pipeline)
 
@@ -908,8 +908,7 @@ def _cmd_pipeline(args, cfg) -> None:
             f"--from-stage {args.from_stage} comes after --to-stage {args.to_stage}"
         )
     stages = list(PIPELINE_STAGES[lo:hi + 1])
-    run_pipeline(cfg, args.input, args.workdir, stages, args.base,
-                 rarity=args.rarity)
+    run_pipeline(cfg, args.input, args.workdir, stages, args.base)
     print(f"pipeline stages {stages} done in {args.workdir}")
 
 

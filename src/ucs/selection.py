@@ -4,9 +4,12 @@ Three base selectors are provided: greedy log-det DPP, iterative discounted
 VoteK, and an argmax over externally scored candidate subsets (the stand-in
 for perplexity-style subset utilities). Each has a UCS variant that adds
 lambda times a coverage term; at lambda = 0 every variant reproduces its
-base selector bit-exactly. Every selector picks by one rule, written once in
-_pick: the first argmax of base + lambda * coverage over the unpicked rows
-(candidate subsets for subset_utility), so ties go to the lowest index.
+base selector bit-exactly. The rarity-only controls B1 and B2 are VoteK
+with a fixed per-cluster rarity bonus instead (rarity_controls).
+BASE_SELECTORS names all five, and SelectionConfig.base picks one of them.
+Every selector picks by one rule, written once in _pick: the first argmax
+of base + lambda * coverage over the unpicked rows (candidate subsets for
+subset_utility), so ties go to the lowest index.
 
 Greedy DPP is the fast greedy MAP of Chen, Zhang & Zhou (NeurIPS 2018): each
 step adds one incremental Cholesky row and updates every candidate's Schur
@@ -31,8 +34,8 @@ from .preprocess import l2_normalize_rows
 # selectable (with a hugely negative gain) instead of crashing the loop.
 _SC_FLOOR = 1e-300
 
-BASE_SELECTORS = ("dpp", "votek", "subset_utility")
-RARITY_VARIANTS = ("B1", "B2")
+RARITY_VARIANTS = ("B1", "B2")  # rarity_controls' selectors
+BASE_SELECTORS = ("dpp", "votek", "subset_utility", *RARITY_VARIANTS)
 
 # sample_candidate_subsets draws from the max(budget, TOP_POOL) rows most
 # similar to the query.
@@ -267,23 +270,23 @@ def rarity_controls(
     x: np.ndarray,
     labels: np.ndarray,
     cfg: SelectionConfig,
-    variant: str,
 ) -> SelectionResult:
-    """Rarity-only VoteK controls on corpus_prior's default prior.
+    """Rarity-only VoteK controls on corpus_prior's default prior; cfg.base
+    names the control.
 
     B1 adds lambda / n_c(i) (inverse global cluster size). B2 adds
     lambda * log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus
     spectrum, skipping the Good-Turing ratio entirely.
     """
-    if variant not in RARITY_VARIANTS:
-        raise ValueError(f"variant must be one of {RARITY_VARIANTS}, got {variant!r}")
+    if cfg.base not in RARITY_VARIANTS:
+        raise ValueError(f"cfg.base must be one of {RARITY_VARIANTS}, got {cfg.base!r}")
     _check_labels(labels, len(x))
     prior = corpus_prior(labels)
     c_total = len(prior.sizes)
 
     def rarity(cluster: int) -> float:
         size = prior.sizes[cluster]
-        if variant == "B1":
+        if cfg.base == "B1":
             return 1.0 / size
         return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
 
@@ -366,12 +369,20 @@ def sample_candidate_subsets(
     `query`, keep the top max(budget, TOP_POOL) rows, and draw candidate_num
     budget-sized subsets from them without replacement (within a subset).
     Similarity is unit row @ unit query (l2_normalize_rows): a zero row or
-    query gives 0, ties keep index order, and nan or inf raises ValueError."""
+    query gives 0, ties keep index order, and nan or inf raises ValueError.
+    A negative budget or candidate_num, a budget above the pool size and a
+    query whose length is not the pool's width raise ValueError."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.shape[0]
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if budget > n:
         raise ValueError(f"budget {budget} exceeds pool size {n}")
+    if candidate_num < 0:
+        raise ValueError(f"candidate_num must be >= 0, got {candidate_num}")
     q = np.asarray(query, dtype=np.float64).ravel()
+    if q.size != arr.shape[1]:
+        raise ValueError(f"query has {q.size} entries for a pool of width {arr.shape[1]}")
     sims = l2_normalize_rows(arr, eps=0.0) @ l2_normalize_rows(q[None], eps=0.0)[0]
     order = np.argsort(-sims, kind="stable")
     pool = order[: max(budget, min(TOP_POOL, n))]

@@ -170,13 +170,22 @@ def sample_pool(
     return sample_embeddings(pop, labels, dim, spread, seed), labels
 
 
-def expected_new_types_uniform(k: int, n: int, m: int) -> float:
-    """Closed form for uniform populations: expected number of types absent
-    from n draws but present in the next m."""
-    if k <= 0:
-        return 0.0
-    miss = 1.0 - 1.0 / k
-    return k * miss**n * (1.0 - miss**m)
+def expected_new_types(pop: Population, n: int, m: int) -> float:
+    """Exact expected number of types absent from n i.i.d. draws but present
+    in the next m: the sum over types x of (1 - p_x)^n (1 - (1 - p_x)^m).
+
+    Each power is exp(j * log1p(-p_x)) and 1 - (1 - p_x)^m is
+    -expm1(m * log1p(-p_x)), so a rare type keeps its digits where
+    1 - p_x would round them away. A power with exponent 0 is 1, also
+    for a type of probability 1.
+    """
+    if n < 0 or m < 0:
+        raise ValueError(f"n and m must be >= 0, got n={n}, m={m}")
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-pop.probs)  # -inf for a type of probability 1
+    unseen = np.exp(n * log_miss) if n else np.ones_like(log_miss)
+    found = -np.expm1(m * log_miss) if m else np.zeros_like(log_miss)
+    return float(np.sum(unseen * found))
 
 
 @dataclass
@@ -288,7 +297,8 @@ def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> Exposur
 
     Each selection s is a set of rows, checked by coverage.row_set as
     "selection s": IndexOutOfRange for an index outside [0, N), ValueError
-    for one that repeats.
+    for one that repeats. An empty selection, whose means are undefined,
+    raises ValueError.
     """
     if not selections:
         raise ValueError("need at least one selection")
@@ -297,6 +307,8 @@ def exposure_metrics(labels: np.ndarray, selections: list[list[int]]) -> Exposur
                                   return_inverse=True, return_counts=True)
     uniq, mean_size, mean_inv = [], [], []
     for s, sel in enumerate(selections):
+        if len(sel) == 0:
+            raise ValueError(f"selection {s} is empty")
         chosen = cluster[row_set(sel, cluster.size, f"selection {s}")]
         uniq.append(float(np.unique(chosen).size))
         member_sizes = sizes[chosen].astype(np.float64)

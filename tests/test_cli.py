@@ -35,8 +35,10 @@ from ucs.matrix_store import (
 )
 from ucs.preprocess import pool_tokens, preprocess_pool
 from ucs.selection import (
+    BASE_SELECTORS,
     SelectionConfig,
     dpp_kernel,
+    rarity_controls,
     redundancy_utility,
     sample_candidate_subsets,
     subset_utility_ucs,
@@ -466,8 +468,7 @@ def test_select_csv_schema_and_identity(tmp_path, capsys):
 def test_select_all_bases_and_rarity(tmp_path, capsys):
     pool_path, labels_path = _write_pool(tmp_path)
     for extra in (["--base", "dpp"], ["--base", "subset_utility"],
-                  ["--base", "votek", "--rarity", "B1"],
-                  ["--base", "votek", "--rarity", "B2"]):
+                  ["--base", "B1"], ["--base", "B2"]):
         out = str(tmp_path / f"sel_{'_'.join(extra).replace('--', '')}.csv")
         code = main(["select", "--embeddings", pool_path, "--labels",
                      labels_path, "--out", out, "--budget", "4",
@@ -657,17 +658,15 @@ def test_select_query_row_outside_pool(tmp_path, capsys, row):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("selector", [["--base", "votek"], ["--base", "dpp"],
-                                      ["--base", "subset_utility", "--rarity", "B1"]],
-                         ids=["votek", "dpp", "subset_utility-B1"])
-def test_select_query_row_refused_where_ignored(tmp_path, capsys, selector):
+@pytest.mark.parametrize("base", [b for b in BASE_SELECTORS if b != "subset_utility"])
+def test_select_query_row_refused_where_ignored(tmp_path, capsys, base):
     pool_path, labels_path = _write_pool(tmp_path)
     out = str(tmp_path / "sel.csv")
     assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
-                 "--out", out, "--budget", "3", "--query-row", "3", *selector]) == 2
+                 "--out", out, "--budget", "3", "--query-row", "3", "--base", base]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --query-row")
-    assert " ".join(selector) in err
+    assert f"--base {base} would ignore it" in err
     assert not os.path.exists(out)
 
 
@@ -803,15 +802,21 @@ def test_directory_input_is_io_error(tmp_path, capsys, flag):
     ("step,index\n0,7\n", 2, "index 7 outside 0..2"),
     ("step,index\n0,0\n1,-1\n", 3, "index -1 outside 0..2"),
     ("step,index\n0,1\n1,2\n2,1\n", 4, "index 1 already listed at"),
-], ids=["no-index-column", "not-an-integer", "past-the-end", "negative", "repeated-row"])
+    ("step,index\n", 1, "no selected rows after the header"),
+], ids=["no-index-column", "not-an-integer", "past-the-end", "negative", "repeated-row",
+        "header-only"])
 def test_analyze_rejects_bad_selection_csv(tmp_path, capsys, text, line, message):
+    # a header-only CSV used to print mean_cluster_size nan +/- nan and exit 0
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2]), labels_path)
     sel = tmp_path / "sel.csv"
     sel.write_text(text)
-    assert main(["analyze", "--labels", labels_path, "--selections", str(sel)]) == 2
+    out = tmp_path / "report.txt"
+    assert main(["analyze", "--labels", labels_path, "--selections", str(sel),
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{sel}:{line}: " in err and message in err
+    assert not out.exists()
 
 
 def test_synth_pool_and_oracle(tmp_path, capsys):
@@ -845,10 +850,10 @@ def test_synth_horizon_has_one_flag(tmp_path, capsys):
 @pytest.mark.parametrize("argv, prefix", [
     (["estimate", "--labels", "l.txt", "--sgt-o", "1.5"], "--sgt-o"),
     (["select", "--embeddings", "x.ucsm", "--labels", "l.txt", "--out", "s.csv",
-      "--rar", "B1"], "--rar"),
+      "--ba", "B1"], "--ba"),
 ], ids=["estimate", "select"])
 def test_flag_prefixes_are_not_abbreviations(argv, prefix, capsys):
-    # a prefix of --sgt-offset or --rarity is an unknown flag, not that flag
+    # a prefix of --sgt-offset or --base is an unknown flag, not that flag
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -1021,12 +1026,30 @@ def test_threads_flag_is_gone(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("base, rarity, selections", [
-    ("votek", None, 1), ("dpp", None, 1), ("votek", "B1", 1),
-    ("subset_utility", None, 3),
-])
-def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
-                                                  base, rarity, selections):
+@pytest.mark.parametrize("command", ["select", "pipeline"])
+def test_rarity_flag_is_gone(tmp_path, capsys, command):
+    # B1 and B2 are selectors: --base B1, not --base votek --rarity B1
+    pool_path, labels_path = _write_pool(tmp_path)
+    argv = {"select": ["--embeddings", pool_path, "--labels", labels_path,
+                       "--out", str(tmp_path / "sel.csv")],
+            "pipeline": ["--input", pool_path, "--workdir", str(tmp_path / "w")]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv[command], "--rarity", "B1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rarity B1" in capsys.readouterr().err
+    assert not (tmp_path / "sel.csv").exists() and not (tmp_path / "w").exists()
+
+
+def test_selector_signatures_take_the_selector_once():
+    assert "rarity" not in inspect.signature(run_selection).parameters
+    assert list(inspect.signature(run_pipeline).parameters)[4:] == ["base", "threads"]
+    assert list(inspect.signature(rarity_controls).parameters) == ["x", "labels", "cfg"]
+
+
+@pytest.mark.parametrize("base", BASE_SELECTORS)
+def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch, base):
+    # every selector runs through pipeline and select under its one name
+    selections = 3 if base == "subset_utility" else 1
     pool_path, _ = _write_pool(tmp_path, n=35, k=5, dim=10, seed=4)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -1042,7 +1065,7 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(ucs.cli, "run_selection", counting)
     wd = str(tmp_path / "w")
-    extra = ["--base", base] + (["--rarity", rarity] if rarity else [])
+    extra = ["--base", base]
     assert main(["pipeline", "--input", pool_path, "--workdir", wd,
                  "--config", str(cfg)] + extra) == 0
     assert seeds == [11, 12, 13][:selections]
@@ -1056,6 +1079,8 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch,
         got = tmp_path / "w" / name
         assert got.read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
         assert read_manifest(f"{got}.manifest.txt")["seed"] == str(seed)
+        assert read_manifest(f"{got}.manifest.txt")["base"] == base
+        assert read_manifest(f"{ref}.manifest.txt")["base"] == base
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ucs.clustering import cosine_distance_matrix
 from ucs.coverage import CoverageTracker, SgtConfig, corpus_prior, coverage_phi
 from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
+    BASE_SELECTORS,
     SelectionConfig,
     StepRecord,
     _knn_graph,
@@ -458,8 +460,8 @@ def test_rarity_b1_constant_bonus_is_plain_votek():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((10, 4))
     labels = np.arange(1, 11)  # every cluster size 1
-    cfg = SelectionConfig(budget=4, lam=3.0, base="votek", votek_k=2)
-    result = rarity_controls(x, labels, cfg, "B1")
+    cfg = SelectionConfig(budget=4, lam=3.0, base="B1", votek_k=2)
+    result = rarity_controls(x, labels, cfg)
     assert result.indices == votek_select(x, budget=4, k=2)
 
 
@@ -467,8 +469,8 @@ def test_rarity_b2_uniform_spectrum_is_plain_votek():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((12, 4))
     labels = np.repeat(np.arange(1, 5), 3)  # uniform sizes -> flat spectrum
-    cfg = SelectionConfig(budget=4, lam=2.0, base="votek", votek_k=2)
-    result = rarity_controls(x, labels, cfg, "B2")
+    cfg = SelectionConfig(budget=4, lam=2.0, base="B2", votek_k=2)
+    result = rarity_controls(x, labels, cfg)
     assert result.indices == votek_select(x, budget=4, k=2)
 
 
@@ -477,7 +479,7 @@ def test_rarity_bonuses_differ_from_ucs_weights():
     x = rng.standard_normal((4, 3))
     labels = np.array([1, 1, 2, 3])  # sizes {2,1,1}
     cfg = SelectionConfig(budget=1, lam=1.0, base="votek", votek_k=1)
-    b1 = rarity_controls(x, labels, cfg, "B1")
+    b1 = rarity_controls(x, labels, replace(cfg, base="B1"))
     prior = corpus_prior(labels, smoothing="off")
     ucs = votek_ucs_select(x, labels, prior, cfg)
     # B1 bonus for a singleton item is exactly 1; the UCS bonus is
@@ -495,7 +497,25 @@ def test_rarity_bonuses_differ_from_ucs_weights():
 def test_rarity_unknown_variant():
     cfg = SelectionConfig(budget=1, base="votek", votek_k=1)
     with pytest.raises(ValueError):
-        rarity_controls(CHAIN, np.arange(5), cfg, "B3")
+        rarity_controls(CHAIN, np.arange(5), replace(cfg, base="B3"))
+
+
+def test_rarity_controls_refuse_a_selector_that_is_not_one():
+    cfg = SelectionConfig(budget=1, base="votek", votek_k=1)
+    with pytest.raises(ValueError, match=r"^cfg.base must be one of \('B1', 'B2'\), got 'votek'$"):
+        rarity_controls(CHAIN, np.arange(1, 6), cfg)
+
+
+@pytest.mark.parametrize("base", ["B3", "rarity_B1", ""])
+def test_selection_config_refuses_an_unknown_selector(base):
+    with pytest.raises(ValueError, match=rf"^unknown base selector '{base}'$"):
+        SelectionConfig(base=base)
+
+
+def test_every_selector_name_is_a_config_base():
+    assert BASE_SELECTORS == ("dpp", "votek", "subset_utility", "B1", "B2")
+    for base in BASE_SELECTORS:
+        assert SelectionConfig(base=base).base == base
 
 
 def _votek_reference(x, k, discount_base, bonus, lam, budget):
@@ -544,8 +564,8 @@ def test_votek_records_match_reference_loop(x, labels, lam):
     }
     results = {
         "ucs": votek_ucs_select(x, labels, prior, cfg),
-        "B1": rarity_controls(x, labels, cfg, "B1"),
-        "B2": rarity_controls(x, labels, cfg, "B2"),
+        "B1": rarity_controls(x, labels, replace(cfg, base="B1")),
+        "B2": rarity_controls(x, labels, replace(cfg, base="B2")),
     }
     for name, result in results.items():
         want = _votek_reference(x, k, discount_base, bonuses[name], lam, budget)
@@ -638,8 +658,8 @@ def test_step_records_total_identity():
     for result in (
         greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
         votek_ucs_select(x, labels, prior, cfg),
-        rarity_controls(x, labels, cfg, "B1"),
-        rarity_controls(x, labels, cfg, "B2"),
+        rarity_controls(x, labels, replace(cfg, base="B1")),
+        rarity_controls(x, labels, replace(cfg, base="B2")),
         subset_utility_ucs(cands, rng.standard_normal(4), labels, cfg),
     ):
         assert len(result.indices) == 5
@@ -683,6 +703,21 @@ def test_sample_candidate_subsets_seeded_and_sized():
         sample_candidate_subsets(x, query, budget=41, candidate_num=1, seed=0)
 
 
+@pytest.mark.parametrize("budget, candidate_num, width, message", [
+    (-1, 2, 4, r"^budget must be >= 0, got -1$"),
+    (4, -2, 4, r"^candidate_num must be >= 0, got -2$"),
+    (4, 2, 3, r"^query has 3 entries for a pool of width 4$"),
+    (4, 2, 5, r"^query has 5 entries for a pool of width 4$"),
+], ids=["negative-budget", "negative-candidate-num", "short-query", "long-query"])
+def test_sample_candidate_subsets_refuses_bad_arguments(budget, candidate_num, width, message):
+    # these used to give numpy's "negative dimensions are not allowed", a
+    # silent [], and numpy's matmul core-dimension message
+    x = np.random.default_rng(6).standard_normal((40, 4))
+    with pytest.raises(ValueError, match=message):
+        sample_candidate_subsets(x, np.ones(width), budget=budget,
+                                 candidate_num=candidate_num, seed=0)
+
+
 def _drawn_from(pool, budget, candidate_num, seed):
     rng = np.random.default_rng(seed)
     return [[int(j) for j in rng.choice(pool, size=budget, replace=False)]
@@ -722,7 +757,7 @@ def test_sample_candidate_subsets_refuses_non_finite_query(bad):
 @pytest.mark.parametrize("select", [
     lambda x, labels, cfg: greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
     lambda x, labels, cfg: votek_ucs_select(x, labels, corpus_prior(labels), cfg),
-    lambda x, labels, cfg: rarity_controls(x, labels, cfg, "B1"),
+    lambda x, labels, cfg: rarity_controls(x, labels, replace(cfg, base="B1")),
 ], ids=["dpp", "votek", "rarity"])
 @pytest.mark.parametrize("n_labels", [39, 80])
 def test_selectors_refuse_labels_of_another_length(select, n_labels):

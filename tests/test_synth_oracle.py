@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from ucs.synth_oracle import (
     Population,
     _inverse_cdf,
     cluster_stats,
-    expected_new_types_uniform,
+    expected_new_types,
     exposure_metrics,
     mc_unseen_oracle,
     sample_embeddings,
@@ -166,13 +169,53 @@ def test_sample_pool_shapes():
 
 
 def test_expected_new_types_closed_form():
-    assert expected_new_types_uniform(10, 5, 0) == 0.0
-    assert expected_new_types_uniform(0, 5, 5) == 0.0
+    assert expected_new_types(Population.uniform(10), 5, 0) == 0.0
+    # one certain type: it is seen in the first draw, so nothing is new
+    assert expected_new_types(Population(np.array([1.0, 0.0, 0.0])), 5, 5) == 0.0
     # n=0, m huge: every type is new eventually
-    assert expected_new_types_uniform(12, 0, 10**7) == pytest.approx(12.0, abs=1e-3)
+    assert expected_new_types(Population.uniform(12), 0, 10**7) == pytest.approx(12.0, abs=1e-3)
     want = 100.0 * 0.99**200 * (1.0 - 0.99**200)
-    assert expected_new_types_uniform(100, 200, 200) == pytest.approx(want, abs=1e-12)
+    assert expected_new_types(Population.uniform(100), 200, 200) == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(11.6, abs=0.1)
+
+
+def _uniform_formula(k, n, m):
+    """The uniform special case k (1 - 1/k)^n (1 - (1 - 1/k)^m), in floats."""
+    miss = 1.0 - 1.0 / k
+    return k * miss**n * (1.0 - miss**m)
+
+
+@pytest.mark.parametrize("k, n, m", [(50, 200, 200), (64, 200, 200), (100, 200, 200),
+                                     (10, 5, 3), (500, 1000, 50)])
+def test_expected_new_types_is_the_uniform_formula(k, n, m):
+    # exact rational value of the uniform case, rounded once
+    miss = 1 - Fraction(1, k)
+    exact = float(k * miss**n * (1 - miss**m))
+    ulp = np.spacing(exact)
+    got = expected_new_types(Population.uniform(k), n, m)
+    assert abs(got - exact) <= 2 * ulp
+    # The float formula rounds 1 - 1/k once (relative error <= 2^-53), and
+    # its powers carry that error n and m times over: to first order its
+    # error is at most k (n + m) (1 - 1/k)^n 2^-53. At k=50, n=m=200 that
+    # is 352 ulps, and the two differ by 29 (the formula is 28 ulps below
+    # the exact value). When 1 - 1/k is exact (k=64) they agree to 2 ulps.
+    bound = k * (n + m) * float(miss) ** n * 2.0**-53
+    assert abs(got - _uniform_formula(k, n, m)) <= bound + 2 * ulp
+    if k == 64:
+        assert abs(got - _uniform_formula(k, n, m)) <= 2 * ulp
+
+
+@pytest.mark.parametrize("pop", [Population.zipf(500, 1.1), Population.uniform(50)],
+                         ids=["zipf", "uniform"])
+@pytest.mark.parametrize("n, t", [(10, 5.0), (50, 5.0), (200, 5.0), (200, 1.0)])
+def test_mc_oracle_mean_is_the_exact_expectation(pop, n, t):
+    # The trials are independent and their new-type counts are bounded, so
+    # by the CLT the mean of 400 lies within 4 standard errors of the exact
+    # expectation except with probability about 6e-5. The seed is fixed,
+    # so the check is deterministic.
+    report = mc_unseen_oracle(pop, n=n, t=t, trials=400, seed=1)
+    want = expected_new_types(pop, n, int(t * n))
+    assert abs(report.mean_new - want) <= 4.0 * report.std_new / np.sqrt(report.trials)
 
 
 def test_mc_oracle_single_type_truth_zero():
@@ -185,7 +228,7 @@ def test_mc_oracle_single_type_truth_zero():
 def test_mc_oracle_tracks_closed_form_uniform():
     report = mc_unseen_oracle(Population.uniform(100), n=200, t=1.0,
                               trials=400, seed=7)
-    want = expected_new_types_uniform(100, 200, 200)
+    want = expected_new_types(Population.uniform(100), 200, 200)
     scatter = 3.0 * report.std_new / np.sqrt(report.trials)
     assert abs(report.mean_new - want) <= scatter
     assert report.estimates.shape == (400,)
@@ -346,3 +389,12 @@ def test_exposure_inv_size_one_iff_singletons():
 def test_exposure_rejects_empty():
     with pytest.raises(ValueError):
         exposure_metrics(np.array([1, 2]), [])
+
+
+@pytest.mark.parametrize("selections, position", [([[]], 0), ([[0], []], 1)])
+def test_exposure_refuses_an_empty_selection(selections, position):
+    # an empty selection used to give nan means and numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^selection {position} is empty$"):
+            exposure_metrics(np.array([1, 2, 3]), selections)
