@@ -86,9 +86,9 @@ from .selection import (
     dpp_kernel,
     greedy_dpp,
     greedy_dpp_ucs,
-    rarity_controls,
     redundancy_utility,
     sample_candidate_subsets,
+    select,
     subset_utility_ucs,
     votek_select,
     votek_ucs_select,

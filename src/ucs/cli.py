@@ -30,7 +30,6 @@ from .coverage import (
     SMOOTHING_MODES,
     SgtConfig,
     corpus_prior,
-    coverage_phi,  # unused here; perfbench/spans.py patches ucs.cli.coverage_phi
     gt_unseen,
     k0_for,
     sgt_unseen,
@@ -62,19 +61,12 @@ from .matrix_store import (
     write_manifest,
     write_matrix,
 )
-from .preprocess import POOLING_MODES, l2_normalize_rows, pool_tokens, preprocess_pool
+from .preprocess import POOLING_MODES, pool_tokens, preprocess_pool
 from .selection import (
     BASE_SELECTORS,
-    RARITY_VARIANTS,
     SelectionConfig,
     SelectionResult,
-    dpp_kernel,
-    greedy_dpp_ucs,
-    rarity_controls,
-    redundancy_utility,
-    sample_candidate_subsets,
-    subset_utility_ucs,
-    votek_ucs_select,
+    select,
 )
 from .synth_oracle import (
     ORACLE_ESTIMATORS,
@@ -84,6 +76,10 @@ from .synth_oracle import (
     mc_unseen_oracle,
     sample_pool,
 )
+
+# Unused here: perfbench/spans.py patches these four names on ucs.cli.
+from .coverage import coverage_phi
+from .selection import dpp_kernel, greedy_dpp_ucs, votek_ucs_select
 
 
 def finite_float(text: str) -> float:
@@ -141,11 +137,6 @@ CONFIG_TYPES: dict[str, Callable[[str], object]] = {
     k: finite_float if isinstance(v, float) else type(v)
     for k, v in CONFIG_DEFAULTS.items()
 }
-
-# A subset_utility query whose norm is at most this fraction of the median
-# row norm points nowhere above rounding: the mean of N unit rows carries an
-# absolute error up to about N 2^-53, 1e-9 at N = 10^7.
-QUERY_MIN_FRACTION = 1e-8
 
 PIPELINE_STAGES = (
     "preprocess",
@@ -432,11 +423,9 @@ def stage_cluster(args, cfg) -> None:
 
 
 def stage_prior(args, cfg) -> None:
-    """Write prior.csv, a report of corpus_prior's weights; --smoothing and
-    --eps override corpus_prior's defaults, and select recomputes the prior."""
-    options = {"smoothing": args.smoothing, "eps": args.eps}
-    labels = _labels_and_subset(args)[0]
-    prior = corpus_prior(labels, **{k: v for k, v in options.items() if v is not None})
+    """Write prior.csv, a report of corpus_prior's weights at its defaults:
+    the prior that select recomputes from the same labels."""
+    prior = corpus_prior(_labels_and_subset(args)[0])
     clusters = sorted(prior.sizes)
     with open_file(args.out, "w") as fh:
         writer = csv.writer(fh)
@@ -445,64 +434,6 @@ def stage_prior(args, cfg) -> None:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
     _stage_manifest(args.out, "prior", {}, {"labels": args.labels},
                     {"smoothing": prior.smoothing, "n_clusters": str(len(clusters))})
-
-
-def run_selection(
-    x: np.ndarray,
-    labels: np.ndarray,
-    base: str,
-    cfg: dict,
-    seed: int,
-    sgt: SgtConfig,
-    query_row: int | None = None,
-) -> SelectionResult:
-    sel_cfg = SelectionConfig(
-        budget=int(cfg["budget"]),
-        lam=float(cfg["sgt_lambda"]),
-        base=base,
-        dpp_scale_factor=float(cfg["dpp_scale_factor"]),
-        votek_k=int(cfg["votek_k"]),
-        sgt=sgt,
-    )
-    if base in RARITY_VARIANTS:
-        return rarity_controls(x, labels, sel_cfg)
-    if base == "dpp":
-        scale = sel_cfg.dpp_scale_factor
-        kernel = dpp_kernel(x, scale=scale)
-        # the diagonal of unit (or zero) rows in exact arithmetic: rounding
-        # gives |u_i|^2 two values, which would decide the first pick's tie
-        kernel[np.diag_indices_from(kernel)] = (
-            np.where(np.any(x, axis=1), math.exp(scale), 1.0) + 1e-8)
-        return greedy_dpp_ucs(kernel, labels, sel_cfg)
-    if base == "votek":
-        prior = corpus_prior(labels)
-        return votek_ucs_select(x, labels, prior, sel_cfg)
-    query = _subset_query(x, query_row)
-    candidates = sample_candidate_subsets(
-        x, query, sel_cfg.budget, int(cfg["candidate_num"]), seed
-    )
-    utilities = redundancy_utility(x, candidates)
-    return subset_utility_ucs(candidates, utilities, labels, sel_cfg)
-
-
-def _subset_query(x: np.ndarray, query_row: int | None) -> np.ndarray:
-    """subset_utility's query: pool row query_row, or by default the mean of
-    the unit rows (the mean of a centred pool's rows is rounding noise).
-    Raises ConfigError when its norm is at most QUERY_MIN_FRACTION of the
-    median norm of the rows it is drawn from."""
-    rows = x if query_row is not None else l2_normalize_rows(x, eps=0.0)
-    query = rows[query_row] if query_row is not None else rows.mean(axis=0)
-    norm = float(np.linalg.norm(query))
-    median = float(np.median(np.linalg.norm(rows, axis=1)))
-    if not norm > QUERY_MIN_FRACTION * median:
-        what = (f"--query-row {query_row}" if query_row is not None
-                else "the mean of the unit rows")
-        raise ConfigError(
-            f"subset_utility query {what} has norm {norm:.3g}, at most "
-            f"{QUERY_MIN_FRACTION:g} of the median row norm {median:.3g}; "
-            "it has no direction to rank the pool by"
-        )
-    return query
 
 
 def stage_select(args, cfg) -> None:
@@ -530,6 +461,14 @@ def stage_select(args, cfg) -> None:
             f"--query-row {args.query_row} is outside the pool's {x.shape[0]} rows"
         )
     sgt = _sgt_config(cfg, args)
+    sel_cfg = SelectionConfig(
+        budget=int(cfg["budget"]),
+        lam=float(cfg["sgt_lambda"]),
+        base=args.base,
+        dpp_scale_factor=float(cfg["dpp_scale_factor"]),
+        votek_k=int(cfg["votek_k"]),
+        sgt=sgt,
+    )
     query = {} if args.query_row is None else {"query_row": str(args.query_row)}
     # Hashed once, not once per out, and passed to each manifest as extra.
     hashes = _input_hashes({"embeddings": args.embeddings, "labels": args.labels})
@@ -537,8 +476,9 @@ def stage_select(args, cfg) -> None:
     for r, out in enumerate(args.out):
         seed = int(cfg["seed"]) + r
         if seeded or result is None:
-            result = run_selection(x, labels, args.base, cfg, seed, sgt,
-                                   query_row=args.query_row)
+            result = select(x, labels, sel_cfg, seed=seed,
+                            candidate_num=int(cfg["candidate_num"]),
+                            query_row=args.query_row)
         _write_selection_csv(out, result)
         _stage_manifest(out, "select", _config_used(cfg, "select"), {}, {
             **hashes,
@@ -741,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--smoothing", choices=SMOOTHING_MODES, default=None,
-                   help="override corpus_prior's default (power_law)")
-    p.add_argument("--eps", type=finite_float, default=None,
-                   help="override corpus_prior's default (1e-6)")
     p.add_argument("--noise-label", type=int, default=None)
     _add_config_flags(p, "prior")
     p.set_defaults(run=stage_prior)

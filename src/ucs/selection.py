@@ -5,8 +5,10 @@ VoteK, and an argmax over externally scored candidate subsets (the stand-in
 for perplexity-style subset utilities). Each has a UCS variant that adds
 lambda times a coverage term; at lambda = 0 every variant reproduces its
 base selector bit-exactly. The rarity-only controls B1 and B2 are VoteK
-with a fixed per-cluster rarity bonus instead (rarity_controls).
-BASE_SELECTORS names all five, and SelectionConfig.base picks one of them.
+with a fixed per-cluster rarity bonus instead. BASE_SELECTORS names all
+five, SelectionConfig.base picks one of them, and select runs it: select is
+the one place that reads that field, and the building blocks it calls
+(greedy_dpp_ucs, votek_ucs_select, subset_utility_ucs) ignore it.
 Every selector picks by one rule, written once in _pick: the first argmax
 of base + lambda * coverage over the unpicked rows (candidate subsets for
 subset_utility), so ties go to the lowest index.
@@ -34,7 +36,7 @@ from .preprocess import l2_normalize_rows
 # selectable (with a hugely negative gain) instead of crashing the loop.
 _SC_FLOOR = 1e-300
 
-RARITY_VARIANTS = ("B1", "B2")  # rarity_controls' selectors
+RARITY_VARIANTS = ("B1", "B2")  # the rarity-only controls
 BASE_SELECTORS = ("dpp", "votek", "subset_utility", *RARITY_VARIANTS)
 
 # sample_candidate_subsets draws from the max(budget, TOP_POOL) rows most
@@ -180,7 +182,8 @@ def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
 
 def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig) -> SelectionResult:
     """Greedy DPP with coverage pressure: each step maximizes the log-det
-    gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally."""
+    gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally.
+    Ignores the config's base field; select reads it and calls this for dpp."""
     records = _greedy_dpp(kernel, labels, cfg.sgt, cfg.lam, cfg.budget)
     return _finish(records, labels, cfg)
 
@@ -253,7 +256,8 @@ def votek_ucs_select(
 ) -> SelectionResult:
     """VoteK with rarity pressure: score(i) = v(i) + lambda * log w_c(i).
 
-    The prior must cover every cluster id in labels.
+    The prior must cover every cluster id in labels. Ignores the config's
+    base field; select reads it and calls this for votek.
     """
     _check_labels(labels, len(x))
 
@@ -263,34 +267,6 @@ def votek_ucs_select(
         return prior.log_weight(cluster)
 
     bonus = _per_cluster(labels, log_weight)
-    return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
-
-
-def rarity_controls(
-    x: np.ndarray,
-    labels: np.ndarray,
-    cfg: SelectionConfig,
-) -> SelectionResult:
-    """Rarity-only VoteK controls on corpus_prior's default prior; cfg.base
-    names the control.
-
-    B1 adds lambda / n_c(i) (inverse global cluster size). B2 adds
-    lambda * log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus
-    spectrum, skipping the Good-Turing ratio entirely.
-    """
-    if cfg.base not in RARITY_VARIANTS:
-        raise ValueError(f"cfg.base must be one of {RARITY_VARIANTS}, got {cfg.base!r}")
-    _check_labels(labels, len(x))
-    prior = corpus_prior(labels)
-    c_total = len(prior.sizes)
-
-    def rarity(cluster: int) -> float:
-        size = prior.sizes[cluster]
-        if cfg.base == "B1":
-            return 1.0 / size
-        return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
-
-    bonus = _per_cluster(labels, rarity)
     return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
 
 
@@ -324,7 +300,8 @@ def subset_utility_ucs(
     """Pick argmax over candidate subsets of utility(S) + lambda * Phi(S).
 
     Every candidate must have exactly cfg.budget members. Each member of the
-    winning subset gets one record holding the subset's scores.
+    winning subset gets one record holding the subset's scores. Ignores the
+    config's base field; select reads it and calls this for subset_utility.
     """
     scores = _utility_scores(candidates, utilities)
     for pos, subset in enumerate(candidates):
@@ -391,3 +368,97 @@ def sample_candidate_subsets(
         [int(j) for j in rng.choice(pool, size=budget, replace=False)]
         for _ in range(candidate_num)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The one selection call
+
+# A subset_utility query whose norm is at most this fraction of the median
+# row norm points nowhere above rounding: the mean of N unit rows carries an
+# absolute error up to about N 2^-53, 1e-9 at N = 10^7.
+QUERY_MIN_FRACTION = 1e-8
+
+
+def _subset_utility_query(x: np.ndarray, query_row: int | None) -> np.ndarray:
+    """subset_utility's query: pool row query_row, or by default the mean of
+    the unit rows (the mean of a centred pool's rows is rounding noise).
+    Raises ValueError for a row outside the pool, and when the query's norm
+    is at most QUERY_MIN_FRACTION of the median norm of the rows it is drawn
+    from."""
+    if query_row is not None and not 0 <= query_row < len(x):
+        raise ValueError(f"query row {query_row} is outside the pool's {len(x)} rows")
+    rows = x if query_row is not None else l2_normalize_rows(x, eps=0.0)
+    query = rows[query_row] if query_row is not None else rows.mean(axis=0)
+    norm = float(np.linalg.norm(query))
+    median = float(np.median(np.linalg.norm(rows, axis=1)))
+    if not norm > QUERY_MIN_FRACTION * median:
+        what = (f"row {query_row}" if query_row is not None
+                else "the mean of the unit rows")
+        raise ValueError(
+            f"subset_utility query {what} has norm {norm:.3g}, at most "
+            f"{QUERY_MIN_FRACTION:g} of the median row norm {median:.3g}; "
+            "it has no direction to rank the pool by"
+        )
+    return query
+
+
+def select(
+    x: np.ndarray,
+    labels: np.ndarray,
+    cfg: SelectionConfig,
+    *,
+    seed: int = 0,
+    candidate_num: int = 50,
+    query_row: int | None = None,
+) -> SelectionResult:
+    """Select cfg.budget rows of x with the selector cfg.base names; the one
+    place that reads cfg.base.
+
+    dpp: greedy_dpp_ucs on dpp_kernel(x, cfg.dpp_scale_factor), its diagonal
+    set to the value unit (or zero) rows have in exact arithmetic. votek:
+    votek_ucs_select with corpus_prior(labels). B1, B2: VoteK plus lambda
+    times a rarity bonus from corpus_prior(labels), 1 / n_c(i) for B1 and
+    log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus spectrum
+    for B2. subset_utility: subset_utility_ucs over candidate_num subsets
+    drawn with seed by sample_candidate_subsets around pool row query_row
+    (default: the mean of the unit rows), scored by redundancy_utility. Only
+    subset_utility reads seed, candidate_num and query_row.
+
+    Raises ValueError unless labels has one entry per row of x and the
+    budget is at most the number of rows, and for a query_row that another
+    base would ignore.
+    """
+    n = len(x)
+    _check_labels(labels, n)
+    if cfg.budget > n:
+        raise ValueError(f"budget {cfg.budget} exceeds pool size {n}")
+    if query_row is not None and cfg.base != "subset_utility":
+        raise ValueError(f"query_row applies only to subset_utility; {cfg.base} would ignore it")
+    if cfg.base == "dpp":
+        scale = cfg.dpp_scale_factor
+        kernel = dpp_kernel(x, scale=scale)
+        # the diagonal of unit (or zero) rows in exact arithmetic: rounding
+        # gives |u_i|^2 two values, which would decide the first pick's tie
+        kernel[np.diag_indices_from(kernel)] = (
+            np.where(np.any(x, axis=1), math.exp(scale), 1.0) + 1e-8)
+        return greedy_dpp_ucs(kernel, labels, cfg)
+    if cfg.base == "votek":
+        return votek_ucs_select(x, labels, corpus_prior(labels), cfg)
+    if cfg.base in RARITY_VARIANTS:
+        prior = corpus_prior(labels)
+        c_total = len(prior.sizes)
+
+        def rarity(cluster: int) -> float:
+            size = prior.sizes[cluster]
+            if cfg.base == "B1":
+                return 1.0 / size
+            return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
+
+        bonus = _per_cluster(labels, rarity)
+        return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
+    if cfg.base != "subset_utility":
+        raise ValueError(f"unknown base selector {cfg.base!r}")
+    query = _subset_utility_query(x, query_row)
+    candidates = sample_candidate_subsets(x, query, cfg.budget, candidate_num, seed)
+    utilities = redundancy_utility(x, candidates)
+    return subset_utility_ucs(candidates, utilities, labels, cfg)

@@ -28,9 +28,9 @@ from ucs.selection import (
     dpp_kernel,
     greedy_dpp,
     greedy_dpp_ucs,
-    rarity_controls,
     redundancy_utility,
     sample_candidate_subsets,
+    select,
     subset_utility_ucs,
     votek_select,
     votek_ucs_select,
@@ -224,8 +224,8 @@ def test_criterion_07_rarity_controls_differ():
         cfg = SelectionConfig(budget=10, lam=1.0, base="votek", votek_k=3,
                               sgt=SgtConfig(t=2.0))
         ucs = votek_ucs_select(x, labels, prior, cfg)
-        b1 = rarity_controls(x, labels, replace(cfg, base="B1"))
-        b2 = rarity_controls(x, labels, replace(cfg, base="B2"))
+        b1 = select(x, labels, replace(cfg, base="B1"))
+        b2 = select(x, labels, replace(cfg, base="B2"))
         if b1.indices != ucs.indices or b2.indices != ucs.indices:
             differing += 1
         # score formulas are distinct by construction: check the recorded

@@ -20,7 +20,6 @@ from ucs.cli import (
     main,
     resolve_config,
     run_pipeline,
-    run_selection,
 )
 from ucs.clustering import cluster_pool
 from ucs.coverage import SgtConfig, coverage_phi, k0_for
@@ -38,9 +37,9 @@ from ucs.selection import (
     BASE_SELECTORS,
     SelectionConfig,
     dpp_kernel,
-    rarity_controls,
     redundancy_utility,
     sample_candidate_subsets,
+    select,
     subset_utility_ucs,
 )
 from ucs.synth_oracle import Population, mc_unseen_oracle, sample_pool
@@ -251,6 +250,7 @@ def test_library_defaults_match_config_defaults():
         (joint["ridge_alpha"], "dict_alpha"),
         (signature_defaults(preprocess_pool)["d_prime"], "dict_pca_dim"),
         (signature_defaults(dpp_kernel)["scale"], "dpp_scale_factor"),
+        (signature_defaults(select)["candidate_num"], "candidate_num"),
     ]
     for default, key in pairs:
         assert default == CONFIG_DEFAULTS[key], key
@@ -479,8 +479,38 @@ def test_select_all_bases_and_rarity(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("base", BASE_SELECTORS)
+def test_select_csv_is_the_library_selection(tmp_path, capsys, base):
+    pool_path, labels_path = _write_pool(tmp_path)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--base", base, "--budget", "4",
+                 "--candidate-num", "10"]) == 0
+    cfg = SelectionConfig(budget=4, lam=CONFIG_DEFAULTS["sgt_lambda"], base=base)
+    want = select(read_matrix(pool_path), read_labels(labels_path), cfg,
+                  seed=CONFIG_DEFAULTS["seed"], candidate_num=10)
+    with open(out, newline="") as fh:
+        rows = [(int(row["step"]), int(row["index"]), float(row["base_gain"]),
+                 float(row["coverage_term"]), float(row["total"]))
+                for row in csv.DictReader(fh)]
+    assert rows == [(step, r.index, r.base_gain, r.coverage_term, r.total)
+                    for step, r in enumerate(want.records)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("base", BASE_SELECTORS)
+def test_select_refuses_a_budget_above_the_pool_size(tmp_path, capsys, base):
+    # votek and dpp used to write 50 rows under config.budget=60
+    pool_path, labels_path = _write_pool(tmp_path, n=50)
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--out", out, "--base", base, "--budget", "60"]) == 2
+    assert capsys.readouterr().err == "error: budget 60 exceeds pool size 50\n"
+    assert not os.path.exists(out)
+
+
 def _dpp_picks(x, labels):
-    return run_selection(x, labels, "dpp", CONFIG_DEFAULTS, 42, SgtConfig()).indices
+    return select(x, labels, SelectionConfig(base="dpp")).indices
 
 
 # every row is nonzero, so every unit row's kernel diagonal is exp(0.1) + 1e-8
@@ -688,7 +718,9 @@ def test_subset_utility_default_query_is_the_mean_of_the_unit_rows():
     x, labels = sample_pool(Population.uniform(6), 60, dim=8, seed=4)
     x = x - x.mean(axis=0)
     cfg = dict(CONFIG_DEFAULTS, budget=4, candidate_num=12)
-    got = ucs.cli.run_selection(x, labels, "subset_utility", cfg, 3, SgtConfig())
+    got = select(x, labels, SelectionConfig(budget=4, lam=cfg["sgt_lambda"],
+                                            base="subset_utility"),
+                 seed=3, candidate_num=cfg["candidate_num"])
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
     candidates = sample_candidate_subsets(x, unit.mean(axis=0), 4, 12, 3)
     want = subset_utility_ucs(candidates, redundancy_utility(x, candidates), labels,
@@ -702,7 +734,7 @@ def test_select_refuses_a_query_with_no_direction(tmp_path, capsys, query):
     x, labels = sample_pool(Population.uniform(6), 20, dim=8, seed=2)
     if query == "row":
         x[3] = 1e-9 * x[3]  # below 1e-8 of the median row norm
-        flags, named = ["--query-row", "3"], "--query-row 3"
+        flags, named = ["--query-row", "3"], "row 3"
     else:
         x = np.vstack([x, -x])  # the unit rows cancel
         labels = np.concatenate([labels, labels])
@@ -714,7 +746,7 @@ def test_select_refuses_a_query_with_no_direction(tmp_path, capsys, query):
     assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
                  "--out", out, "--base", "subset_utility", "--budget", "3", *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: subset_utility query {named} has norm")
+    assert err.startswith(f"error: subset_utility query {named} has norm")
     assert "median row norm" in err
     assert not os.path.exists(out)
 
@@ -1040,10 +1072,23 @@ def test_rarity_flag_is_gone(tmp_path, capsys, command):
     assert not (tmp_path / "sel.csv").exists() and not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("flag", [["--smoothing", "off"], ["--eps", "0.5"]])
+def test_prior_takes_no_smoothing_or_eps(tmp_path, capsys, flag):
+    # prior.csv reports the prior select uses: corpus_prior's defaults
+    _, labels_path = _write_pool(tmp_path)
+    out = tmp_path / "prior.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["prior", "--labels", labels_path, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selector_signatures_take_the_selector_once():
-    assert "rarity" not in inspect.signature(run_selection).parameters
+    assert "rarity" not in inspect.signature(select).parameters
     assert list(inspect.signature(run_pipeline).parameters)[4:] == ["base", "threads"]
-    assert list(inspect.signature(rarity_controls).parameters) == ["x", "labels", "cfg"]
+    assert list(inspect.signature(select).parameters) == [
+        "x", "labels", "cfg", "seed", "candidate_num", "query_row"]
 
 
 @pytest.mark.parametrize("base", BASE_SELECTORS)
@@ -1057,13 +1102,13 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch, 
         "budget=4\nn_runs=3\nsgt_t=2.0\ncandidate_num=10\nseed=11\n"
     )
     seeds = []
-    original = ucs.cli.run_selection
+    original = ucs.cli.select
 
-    def counting(x, labels, base, cfg, seed, *args, **kwargs):
+    def counting(x, labels, cfg, *, seed, **kwargs):
         seeds.append(seed)
-        return original(x, labels, base, cfg, seed, *args, **kwargs)
+        return original(x, labels, cfg, seed=seed, **kwargs)
 
-    monkeypatch.setattr(ucs.cli, "run_selection", counting)
+    monkeypatch.setattr(ucs.cli, "select", counting)
     wd = str(tmp_path / "w")
     extra = ["--base", base]
     assert main(["pipeline", "--input", pool_path, "--workdir", wd,

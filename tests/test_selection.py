@@ -13,15 +13,16 @@ from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
     BASE_SELECTORS,
     SelectionConfig,
+    SelectionResult,
     StepRecord,
     _knn_graph,
     best_subset,
     dpp_kernel,
     greedy_dpp,
     greedy_dpp_ucs,
-    rarity_controls,
     redundancy_utility,
     sample_candidate_subsets,
+    select,
     subset_utility_ucs,
     votek_select,
     votek_ucs_select,
@@ -461,7 +462,7 @@ def test_rarity_b1_constant_bonus_is_plain_votek():
     x = rng.standard_normal((10, 4))
     labels = np.arange(1, 11)  # every cluster size 1
     cfg = SelectionConfig(budget=4, lam=3.0, base="B1", votek_k=2)
-    result = rarity_controls(x, labels, cfg)
+    result = select(x, labels, cfg)
     assert result.indices == votek_select(x, budget=4, k=2)
 
 
@@ -470,7 +471,7 @@ def test_rarity_b2_uniform_spectrum_is_plain_votek():
     x = rng.standard_normal((12, 4))
     labels = np.repeat(np.arange(1, 5), 3)  # uniform sizes -> flat spectrum
     cfg = SelectionConfig(budget=4, lam=2.0, base="B2", votek_k=2)
-    result = rarity_controls(x, labels, cfg)
+    result = select(x, labels, cfg)
     assert result.indices == votek_select(x, budget=4, k=2)
 
 
@@ -479,7 +480,7 @@ def test_rarity_bonuses_differ_from_ucs_weights():
     x = rng.standard_normal((4, 3))
     labels = np.array([1, 1, 2, 3])  # sizes {2,1,1}
     cfg = SelectionConfig(budget=1, lam=1.0, base="votek", votek_k=1)
-    b1 = rarity_controls(x, labels, replace(cfg, base="B1"))
+    b1 = select(x, labels, replace(cfg, base="B1"))
     prior = corpus_prior(labels, smoothing="off")
     ucs = votek_ucs_select(x, labels, prior, cfg)
     # B1 bonus for a singleton item is exactly 1; the UCS bonus is
@@ -497,13 +498,16 @@ def test_rarity_bonuses_differ_from_ucs_weights():
 def test_rarity_unknown_variant():
     cfg = SelectionConfig(budget=1, base="votek", votek_k=1)
     with pytest.raises(ValueError):
-        rarity_controls(CHAIN, np.arange(5), replace(cfg, base="B3"))
+        select(CHAIN, np.arange(5), replace(cfg, base="B3"))
 
 
-def test_rarity_controls_refuse_a_selector_that_is_not_one():
+def test_select_refuses_a_base_set_after_construction():
+    # SelectionConfig checks base when it is built; select checks it again,
+    # so a base assigned later does not fall through to another selector
     cfg = SelectionConfig(budget=1, base="votek", votek_k=1)
-    with pytest.raises(ValueError, match=r"^cfg.base must be one of \('B1', 'B2'\), got 'votek'$"):
-        rarity_controls(CHAIN, np.arange(1, 6), cfg)
+    cfg.base = "B3"
+    with pytest.raises(ValueError, match=r"^unknown base selector 'B3'$"):
+        select(CHAIN, np.arange(1, 6), cfg)
 
 
 @pytest.mark.parametrize("base", ["B3", "rarity_B1", ""])
@@ -564,8 +568,8 @@ def test_votek_records_match_reference_loop(x, labels, lam):
     }
     results = {
         "ucs": votek_ucs_select(x, labels, prior, cfg),
-        "B1": rarity_controls(x, labels, replace(cfg, base="B1")),
-        "B2": rarity_controls(x, labels, replace(cfg, base="B2")),
+        "B1": select(x, labels, replace(cfg, base="B1")),
+        "B2": select(x, labels, replace(cfg, base="B2")),
     }
     for name, result in results.items():
         want = _votek_reference(x, k, discount_base, bonuses[name], lam, budget)
@@ -573,6 +577,56 @@ def test_votek_records_match_reference_loop(x, labels, lam):
         assert result.indices == [r.index for r in want], name
     plain = _votek_reference(x, k, discount_base, [0.0] * len(x), 0.0, budget)
     assert votek_select(x, budget, k, discount_base) == [r.index for r in plain]
+
+
+def _select_by_hand(x, labels, cfg, seed, candidate_num):
+    """select's five selectors, each from its building blocks."""
+    prior = corpus_prior(labels)
+    if cfg.base == "dpp":
+        kernel = dpp_kernel(x, cfg.dpp_scale_factor)
+        np.fill_diagonal(kernel, np.where(np.linalg.norm(x, axis=1) > 0,
+                                          math.exp(cfg.dpp_scale_factor), 1.0) + 1e-8)
+        return greedy_dpp_ucs(kernel, labels, cfg)
+    if cfg.base == "votek":
+        return votek_ucs_select(x, labels, prior, cfg)
+    if cfg.base == "subset_utility":
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        candidates = sample_candidate_subsets(x, unit.mean(axis=0), cfg.budget,
+                                              candidate_num, seed)
+        return subset_utility_ucs(candidates, redundancy_utility(x, candidates),
+                                  labels, cfg)
+    sizes = [prior.sizes[int(c)] for c in labels]
+    bonus = ([1.0 / size for size in sizes] if cfg.base == "B1" else
+             [math.log(len(prior.sizes) / (prior.smoothed.get(size, 0.0) + prior.eps))
+              for size in sizes])
+    records = _votek_reference(x, cfg.votek_k, cfg.votek_discount_base, bonus,
+                               cfg.lam, cfg.budget)
+    indices = [r.index for r in records]
+    phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)
+    return SelectionResult(indices, records, float(phi), int(k_seen), float(u_hat))
+
+
+@pytest.mark.parametrize("base", BASE_SELECTORS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_select_equals_its_building_blocks(base, seed):
+    x, labels = sample_pool(Population.zipf(30, 1.1), 90, dim=8, spread=0.3, seed=seed)
+    cfg = SelectionConfig(budget=8, lam=0.5, base=base, votek_k=2, sgt=SgtConfig(t=2.0))
+    got = select(x, labels, cfg, seed=seed, candidate_num=12)
+    want = _select_by_hand(x, labels, cfg, seed, 12)
+    assert got.indices == want.indices
+    assert got.records == want.records  # every StepRecord field, exactly
+    assert got == want
+
+
+@pytest.mark.parametrize("base, query_row, message", [
+    ("dpp", 3, r"^query_row applies only to subset_utility; dpp would ignore it$"),
+    ("subset_utility", -1, r"^query row -1 is outside the pool's 5 rows$"),
+    ("subset_utility", 5, r"^query row 5 is outside the pool's 5 rows$"),
+])
+def test_select_refuses_a_query_row_it_cannot_use(base, query_row, message):
+    cfg = SelectionConfig(budget=2, base=base, votek_k=1)
+    with pytest.raises(ValueError, match=message):
+        select(CHAIN, np.arange(1, 6), cfg, query_row=query_row)
 
 
 def test_subset_utility_tied_totals_take_first_candidate():
@@ -658,8 +712,8 @@ def test_step_records_total_identity():
     for result in (
         greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
         votek_ucs_select(x, labels, prior, cfg),
-        rarity_controls(x, labels, replace(cfg, base="B1")),
-        rarity_controls(x, labels, replace(cfg, base="B2")),
+        select(x, labels, replace(cfg, base="B1")),
+        select(x, labels, replace(cfg, base="B2")),
         subset_utility_ucs(cands, rng.standard_normal(4), labels, cfg),
     ):
         assert len(result.indices) == 5
@@ -754,19 +808,22 @@ def test_sample_candidate_subsets_refuses_non_finite_query(bad):
                                  candidate_num=2, seed=0)
 
 
-@pytest.mark.parametrize("select", [
+@pytest.mark.parametrize("selector", [
     lambda x, labels, cfg: greedy_dpp_ucs(dpp_kernel(x), labels, cfg),
     lambda x, labels, cfg: votek_ucs_select(x, labels, corpus_prior(labels), cfg),
-    lambda x, labels, cfg: rarity_controls(x, labels, replace(cfg, base="B1")),
-], ids=["dpp", "votek", "rarity"])
+    lambda x, labels, cfg: select(x, labels, replace(cfg, base="B1")),
+    # through select, subset_utility took 80 labels for 40 rows silently
+    *(lambda x, labels, cfg, base=base: select(x, labels, replace(cfg, base=base))
+      for base in BASE_SELECTORS),
+], ids=["dpp", "votek", "rarity", *(f"select-{base}" for base in BASE_SELECTORS)])
 @pytest.mark.parametrize("n_labels", [39, 80])
-def test_selectors_refuse_labels_of_another_length(select, n_labels):
+def test_selectors_refuse_labels_of_another_length(selector, n_labels):
     # 80 labels on 40 rows used to give DPP picks silently, and VoteK a numpy
     # broadcast error or an IndexError
     x = np.random.default_rng(0).standard_normal((40, 4))
     labels = sample_labels(Population.zipf(6, 1.0), n_labels, seed=1)
     with pytest.raises(ValueError, match=rf"^labels has {n_labels} entries for a pool of 40 rows$"):
-        select(x, labels, SelectionConfig(budget=5, lam=0.5))
+        selector(x, labels, SelectionConfig(budget=5, lam=0.5))
 
 
 @pytest.mark.parametrize("candidates, message", [
