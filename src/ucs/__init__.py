@@ -73,7 +73,6 @@ from .preprocess import (
     fit_pca,
     fit_standardizer,
     l2_normalize_rows,
-    masked_mean_pool,
     pool_tokens,
     preprocess_pool,
 )

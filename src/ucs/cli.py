@@ -243,13 +243,13 @@ def _stage_manifest(
     write_manifest(artifact + ".manifest.txt", entries)
 
 
-def _sgt_config(cfg: dict[str, object], args: argparse.Namespace) -> SgtConfig:
+def _sgt_config(cfg: dict, smoothing: str = "off", k0_override: int | None = None) -> SgtConfig:
     return SgtConfig(
         t=float(cfg["sgt_t"]),
         bin_size=int(cfg["sgt_bin_size"]),
         offset_alpha=float(cfg["sgt_offset"]),
-        smoothing=getattr(args, "smoothing", None) or "off",
-        k0_override=getattr(args, "k0", None),
+        smoothing=smoothing,
+        k0_override=k0_override,
     )
 
 
@@ -312,15 +312,14 @@ def _read_subset_file(path: str, n: int) -> list[int]:
 
 
 def _labels_and_subset(args) -> tuple[np.ndarray, range | list[int]]:
-    """The --labels file and the rows --subset names (default: every row),
-    less the rows that carry --noise-label. Besides cluster_pool's remap,
-    this is the one place that knows about noise: everything counted
-    downstream is a cluster id."""
+    """spectrum's and estimate's --labels file and the rows --subset names
+    (default: every row), less the rows that carry --noise-label. Besides
+    cluster_pool's remap, this is the one place that knows about noise:
+    everything counted downstream is a cluster id."""
     noise = args.noise_label
     labels = read_labels(args.labels, noise_label=noise)
-    subset_path = getattr(args, "subset", None)  # prior takes no --subset
-    if subset_path:
-        subset = _read_subset_file(subset_path, labels.size)
+    if args.subset:
+        subset = _read_subset_file(args.subset, labels.size)
         return labels, subset if noise is None else [i for i in subset if labels[i] != noise]
     if noise is not None:
         labels = labels[labels != noise]
@@ -394,7 +393,12 @@ def stage_dict_encode(args, cfg) -> None:
             f"--input {args.input} has {pool.shape[1]} columns but "
             f"--dict {args.dict_path} has {book.dictionary.shape[0]} rows"
         )
-    write_matrix(ridge_encode(book, pool), args.out)
+    codes = ridge_encode(book, pool)
+    if not np.isfinite(codes).all():
+        row, col = np.argwhere(~np.isfinite(codes))[0]
+        raise NonFiniteValue(f"codes of --input {args.input} against --dict {args.dict_path} "
+                             f"are not finite, first at row {row}, col {col}; refusing to write")
+    write_matrix(codes, args.out)
     _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
                     {"dict": args.dict_path, "pool": args.input})
 
@@ -423,9 +427,9 @@ def stage_cluster(args, cfg) -> None:
 
 
 def stage_prior(args, cfg) -> None:
-    """Write prior.csv, a report of corpus_prior's weights at its defaults:
-    the prior that select recomputes from the same labels."""
-    prior = corpus_prior(_labels_and_subset(args)[0])
+    """Write prior.csv, a report of corpus_prior's weights: the prior that
+    select recomputes from the same labels."""
+    prior = corpus_prior(read_labels(args.labels))
     clusters = sorted(prior.sizes)
     with open_file(args.out, "w") as fh:
         writer = csv.writer(fh)
@@ -433,7 +437,8 @@ def stage_prior(args, cfg) -> None:
         for c in clusters:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
     _stage_manifest(args.out, "prior", {}, {"labels": args.labels},
-                    {"smoothing": prior.smoothing, "n_clusters": str(len(clusters))})
+                    {"power_law_fallback": str(prior.power_law_fallback),
+                     "n_clusters": str(len(clusters))})
 
 
 def stage_select(args, cfg) -> None:
@@ -460,7 +465,7 @@ def stage_select(args, cfg) -> None:
         raise ConfigError(
             f"--query-row {args.query_row} is outside the pool's {x.shape[0]} rows"
         )
-    sgt = _sgt_config(cfg, args)
+    sgt = _sgt_config(cfg)
     sel_cfg = SelectionConfig(
         budget=int(cfg["budget"]),
         lam=float(cfg["sgt_lambda"]),
@@ -487,8 +492,8 @@ def stage_select(args, cfg) -> None:
             "phi": _fmt(result.phi),
             "k_seen": str(result.k_seen),
             "u_hat": _fmt(result.u_hat),
-            # select takes no --noise-label or --k0: u_hat's weights are
-            # those of the whole selection's size.
+            # select takes no --k0: u_hat's weights are those of the whole
+            # selection's size.
             "k0": str(k0_for(sgt.t, len(result.indices))),
             **query,
         })
@@ -681,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise-label", type=int, default=None)
     _add_config_flags(p, "prior")
     p.set_defaults(run=stage_prior)
 
@@ -783,7 +787,7 @@ def _cmd_spectrum(args, cfg) -> None:
 
 def _cmd_estimate(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
-    sgt = _sgt_config(cfg, args)
+    sgt = _sgt_config(cfg, args.smoothing, args.k0)
     spec = subset_spectrum(labels, subset)
     u_hat = sgt_unseen(spec, sgt)
     phi = float(spec.k_seen + u_hat)
@@ -820,7 +824,7 @@ def _cmd_synth(args, cfg) -> None:
             "population": pop.kind,
         })
         return
-    sgt = _sgt_config(cfg, args)
+    sgt = _sgt_config(cfg)
     report = mc_unseen_oracle(pop, args.n, sgt.t, args.trials, seed, sgt=sgt,
                               estimator=args.estimator)
     rows = [

@@ -309,6 +309,9 @@ class CoverageTracker:
         self._cluster_count[row] += 1
 
 
+PRIOR_EPS = 1e-6  # CorpusPrior's eps
+
+
 @dataclass
 class CorpusPrior:
     """Per-cluster rarity weights from the corpus-level size spectrum.
@@ -316,7 +319,8 @@ class CorpusPrior:
     The probability mass of a size-s cluster is p(s) = s*/N with
     s* = (s+1) g_hat(s+1) / g_hat(s) (fallback s* = s when either bin is
     empty); each cluster gets weight 1/(p(n_u) + eps), normalized to mean 1
-    over the clusters.
+    over the clusters. g_hat is the spectrum's power-law fit, or the raw
+    spectrum when fewer than two bins are nonzero (power_law_fallback).
     """
 
     weights: dict[int, float]
@@ -325,31 +329,21 @@ class CorpusPrior:
     smoothed: dict[int, float]
     s_star: dict[int, float]
     mass: dict[int, float]  # size -> p(size)
-    smoothing: str
+    power_law_fallback: bool
     eps: float
 
     def log_weight(self, cluster: int) -> float:
         return math.log(self.weights[cluster])
 
 
-def corpus_prior(
-    labels: np.ndarray,
-    smoothing: str = "power_law",
-    eps: float = 1e-6,
-) -> CorpusPrior:
-    """Rarity prior over clusters; smoothing defaults to the power-law fit
-    (raw spectrum fallback when it has fewer than two nonzero bins). Callers
-    that keep a default omit it instead of restating it."""
-    if smoothing not in SMOOTHING_MODES:
-        raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+def corpus_prior(labels: np.ndarray) -> CorpusPrior:
+    """Rarity prior over clusters, the one that select and ucs prior use."""
     spec = subset_spectrum(labels, range(len(labels)))
     sizes, spectrum, n_examples = spec.counts, spec.spectrum, spec.size
     max_size = max(spectrum) if spectrum else 0
-    smoothed = _power_law(spectrum, max_size, max_size + 1) \
-        if smoothing == "power_law" else None
-    if smoothed is None:
+    smoothed = _power_law(spectrum, max_size, max_size + 1)
+    fallback = smoothed is None
+    if fallback:
         smoothed = {s: float(spectrum.get(s, 0)) for s in range(1, max_size + 2)}
 
     s_star: dict[int, float] = {}
@@ -360,7 +354,7 @@ def corpus_prior(
         s_star[s] = star
         mass[s] = star / n_examples if n_examples else 0.0
 
-    raw = {u: 1.0 / (mass[s] + eps) for u, s in sizes.items()}
+    raw = {u: 1.0 / (mass[s] + PRIOR_EPS) for u, s in sizes.items()}
     scale = (sum(raw.values()) / len(raw)) if raw else 1.0
     weights = {u: w / scale for u, w in raw.items()}
     return CorpusPrior(
@@ -370,6 +364,6 @@ def corpus_prior(
         smoothed=smoothed,
         s_star=s_star,
         mass=mass,
-        smoothing=smoothing,
-        eps=eps,
+        power_law_fallback=fallback,
+        eps=PRIOR_EPS,
     )

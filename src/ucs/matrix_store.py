@@ -197,6 +197,9 @@ def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
             fh.write(f"{int(v)}\n")
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.ndarray:
     """Read one integer label per line.
 
@@ -217,6 +220,8 @@ def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.n
             raise ParseError(f"{path}: line {lineno}: not an integer: {text!r}") from exc
         if value < 1 and value != noise_label:
             raise ParseError(f"{path}: line {lineno}: label {value} below 1")
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ParseError(f"{path}: line {lineno}: label {value} outside the int64 range")
         values.append(value)
     return np.array(values, dtype=np.int64)
 

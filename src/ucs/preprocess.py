@@ -25,12 +25,6 @@ _SIGN_TOL = 1e-12
 _NORM_MIN = np.sqrt(np.finfo(np.float64).tiny)
 
 
-def masked_mean_pool(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Average the rows of `hidden` (T x d) where `mask` is nonzero, weighted
-    by the mask: pool_tokens' mean mode."""
-    return pool_tokens(hidden, mask, "mean")
-
-
 def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.ndarray:
     """Pool one example's token states `hidden` (T x d). mode 'mean' takes
     the mask-weighted average, 'first' and 'last' the first and the last row

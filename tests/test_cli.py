@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import inspect
+import math
 import os
 import re
 
@@ -22,7 +23,7 @@ from ucs.cli import (
     run_pipeline,
 )
 from ucs.clustering import cluster_pool
-from ucs.coverage import SgtConfig, coverage_phi, k0_for
+from ucs.coverage import SgtConfig, corpus_prior, coverage_phi, k0_for
 from ucs.errors import ConfigError, MissingInput
 from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import (
@@ -438,6 +439,68 @@ def test_prior_csv_mean_one(tmp_path):
     assert read_manifest(out + ".manifest.txt")["stage"] == "prior"
 
 
+def _run_prior(tmp_path, labels):
+    """ucs prior on labels: the labels path, prior.csv's weight column as
+    written (cluster -> text) and the manifest."""
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.array(labels), labels_path)
+    out = str(tmp_path / "prior.csv")
+    assert main(["prior", "--labels", labels_path, "--out", out]) == 0
+    with open(out, newline="") as fh:
+        weights = {int(row["cluster"]): row["weight"] for row in csv.DictReader(fh)}
+    return labels_path, weights, read_manifest(out + ".manifest.txt")
+
+
+# Sizes 3, 2, 1 and 4: three nonzero spectrum bins, so the power law is fit.
+PRIOR_LABELS = [1, 1, 1, 2, 2, 3, 5, 5, 5, 5]
+
+
+def test_prior_csv_is_the_prior_select_uses(tmp_path, capsys):
+    labels_path, weights, manifest = _run_prior(tmp_path, PRIOR_LABELS)
+    prior = corpus_prior(read_labels(labels_path))
+    assert weights == {c: repr(w) for c, w in prior.weights.items()}
+    assert sorted(weights) == [1, 2, 3, 5]
+    assert manifest["power_law_fallback"] == "False"
+    assert "smoothing" not in manifest
+    pool_path = str(tmp_path / "pool.ucsm")
+    write_matrix(np.random.default_rng(3).standard_normal((10, 4)), pool_path)
+    sel = str(tmp_path / "sel.csv")
+    assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                 "--base", "votek", "--votek-k", "3", "--budget", "2",
+                 "--out", sel]) == 0
+    with open(sel, newline="") as fh:
+        first = next(csv.DictReader(fh))
+    cluster = PRIOR_LABELS[int(first["index"])]
+    assert float(first["coverage_term"]) == math.log(float(weights[cluster]))
+    capsys.readouterr()
+
+
+def test_prior_manifest_records_the_power_law_fallback(tmp_path):
+    # every cluster has size 2: one nonzero bin, too few to fit
+    _, weights, manifest = _run_prior(tmp_path, [1, 1, 2, 2, 3, 3])
+    assert manifest["power_law_fallback"] == "True"
+    assert set(weights.values()) == {"1.0"}
+
+
+@pytest.mark.parametrize("command", ["select", "analyze", "prior", "spectrum"])
+def test_label_outside_int64_names_its_line(tmp_path, capsys, command):
+    labels_path = str(tmp_path / "labels.txt")
+    with open(labels_path, "w") as fh:
+        fh.write("1\n99999999999999999999\n2\n")
+    pool_path = str(tmp_path / "pool.ucsm")
+    write_matrix(np.eye(3), pool_path)
+    out = str(tmp_path / "out.csv")
+    argv = {"select": ["--embeddings", pool_path, "--out", out],
+            "analyze": ["--selections", str(tmp_path / "sel.csv")],
+            "prior": ["--out", out],
+            "spectrum": []}[command]
+    assert main([command, "--labels", labels_path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels_path}: line 2: label 99999999999999999999 outside the int64 range" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_select_csv_schema_and_identity(tmp_path, capsys):
     pool_path, labels_path = _write_pool(tmp_path)
     out = str(tmp_path / "sel.csv")
@@ -580,9 +643,12 @@ def test_prior_rejects_labels_below_one_unless_noise(tmp_path, capsys):
     out = str(tmp_path / "prior.csv")
     assert main(["prior", "--labels", bad, "--out", out]) == 2
     _rejects_line_4(capsys, bad)
-    assert main(["prior", "--labels", bad, "--out", out, "--noise-label", "-1"]) == 0
-    with open(out, newline="") as fh:
-        assert "-1" not in [row["cluster"] for row in csv.DictReader(fh)]
+    # prior reports the prior select uses, and select takes no noise label
+    with pytest.raises(SystemExit) as exc:
+        main(["prior", "--labels", bad, "--out", out, "--noise-label", "-1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --noise-label -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_analyze_rejects_labels_below_one(tmp_path, capsys):
@@ -623,9 +689,8 @@ def _noisy_label_files(tmp_path, noise):
     ["estimate", "--subset", "{subset}"],
     ["estimate", "--smoothing", "power_law", "--sgt-t", "2.0"],
     ["estimate", "--subset", "{subset}", "--smoothing", "power_law"],
-    ["prior"],
 ], ids=["spectrum", "spectrum-subset", "estimate-subset", "estimate-power_law",
-        "estimate-subset-power_law", "prior"])
+        "estimate-subset-power_law"])
 def test_noise_label_drops_its_rows(tmp_path, capsys, command, noise):
     files = _noisy_label_files(tmp_path, noise)
     outputs = []
@@ -775,6 +840,20 @@ def test_dict_encode_width_mismatch_names_both_files(tmp_path, capsys):
     assert f"--input {pool_path} has 6 columns" in err
     assert f"--dict {dictionary} has 8 rows" in err
     assert "matmul" not in err
+    assert not os.path.exists(out)
+
+
+def test_dict_encode_non_finite_codes_name_both_files(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path)
+    dictionary = str(tmp_path / "dict.ucsm")
+    write_matrix(np.full((8, 4), 1e200), dictionary)  # D^T D overflows
+    out = str(tmp_path / "codes.ucsm")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["dict-encode", "--dict", dictionary, "--input", pool_path,
+                     "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert f"--input {pool_path}" in err and f"--dict {dictionary}" in err
+    assert "row 0, col 0" in err
     assert not os.path.exists(out)
 
 

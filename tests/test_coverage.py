@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -273,11 +274,12 @@ def test_gains_if_added_bit_equal_to_gain_if_added(cfg):
 
 
 def test_corpus_prior_hand_case():
-    prior = corpus_prior(np.array([1, 1, 2, 3]), smoothing="off")
+    # the power-law fit through (1, 2) and (2, 1) is exact: g_hat(s) = 2/s
+    prior = corpus_prior(np.array([1, 1, 2, 3]))
     assert prior.sizes == {1: 2, 2: 1, 3: 1}
     assert prior.spectrum == {1: 2, 2: 1}
     assert prior.s_star[1] == pytest.approx(1.0)
-    assert prior.s_star[2] == pytest.approx(2.0)  # fallback, g_3 = 0
+    assert prior.s_star[2] == pytest.approx(2.0)  # 3 * g_hat(3) / g_hat(2)
     assert prior.mass[1] == pytest.approx(0.25)
     assert prior.mass[2] == pytest.approx(0.5)
     assert prior.weights[2] == pytest.approx(1.2, abs=1e-5)
@@ -287,9 +289,15 @@ def test_corpus_prior_hand_case():
 
 
 def test_corpus_prior_equal_sizes_unit_weights():
+    # one nonzero bin: no fit, the raw spectrum stands in and s* = s
     prior = corpus_prior(np.array([1, 1, 2, 2, 3, 3]))
-    for w in prior.weights.values():
-        assert w == pytest.approx(1.0, abs=1e-12)
+    assert prior.power_law_fallback
+    assert all(prior.s_star[s] == s for s in prior.s_star)
+    assert all(w == 1.0 for w in prior.weights.values())
+
+
+def test_corpus_prior_takes_only_labels():
+    assert list(inspect.signature(corpus_prior).parameters) == ["labels"]
 
 
 def test_corpus_prior_mean_one():

@@ -9,7 +9,6 @@ from ucs.preprocess import (
     fit_pca,
     fit_standardizer,
     l2_normalize_rows,
-    masked_mean_pool,
     pool_tokens,
     preprocess_pool,
 )
@@ -17,17 +16,17 @@ from ucs.preprocess import (
 
 def test_mean_pool_single_unmasked_row():
     h = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(masked_mean_pool(h, np.array([1.0, 0.0])), [1.0, 2.0])
+    assert np.array_equal(pool_tokens(h, np.array([1.0, 0.0]), "mean"), [1.0, 2.0])
 
 
 def test_mean_pool_arithmetic_mean():
     h = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(masked_mean_pool(h, np.array([1.0, 1.0])), [2.0, 3.0])
+    assert np.array_equal(pool_tokens(h, np.array([1.0, 1.0]), "mean"), [2.0, 3.0])
 
 
 def test_mean_pool_empty_mask():
     with pytest.raises(EmptyMask):
-        masked_mean_pool(np.ones((2, 2)), np.zeros(2))
+        pool_tokens(np.ones((2, 2)), np.zeros(2), "mean")
 
 
 def test_first_and_last_pooling_skip_masked_tokens():
@@ -49,14 +48,13 @@ def test_every_pooling_mode_checks_the_mask(mode):
         pool_tokens(h, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), mode)
 
 
-def test_masked_mean_pool_is_the_mean_mode():
+def test_mean_pool_weights_rows_by_the_mask():
     rng = np.random.default_rng(6)
     for _ in range(20):
         h = rng.standard_normal((7, 4))
         mask = rng.integers(0, 3, size=7).astype(np.float64)
         mask[rng.integers(7)] += 1.0
         want = (mask @ h) / mask.sum()
-        assert np.array_equal(masked_mean_pool(h, mask), want)
         assert np.array_equal(pool_tokens(h, mask, "mean"), want)
 
 

@@ -481,7 +481,7 @@ def test_rarity_bonuses_differ_from_ucs_weights():
     labels = np.array([1, 1, 2, 3])  # sizes {2,1,1}
     cfg = SelectionConfig(budget=1, lam=1.0, base="votek", votek_k=1)
     b1 = select(x, labels, replace(cfg, base="B1"))
-    prior = corpus_prior(labels, smoothing="off")
+    prior = corpus_prior(labels)
     ucs = votek_ucs_select(x, labels, prior, cfg)
     # B1 bonus for a singleton item is exactly 1; the UCS bonus is
     # log(1.2) ~= 0.182, so the two scoring rules are genuinely distinct
