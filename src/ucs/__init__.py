@@ -27,7 +27,6 @@ from .coverage import (
     k0_for,
     sgt_unseen,
     sgt_weights,
-    smooth_spectrum,
     subset_spectrum,
 )
 from .errors import (

@@ -27,7 +27,6 @@ import numpy as np
 
 from .clustering import CLUSTERING_METHODS, cluster_pool
 from .coverage import (
-    SMOOTHING_MODES,
     SgtConfig,
     corpus_prior,
     gt_unseen,
@@ -92,7 +91,7 @@ def finite_float(text: str) -> float:
 
 def _non_negative_int(text: str) -> int:
     """int(text), refusing negatives; parses --max-iter (0 keeps the seeded
-    dictionary) and --k0 (0 zeroes every weight)."""
+    dictionary)."""
     try:
         value = int(text)
     except ValueError:
@@ -243,13 +242,11 @@ def _stage_manifest(
     write_manifest(artifact + ".manifest.txt", entries)
 
 
-def _sgt_config(cfg: dict, smoothing: str = "off", k0_override: int | None = None) -> SgtConfig:
+def _sgt_config(cfg: dict) -> SgtConfig:
     return SgtConfig(
         t=float(cfg["sgt_t"]),
         bin_size=int(cfg["sgt_bin_size"]),
         offset_alpha=float(cfg["sgt_offset"]),
-        smoothing=smoothing,
-        k0_override=k0_override,
     )
 
 
@@ -269,45 +266,51 @@ def _write_selection_csv(path: str, result: SelectionResult) -> None:
                              _fmt(rec.coverage_term), _fmt(rec.total)])
 
 
-def _row_index(text: str | None, n: int, where: str, seen: dict[int, str]) -> int:
-    """text as a row of an n-row pool that seen (row -> where it was read)
-    does not hold yet; the row is added to seen. A ParseError starts with
-    where."""
+def _row_index(text: str | None, n: int, labels: str, where: str,
+               seen: dict[int, str]) -> int:
+    """text as a row of the n-row labels file `labels` that seen (row ->
+    where it was read) does not hold yet; the row is added to seen. A
+    ParseError starts with where, and an index outside the pool also names
+    the labels file, which may be the short one."""
     try:
         index = int(text)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: index is not an integer: {text!r}") from None
     if not 0 <= index < n:
-        raise ParseError(f"{where}: index {index} outside 0..{n - 1}")
+        raise ParseError(f"{where}: index {index} outside 0..{n - 1}, "
+                         f"the {n} rows of --labels {labels}")
     if index in seen:
         raise ParseError(f"{where}: index {index} already listed at {seen[index]}")
     seen[index] = where
     return index
 
 
-def _read_selection_csv(path: str, n: int) -> list[int]:
-    """The index column, distinct rows of an n-row pool, at least one;
-    ParseError names path:line."""
+def _read_selection_csv(path: str, n: int, labels: str) -> list[int]:
+    """The index column, distinct rows of the n-row labels file `labels`,
+    at least one; ParseError names path:line."""
     seen: dict[int, str] = {}
     with open_file(path) as fh:
         reader = csv.DictReader(fh)
-        if "index" not in (reader.fieldnames or ()):
-            raise ParseError(f"{path}:1: no index column")
-        rows = [_row_index(row["index"], n, f"{path}:{reader.line_num}", seen)
-                for row in reader]
+        try:
+            if "index" not in (reader.fieldnames or ()):
+                raise ParseError(f"{path}:1: no index column")
+            rows = [_row_index(row["index"], n, labels, f"{path}:{reader.line_num}", seen)
+                    for row in reader]
+        except csv.Error as exc:  # such as an oversized field; line_num lags by one
+            raise ParseError(f"{path}:{reader.line_num + 1}: {exc}") from None
         if not rows:
             raise ParseError(f"{path}:{reader.line_num}: no selected rows after the header")
     return rows
 
 
-def _read_subset_file(path: str, n: int) -> list[int]:
-    """Distinct rows of an n-row pool, whitespace separated, in the order
-    read; ParseError names path:line."""
+def _read_subset_file(path: str, n: int, labels: str) -> list[int]:
+    """Distinct rows of the n-row labels file `labels`, whitespace
+    separated, in the order read; ParseError names path:line."""
     seen: dict[int, str] = {}
     with open_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             for token in line.split():
-                _row_index(token, n, f"{path}:{lineno}", seen)
+                _row_index(token, n, labels, f"{path}:{lineno}", seen)
     return list(seen)
 
 
@@ -319,7 +322,7 @@ def _labels_and_subset(args) -> tuple[np.ndarray, range | list[int]]:
     noise = args.noise_label
     labels = read_labels(args.labels, noise_label=noise)
     if args.subset:
-        subset = _read_subset_file(args.subset, labels.size)
+        subset = _read_subset_file(args.subset, labels.size, args.labels)
         return labels, subset if noise is None else [i for i in subset if labels[i] != noise]
     if noise is not None:
         labels = labels[labels != noise]
@@ -393,7 +396,11 @@ def stage_dict_encode(args, cfg) -> None:
             f"--input {args.input} has {pool.shape[1]} columns but "
             f"--dict {args.dict_path} has {book.dictionary.shape[0]} rows"
         )
-    codes = ridge_encode(book, pool)
+    try:
+        codes = ridge_encode(book, pool)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"--dict {args.dict_path}: {exc}, so no codes of --input "
+                             f"{args.input} can be computed; refusing to write") from None
     if not np.isfinite(codes).all():
         row, col = np.argwhere(~np.isfinite(codes))[0]
         raise NonFiniteValue(f"codes of --input {args.input} against --dict {args.dict_path} "
@@ -492,8 +499,8 @@ def stage_select(args, cfg) -> None:
             "phi": _fmt(result.phi),
             "k_seen": str(result.k_seen),
             "u_hat": _fmt(result.u_hat),
-            # select takes no --k0: u_hat's weights are those of the whole
-            # selection's size.
+            # u_hat's weights are those of the whole selection's size, the
+            # k0 that ucs estimate reads for the same rows.
             "k0": str(k0_for(sgt.t, len(result.indices))),
             **query,
         })
@@ -502,7 +509,7 @@ def stage_select(args, cfg) -> None:
 
 def stage_analyze(args, cfg) -> None:
     labels = read_labels(args.labels)
-    selections = [_read_selection_csv(p, labels.size) for p in args.selections]
+    selections = [_read_selection_csv(p, labels.size, args.labels) for p in args.selections]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
     rows: list[tuple[str, str]] = []
@@ -676,9 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--subset", default=None)
     p.add_argument("--noise-label", type=int, default=None)
-    p.add_argument("--smoothing", choices=SMOOTHING_MODES, default="off")
-    p.add_argument("--k0", type=_non_negative_int, default=None,
-                   help="override the weight truncation depth")
     p.add_argument("--out", default=None)
     _add_config_flags(p, "estimate")
     p.set_defaults(run=_cmd_estimate)
@@ -787,7 +791,7 @@ def _cmd_spectrum(args, cfg) -> None:
 
 def _cmd_estimate(args, cfg) -> None:
     labels, subset = _labels_and_subset(args)
-    sgt = _sgt_config(cfg, args.smoothing, args.k0)
+    sgt = _sgt_config(cfg)
     spec = subset_spectrum(labels, subset)
     u_hat = sgt_unseen(spec, sgt)
     phi = float(spec.k_seen + u_hat)

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-SMOOTHING_MODES = ("off", "power_law")
-
 
 @dataclass
 class SubsetSpectrum:
@@ -44,15 +42,12 @@ class SgtConfig:
 
     t is the expansion factor (estimate new types among floor(t*|S|) further
     draws), bin_size the truncation M, offset_alpha the damping offset in
-    [1, 2]. k0_override pins the binomial size parameter directly; by
-    default k0 = ceil(0.5 * log2(|S| * t^2 / (t+1))), clamped at 0.
+    [1, 2]. The binomial size parameter is always k0_for(t, |S|).
     """
 
     t: float = 5.0
     bin_size: int = 20
     offset_alpha: float = 1.0
-    smoothing: str = "off"
-    k0_override: int | None = None
 
     def __post_init__(self) -> None:
         if self.t <= 0:
@@ -61,10 +56,6 @@ class SgtConfig:
             raise ValueError(f"bin_size must be >= 1, got {self.bin_size}")
         if not 1.0 <= self.offset_alpha <= 2.0:
             raise ValueError(f"offset_alpha must be in [1, 2], got {self.offset_alpha}")
-        if self.smoothing not in SMOOTHING_MODES:
-            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}")
-        if self.k0_override is not None and self.k0_override < 0:
-            raise ValueError("k0_override must be >= 0")
 
 
 def row_set(indices, n: int, what: str) -> np.ndarray:
@@ -137,7 +128,8 @@ def gt_unseen(spectrum, t: float, bin_size: int = 20) -> float:
 
 
 def k0_for(t: float, sample_size: int) -> int:
-    """Binomial size parameter of the damping weights."""
+    """Binomial size parameter of the damping weights,
+    ceil(0.5 * log2(|S| * t^2 / (t+1))) clamped at 0."""
     x = sample_size * t * t / (t + 1.0)
     if x <= 0:
         return 0
@@ -145,24 +137,17 @@ def k0_for(t: float, sample_size: int) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def sgt_weights(
-    t: float,
-    offset_alpha: float,
-    sample_size: int,
-    bin_size: int = 20,
-    k0_override: int | None = None,
-) -> np.ndarray:
+def sgt_weights(t: float, offset_alpha: float, k0: int, bin_size: int = 20) -> np.ndarray:
     """Damping weights w_s = P(L >= s), L ~ Binomial(k0, alpha/(t+alpha)).
 
-    Tails are accumulated in log space so large k0 overrides stay stable.
-    Weights are non-increasing in s; k0 = 0 gives all zeros. This is the
-    one cache of the weights: results are memoized on the arguments (the
-    last 1024 argument tuples), and the array returned is shared, so it is
-    read-only.
+    Tails are accumulated in log space so large k0 stay stable. Weights are
+    non-increasing in s; k0 = 0 gives all zeros. This is the one cache of
+    the weights: results are memoized on (t, alpha, k0, M), all they depend
+    on (the last 1024 argument tuples), and the array returned is shared,
+    so it is read-only.
     """
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    k0 = k0_for(t, sample_size) if k0_override is None else int(k0_override)
+    if k0 < 0:
+        raise ValueError(f"k0 must be >= 0, got {k0}")
     p0 = offset_alpha / (t + offset_alpha)
     weights = np.zeros(bin_size, dtype=np.float64)
     if k0 and p0 > 0.0:
@@ -191,14 +176,6 @@ def sgt_weights(
     return weights
 
 
-def smooth_spectrum(spectrum, bin_size: int = 20) -> dict[int, float]:
-    """Replace f_s for s = 1..bin_size by a power-law fit of the nonzero bins
-    (_power_law); with fewer than two nonzero bins the spectrum is returned
-    unchanged."""
-    freq = _bins(spectrum)
-    return _power_law(freq, bin_size, bin_size) or {int(s): float(f) for s, f in freq.items()}
-
-
 def _power_law(freq: dict, fit_bins: int, out_bins: int) -> dict[int, float] | None:
     """Least-squares fit of log f_s = a + b log s over the nonzero bins with
     1 <= s <= fit_bins, evaluated at s = 1..out_bins; non-finite or
@@ -221,16 +198,15 @@ def sgt_unseen(spectrum, cfg: SgtConfig) -> float:
     """Smoothed Good-Turing estimate of unseen clusters; always >= 0.
 
     spectrum is a SubsetSpectrum or a mapping s -> f_s. Its size |S| =
-    sum_s s*f_s picks the damping weights from sgt_weights' cache, so many
-    spectra of few sizes compute few weight vectors; |S| = 0 gives 0.
+    sum_s s*f_s picks k0 = k0_for(t, |S|) and so the damping weights from
+    sgt_weights' cache; spectra of sizes sharing a k0 share one weight
+    vector. |S| = 0 gives 0.
     """
     freq = _bins(spectrum)
     size = int(round(sum(s * f for s, f in freq.items())))
     if size <= 0:
         return 0.0
-    weights = sgt_weights(cfg.t, cfg.offset_alpha, size, cfg.bin_size, cfg.k0_override)
-    if cfg.smoothing == "power_law":
-        freq = smooth_spectrum(freq, cfg.bin_size)
+    weights = sgt_weights(cfg.t, cfg.offset_alpha, k0_for(cfg.t, size), cfg.bin_size)
     total = _truncated_sum(freq, cfg.t, cfg.bin_size, weights)
     if not math.isfinite(total):
         return 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, MisalignedSources
+from .errors import DegenerateInput, MisalignedSources, NonFiniteValue
 
 # Relative objective improvement below this stops the alternation.
 REL_TOL = 1e-6
@@ -99,9 +99,13 @@ def _init_dictionary(ordered: np.ndarray, n_atoms: int, seed: int) -> np.ndarray
 def _ridge_map(dictionary: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # G = D^T D + aI is symmetric, so the codes (G^-1 D^T E^T)^T equal E W
     # with W = D G^-1: one K x K solve with d' right-hand sides, whatever N
-    # is. Returns (G, W).
+    # is. Returns (G, W); NonFiniteValue, with no numpy warning, when G
+    # overflows.
     k = dictionary.shape[1]
-    system = dictionary.T @ dictionary + alpha * np.eye(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = dictionary.T @ dictionary + alpha * np.eye(k)
+    if not np.isfinite(system).all():
+        raise NonFiniteValue("the dictionary's D^T D + alpha*I is not finite")
     return system, np.linalg.solve(system, dictionary.T).T
 
 
@@ -114,6 +118,7 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
     """Code each row of `pool` against the codebook.
 
     Row form: R = E D (D^T D + aI)^-1, i.e. r = (D^T D + aI)^-1 D^T e per row.
+    NonFiniteValue when D^T D + aI overflows.
     """
     return _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
                         codebook.ridge_alpha)

@@ -223,7 +223,7 @@ def mc_unseen_oracle(
     over 0..K: the first draw's per-type counts give the spectrum, and the
     second draw's types with a zero first count are the new ones. Every
     trial has size n, so every SGT estimate reads the one weight vector
-    that sgt_weights caches for n (n = 0 estimates 0).
+    that sgt_weights caches for k0_for(t, n) (n = 0 estimates 0).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

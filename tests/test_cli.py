@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -193,15 +194,14 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("dict-fit", "--max-iter"), ("joint-fit", "--max-iter"), ("estimate", "--k0"),
-], ids=["dict-fit", "joint-fit", "estimate-k0"])
+    ("dict-fit", "--max-iter"), ("joint-fit", "--max-iter"),
+], ids=["dict-fit", "joint-fit"])
 def test_negative_max_iter_is_rejected_by_the_parser(tmp_path, capsys, command,
                                                      flag):
-    pool_path, labels_path = _write_pool(tmp_path)
+    pool_path, _ = _write_pool(tmp_path)
     out = str(tmp_path / "out")
     io = {"dict-fit": ["--input", pool_path, "--out", out],
-          "joint-fit": ["--inputs", pool_path, "--out-stem", out],
-          "estimate": ["--labels", labels_path, "--out", out]}[command]
+          "joint-fit": ["--inputs", pool_path, "--out-stem", out]}[command]
     with pytest.raises(SystemExit) as info:
         main([command, *io, flag, "-3"])
     assert info.value.code == 2
@@ -687,10 +687,7 @@ def _noisy_label_files(tmp_path, noise):
     ["spectrum"],
     ["spectrum", "--subset", "{subset}"],
     ["estimate", "--subset", "{subset}"],
-    ["estimate", "--smoothing", "power_law", "--sgt-t", "2.0"],
-    ["estimate", "--subset", "{subset}", "--smoothing", "power_law"],
-], ids=["spectrum", "spectrum-subset", "estimate-subset", "estimate-power_law",
-        "estimate-subset-power_law"])
+], ids=["spectrum", "spectrum-subset", "estimate-subset"])
 def test_noise_label_drops_its_rows(tmp_path, capsys, command, noise):
     files = _noisy_label_files(tmp_path, noise)
     outputs = []
@@ -848,12 +845,15 @@ def test_dict_encode_non_finite_codes_name_both_files(tmp_path, capsys):
     dictionary = str(tmp_path / "dict.ucsm")
     write_matrix(np.full((8, 4), 1e200), dictionary)  # D^T D overflows
     out = str(tmp_path / "codes.ucsm")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["dict-encode", "--dict", dictionary, "--input", pool_path,
                      "--out", out]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert f"--input {pool_path}" in err and f"--dict {dictionary}" in err
-    assert "row 0, col 0" in err
+    assert f"--dict {dictionary}: the dictionary's D^T D + alpha*I is not finite" in err
+    assert "RuntimeWarning" not in err
     assert not os.path.exists(out)
 
 
@@ -914,8 +914,9 @@ def test_directory_input_is_io_error(tmp_path, capsys, flag):
     ("step,index\n0,0\n1,-1\n", 3, "index -1 outside 0..2"),
     ("step,index\n0,1\n1,2\n2,1\n", 4, "index 1 already listed at"),
     ("step,index\n", 1, "no selected rows after the header"),
+    ('step,index\n0,"' + "1" * 200000 + '"\n', 2, "field larger than field limit"),
 ], ids=["no-index-column", "not-an-integer", "past-the-end", "negative", "repeated-row",
-        "header-only"])
+        "header-only", "oversized-field"])
 def test_analyze_rejects_bad_selection_csv(tmp_path, capsys, text, line, message):
     # a header-only CSV used to print mean_cluster_size nan +/- nan and exit 0
     labels_path = str(tmp_path / "labels.txt")
@@ -928,6 +929,21 @@ def test_analyze_rejects_bad_selection_csv(tmp_path, capsys, text, line, message
     err = capsys.readouterr().err
     assert f"{sel}:{line}: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate"])
+def test_index_outside_the_pool_names_the_labels_file(tmp_path, capsys, command):
+    # a labels file shorter than the pool used to leave only the selection
+    # or subset file named
+    labels_path = str(tmp_path / "labels.txt")
+    write_labels(np.arange(1, 31), labels_path)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("step,index\n0,4\n1,90\n" if command == "analyze" else "4\n90\n")
+    flag = "--selections" if command == "analyze" else "--subset"
+    assert main([command, "--labels", labels_path, flag, str(rows)]) == 2
+    line = 3 if command == "analyze" else 2
+    assert (f"{rows}:{line}: index 90 outside 0..29, the 30 rows of --labels {labels_path}"
+            in capsys.readouterr().err)
 
 
 def test_synth_pool_and_oracle(tmp_path, capsys):
@@ -1090,6 +1106,45 @@ def test_select_manifest_u_hat_and_k0(tmp_path, capsys, base):
     assert float(manifest["u_hat"]) == u_hat
     assert float(manifest["phi"]) == phi
     assert int(manifest["k0"]) == k0_for(3.0, len(indices)) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--smoothing", "off"], ["--k0", "2"]])
+def test_estimate_takes_no_smoothing_or_k0(tmp_path, capsys, flag):
+    # estimate reports the one estimator select uses: k0 = k0_for(t, |S|)
+    _, labels_path = _write_pool(tmp_path)
+    out = tmp_path / "estimate.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--labels", labels_path, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_prints_the_u_hat_each_selection_records(tmp_path, capsys):
+    pool_path, _ = _write_pool(tmp_path, n=60, k=6, dim=10, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dict_n_components=6\ndict_pca_dim=8\ndbscan_k=3\ndbscan_q=0.3\n"
+                   "budget=12\nn_runs=1\nsgt_t=2.0\nvotek_k=3\nseed=11\n")
+    workdir = str(tmp_path / "run")
+    labels_path = os.path.join(workdir, "labels.txt")
+    selection = os.path.join(workdir, "select_run00.csv")
+    for base in BASE_SELECTORS:
+        argv = ["pipeline", "--input", pool_path, "--workdir", workdir,
+                "--config", str(cfg), "--base", base]
+        if base != BASE_SELECTORS[0]:
+            argv += ["--from-stage", "select", "--to-stage", "select"]
+        assert main(argv) == 0
+        with open(selection, newline="") as fh:
+            indices = [row["index"] for row in csv.DictReader(fh)]
+        subset = tmp_path / f"subset_{base}.txt"
+        subset.write_text("\n".join(indices) + "\n")
+        table = str(tmp_path / f"estimate_{base}.txt")
+        assert main(["estimate", "--config", str(cfg), "--labels", labels_path,
+                     "--subset", str(subset), "--out", table]) == 0
+        manifest = read_manifest(selection + ".manifest.txt")
+        assert manifest["base"] == base
+        assert _table(table)["u_hat"] == manifest["u_hat"], base
     capsys.readouterr()
 
 

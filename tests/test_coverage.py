@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucs import coverage
 from ucs.coverage import (
     CoverageTracker,
     SgtConfig,
@@ -16,7 +17,6 @@ from ucs.coverage import (
     row_set,
     sgt_unseen,
     sgt_weights,
-    smooth_spectrum,
     subset_spectrum,
 )
 from ucs.errors import IndexOutOfRange
@@ -101,14 +101,13 @@ def test_k0_formula():
 
 
 def test_sgt_weights_k0_zero_all_zero():
-    w = sgt_weights(t=1.0, offset_alpha=1.0, sample_size=1)
+    w = sgt_weights(t=1.0, offset_alpha=1.0, k0=k0_for(1.0, 1))
     assert np.array_equal(w, np.zeros(20))
 
 
 def test_sgt_weights_single_trial_hand_value():
     # k0=1, p0 = 1/(1+1) = 0.5: P(L>=1) = 0.5, higher tails empty
-    w = sgt_weights(t=1.0, offset_alpha=1.0, sample_size=10, bin_size=5,
-                    k0_override=1)
+    w = sgt_weights(t=1.0, offset_alpha=1.0, k0=1, bin_size=5)
     assert w[0] == pytest.approx(0.5, abs=1e-15)
     assert np.array_equal(w[1:], np.zeros(4))
 
@@ -116,8 +115,8 @@ def test_sgt_weights_single_trial_hand_value():
 def test_sgt_weights_match_exact_binomial_tail():
     # independent oracle with integer binomial coefficients
     for t, alpha, n, m in [(5.0, 1.0, 200, 20), (2.0, 1.5, 50, 10), (1.0, 2.0, 1000, 8)]:
-        w = sgt_weights(t, alpha, n, bin_size=m)
         k0 = k0_for(t, n)
+        w = sgt_weights(t, alpha, k0, bin_size=m)
         p0 = alpha / (t + alpha)
         for s in range(1, m + 1):
             tail = sum(
@@ -129,55 +128,70 @@ def test_sgt_weights_match_exact_binomial_tail():
 
 def test_sgt_weights_monotone_non_increasing():
     for k0 in (1, 3, 7, 40):
-        w = sgt_weights(t=3.0, offset_alpha=1.3, sample_size=500, bin_size=25,
-                        k0_override=k0)
+        w = sgt_weights(t=3.0, offset_alpha=1.3, k0=k0, bin_size=25)
         assert w[0] <= 1.0
         assert np.all(np.diff(w) <= 1e-15)
         assert np.all(w >= 0.0)
 
 
-def test_sgt_weights_requires_positive_sample():
-    with pytest.raises(ValueError):
-        sgt_weights(t=1.0, offset_alpha=1.0, sample_size=0)
+def test_sgt_weights_refuses_negative_k0():
+    with pytest.raises(ValueError, match="k0 must be >= 0, got -1"):
+        sgt_weights(t=1.0, offset_alpha=1.0, k0=-1)
 
 
 def test_sgt_weights_are_cached_and_read_only():
     # the one cache of the weights hands the same array to every caller
-    w = sgt_weights(5.0, 1.0, 200, 20, None)
+    w = sgt_weights(5.0, 1.0, k0_for(5.0, 200), 20)
     with pytest.raises(ValueError):
         w[0] = 0.0
-    assert np.array_equal(w, sgt_weights(t=5.0, offset_alpha=1.0, sample_size=200,
-                                         bin_size=20, k0_override=None))
-    assert np.array_equal(w, sgt_weights(5.0, 1.0, 200))
+    assert np.array_equal(w, sgt_weights(t=5.0, offset_alpha=1.0, k0=k0_for(5.0, 200),
+                                         bin_size=20))
+    assert np.array_equal(w, sgt_weights(5.0, 1.0, k0_for(5.0, 200)))
     assert w[0] > 0
-    zeros = sgt_weights(t=1.0, offset_alpha=1.0, sample_size=1)  # k0 = 0
+    zeros = sgt_weights(t=1.0, offset_alpha=1.0, k0=0)
     with pytest.raises(ValueError):
         zeros[0] = 1.0
 
 
-@pytest.mark.parametrize("smoothing", ["off", "power_law"])
-def test_sgt_unseen_subset_spectrum_equals_its_mapping(smoothing):
+def test_sgt_weights_signature_is_what_the_weights_depend_on():
+    assert list(inspect.signature(sgt_weights).parameters) == [
+        "t", "offset_alpha", "k0", "bin_size"]
+    assert list(SgtConfig.__dataclass_fields__) == ["t", "bin_size", "offset_alpha"]
+
+
+def test_sizes_sharing_a_k0_share_one_weight_vector():
+    cfg = SgtConfig(t=5.0)
+    spectra = [{1: 70}, {1: 40, 2: 20}, {1: 50, 2: 25}]  # |S| = 70, 80, 100
+    assert {k0_for(cfg.t, n) for n in (70, 80, 100)} == {5}
+    sgt_weights.cache_clear()
+    for spec in spectra:
+        sgt_unseen(spec, cfg)
+    info = sgt_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_sgt_unseen_subset_spectrum_equals_its_mapping():
     labels = np.random.default_rng(3).integers(1, 120, size=300)
     spec = subset_spectrum(labels, range(0, 300, 2))
-    cfg = SgtConfig(t=2.0, smoothing=smoothing)
+    cfg = SgtConfig(t=2.0)
     u_hat = sgt_unseen(spec, cfg)
     assert u_hat > 0
     assert u_hat == sgt_unseen(spec.spectrum, cfg)
 
 
-def test_smooth_spectrum_exact_power_law_self_consistent():
+def test_power_law_exact_power_law_self_consistent():
     truth = {s: 64.0 * s**-2.0 for s in range(1, 5)}
-    out = smooth_spectrum(truth, bin_size=4)
+    out = coverage._power_law(truth, 4, 4)
     for s in range(1, 5):
         assert out[s] == pytest.approx(truth[s], rel=1e-6)
 
 
-def test_smooth_spectrum_single_bin_unchanged():
-    assert smooth_spectrum({3: 7}, bin_size=10) == {3: 7.0}
+def test_power_law_single_bin_falls_back():
+    assert coverage._power_law({3: 7}, 10, 10) is None
 
 
-def test_smooth_spectrum_non_negative():
-    out = smooth_spectrum({1: 100, 2: 1, 7: 1}, bin_size=12)
+def test_power_law_non_negative():
+    out = coverage._power_law({1: 100, 2: 1, 7: 1}, 12, 12)
     assert all(v >= 0.0 for v in out.values())
     assert set(out) == set(range(1, 13))
 
@@ -191,13 +205,14 @@ def test_sgt_clamps_negative():
 
 
 def test_sgt_with_saturated_weights_reduces_to_gt():
-    # enormous k0 makes every damping weight 1 in float, recovering the
-    # clamped plain estimate
-    cfg = SgtConfig(t=1.0, bin_size=20, k0_override=100000)
-    assert sgt_unseen({1: 2, 2: 1}, cfg) == pytest.approx(1.0, abs=1e-9)
-    assert sgt_unseen({1: 3}, SgtConfig(t=2.0, k0_override=100000)) == pytest.approx(
-        6.0, rel=1e-9
-    )
+    # enormous k0 makes every damping weight 1 in float, and the weighted
+    # truncated sum is then the plain estimate
+    for t, spec, want in [(1.0, {1: 2, 2: 1}, 1.0), (2.0, {1: 3}, 6.0)]:
+        w = sgt_weights(t, 1.0, 100000, 20)
+        assert np.all(w == 1.0)
+        total = coverage._truncated_sum(spec, t, 20, w)
+        assert total == gt_unseen(spec, t, 20)
+        assert total == pytest.approx(want, rel=1e-9)
 
 
 def test_sgt_damped_below_gt_for_t_above_one():
@@ -230,7 +245,7 @@ def test_coverage_tracker_matches_from_scratch():
     labels = rng.integers(1, 8, size=40)
     for cfg in (
         SgtConfig(t=3.0),
-        SgtConfig(t=5.0, smoothing="power_law"),
+        SgtConfig(t=5.0, offset_alpha=2.0),
         SgtConfig(t=2.0),
     ):
         tracker = CoverageTracker(labels, cfg)
@@ -253,7 +268,7 @@ def test_coverage_tracker_matches_from_scratch():
 
 @pytest.mark.parametrize("cfg", [
     SgtConfig(t=2.0),
-    SgtConfig(t=5.0, smoothing="power_law"),
+    SgtConfig(t=5.0, offset_alpha=2.0),
     SgtConfig(t=3.0, bin_size=2),  # cluster 1 grows to 8 members, above bin_size
 ])
 def test_gains_if_added_bit_equal_to_gain_if_added(cfg):
@@ -332,10 +347,6 @@ def test_sgt_config_validation():
         SgtConfig(bin_size=0)
     with pytest.raises(ValueError):
         SgtConfig(offset_alpha=0.5)
-    with pytest.raises(ValueError):
-        SgtConfig(smoothing="loess")
-    with pytest.raises(ValueError):
-        SgtConfig(k0_override=-1)
 
 
 @settings(max_examples=80, deadline=None)

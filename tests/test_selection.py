@@ -275,7 +275,7 @@ def _greedy_dpp_ucs_per_candidate(kernel, labels, cfg: SelectionConfig):
 
 @pytest.mark.parametrize("sgt", [
     SgtConfig(),
-    SgtConfig(t=2.0, smoothing="power_law"),
+    SgtConfig(t=5.0, offset_alpha=2.0),
     SgtConfig(t=3.0, bin_size=2),
 ])
 def test_greedy_dpp_ucs_matches_per_candidate_reference(sgt):
