@@ -53,6 +53,7 @@ from .matrix_store import (
     DTYPE_NAMES,
     open_file,
     read_labels,
+    read_lines,
     read_matrix,
     read_token_bundle,
     sha256_file,
@@ -174,24 +175,23 @@ def check_config(cfg: dict, where: str = "") -> None:
 def load_config(path: str) -> dict[str, object]:
     """Parse a flat key=value config file; '#' starts a comment line."""
     values: dict[str, object] = {}
-    with open_file(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = CONFIG_TYPES[key](text)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {text!r}"
-                ) from exc
-            check_config({key: values[key]}, f"{path}:{lineno}: ")
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key not in CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_TYPES[key](text)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key}: {text!r}"
+            ) from exc
+        check_config({key: values[key]}, f"{path}:{lineno}: ")
     return values
 
 
@@ -289,17 +289,17 @@ def _read_selection_csv(path: str, n: int, labels: str) -> list[int]:
     """The index column, distinct rows of the n-row labels file `labels`,
     at least one; ParseError names path:line."""
     seen: dict[int, str] = {}
-    with open_file(path) as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if "index" not in (reader.fieldnames or ()):
-                raise ParseError(f"{path}:1: no index column")
-            rows = [_row_index(row["index"], n, labels, f"{path}:{reader.line_num}", seen)
-                    for row in reader]
-        except csv.Error as exc:  # such as an oversized field; line_num lags by one
-            raise ParseError(f"{path}:{reader.line_num + 1}: {exc}") from None
-        if not rows:
-            raise ParseError(f"{path}:{reader.line_num}: no selected rows after the header")
+    # The "\n" keeps a break inside a quoted field, as reading the file would.
+    reader = csv.DictReader(line + "\n" for line in read_lines(path))
+    try:
+        if "index" not in (reader.fieldnames or ()):
+            raise ParseError(f"{path}:1: no index column")
+        rows = [_row_index(row["index"], n, labels, f"{path}:{reader.line_num}", seen)
+                for row in reader]
+    except csv.Error as exc:  # such as an oversized field; line_num lags by one
+        raise ParseError(f"{path}:{reader.line_num + 1}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}:{reader.line_num}: no selected rows after the header")
     return rows
 
 
@@ -307,10 +307,9 @@ def _read_subset_file(path: str, n: int, labels: str) -> list[int]:
     """Distinct rows of the n-row labels file `labels`, whitespace
     separated, in the order read; ParseError names path:line."""
     seen: dict[int, str] = {}
-    with open_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for token in line.split():
-                _row_index(token, n, labels, f"{path}:{lineno}", seen)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        for token in line.split():
+            _row_index(token, n, labels, f"{path}:{lineno}", seen)
     return list(seen)
 
 

@@ -13,7 +13,8 @@ All matrices are widened to float64 in memory regardless of the stored dtype.
 A CSV alternative (header ``c0,c1,...``) is accepted on read for interchange.
 Non-finite values are rejected on both read and write.
 
-Every file the package reads or writes goes through open_file.
+Every file the package reads or writes goes through open_file, and every
+text input is decoded and split into lines by read_lines.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ _READ_BLOCK = 1 << 20
 
 
 @contextmanager
-def open_file(path: str | os.PathLike, mode: str = "r"):
-    """Open `path` in mode "r", "rb", "w" or "wb"; text is UTF-8, newline="".
+def open_file(path: str | os.PathLike, mode: str = "rb"):
+    """Open `path` in mode "rb", "w" or "wb"; text is written as UTF-8 with
+    newline="", and read only by read_lines, which decodes the bytes.
 
     A write goes to `<path>.tmp`, which replaces `path` only once the body
     finishes, so a failed write leaves the earlier file (or none) and no
@@ -75,6 +77,31 @@ def open_file(path: str | os.PathLike, mode: str = "r"):
         if writing:
             with suppress(FileNotFoundError):
                 os.remove(tmp)
+
+
+def read_lines(path: str | os.PathLike) -> list[str]:
+    """The lines of the UTF-8 text file `path`, without their line breaks.
+
+    A line ends at "\n", "\r\n" or "\r", as in file iteration and the csv
+    module; no other character (form feed, U+2028, ...) ends one. A final
+    line with no break is kept, and an empty file has no lines. An
+    undecodable byte raises ParseError naming path:line. This is the one
+    place that decodes a text input or splits it into lines.
+    """
+    with open_file(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]  # ends before the bad byte, so a final \r is a break
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # the text ends with a break, or is empty
+        lines.pop()
+    return lines
 
 
 def write_matrix(matrix: np.ndarray, path: str | os.PathLike, dtype: str = "f64") -> None:
@@ -160,10 +187,10 @@ def _read_matrix_binary(fh, path: str | os.PathLike) -> np.ndarray:
 
 def _read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
     try:
-        with open_file(path) as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise BadMagic(f"{path}: not a UCSM file and not readable as CSV ({exc})") from exc
+        lines = read_lines(path)
+    except ParseError as exc:  # not UTF-8: most likely a binary file
+        raise BadMagic(f"{path}: not a UCSM file and not readable as CSV "
+                       f"({exc.__cause__})") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -207,10 +234,8 @@ def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.n
     any other value raises ParseError naming the line, unless it equals
     noise_label. A caller that declares a noise label drops its rows.
     """
-    with open_file(path) as fh:
-        lines = fh.read().splitlines()
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         text = line.strip()
         if not text:
             continue
@@ -285,10 +310,13 @@ def read_token_bundle(directory: str | os.PathLike) -> list[tuple[str, np.ndarra
 
 
 def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:
+    """Write entries as sorted key=value lines. A key holding "=", or a key
+    or value holding a line break read_lines splits at, raises ValueError
+    naming the key, so read_manifest returns entries as strings."""
     items = []
     for key in sorted(entries):
         value = str(entries[key])
-        if "=" in key or "\n" in key or "\n" in value:
+        if "=" in key or any(c in key + value for c in "\r\n"):
             raise ValueError(f"manifest entry {key!r} contains a reserved character")
         items.append(f"{key}={value}\n")
     with open_file(path, "w") as fh:
@@ -296,10 +324,8 @@ def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
-    with open_file(path) as fh:
-        lines = fh.read().splitlines()
     out: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         if "=" not in line:

@@ -1,3 +1,4 @@
+import io
 import re
 import struct
 import tracemalloc
@@ -21,6 +22,7 @@ from ucs.matrix_store import (
     FORMAT_VERSION,
     MAGIC,
     read_labels,
+    read_lines,
     read_manifest,
     read_matrix,
     read_token_bundle,
@@ -185,6 +187,9 @@ def test_labels_parse_error_names_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_labels(path)
     assert "line 1" in str(err.value)
+    path.write_bytes(b"1\n2\x0c3\nx\n")  # a form feed does not end a line
+    with pytest.raises(ParseError, match=r": line 2: not an integer: '2\\x0c3'"):
+        read_labels(path)
 
 
 def test_labels_below_noise_rejected(tmp_path):
@@ -214,6 +219,8 @@ def test_manifest_round_trip_and_sorted_keys(tmp_path):
     write_manifest(path, {"zeta": "1", "alpha": "2"})
     assert path.read_text() == "alpha=2\nzeta=1\n"
     assert read_manifest(path) == {"zeta": "1", "alpha": "2"}
+    write_manifest(path, {"b": "u\x0cv=w"})  # a form feed does not end a line
+    assert read_manifest(path) == {"b": "u\x0cv=w"}
 
 
 def test_manifest_rejects_reserved_characters(tmp_path):
@@ -221,6 +228,90 @@ def test_manifest_rejects_reserved_characters(tmp_path):
         write_manifest(tmp_path / "m.txt", {"a=b": "1"})
     with pytest.raises(ValueError):
         write_manifest(tmp_path / "m.txt", {"a": "1\n2"})
+    for entries in ({"a": "1\r2"}, {"a\rb": "1"}):
+        with pytest.raises(ValueError, match=re.escape(repr(next(iter(entries))))):
+            write_manifest(tmp_path / "m.txt", entries)
+
+
+# Manifest text: anything UTF-8 can hold (no surrogates) but a line break.
+_ENTRY_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                      max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_ENTRY_TEXT.filter(lambda key: "=" not in key),
+                       st.one_of(_ENTRY_TEXT, st.integers(), st.floats()), max_size=6))
+def test_manifest_round_trip_property(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("man") / "m.txt"
+    write_manifest(path, entries)
+    assert read_manifest(path) == {key: str(value) for key, value in entries.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=_ENTRY_TEXT, value=_ENTRY_TEXT, bad=st.sampled_from(["\r", "\n", "\r\n", "="]),
+       in_key=st.booleans(), at=st.integers(0, 8))
+def test_manifest_refuses_a_break_or_an_equals_sign_in_a_key(tmp_path_factory, key, value,
+                                                             bad, in_key, at):
+    if in_key or bad == "=":
+        key = key[:at] + bad + key[at:]
+    else:
+        value = value[:at] + bad + value[at:]
+    path = tmp_path_factory.mktemp("man") / "m.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        write_manifest(path, {"other": "1", key: value})
+    assert not path.exists()
+
+
+def test_read_lines_splits_only_at_lf_cr_and_crlf(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\r\nb\rc\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j\u2028k\u2029l\n".encode())
+    assert read_lines(path) == ["a", "b", "c", "d\x0be\x0cf\x1cg\x1dh\x1ei\x85j\u2028k\u2029l"]
+    for data, lines in ((b"", []), (b"\n", [""]), (b"a", ["a"]), (b"a\n\n", ["a", ""]),
+                        (b"a\r", ["a"]), (b"\r\r\n", ["", ""])):
+        path.write_bytes(data)
+        assert read_lines(path) == lines, data
+
+
+def _iterated_lines(text):
+    """text's lines as iterating a file opened with newline="" gives them,
+    less each line's break."""
+    out = []
+    for line in io.StringIO(text, newline=""):
+        cut = 2 if line.endswith("\r\n") else 1 if line.endswith(("\r", "\n")) else 0
+        out.append(line[:len(line) - cut])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("\r\n\x0b\x0c\x1c\x85\u2028 a1"),
+                         st.characters(blacklist_categories=("Cs",))), max_size=30))
+def test_read_lines_splits_as_file_iteration(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_lines(path) == _iterated_lines(text)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xff", 1),
+    (b"ok\n\x80\n", 2),
+    (b"a\r\nb\rc\nd\xe2\x82", 4),
+    (b"a\r\xff", 2),
+    (b"a\r\n\n\xe2\x82\xac\xff", 3),
+], ids=["0xff", "lone-continuation-byte", "cut-3-byte-sequence", "after-cr",
+        "after-a-3-byte-character"])
+def test_read_lines_undecodable_byte_names_its_line(tmp_path, data, line):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 "):
+        read_lines(path)
+
+
+def test_csv_matrix_that_is_not_utf8_is_bad_magic(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"\x93NUMPY\x01\x00")
+    _raises_exactly(BadMagic, f"{path}: not a UCSM file and not readable as CSV ('utf-8' codec "
+                              f"can't decode byte 0x93 in position 0: invalid start byte)",
+                    lambda: read_matrix(path))
 
 
 def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
