@@ -353,10 +353,14 @@ def stage_preprocess(args, cfg) -> None:
         pool = read_matrix(args.input)
         inputs = {"pool": args.input}
     standardize = not args.no_standardize
-    reduced = preprocess_pool(
-        pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
-        l2norm=args.l2norm
-    )[0]
+    try:
+        reduced = preprocess_pool(
+            pool, d_prime=int(cfg["dict_pca_dim"]), standardize=standardize,
+            l2norm=args.l2norm
+        )[0]
+    except NonFiniteValue as exc:
+        source = f"--input {args.input}" if args.bundle is None else f"--bundle {args.bundle}"
+        raise NonFiniteValue(f"{source}: {exc}; refusing to write") from None
     write_matrix(reduced, args.out)
     _stage_manifest(args.out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
         "rows": str(reduced.shape[0]),
@@ -368,13 +372,16 @@ def stage_preprocess(args, cfg) -> None:
 
 
 def stage_dict_fit(args, cfg) -> None:
-    book = fit_dictionary(
-        read_matrix(args.input),
-        n_atoms=int(cfg["dict_n_components"]),
-        ridge_alpha=float(cfg["dict_alpha"]),
-        max_iter=args.max_iter,
-        seed=int(cfg["seed"]),
-    )
+    try:
+        book = fit_dictionary(
+            read_matrix(args.input),
+            n_atoms=int(cfg["dict_n_components"]),
+            ridge_alpha=float(cfg["dict_alpha"]),
+            max_iter=args.max_iter,
+            seed=int(cfg["seed"]),
+        )
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"--input {args.input}: {exc}; refusing to write") from None
     write_matrix(book.dictionary, args.out)
     _stage_manifest(args.out, "dict-fit", _config_used(cfg, "dict-fit"),
                     {"pool": args.input}, {
@@ -557,6 +564,8 @@ def run_pipeline(
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     check_config(cfg)
+    if "select" in stages:
+        _sgt_config(cfg)  # a horizon the estimator cannot evaluate fails here
 
     def path(name: str) -> str:
         # Absolute, so that no argv value starts with "-".

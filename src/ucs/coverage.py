@@ -42,7 +42,9 @@ class SgtConfig:
 
     t is the expansion factor (estimate new types among floor(t*|S|) further
     draws), bin_size the truncation M, offset_alpha the damping offset in
-    [1, 2]. The binomial size parameter is always k0_for(t, |S|).
+    [1, 2]. The binomial size parameter is always k0_for(t, |S|). The
+    estimator's largest power of t is t**bin_size, so a t for which that is
+    not a finite float64 (t nan or infinite too) is refused.
     """
 
     t: float = 5.0
@@ -54,6 +56,13 @@ class SgtConfig:
             raise ValueError(f"t must be > 0, got {self.t}")
         if self.bin_size < 1:
             raise ValueError(f"bin_size must be >= 1, got {self.bin_size}")
+        try:
+            top = float(self.t) ** self.bin_size
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"t = {self.t} with bin_size = {self.bin_size}: t**bin_size "
+                             "is not a finite float64, so the estimate cannot be evaluated")
         if not 1.0 <= self.offset_alpha <= 2.0:
             raise ValueError(f"offset_alpha must be in [1, 2], got {self.offset_alpha}")
 
@@ -133,6 +142,9 @@ def k0_for(t: float, sample_size: int) -> int:
     x = sample_size * t * t / (t + 1.0)
     if x <= 0:
         return 0
+    if math.isinf(x):  # t * t overflowed: the same log2 from the factors
+        return max(0, math.ceil(0.5 * (math.log2(sample_size) + 2.0 * math.log2(t)
+                                       - math.log2(t + 1.0))))
     return max(0, math.ceil(0.5 * math.log2(x)))
 
 

@@ -173,7 +173,8 @@ def fit_dictionary(
     Stops after `max_iter` alternations or when the relative objective
     improvement drops below 1e-6. max_iter=0 returns the seeded
     initialization with its objective. Raises DegenerateInput when the pool
-    is entirely zero.
+    is entirely zero, and NonFiniteValue, with no numpy warning, when its
+    Gram matrix C = E^T E overflows float64.
 
     Cost: one O(N d'^2) pass forms C = E^T E from a canonical-order copy of
     the pool, the only N x d' array the fit allocates; every alternation
@@ -204,8 +205,11 @@ def fit_dictionary(
     # row SET: permuting the caller's rows changes nothing, not even float
     # summation order. Codes are recovered per caller row via ridge_encode.
     arr = arr[_canonical_row_order(arr)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = arr.T @ arr
+    if not np.isfinite(second).all():
+        raise NonFiniteValue("the pool's E^T E is not finite as f64")
     dictionary = _init_dictionary(arr, n_atoms, seed)
-    second = arr.T @ arr
     del arr
     gram, corr, objective = _moments(dictionary, second, ridge_alpha)
     history = [objective]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, TooFewRows
+from .errors import EmptyMask, NonFiniteValue, TooFewRows
 # unused here; perfbench/spans.py patches ucs.preprocess.read_matrix and write_matrix
 from .matrix_store import read_matrix, write_matrix
 
@@ -91,13 +91,21 @@ class Standardizer:
 
 
 def fit_standardizer(pool: np.ndarray) -> Standardizer:
-    """Fit per-feature mean/std. Requires at least 2 rows (TooFewRows)."""
+    """Fit per-feature mean/std. Requires at least 2 rows (TooFewRows).
+
+    NonFiniteValue, with no numpy warning, when a column's variance
+    overflows float64."""
     arr = np.asarray(pool, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D pool, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise TooFewRows(f"standardizer needs >= 2 rows, got {arr.shape[0]}")
-    return Standardizer(mean=arr.mean(axis=0), std=arr.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = arr.mean(axis=0), arr.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        raise NonFiniteValue(f"the variance of column {bad[0]} is not finite as f64")
+    return Standardizer(mean=mean, std=std)
 
 
 @dataclass
@@ -149,8 +157,10 @@ def fit_pca(pool: np.ndarray, d_prime: int) -> PcaBasis:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D pool, got shape {arr.shape}")
     _check_d_prime(arr.shape, d_prime)
-    mean = arr.mean(axis=0)
-    return _fit_centered(arr - mean, mean, d_prime)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _fit_centered checks X^T X
+        mean = arr.mean(axis=0)
+        centered = arr - mean
+    return _fit_centered(centered, mean, d_prime)[0]
 
 
 def _check_d_prime(shape: tuple[int, int], d_prime: int) -> None:
@@ -164,8 +174,13 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray,
                   d_prime: int) -> tuple[PcaBasis, np.ndarray]:
     """fit_pca on the already-centred pool; also returns the scores
     centered @ components, which are basis.transform of the uncentred pool
-    bit for bit."""
-    _, vecs = np.linalg.eigh(centered.T @ centered)
+    bit for bit. NonFiniteValue, with no numpy warning, when X^T X is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = centered.T @ centered
+    if not np.isfinite(second).all():
+        raise NonFiniteValue("the centred pool's X^T X is not finite as f64")
+    _, vecs = np.linalg.eigh(second)
     components = vecs[:, ::-1][:, :d_prime].copy()  # eigh's order is ascending
     for j in range(d_prime):
         col = components[:, j]
@@ -186,7 +201,9 @@ def preprocess_pool(
     """Run the full reduction on a pooled N x d matrix.
 
     d_prime is capped at min(N-1, d). When standardization is off the
-    returned Standardizer is the identity (mean 0, std 1).
+    returned Standardizer is the identity (mean 0, std 1). A pool whose
+    column variance or centred X^T X overflows float64 raises
+    NonFiniteValue.
     """
     arr = np.asarray(pool, dtype=np.float64)
     if l2norm:
@@ -200,7 +217,8 @@ def preprocess_pool(
     scaled = scaler.transform(arr)
     d_eff = max(1, min(d_prime, arr.shape[0] - 1, arr.shape[1]))
     _check_d_prime(scaled.shape, d_eff)
-    mean = scaled.mean(axis=0)
-    scaled -= mean  # centred in place: the PCA scores are the reduced rows
+    with np.errstate(over="ignore", invalid="ignore"):  # _fit_centered checks X^T X
+        mean = scaled.mean(axis=0)
+        scaled -= mean  # centred in place: the PCA scores are the reduced rows
     basis, reduced = _fit_centered(scaled, mean, d_eff)
     return reduced, scaler, basis

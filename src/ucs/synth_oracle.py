@@ -4,6 +4,10 @@ and report statistics used to validate the coverage estimator.
 Sampling uses numpy's PCG64 generator (np.random.default_rng) with inverse
 CDF lookups, so label streams are a pure function of the seed. Monte Carlo
 trials derive their seeds as seed + trial index and can run in any order.
+mc_unseen_oracle runs them in blocks of trials that hold about
+_ORACLE_CELLS = 2^15 draws or type counts each (one trial per block once
+K + 1 exceeds that), which bounds its memory; each trial's truth and
+estimate are the ones it gives alone, whatever the block size.
 
 The inverse CDF is read through a guide table (Chen & Asau, 1974) that each
 Population builds on its first draw and keeps: g = 2^m >= 4K buckets, and
@@ -38,6 +42,10 @@ _BUCKETS_PER_TYPE = 4
 # one bucket can hold many cumulative values (a run of zero-probability
 # types, a steep tail near 1), and each step is one pass of a Python loop.
 _MAX_STEPS = 8
+# Values a block of Monte Carlo trials holds in one array: each block of
+# mc_unseen_oracle draws rows x (n + m) labels and counts rows x (K + 1)
+# types per half, rows as large as this budget allows.
+_ORACLE_CELLS = 1 << 15
 
 
 @dataclass
@@ -129,7 +137,19 @@ def _inverse_cdf(pop: Population, u: np.ndarray) -> np.ndarray:
         pending = pending[ext[idx[pending]] <= u[pending]]
     if pending.size:
         idx[pending] = np.searchsorted(ext, u[pending], side="right")
-    return np.minimum(idx, pop.n_types - 1).astype(np.int64) + 1
+    np.minimum(idx, pop.n_types - 1, out=idx)
+    idx += 1  # in place: a block's label array is one allocation, not three
+    return idx.astype(np.int64, copy=False)
+
+
+def _draw_rows(pop: Population, n: int, seeds) -> np.ndarray:
+    """One row of n labels per seed: row r is
+    np.random.default_rng(seeds[r]).random(n) mapped through the inverse
+    CDF. The rows share one uniform buffer and one _inverse_cdf call."""
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    return _inverse_cdf(pop, u.reshape(-1)).reshape(u.shape)
 
 
 def sample_labels(pop: Population, n: int, seed: int) -> np.ndarray:
@@ -141,7 +161,7 @@ def sample_labels(pop: Population, n: int, seed: int) -> np.ndarray:
     is built on pop's first draw, so later calls cost O(n) expected time."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _inverse_cdf(pop, np.random.default_rng(seed).random(n))
+    return _draw_rows(pop, n, [seed])[0]
 
 
 def sample_embeddings(
@@ -219,9 +239,16 @@ def mc_unseen_oracle(
     reported unclamped). Draws are i.i.d. with replacement. sgt defaults
     to SgtConfig(t=t); ValueError names both horizons if sgt.t != t.
 
-    Labels are 1..K (K = pop.n_types), so each trial counts with bincounts
-    over 0..K: the first draw's per-type counts give the spectrum, and the
-    second draw's types with a zero first count are the new ones. Every
+    Trials run in blocks of rows = max(1, min(trials, _ORACLE_CELLS //
+    max(n + m, K + 1))) (m = floor(t*n), K = pop.n_types), so a block's
+    draws and per-type counts hold about _ORACLE_CELLS values whatever the
+    sizes; at K + 1 > _ORACLE_CELLS a block is one trial. A block draws
+    every trial's n + m labels through one _inverse_cdf call. Labels are
+    1..K, so with row r's labels offset by r(K + 1) one bincount gives
+    every trial's per-type counts in each half, and a type with a zero
+    first count and a nonzero second count is new. Each trial's estimate
+    is one estimator call on its spectrum. Every value is the one trial r
+    gives alone, so the result does not depend on the block size. Every
     trial has size n, so every SGT estimate reads the one weight vector
     that sgt_weights caches for k0_for(t, n) (n = 0 estimates 0).
     """
@@ -236,17 +263,32 @@ def mc_unseen_oracle(
         raise ValueError(f"sgt.t = {cfg.t} differs from t = {t}")
     m = int(t * n)
     bins = pop.n_types + 1
+    block = max(1, min(trials, _ORACLE_CELLS // max(n + m, bins)))
     news = np.empty(trials, dtype=np.float64)
     ests = np.empty(trials, dtype=np.float64)
-    for trial in range(trials):
-        labels = sample_labels(pop, n + m, seed + trial)
-        seen = np.bincount(labels[:n], minlength=bins)
-        spec = {s: f for s, f in enumerate(np.bincount(seen)) if s and f}
-        if estimator == "sgt":
-            ests[trial] = sgt_unseen(spec, cfg)
-        else:
-            ests[trial] = gt_unseen(spec, t, cfg.bin_size)
-        news[trial] = np.count_nonzero(np.bincount(labels[n:], minlength=bins)[seen == 0])
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        labels = _draw_rows(pop, n + m, range(seed + start, seed + start + rows))
+        labels += (np.arange(rows) * bins)[:, None]
+        seen = np.bincount(labels[:, :n].ravel(), minlength=rows * bins).reshape(rows, bins)
+        later = np.bincount(labels[:, n:].ravel(), minlength=rows * bins).reshape(rows, bins)
+        news[start:start + rows] = np.count_nonzero(np.logical_and(later, seen == 0), axis=1)
+        # spectra[r * (n + 1) + s]: the types trial r saw s times, s in 1..n
+        present = np.flatnonzero(seen > 0)
+        spectra = np.bincount(present // bins * (n + 1) + seen.reshape(-1)[present],
+                              minlength=rows * (n + 1))
+        nonzero = np.flatnonzero(spectra)
+        row, size = np.divmod(nonzero, n + 1)
+        sizes, freqs = size.tolist(), spectra[nonzero].tolist()
+        ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
+        begin = 0
+        for r, end in enumerate(ends):
+            spec = dict(zip(sizes[begin:end], freqs[begin:end]))
+            begin = end
+            if estimator == "sgt":
+                ests[start + r] = sgt_unseen(spec, cfg)
+            else:
+                ests[start + r] = gt_unseen(spec, t, cfg.bin_size)
     return McOracleReport(
         mean_new=float(news.mean()),
         std_new=float(news.std()),

@@ -122,6 +122,24 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys):
     assert "--sgt-t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "pipeline"])
+def test_sgt_t_whose_power_overflows_exits_2(tmp_path, capsys, command):
+    # a 20-member cluster puts (-t)**20 in the estimate; at t = 1e20 that
+    # overflowed in an uncaught OverflowError traceback
+    pool_path, labels_path = _write_pool(tmp_path)
+    write_labels(np.array([1] * 20 + [2, 3, 3]), labels_path)
+    workdir = tmp_path / "run"
+    argv = (["estimate", "--labels", labels_path] if command == "estimate" else
+            ["pipeline", "--input", pool_path, "--workdir", str(workdir)])
+    assert main([*argv, "--sgt-t", "1e20"]) == 2
+    captured = capsys.readouterr()
+    assert ("error: t = 1e+20 with bin_size = 20: t**bin_size is not a finite float64"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not workdir.exists()  # refused before any stage ran
+
+
 def test_resolve_config_rejects_bad_clustering():
     with pytest.raises(ConfigError):
         resolve_config(argparse.Namespace(clustering="kmeans"))
@@ -857,6 +875,32 @@ def test_dict_encode_non_finite_codes_name_both_files(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dict-fit", "--dict-n-components", "3"], "the pool's E^T E is not finite"),
+    (["preprocess", "--dict-pca-dim", "4"], "the variance of column 2 is not finite"),
+    (["preprocess", "--dict-pca-dim", "4", "--no-standardize"],
+     "the centred pool's X^T X is not finite"),
+], ids=["dict-fit", "preprocess", "preprocess-no-standardize"])
+@pytest.mark.parametrize("value", [1e160, 1e300])
+def test_pool_whose_moments_overflow_is_refused_naming_input(tmp_path, capsys, argv,
+                                                             message, value):
+    # both used to exit 0 after numpy overflow warnings, dict-fit with
+    # objective nan
+    x, _ = sample_pool(Population.zipf(8, 1.1), 30, dim=6, spread=0.3, seed=2)
+    x[4, 2] = value
+    pool_path = str(tmp_path / "pool.ucsm")
+    write_matrix(x, pool_path)
+    out = str(tmp_path / "out.ucsm")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], "--input", pool_path, "--out", out, *argv[1:]]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert f"numeric failure: --input {pool_path}: {message}" in err
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".manifest.txt")
+
+
 def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2, 3]), labels_path)
@@ -964,6 +1008,36 @@ def test_synth_pool_and_oracle(tmp_path, capsys):
     for name in ("mean_new", "mean_estimate", "mean_abs_estimator_error"):
         assert name in text
     capsys.readouterr()
+
+
+# The README's oracle command; these bytes are the per-trial loop's, so the
+# draws of the blocked oracle are checked against more than themselves.
+_README_ORACLE = {
+    "sgt": ("trials                    100\n"
+            "estimator                 sgt\n"
+            "t                         2.0\n"
+            "mean_new                  9.31\n"
+            "std_new                   2.4112030192416394\n"
+            "mean_estimate             11.623456790123472\n"
+            "std_estimate              7.894785122853102\n"
+            "mean_abs_estimator_error  7.201522633744861\n"),
+    "gt": ("trials                    100\n"
+           "estimator                 gt\n"
+           "t                         2.0\n"
+           "mean_new                  9.31\n"
+           "std_new                   2.4112030192416394\n"
+           "mean_estimate             -69401.36\n"
+           "std_estimate              367503.60872893536\n"
+           "mean_abs_estimator_error  199165.87\n"),
+}
+
+
+@pytest.mark.parametrize("estimator", ["sgt", "gt"])
+def test_synth_oracle_readme_output_is_pinned(capsys, estimator):
+    assert main(["synth", "--mode", "oracle", "--k-types", "50", "--zipf-exponent", "1.1",
+                 "--n", "200", "--sgt-t", "2.0", "--trials", "100", "--seed", "7",
+                 "--estimator", estimator]) == 0
+    assert capsys.readouterr().out == _README_ORACLE[estimator]
 
 
 def test_synth_horizon_has_one_flag(tmp_path, capsys):

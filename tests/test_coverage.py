@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,32 @@ def test_sgt_config_validation():
         SgtConfig(bin_size=0)
     with pytest.raises(ValueError):
         SgtConfig(offset_alpha=0.5)
+
+
+@pytest.mark.parametrize("t, bin_size", [
+    (math.nan, 20), (math.inf, 20), (1e20, 20), (1e16, 20), (2.0, 1100), (1e300, 2),
+])
+def test_sgt_config_refuses_a_horizon_whose_power_overflows(t, bin_size):
+    # (-t)**s for s up to bin_size is the estimator's largest term; 1e20
+    # used to pass and end ucs estimate in an OverflowError traceback
+    message = f"t = {t} with bin_size = {bin_size}: t**bin_size is not a finite float64"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SgtConfig(t=t, bin_size=bin_size)
+
+
+def test_sgt_config_accepts_a_horizon_at_the_float64_limit():
+    # 1e15**20 = 1e300 is finite; so is every term at any spectrum size
+    cfg = SgtConfig(t=1e15, bin_size=20)
+    assert math.isfinite(gt_unseen({20: 1}, cfg.t, cfg.bin_size))
+    assert sgt_unseen({20: 1}, cfg) >= 0.0
+
+
+def test_k0_for_when_t_squared_overflows():
+    # |S| t^2 / (t + 1) overflows for t = 1e200, but its log2 does not;
+    # k0_for used to raise "cannot convert float infinity to integer"
+    want = math.ceil(0.5 * (math.log2(23) + 2 * math.log2(1e200) - math.log2(1e200 + 1)))
+    assert k0_for(1e200, 23) == want
+    assert sgt_unseen({1: 3, 20: 1}, SgtConfig(t=1e200, bin_size=1)) >= 0.0
 
 
 @settings(max_examples=80, deadline=None)

@@ -151,6 +151,10 @@ def _commands(files, name):
     cluster = ["cluster", "--input", f[name], "--out", f["out.txt"], "--dbscan-k", "5"]
     select = ["select", "--embeddings", f[name], "--labels", f["labels.txt"],
               "--budget", "4", "--out", f["out.csv"]]
+    fit = ["dict-fit", "--input", f["pool.ucsm"], "--out", f["out.ucsm"],
+           "--dict-n-components", "3"]
+    reduce = ["preprocess", "--input", f["pool.ucsm"], "--out", f["out.ucsm"],
+              "--dict-pca-dim", "4"]
     return {
         "labels.txt": [
             ["spectrum", "--labels", f["labels.txt"]],
@@ -171,7 +175,7 @@ def _commands(files, name):
         ],
         "dict.ucsm": [encode],
         "codes.ucsm": [cluster, select],
-        "pool.ucsm": [encode, cluster, select],
+        "pool.ucsm": [encode, cluster, select, fit, reduce],
     }[name]
 
 

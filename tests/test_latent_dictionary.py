@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucs import latent_dictionary
-from ucs.errors import DegenerateInput, MisalignedSources
+from ucs.errors import DegenerateInput, MisalignedSources, NonFiniteValue
 from ucs.latent_dictionary import (
     REL_TOL,
     CodeBook,
@@ -515,3 +515,14 @@ def test_preprocess_and_dictionary_bytes_do_not_depend_on_blas_threads():
         outputs[threads] = proc.stdout.splitlines()
     assert len(outputs["1"]) == 9
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("value", [1e160, 1e300])
+def test_fit_dictionary_refuses_a_gram_matrix_that_overflows(value):
+    # E^T E holds value**2; the fit used to run every iteration and
+    # return objective nan after numpy overflow warnings
+    pool = np.random.default_rng(4).standard_normal((30, 6))
+    pool[4, 2] = value
+    with pytest.raises(NonFiniteValue, match="^the pool's E\\^T E is not finite"):
+        fit_dictionary(pool, n_atoms=3)
+

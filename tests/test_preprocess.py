@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ucs.errors import EmptyMask, TooFewRows
+from ucs.errors import EmptyMask, NonFiniteValue, TooFewRows
 from ucs.preprocess import (
     fit_pca,
     fit_standardizer,
@@ -254,3 +254,39 @@ def test_preprocess_pool_rows_are_the_basis_transform(standardize, l2norm):
                                              l2norm=l2norm)
     source = l2_normalize_rows(x) if l2norm else x
     assert np.array_equal(reduced, basis.transform(scaler.transform(source)))
+
+
+def _pool_with(value):
+    x = np.random.default_rng(4).standard_normal((30, 6))
+    x[4, 2] = value
+    return x
+
+
+@pytest.mark.parametrize("value", [1e160, 1e300])
+def test_standardizer_refuses_a_variance_that_overflows(value):
+    # the square of 1e160 overflows; numpy used to warn and return std inf
+    with pytest.raises(NonFiniteValue, match="^the variance of column 2 is not finite"):
+        fit_standardizer(_pool_with(value))
+    with pytest.raises(NonFiniteValue, match="^the variance of column 2 is not finite"):
+        preprocess_pool(_pool_with(value), d_prime=4)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e300, 1.7e308])
+def test_pca_refuses_an_x_t_x_that_overflows(value):
+    # without standardization the centred pool's X^T X holds value**2
+    message = "^the centred pool's X\\^T X is not finite"
+    with pytest.raises(NonFiniteValue, match=message):
+        preprocess_pool(_pool_with(value), d_prime=4, standardize=False)
+    with pytest.raises(NonFiniteValue, match=message):
+        fit_pca(_pool_with(value), 4)
+
+
+def test_pca_refuses_a_mean_that_overflows():
+    # the column sum overflows, so the mean is inf and centring gives nan
+    x = _pool_with(1.7e308)
+    x[5, 2] = 1.7e308
+    with pytest.raises(NonFiniteValue):
+        preprocess_pool(x, d_prime=4, standardize=False)
+    with pytest.raises(NonFiniteValue, match="^the variance of column 2 is not finite"):
+        preprocess_pool(x, d_prime=4)
+

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucs import synth_oracle
 from ucs.coverage import SgtConfig, gt_unseen, sgt_unseen, subset_spectrum
 from ucs.synth_oracle import (
     Population,
@@ -274,18 +276,65 @@ def _recount_oracle(pop, n, t, trials, seed, cfg, estimator):
 @pytest.mark.parametrize("estimator", ["sgt", "gt"], ids=["sgt-iid", "gt-iid"])
 def test_mc_oracle_matches_independent_recount(estimator):
     cases = [
-        (Population.zipf(300, 1.1), 200, 2.0),
-        (Population.uniform(40), 60, 5.0),
-        (Population.zipf(50, 0.8), 30, 1.0),
-        (Population.zipf(20, 1.0), 0, 2.0),
+        (Population.zipf(300, 1.1), 200, 2.0, 12),
+        (Population.uniform(40), 60, 5.0, 12),
+        (Population.zipf(50, 0.8), 30, 1.0, 12),
+        (Population.zipf(20, 1.0), 0, 2.0, 12),
+        # blocks of 16 trials and a ragged last block of 5
+        (Population.zipf(2000, 1.0), 500, 2.0, 37),
+        # K + 1 above the cell budget: every block is one trial
+        (Population.zipf(10**5, 1.0), 200, 2.0, 3),
+        # t * n < 1, so m = 0 and no trial finds a new type
+        (Population.zipf(50, 0.8), 3, 0.2, 12),
+        (Population.uniform(1), 20, 1.0, 12),
     ]
-    for pop, n, t in cases:
+    for pop, n, t, trials in cases:
         cfg = SgtConfig(t=t)
-        report = mc_unseen_oracle(pop, n, t, trials=12, seed=5, sgt=cfg,
+        report = mc_unseen_oracle(pop, n, t, trials=trials, seed=5, sgt=cfg,
                                   estimator=estimator)
-        news, ests = _recount_oracle(pop, n, t, 12, 5, cfg, estimator)
+        news, ests = _recount_oracle(pop, n, t, trials, 5, cfg, estimator)
         assert np.array_equal(report.new_counts, news), (pop.kind, n)
         assert np.array_equal(report.estimates, ests), (pop.kind, n)
+
+
+@pytest.mark.parametrize("cells", [1, 4096, 1 << 20])
+def test_mc_oracle_does_not_depend_on_block_size(monkeypatch, cells):
+    # 1 cell runs one trial per block, 1 << 20 all trials in one block
+    cases = [
+        (Population.zipf(2000, 1.0), 500, 2.0, 37, "sgt"),
+        (Population.zipf(300, 1.1), 200, 2.0, 23, "gt"),
+        (Population.uniform(2), 12, 1.0, 40, "gt"),
+        (Population.uniform(1), 20, 1.0, 9, "sgt"),
+        (Population.zipf(20, 1.0), 0, 2.0, 5, "sgt"),
+        (Population.zipf(50, 0.8), 3, 0.2, 11, "gt"),
+    ]
+    want = [mc_unseen_oracle(pop, n, t, trials, 3, estimator=est)
+            for pop, n, t, trials, est in cases]
+    monkeypatch.setattr(synth_oracle, "_ORACLE_CELLS", cells)
+    for (pop, n, t, trials, est), ref in zip(cases, want):
+        got = mc_unseen_oracle(pop, n, t, trials, 3, estimator=est)
+        for name in ("new_counts", "estimates"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.array_equal(a, b), (pop.kind, n, name)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), (pop.kind, n, name)
+
+
+@pytest.mark.parametrize("k, trials, limit_mib", [(2000, 200, 2.0), (10**6, 3, 23.85)],
+                         ids=["workload", "zipf-1e6"])
+def test_mc_oracle_peak_memory(k, trials, limit_mib):
+    # The blocks hold about _ORACLE_CELLS values, so at the benchmark's size
+    # (zipf(2000), n = 500, t = 2, 200 trials) the peak stays small, and at
+    # K = 10^6 a block is one trial whose count arrays are no larger than
+    # the per-trial loop's (23.85 MiB). The guide table is built first.
+    pop = Population.zipf(k, 1.0)
+    mc_unseen_oracle(pop, 500, 2.0, 1, 0)
+    tracemalloc.start()
+    try:
+        mc_unseen_oracle(pop, 500, 2.0, trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, peak / 2**20
 
 
 def test_mc_oracle_refuses_sgt_t_other_than_t():
