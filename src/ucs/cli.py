@@ -764,15 +764,19 @@ def _cmd_ingest(args, cfg) -> None:
 
 def _cmd_joint_fit(args, cfg) -> None:
     sources = [read_matrix(p) for p in args.inputs]
-    book = fit_joint_dictionary(
-        sources,
-        n_atoms=int(cfg["dict_n_components"]),
-        ridge_alpha=float(cfg["dict_alpha"]),
-        max_iter=args.max_iter,
-        seed=int(cfg["seed"]),
-        d_c=args.latent_dim,
-        fix_maps=args.fix_maps,
-    )
+    try:
+        book = fit_joint_dictionary(
+            sources,
+            n_atoms=int(cfg["dict_n_components"]),
+            ridge_alpha=float(cfg["dict_alpha"]),
+            max_iter=args.max_iter,
+            seed=int(cfg["seed"]),
+            d_c=args.latent_dim,
+            fix_maps=args.fix_maps,
+        )
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"--inputs {' '.join(args.inputs)}: {exc}; "
+                             "refusing to write") from None
     stem = args.out_stem
     write_matrix(book.dictionary, stem + ".dict.ucsm")
     write_matrix(book.codes, stem + ".codes.ucsm")

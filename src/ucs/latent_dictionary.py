@@ -245,6 +245,8 @@ def fit_joint_dictionary(
     time, then takes fit_dictionary's step on M = (1/S) sum_m X_m B_m at
     alpha / S. d_c defaults to the smallest source width. With
     fix_maps=True and one square source this is fit_dictionary, bit for bit.
+    Raises NonFiniteValue, with no numpy warning, when a cross moment
+    X_m^T X_l (X_m the m-th source) overflows float64.
 
     Cost: one O(N (sum_m d_m)^2) pass forms the cross moments X_m^T X_l;
     each alternation then costs O(S^2 d_max^2 d_c + d_c^2 K + K^3) whatever
@@ -281,6 +283,14 @@ def fit_joint_dictionary(
     # pure function of the aligned row set; the codes return in caller order.
     order = _canonical_row_order(mats[0])
     mats = [m[order] for m in mats]
+    # Until the codes are solved, the sources enter only as X_m^T X_l.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = [[x.T @ y for y in mats] for x in mats]
+    for m_idx, row in enumerate(cross):
+        for l_idx, moment in enumerate(row):
+            if not np.isfinite(moment).all():
+                raise NonFiniteValue(f"the sources' cross moment X_{m_idx}^T X_{l_idx} "
+                                     "is not finite as f64")
     n_sources = len(mats)
     alpha_eff = ridge_alpha / n_sources
     maps = [np.eye(w, d_c) for w in widths]
@@ -291,8 +301,6 @@ def fit_joint_dictionary(
     pool = mean_pool()
     dictionary = _init_dictionary(pool[_canonical_row_order(pool)], n_atoms, seed)
     del pool
-    # Until the codes are solved, the sources enter only as X_m^T X_l.
-    cross = [[x.T @ y for y in mats] for x in mats]
 
     def source_mean(m_idx: int) -> np.ndarray:
         # X_m^T M

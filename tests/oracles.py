@@ -1,10 +1,17 @@
 """Test oracles shared by the test modules, one copy each: an independent
 DBSCAN and union-find components on a distance matrix, first-appearance
-renumbering for comparing partitions, and a plain manifest reader."""
+renumbering for comparing partitions, a plain manifest reader, and a runner
+that gives a script's output at one and at two BLAS threads."""
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
+
+import ucs
 
 
 def reference_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
@@ -75,3 +82,18 @@ def read_manifest(path) -> dict[str, str]:
             key, _, value = line.rstrip("\n").partition("=")
             out[key] = value
     return out
+
+
+def stdout_at_blas_threads(script: str) -> dict[str, list[str]]:
+    """The stdout lines of `python -c script` at OPENBLAS_NUM_THREADS "1"
+    and "2", keyed by that value, with the imported ucs package's sources
+    first on PYTHONPATH."""
+    src = str(Path(ucs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs[threads] = proc.stdout.splitlines()
+    return outputs

@@ -901,6 +901,29 @@ def test_pool_whose_moments_overflow_is_refused_naming_input(tmp_path, capsys, a
     assert not os.path.exists(out + ".manifest.txt")
 
 
+@pytest.mark.parametrize("value", [1e160, 1e300])
+def test_joint_fit_sources_whose_cross_moments_overflow_are_refused_naming_inputs(
+        tmp_path, capsys, value):
+    # used to exit 4 with "SVD did not converge" after numpy overflow
+    # warnings, naming neither source
+    rng = np.random.default_rng(4)
+    first, second = rng.standard_normal((30, 6)), rng.standard_normal((30, 6))
+    first[4, 2] = value
+    paths = [str(tmp_path / "a.ucsm"), str(tmp_path / "b.ucsm")]
+    write_matrix(first, paths[0])
+    write_matrix(second, paths[1])
+    stem = str(tmp_path / "joint")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["joint-fit", "--inputs", *paths, "--out-stem", stem,
+                     "--dict-n-components", "3"]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert (f"numeric failure: --inputs {paths[0]} {paths[1]}: the sources' cross "
+            "moment X_0^T X_0 is not finite as f64; refusing to write") in err
+    assert not list(tmp_path.glob("joint*"))
+
+
 def test_subset_file_bad_token_names_file_and_line(tmp_path, capsys):
     labels_path = str(tmp_path / "labels.txt")
     write_labels(np.array([1, 1, 2, 3]), labels_path)

@@ -119,6 +119,7 @@ def valid(tmp_path_factory):
                  "--out", files["codes.ucsm"]]) == 0
     files["mutant"] = str(d / "mutant.txt")
     files["mutant.ucsm"] = str(d / "mutant.ucsm")
+    files["joint"] = str(d / "joint")
     return files
 
 
@@ -155,6 +156,8 @@ def _commands(files, name):
            "--dict-n-components", "3"]
     reduce = ["preprocess", "--input", f["pool.ucsm"], "--out", f["out.ucsm"],
               "--dict-pca-dim", "4"]
+    joint = ["joint-fit", "--inputs", f["pool.ucsm"], f["codes.ucsm"],
+             "--out-stem", f["joint"], "--dict-n-components", "3"]
     return {
         "labels.txt": [
             ["spectrum", "--labels", f["labels.txt"]],
@@ -174,8 +177,8 @@ def _commands(files, name):
             ["spectrum", "--config", f["run.cfg"], "--labels", f["labels.txt"]],
         ],
         "dict.ucsm": [encode],
-        "codes.ucsm": [cluster, select],
-        "pool.ucsm": [encode, cluster, select, fit, reduce],
+        "codes.ucsm": [cluster, select, joint],
+        "pool.ucsm": [encode, cluster, select, fit, reduce, joint],
     }[name]
 
 

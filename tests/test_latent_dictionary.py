@@ -1,14 +1,11 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stdout_at_blas_threads
 from ucs import latent_dictionary
 from ucs.errors import DegenerateInput, MisalignedSources, NonFiniteValue
 from ucs.latent_dictionary import (
@@ -505,14 +502,7 @@ for name, value in (("reduced", reduced), ("scaler.mean", scaler.mean),
 
 
 def test_preprocess_and_dictionary_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(latent_dictionary.__file__).resolve().parents[1])
-    outputs = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
-                              capture_output=True, text=True, check=True)
-        outputs[threads] = proc.stdout.splitlines()
+    outputs = stdout_at_blas_threads(_THREAD_SCRIPT)
     assert len(outputs["1"]) == 9
     assert outputs["1"] == outputs["2"]
 
@@ -525,4 +515,13 @@ def test_fit_dictionary_refuses_a_gram_matrix_that_overflows(value):
     pool[4, 2] = value
     with pytest.raises(NonFiniteValue, match="^the pool's E\\^T E is not finite"):
         fit_dictionary(pool, n_atoms=3)
+
+
+def test_fit_joint_dictionary_refuses_cross_moments_that_overflow():
+    # X_1^T X_1 is finite; X_0^T X_0 holds 1e320 and overflows
+    rng = np.random.default_rng(4)
+    sources = [rng.standard_normal((30, 6)), rng.standard_normal((30, 4))]
+    sources[0][4, 2] = 1e160
+    with pytest.raises(NonFiniteValue, match="^the sources' cross moment X_0\\^T X_0 "):
+        fit_joint_dictionary(sources, n_atoms=3)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stdout_at_blas_threads
 import ucs.clustering
 from ucs.clustering import cosine_distance_matrix
 from ucs.coverage import CoverageTracker, SgtConfig, corpus_prior, coverage_phi
@@ -54,39 +56,93 @@ def test_dpp_kernel_orthogonal_rows():
     assert np.allclose(np.diag(kernel), np.e + 1e-8, atol=1e-12)
 
 
+def _padded_gram(unit):
+    """unit @ unit.T taken over the rows zero-padded to a multiple of 64,
+    the product dpp_kernel is defined by; the unpadded product's bits can
+    depend on the BLAS thread count when N is not a multiple of 64."""
+    n = len(unit)
+    padded = np.vstack([unit, np.zeros((-n % 64, unit.shape[1]))])
+    return (padded @ padded.T)[:n, :n]
+
+
 def test_dpp_kernel_elementwise_recomputation():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((12, 5))
     scale = 0.37
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-    want = np.exp(scale * (unit @ unit.T))
+    want = np.exp(scale * _padded_gram(unit))
     want = (want + want.T) / 2.0 + 1e-8 * np.eye(12)
     assert np.array_equal(dpp_kernel(x, scale), want)
 
 
 def _dpp_kernel_inputs():
     rng = np.random.default_rng(5)
-    for n in (1, 2, 511, 513, 1025):
+
+    def layouts(n):
         x = rng.standard_normal((n, 7))
         yield pytest.param(x, id=f"C{n}")
         yield pytest.param(np.asfortranarray(x), id=f"F{n}")
         yield pytest.param(rng.standard_normal((2 * n, 7))[::2], id=f"strided{n}")
+
+    for n in (1, 2, 511, 513, 1025):
+        yield from layouts(n)
     base = rng.standard_normal((300, 5))
     base[[3, 70, 299]] = 0.0
     yield pytest.param(np.vstack([base, base[::3], np.zeros((4, 5))]), id="dup_zero")
+    # no padding at these sizes, so the reference is numpy's own unit @ unit.T
+    for n in (512, 1024):
+        yield from layouts(n)
 
 
 @pytest.mark.parametrize("x", list(_dpp_kernel_inputs()))
 def test_dpp_kernel_exactly_symmetric(x):
-    # Symmetry rests on numpy evaluating unit @ unit.T as one symmetric
-    # update; sizes straddle 512 and 1024, layouts are C, F and strided.
+    # Symmetry rests on every entry being the same dot product wherever the
+    # strips put it; sizes straddle 512 and 1024, layouts are C, F and strided.
     scale = 0.37
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     unit = np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), 0.0)
-    want = np.exp(scale * (unit @ unit.T)) + 1e-8 * np.eye(len(x))
+    want = np.exp(scale * _padded_gram(unit)) + 1e-8 * np.eye(len(x))
     kernel = dpp_kernel(x, scale)
     assert np.array_equal(kernel, kernel.T)
     assert np.array_equal(kernel, want)
+
+
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from ucs.selection import SelectionConfig, dpp_kernel, select
+from ucs.synth_oracle import Population, sample_labels, sample_pool
+
+for n in (511, 999, 1003):
+    x = np.random.default_rng(n).standard_normal((n, 64))
+    print(n, hashlib.sha256(dpp_kernel(x).tobytes()).hexdigest())
+x, _ = sample_pool(Population.zipf(50, 1.1), 1003, dim=64, spread=0.3, seed=24)
+labels = sample_labels(Population.zipf(100, 0.8), 1003, 24)
+result = select(x, labels, SelectionConfig(budget=50, lam=0.1, base="dpp"))
+print(repr([(r.index, r.base_gain, r.coverage_term, r.total) for r in result.records]))
+"""
+
+
+def test_dpp_kernel_and_selection_do_not_depend_on_blas_threads():
+    # At these N the unpadded unit @ unit.T differed by 1 ulp between one
+    # and two threads, and that moved step 35's base_gain in the selection.
+    outputs = stdout_at_blas_threads(_THREAD_SCRIPT)
+    assert len(outputs["1"]) == 4
+    assert outputs["1"] == outputs["2"]
+
+
+def test_dpp_kernel_peak_memory():
+    # The N x N result, the padded unit rows and one small product: no
+    # second N x N array and no N-row temporary besides the padded rows.
+    n = 2000
+    x = np.random.default_rng(7).standard_normal((n, 64))
+    tracemalloc.start()
+    try:
+        dpp_kernel(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 + 2 * 2**20, (peak - n * n * 8) / 2**20
 
 
 def test_dpp_kernel_positive_definite():
