@@ -37,6 +37,7 @@ from .coverage import (
 from .errors import (
     ConfigError,
     DegenerateInput,
+    EmptyMask,
     MissingInput,
     NonFiniteValue,
     ParseError,
@@ -105,32 +106,34 @@ def _non_negative_int(text: str) -> int:
 _COUNT = (">= 1", lambda v: v >= 1)  # every int key but seed counts something
 _POSITIVE = ("> 0", lambda v: v > 0)
 _SGT_READERS = ("estimate", "select", "synth")
+_DBSCAN = ("dict_dbscan", "dbscan")
 
 # The flat config-file schema; names follow the hyperparameter tables. Each
-# key maps to (default, rule, ok, commands): the default's type is the key's
-# type (floats must be finite), "<key> must be <rule>" unless ok(value), and
-# commands read the key besides pipeline, which reads every key. A command's
-# config flags and its manifests' config.* entries are the keys it reads.
+# key maps to (default, rule, ok, commands, variants): the default's type is
+# the key's type (floats must be finite), "<key> must be <rule>" unless
+# ok(value), commands read the key besides pipeline, which reads every key,
+# and of the select bases and cluster methods, variants read it. A command's
+# flags are the keys it reads; a manifest's config.* those its variant reads.
 CONFIG_KEYS: dict[str, tuple] = {
-    "budget": (10, *_COUNT, ("select",)),
-    "dict_n_components": (64, *_COUNT, ("dict-fit", "joint-fit")),
-    "dict_alpha": (10.0, *_POSITIVE, ("dict-fit", "dict-encode", "joint-fit")),
-    "dict_pca_dim": (128, *_COUNT, ("preprocess",)),
-    "dbscan_k": (20, *_COUNT, ("cluster",)),
-    "dbscan_q": (0.01, "in [0, 1]", lambda v: 0 <= v <= 1, ("cluster",)),
-    "dbscan_min_samples": (1, *_COUNT, ("cluster",)),
-    "sgt_lambda": (0.1, ">= 0", lambda v: v >= 0, ("select",)),
-    "sgt_t": (5.0, *_POSITIVE, _SGT_READERS),
-    "sgt_bin_size": (20, *_COUNT, _SGT_READERS),
-    "sgt_offset": (1.0, "in [1, 2]", lambda v: 1 <= v <= 2, _SGT_READERS),
-    "votek_k": (3, *_COUNT, ("select",)),
-    "dpp_scale_factor": (0.1, *_POSITIVE, ("select",)),
-    "candidate_num": (50, *_COUNT, ("select",)),
+    "budget": (10, *_COUNT, ("select",), BASE_SELECTORS),
+    "dict_n_components": (64, *_COUNT, ("dict-fit", "joint-fit"), ()),
+    "dict_alpha": (10.0, *_POSITIVE, ("dict-fit", "dict-encode", "joint-fit"), ()),
+    "dict_pca_dim": (128, *_COUNT, ("preprocess",), ()),
+    "dbscan_k": (20, *_COUNT, ("cluster",), _DBSCAN),
+    "dbscan_q": (0.01, "in [0, 1]", lambda v: 0 <= v <= 1, ("cluster",), _DBSCAN),
+    "dbscan_min_samples": (1, *_COUNT, ("cluster",), _DBSCAN),
+    "sgt_lambda": (0.1, ">= 0", lambda v: v >= 0, ("select",), BASE_SELECTORS),
+    "sgt_t": (5.0, *_POSITIVE, _SGT_READERS, BASE_SELECTORS),
+    "sgt_bin_size": (20, *_COUNT, _SGT_READERS, BASE_SELECTORS),
+    "sgt_offset": (1.0, "in [1, 2]", lambda v: 1 <= v <= 2, _SGT_READERS, BASE_SELECTORS),
+    "votek_k": (3, *_COUNT, ("select",), ("votek", "B1", "B2")),
+    "dpp_scale_factor": (0.1, *_POSITIVE, ("select",), ("dpp",)),
+    "candidate_num": (50, *_COUNT, ("select",), ("subset_utility",)),
     "seed": (42, "any integer", lambda v: True,
-             ("dict-fit", "joint-fit", "select", "synth")),
-    "n_runs": (3, *_COUNT, ()),
+             ("dict-fit", "joint-fit", "select", "synth"), ("subset_utility",)),
+    "n_runs": (3, *_COUNT, (), ()),
     "clustering": ("dict_dbscan", "one of " + ", ".join(CLUSTERING_METHODS),
-                   lambda v: v in CLUSTERING_METHODS, ("cluster",)),
+                   lambda v: v in CLUSTERING_METHODS, ("cluster",), CLUSTERING_METHODS),
 }
 CONFIG_DEFAULTS = {key: row[0] for key, row in CONFIG_KEYS.items()}
 CONFIG_TYPES: dict[str, Callable[[str], object]] = {
@@ -159,7 +162,7 @@ def check_config(cfg: dict, where: str = "") -> None:
     """Raise a ConfigError, prefixed with where, naming the first key of cfg
     whose value has the wrong type, is not finite (float keys) or breaks its
     rule."""
-    for key, (default, rule, ok, _) in CONFIG_KEYS.items():
+    for key, (default, rule, ok, *_) in CONFIG_KEYS.items():
         if key not in cfg:
             continue
         value = cfg[key]
@@ -208,10 +211,12 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
-def _config_used(cfg: dict, command: str) -> dict[str, object]:
-    """cfg's values of the keys command reads, in CONFIG_KEYS order."""
-    return {key: cfg[key] for key, (*_, commands) in CONFIG_KEYS.items()
-            if command == "pipeline" or command in commands}
+def _config_used(cfg: dict, command: str, variant: str | None = None) -> dict[str, object]:
+    """cfg's values of the keys command reads, in CONFIG_KEYS order; given a
+    variant (select's base, cluster's method), only those the variant reads."""
+    return {key: cfg[key] for key, (*_, commands, variants) in CONFIG_KEYS.items()
+            if command == "pipeline"
+            or (command in commands and (variant is None or variant in variants))}
 
 
 def _input_hashes(inputs: dict[str, str]) -> dict[str, str]:
@@ -228,9 +233,8 @@ def _stage_manifest(
     extra: dict[str, str] | None = None,
 ) -> None:
     entries: dict[str, str] = {"stage": stage}
-    for key in sorted(cfg_used):
-        entries[f"config.{key}"] = repr(cfg_used[key]) if isinstance(
-            cfg_used[key], float) else str(cfg_used[key])
+    entries.update({f"config.{key}": repr(value) if isinstance(value, float) else str(value)
+                    for key, value in cfg_used.items()})
     entries.update(_input_hashes(inputs))
     # Float artifacts can depend on the BLAS thread count and numpy version.
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -344,10 +348,13 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
 
 def stage_preprocess(args, cfg) -> None:
     if args.bundle is not None:
-        pool = np.stack([
-            pool_tokens(hidden, mask, args.pooling)
-            for _, hidden, mask in read_token_bundle(args.bundle)
-        ])
+        rows = []
+        for stem, hidden, mask in read_token_bundle(args.bundle):
+            try:
+                rows.append(pool_tokens(hidden, mask, args.pooling))
+            except EmptyMask as exc:
+                raise EmptyMask(f"--bundle {args.bundle}: {stem}: {exc}") from None
+        pool = np.stack(rows)
         inputs: dict[str, str] = {}
     else:
         pool = read_matrix(args.input)
@@ -434,8 +441,10 @@ def stage_cluster(args, cfg) -> None:
     }
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
-    _stage_manifest(args.out, "cluster", _config_used(cfg, "cluster"),
-                    {"input": args.input}, extra)
+    # --eps stands in for the eps that dbscan_k and dbscan_q set
+    used = {k: v for k, v in _config_used(cfg, "cluster", cfg["clustering"]).items()
+            if args.eps is None or k not in ("dbscan_k", "dbscan_q")}
+    _stage_manifest(args.out, "cluster", used, {"input": args.input}, extra)
     print(f"{assignment.n_clusters} clusters over {x.shape[0]} points")
 
 
@@ -456,13 +465,11 @@ def stage_prior(args, cfg) -> None:
 
 def stage_select(args, cfg) -> None:
     """One selection per --out, the r-th with seed seed + r, each with its
-    CSV and manifest.
-
-    Only subset_utility draws from the seed; every other selector is run
-    once and its result written under each seed.
-    """
-    seeded = args.base == "subset_utility"
-    if args.query_row is not None and not seeded:
+    CSV and manifest. A base that does not read the seed (CONFIG_KEYS) runs
+    once, its result written under each out with no seed= in the manifest."""
+    used = _config_used(cfg, "select", args.base)
+    seeded = "seed" in used
+    if args.query_row is not None and args.base != "subset_utility":
         raise ConfigError(
             "--query-row applies only to --base subset_utility; "
             f"--base {args.base} would ignore it"
@@ -498,10 +505,10 @@ def stage_select(args, cfg) -> None:
                             candidate_num=int(cfg["candidate_num"]),
                             query_row=args.query_row)
         _write_selection_csv(out, result)
-        _stage_manifest(out, "select", _config_used(cfg, "select"), {}, {
+        _stage_manifest(out, "select", used, {}, {
             **hashes,
             "base": args.base,
-            "seed": str(seed),
+            **({"seed": str(seed)} if seeded else {}),
             "phi": _fmt(result.phi),
             "k_seen": str(result.k_seen),
             "u_hat": _fmt(result.u_hat),
@@ -518,17 +525,13 @@ def stage_analyze(args, cfg) -> None:
     selections = [_read_selection_csv(p, labels.size, args.labels) for p in args.selections]
     stats = cluster_stats(labels)
     report = exposure_metrics(labels, selections)
-    rows: list[tuple[str, str]] = []
-    for k in range(1, 9):
-        rows.append((f"size_{k}_mass", str(stats.size_mass[k])))
-    rows.append(("top_sizes", " ".join(str(s) for s in stats.top_sizes)))
-    rows.append(("n_selections", str(report.n_selections)))
-    rows.append(("uniq_clusters",
-                 f"{report.uniq_clusters:.4f} +/- {report.uniq_std:.4f}"))
-    rows.append(("mean_cluster_size",
-                 f"{report.mean_cluster_size:.4f} +/- {report.size_std:.4f}"))
-    rows.append(("mean_inv_size",
-                 f"{report.mean_inv_size:.4f} +/- {report.inv_std:.4f}"))
+    rows = [(f"size_{k}_mass", str(stats.size_mass[k])) for k in range(1, 9)] + [
+        ("top_sizes", " ".join(str(s) for s in stats.top_sizes)),
+        ("n_selections", str(report.n_selections)),
+        ("uniq_clusters", f"{report.uniq_clusters:.4f} +/- {report.uniq_std:.4f}"),
+        ("mean_cluster_size", f"{report.mean_cluster_size:.4f} +/- {report.size_std:.4f}"),
+        ("mean_inv_size", f"{report.mean_inv_size:.4f} +/- {report.inv_std:.4f}"),
+    ]
     _write_table(args.out, rows)
     if args.out:
         inputs = {"labels": args.labels}

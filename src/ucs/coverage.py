@@ -297,7 +297,7 @@ class CoverageTracker:
         self._cluster_count[row] += 1
 
 
-PRIOR_EPS = 1e-6  # CorpusPrior's eps
+PRIOR_EPS = 1e-6  # added to p(s) here and to g_hat(s) in B2's bonus
 
 
 @dataclass
@@ -306,19 +306,16 @@ class CorpusPrior:
 
     The probability mass of a size-s cluster is p(s) = s*/N with
     s* = (s+1) g_hat(s+1) / g_hat(s) (fallback s* = s when either bin is
-    empty); each cluster gets weight 1/(p(n_u) + eps), normalized to mean 1
-    over the clusters. g_hat is the spectrum's power-law fit, or the raw
-    spectrum when fewer than two bins are nonzero (power_law_fallback).
+    empty); each cluster gets weight 1/(p(n_u) + PRIOR_EPS), normalized to
+    mean 1 over the clusters. g_hat is the spectrum's power-law fit, or the
+    raw spectrum when fewer than two bins are nonzero (power_law_fallback);
+    smoothed holds it at s = 1..max size + 1.
     """
 
     weights: dict[int, float]
     sizes: dict[int, int]
-    spectrum: dict[int, int]
     smoothed: dict[int, float]
-    s_star: dict[int, float]
-    mass: dict[int, float]  # size -> p(size)
     power_law_fallback: bool
-    eps: float
 
     def log_weight(self, cluster: int) -> float:
         return math.log(self.weights[cluster])
@@ -334,24 +331,16 @@ def corpus_prior(labels: np.ndarray) -> CorpusPrior:
     if fallback:
         smoothed = {s: float(spectrum.get(s, 0)) for s in range(1, max_size + 2)}
 
-    s_star: dict[int, float] = {}
-    mass: dict[int, float] = {}
-    for s in sorted(set(sizes.values())):
+    mass: dict[int, float] = {}  # size s -> p(s) = s* / N
+    for s in set(sizes.values()):
         g_s, g_next = smoothed.get(s, 0.0), smoothed.get(s + 1, 0.0)
-        star = (s + 1) * g_next / g_s if g_s > 0 and g_next > 0 else float(s)
-        s_star[s] = star
-        mass[s] = star / n_examples if n_examples else 0.0
-
+        mass[s] = ((s + 1) * g_next / g_s if g_s > 0 and g_next > 0 else s) / n_examples
     raw = {u: 1.0 / (mass[s] + PRIOR_EPS) for u, s in sizes.items()}
     scale = (sum(raw.values()) / len(raw)) if raw else 1.0
     weights = {u: w / scale for u, w in raw.items()}
     return CorpusPrior(
         weights=weights,
         sizes=sizes,
-        spectrum=spectrum,
         smoothed=smoothed,
-        s_star=s_star,
-        mass=mass,
         power_law_fallback=fallback,
-        eps=PRIOR_EPS,
     )

@@ -282,7 +282,8 @@ def write_token_bundle(
 
 
 def read_token_bundle(directory: str | os.PathLike) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Read a token bundle; returns (stem, hidden T x d, mask T) sorted by stem."""
+    """Read a token bundle; returns (stem, hidden T x d, mask T) sorted by stem,
+    every d the first example's."""
     d = Path(directory)
     if not d.is_dir():
         raise MissingInput(f"token bundle directory not found: {directory}")
@@ -292,6 +293,11 @@ def read_token_bundle(directory: str | os.PathLike) -> list[tuple[str, np.ndarra
     out = []
     for stem in stems:
         hidden = read_matrix(d / f"{stem}{TOKENS_SUFFIX}")
+        if out and hidden.shape[1] != out[0][1].shape[1]:
+            raise DimensionOverflow(
+                f"{directory}/{stem}{TOKENS_SUFFIX}: {hidden.shape[1]} columns, but "
+                f"{directory}/{out[0][0]}{TOKENS_SUFFIX} has {out[0][1].shape[1]}"
+            )
         mask = read_matrix(d / f"{stem}{MASK_SUFFIX}")
         if mask.shape != (hidden.shape[0], 1):
             raise DimensionOverflow(

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import k_nearest
-from .coverage import CorpusPrior, CoverageTracker, SgtConfig, corpus_prior, coverage_phi, row_set
+from .coverage import (PRIOR_EPS, CorpusPrior, CoverageTracker, SgtConfig, corpus_prior,
+                       coverage_phi, row_set)
 from .errors import EmptyCandidateList, SingularKernel
 from .preprocess import l2_normalize_rows
 
@@ -469,11 +470,12 @@ def select(
     set to the value unit (or zero) rows have in exact arithmetic. votek:
     votek_ucs_select with corpus_prior(labels). B1, B2: VoteK plus lambda
     times a rarity bonus from corpus_prior(labels), 1 / n_c(i) for B1 and
-    log(C_total / (g_hat(n_c(i)) + eps)) from the smoothed corpus spectrum
-    for B2. subset_utility: subset_utility_ucs over candidate_num subsets
-    drawn with seed by sample_candidate_subsets around pool row query_row
-    (default: the mean of the unit rows), scored by redundancy_utility. Only
-    subset_utility reads seed, candidate_num and query_row.
+    log(C_total / (g_hat(n_c(i)) + PRIOR_EPS)) from the smoothed corpus
+    spectrum for B2. subset_utility: subset_utility_ucs over candidate_num
+    subsets drawn with seed by sample_candidate_subsets around pool row
+    query_row (default: the mean of the unit rows), scored by
+    redundancy_utility. Only subset_utility reads seed, candidate_num and
+    query_row.
 
     Raises ValueError unless labels has one entry per row of x and the
     budget is at most the number of rows, and for a query_row that another
@@ -503,7 +505,7 @@ def select(
             size = prior.sizes[cluster]
             if cfg.base == "B1":
                 return 1.0 / size
-            return math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
+            return math.log(c_total / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
 
         bonus = _per_cluster(labels, rarity)
         return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)

@@ -181,6 +181,32 @@ def test_command_config_flags_are_unchanged():
         assert flags == _LEGACY_COMMAND_KEYS[name], name
 
 
+# The config.* keys of each manifest, by the run that writes it: a command,
+# "cluster:<method>[:eps]" (cluster with --eps) or "select:<base>".
+_SGT_KEYS = {"budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset"}
+_DBSCAN_KEYS = {"clustering", "dbscan_k", "dbscan_q", "dbscan_min_samples"}
+_MANIFEST_KEYS = {
+    "ingest": set(),
+    "synth": {"seed"},
+    "preprocess": {"dict_pca_dim"},
+    "dict-fit": {"dict_n_components", "dict_alpha", "seed"},
+    "dict-encode": {"dict_alpha"},
+    "joint-fit": {"dict_n_components", "dict_alpha", "seed"},
+    "cluster:dict_dbscan": _DBSCAN_KEYS,
+    "cluster:dbscan": _DBSCAN_KEYS,
+    "cluster:dict_argmax": {"clustering"},
+    "cluster:dict_dbscan:eps": {"clustering", "dbscan_min_samples"},
+    "cluster:dbscan:eps": {"clustering", "dbscan_min_samples"},
+    "prior": set(),
+    "select:dpp": _SGT_KEYS | {"dpp_scale_factor"},
+    "select:votek": _SGT_KEYS | {"votek_k"},
+    "select:subset_utility": _SGT_KEYS | {"candidate_num", "seed"},
+    "select:B1": _SGT_KEYS | {"votek_k"},
+    "select:B2": _SGT_KEYS | {"votek_k"},
+    "analyze": set(),
+}
+
+
 def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
     pool_path, _ = _write_pool(tmp_path, n=30, k=5, dim=6, seed=5)
     wd = tmp_path / "w"
@@ -204,10 +230,115 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
             stages.add(stage)
             used = {k[len("config."):] for k in manifest if k.startswith("config.")}
             # synth's pool mode reads only the seed; its oracle mode, like
-            # spectrum and estimate, writes no manifest.
-            expected = {"seed"} if stage == "synth" else _LEGACY_COMMAND_KEYS[stage]
+            # spectrum and estimate, writes no manifest. Select and cluster
+            # manifests list the keys of their base and method (votek and
+            # dict_dbscan here), the others every key their command reads.
+            expected = ({"seed"} if stage == "synth" else
+                        _MANIFEST_KEYS[f"select:{manifest['base']}"] if stage == "select" else
+                        _MANIFEST_KEYS[f"cluster:{manifest['config.clustering']}"]
+                        if stage == "cluster" else _LEGACY_COMMAND_KEYS[stage])
             assert used == expected, name
     assert stages == set(_LEGACY_COMMAND_KEYS) - {"spectrum", "estimate", "pipeline"}
+    capsys.readouterr()
+
+
+# The config of the perturbation runs, and for each key another valid value
+# that can matter on their pool.
+_PERTURBED_CFG = dict(CONFIG_DEFAULTS, dict_pca_dim=12, dict_n_components=16,
+                      dbscan_k=5, dbscan_q=0.9, budget=24, sgt_t=2.0, n_runs=2)
+_BUMPS = {"budget": 12, "dict_n_components": 6, "dict_alpha": 0.5, "dict_pca_dim": 6,
+          "dbscan_k": 3, "dbscan_q": 0.6, "dbscan_min_samples": 4, "sgt_lambda": 5.0,
+          "sgt_t": 3.0, "sgt_bin_size": 1, "sgt_offset": 2.0, "votek_k": 8,
+          "dpp_scale_factor": 3.0, "candidate_num": 3, "seed": 7, "n_runs": 1}
+
+
+def _perturbed_stage(stage, pool, w, out):
+    """(argv, cfg) that run stage alone on the artifacts in w, writing into
+    out; stage is a command, "cluster:<method>[:eps]" or "select:<base>"."""
+    command, _, variant = stage.partition(":")
+    method, _, eps = variant.partition(":")
+    runs = [str(w / "select_run00.csv"), str(w / "select_run01.csv")]
+    argv = {
+        "ingest": ["--input", pool, "--out", str(out / "pool.ucsm")],
+        "synth": ["--k-types", "5", "--n", "30", "--out-stem", str(out / "syn")],
+        "preprocess": ["--input", pool, "--out", str(out / "pool_reduced.ucsm")],
+        "dict-fit": ["--input", str(w / "pool_reduced.ucsm"), "--out", str(out / "dict.ucsm")],
+        "dict-encode": ["--dict", str(w / "dict.ucsm"), "--input", str(w / "pool_reduced.ucsm"),
+                        "--out", str(out / "codes.ucsm")],
+        "joint-fit": ["--inputs", str(w / "pool_reduced.ucsm"), str(w / "codes.ucsm"),
+                      "--out-stem", str(out / "joint"), "--max-iter", "3"],
+        "cluster": ["--input", str(w / ("pool_reduced.ucsm" if method == "dbscan" else
+                                        "codes.ucsm")),
+                    "--out", str(out / "labels.txt")],
+        "prior": ["--labels", str(w / "labels.txt"), "--out", str(out / "prior.csv")],
+        "select": ["--embeddings", str(w / "pool_reduced.ucsm"), "--labels",
+                   str(w / "labels.txt"), "--base", variant, "--out", str(out / "sel.csv")],
+        "analyze": ["--labels", str(w / "labels.txt"), "--out", str(out / "report.txt"),
+                    "--selections", *runs],
+    }[command]
+    if eps:
+        argv += ["--eps", read_manifest(w / "labels.txt.manifest.txt")["eps"]]
+    cfg = dict(_PERTURBED_CFG, **({"clustering": method} if command == "cluster" else {}))
+    return [command, *argv], cfg
+
+
+def _outputs(out, drop_lines=()):
+    """Each file in out as bytes; a manifest without its timestamp= line and
+    the lines that start with one of drop_lines."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = (out / name).read_bytes()
+        if name.endswith(".manifest.txt"):
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith((b"timestamp=", *drop_lines)))
+        files[name] = data
+    return files
+
+
+@pytest.fixture(scope="module")
+def perturbed_workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("perturb")
+    x = sample_pool(Population.zipf(40, 0.5), 200, dim=16, spread=0.05, seed=3)[0]
+    pool = str(root / "pool.ucsm")
+    write_matrix(x, pool)
+    run_pipeline(_PERTURBED_CFG, pool, str(root / "w"), list(PIPELINE_STAGES), "votek")
+    return pool, root / "w"
+
+
+@pytest.mark.parametrize("stage", _MANIFEST_KEYS)
+def test_manifests_list_exactly_the_keys_that_move_the_run(perturbed_workdir, tmp_path,
+                                                           capsys, stage):
+    # Each config key is bumped alone. A key the manifest leaves out must
+    # leave the stage's files byte-identical, manifests but for timestamp=;
+    # a listed key must change a file other than by its own manifest lines.
+    pool, w = perturbed_workdir
+
+    def run(name, bump=None):
+        out = tmp_path / name
+        out.mkdir()
+        argv, cfg = _perturbed_stage(stage, pool, w, out)
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in {**cfg, **(bump or {})}.items()))
+        assert main([*argv, "--config", str(path)]) == 0, (stage, bump)
+        return out, cfg
+
+    base, cfg = run("base")
+    manifests = [name for name in os.listdir(base) if name.endswith(".manifest.txt")]
+    assert len(manifests) == 1
+    listed = {k[len("config."):] for k in read_manifest(base / manifests[0])
+              if k.startswith("config.")}
+    assert listed == _MANIFEST_KEYS[stage]
+    # dbscan and dict_dbscan agree on these codes, so each moves to dict_argmax
+    bumps = dict(_BUMPS, clustering="dict_argmax" if cfg["clustering"] != "dict_argmax"
+                 else "dict_dbscan")
+    for key in CONFIG_KEYS:
+        assert bumps[key] != cfg[key], key
+        bumped, _ = run(key, {key: bumps[key]})
+        if key not in listed:
+            assert _outputs(bumped) == _outputs(base), (stage, key)
+            continue
+        own = (f"config.{key}=".encode(), *((b"seed=",) if key == "seed" else ()))
+        assert _outputs(bumped, own) != _outputs(base, own), (stage, key)
     capsys.readouterr()
 
 
@@ -283,11 +414,12 @@ def test_readme_config_table_matches_config_keys():
     rows = {}
     for line in section.splitlines():
         if line.startswith("| `"):
-            key, default, rule = (cell.strip().replace("`", "")
-                                  for cell in line.strip("|").split("|")[:3])
-            rows[key] = (default, rule)
-    assert rows == {key: (str(default), rule)
-                    for key, (default, rule, *_) in ucs.cli.CONFIG_KEYS.items()}
+            key, default, rule, readers = (cell.strip().replace("`", "")
+                                           for cell in line.strip("|").split("|")[:4])
+            rows[key] = (default, rule,
+                         () if readers == "—" else tuple(readers.split(", ")))
+    assert rows == {key: (str(default), rule, variants) for key, (default, rule, *_, variants)
+                    in ucs.cli.CONFIG_KEYS.items()}
     assert list(rows) == list(CONFIG_DEFAULTS)
 
 
@@ -388,6 +520,34 @@ def test_preprocess_bundle_pooling_is_pool_tokens(tmp_path, capsys, mode):
     assert np.array_equal(read_matrix(out), preprocess_pool(pooled, d_prime=4)[0])
     assert read_manifest(out + ".manifest.txt")["pooling"] == mode
     capsys.readouterr()
+
+
+def _six_example_bundle(tmp_path, wide=None, empty=None):
+    """Six 5 x 8 examples; example `wide` 5 x 9, example `empty`'s mask 0."""
+    rng = np.random.default_rng(4)
+    examples = [(rng.standard_normal((5, 9 if i == wide else 8)),
+                 np.zeros(5) if i == empty else np.ones(5)) for i in range(6)]
+    write_token_bundle(tmp_path / "bundle", examples)
+    return str(tmp_path / "bundle")
+
+
+def test_preprocess_bundle_of_mixed_widths_names_the_example(tmp_path, capsys):
+    bundle = _six_example_bundle(tmp_path, wide=3)
+    out = tmp_path / "reduced.ucsm"
+    assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {bundle}/ex000003.tokens.ucsm: 9 columns, but "
+            f"{bundle}/ex000000.tokens.ucsm has 8") in err
+    assert not out.exists()
+
+
+def test_preprocess_bundle_with_an_empty_mask_names_the_example(tmp_path, capsys):
+    bundle = _six_example_bundle(tmp_path, empty=4)
+    out = tmp_path / "reduced.ucsm"
+    assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --bundle {bundle}: ex000004: mask sums to zero; no tokens to pool" in err
+    assert not out.exists()
 
 
 def test_joint_fit_latent_dim_and_fix_maps_are_library_options(tmp_path, capsys):
@@ -1354,7 +1514,9 @@ def test_pipeline_runs_seed_blind_selectors_once(tmp_path, capsys, monkeypatch, 
                      "--config", str(cfg), "--seed", str(seed)] + extra) == 0
         got = tmp_path / "w" / name
         assert got.read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
-        assert read_manifest(f"{got}.manifest.txt")["seed"] == str(seed)
+        # only subset_utility reads the seed, so only its manifests record one
+        assert (read_manifest(f"{got}.manifest.txt").get("seed")
+                == (str(seed) if base == "subset_utility" else None))
         assert read_manifest(f"{got}.manifest.txt")["base"] == base
         assert read_manifest(f"{ref}.manifest.txt")["base"] == base
     capsys.readouterr()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ucs import coverage
 from ucs.coverage import (
+    PRIOR_EPS,
     CoverageTracker,
     SgtConfig,
     corpus_prior,
@@ -290,14 +291,15 @@ def test_gains_if_added_bit_equal_to_gain_if_added(cfg):
 
 
 def test_corpus_prior_hand_case():
-    # the power-law fit through (1, 2) and (2, 1) is exact: g_hat(s) = 2/s
+    # the power-law fit through the spectrum {1: 2, 2: 1} is exact:
+    # g_hat(s) = 2/s, so s* = (s+1) g_hat(s+1) / g_hat(s) is 1 at s = 1 and
+    # 2 at s = 2, and p(s) = s*/N is 0.25 and 0.5 at N = 4
     prior = corpus_prior(np.array([1, 1, 2, 3]))
     assert prior.sizes == {1: 2, 2: 1, 3: 1}
-    assert prior.spectrum == {1: 2, 2: 1}
-    assert prior.s_star[1] == pytest.approx(1.0)
-    assert prior.s_star[2] == pytest.approx(2.0)  # 3 * g_hat(3) / g_hat(2)
-    assert prior.mass[1] == pytest.approx(0.25)
-    assert prior.mass[2] == pytest.approx(0.5)
+    assert prior.smoothed == pytest.approx({1: 2.0, 2: 1.0, 3: 2 / 3})
+    raw = {1: 1 / (0.5 + PRIOR_EPS), 2: 1 / (0.25 + PRIOR_EPS), 3: 1 / (0.25 + PRIOR_EPS)}
+    mean = sum(raw.values()) / len(raw)
+    assert prior.weights == pytest.approx({c: w / mean for c, w in raw.items()}, rel=1e-12)
     assert prior.weights[2] == pytest.approx(1.2, abs=1e-5)
     assert prior.weights[3] == pytest.approx(1.2, abs=1e-5)
     assert prior.weights[1] == pytest.approx(0.6, abs=1e-5)
@@ -308,7 +310,7 @@ def test_corpus_prior_equal_sizes_unit_weights():
     # one nonzero bin: no fit, the raw spectrum stands in and s* = s
     prior = corpus_prior(np.array([1, 1, 2, 2, 3, 3]))
     assert prior.power_law_fallback
-    assert all(prior.s_star[s] == s for s in prior.s_star)
+    assert prior.smoothed == {1: 0.0, 2: 3.0, 3: 0.0}
     assert all(w == 1.0 for w in prior.weights.values())
 
 

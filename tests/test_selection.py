@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import stdout_at_blas_threads
 import ucs.clustering
 from ucs.clustering import cosine_distance_matrix
-from ucs.coverage import CoverageTracker, SgtConfig, corpus_prior, coverage_phi
+from ucs.coverage import PRIOR_EPS, CoverageTracker, SgtConfig, corpus_prior, coverage_phi
 from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
     BASE_SELECTORS,
@@ -619,7 +619,7 @@ def test_votek_records_match_reference_loop(x, labels, lam):
     bonuses = {
         "ucs": [math.log(prior.weights[int(c)]) for c in labels],
         "B1": [1.0 / size for size in sizes],
-        "B2": [math.log(c_total / (prior.smoothed.get(size, 0.0) + prior.eps))
+        "B2": [math.log(c_total / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
                for size in sizes],
     }
     results = {
@@ -653,7 +653,7 @@ def _select_by_hand(x, labels, cfg, seed, candidate_num):
                                   labels, cfg)
     sizes = [prior.sizes[int(c)] for c in labels]
     bonus = ([1.0 / size for size in sizes] if cfg.base == "B1" else
-             [math.log(len(prior.sizes) / (prior.smoothed.get(size, 0.0) + prior.eps))
+             [math.log(len(prior.sizes) / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
               for size in sizes])
     records = _votek_reference(x, cfg.votek_k, cfg.votek_discount_base, bonus,
                                cfg.lam, cfg.budget)
