@@ -52,6 +52,7 @@ from .latent_dictionary import (
 )
 from .matrix_store import (
     DTYPE_NAMES,
+    bundle_sha256,
     open_file,
     read_labels,
     read_lines,
@@ -259,6 +260,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _singleton_frac(labels: np.ndarray) -> str:
+    """The share of clusters with one row, as the cluster manifest and
+    report.txt write it."""
+    sizes = np.unique(labels, return_counts=True)[1]
+    return _fmt(np.count_nonzero(sizes == 1) / max(sizes.size, 1))
+
+
 def _write_selection_csv(path: str, result: SelectionResult) -> None:
     """One row per selected item: step, index, base_gain, coverage_term,
     total, where total = base_gain + lambda * coverage_term."""
@@ -348,17 +356,24 @@ def _write_table(path: str | None, rows: list[tuple[str, str]]) -> None:
 
 def stage_preprocess(args, cfg) -> None:
     if args.bundle is not None:
+        pooling = args.pooling or "mean"
+        examples = read_token_bundle(args.bundle)
         rows = []
-        for stem, hidden, mask in read_token_bundle(args.bundle):
+        for stem, hidden, mask in examples:
             try:
-                rows.append(pool_tokens(hidden, mask, args.pooling))
-            except EmptyMask as exc:
-                raise EmptyMask(f"--bundle {args.bundle}: {stem}: {exc}") from None
+                rows.append(pool_tokens(hidden, mask, pooling))
+            except (EmptyMask, ValueError) as exc:
+                raise type(exc)(f"--bundle {args.bundle}: {stem}: {exc}") from None
         pool = np.stack(rows)
         inputs: dict[str, str] = {}
+        extra = {"input.bundle.sha256": bundle_sha256(args.bundle, [e[0] for e in examples]),
+                 "pooling": pooling}
     else:
+        if args.pooling is not None:
+            raise ConfigError(f"--pooling applies only to --bundle; "
+                              f"--input {args.input} would ignore it")
         pool = read_matrix(args.input)
-        inputs = {"pool": args.input}
+        inputs, extra = {"pool": args.input}, {}
     standardize = not args.no_standardize
     try:
         reduced = preprocess_pool(
@@ -366,7 +381,11 @@ def stage_preprocess(args, cfg) -> None:
             l2norm=args.l2norm
         )[0]
     except NonFiniteValue as exc:
-        source = f"--input {args.input}" if args.bundle is None else f"--bundle {args.bundle}"
+        if args.bundle is None:
+            source = f"--input {args.input}"
+        else:  # a moment overflows when its largest entries do
+            stem = examples[int(np.abs(pool).max(axis=1).argmax())][0]
+            source = f"--bundle {args.bundle}: {stem} (the example of largest magnitude)"
         raise NonFiniteValue(f"{source}: {exc}; refusing to write") from None
     write_matrix(reduced, args.out)
     _stage_manifest(args.out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
@@ -374,7 +393,7 @@ def stage_preprocess(args, cfg) -> None:
         "cols": str(reduced.shape[1]),
         "standardize": str(standardize),
         "l2norm": str(args.l2norm),
-        "pooling": args.pooling,
+        **extra,
     })
 
 
@@ -424,6 +443,12 @@ def stage_dict_encode(args, cfg) -> None:
 
 
 def stage_cluster(args, cfg) -> None:
+    used = _config_used(cfg, "cluster", cfg["clustering"])
+    if args.eps is not None and "dbscan_q" not in used:
+        raise ConfigError(
+            f"--eps applies only to clustering {' or '.join(CONFIG_KEYS['dbscan_q'][-1])}; "
+            f"clustering {cfg['clustering']} would ignore it"
+        )
     x = read_matrix(args.input)
     assignment = cluster_pool(
         x,
@@ -434,15 +459,14 @@ def stage_cluster(args, cfg) -> None:
         eps_override=args.eps,
     )
     write_labels(assignment.labels, args.out)
-    sizes = np.bincount(assignment.labels)[1:]
     extra = {
         "n_clusters": str(assignment.n_clusters),
-        "singleton_frac": _fmt(np.count_nonzero(sizes == 1) / max(assignment.n_clusters, 1)),
+        "singleton_frac": _singleton_frac(assignment.labels),
     }
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
     # --eps stands in for the eps that dbscan_k and dbscan_q set
-    used = {k: v for k, v in _config_used(cfg, "cluster", cfg["clustering"]).items()
+    used = {k: v for k, v in used.items()
             if args.eps is None or k not in ("dbscan_k", "dbscan_q")}
     _stage_manifest(args.out, "cluster", used, {"input": args.input}, extra)
     print(f"{assignment.n_clusters} clusters over {x.shape[0]} points")
@@ -527,6 +551,7 @@ def stage_analyze(args, cfg) -> None:
     report = exposure_metrics(labels, selections)
     rows = [(f"size_{k}_mass", str(stats.size_mass[k])) for k in range(1, 9)] + [
         ("top_sizes", " ".join(str(s) for s in stats.top_sizes)),
+        ("singleton_frac", _singleton_frac(labels)),
         ("n_selections", str(report.n_selections)),
         ("uniq_clusters", f"{report.uniq_clusters:.4f} +/- {report.uniq_std:.4f}"),
         ("mean_cluster_size", f"{report.mean_cluster_size:.4f} +/- {report.size_std:.4f}"),
@@ -642,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="pooled N x d matrix")
     src.add_argument("--bundle", help="token bundle directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--pooling", choices=POOLING_MODES, default="mean")
+    p.add_argument("--pooling", choices=POOLING_MODES, default=None,
+                   help="how --bundle pools an example's tokens (default: mean)")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--l2norm", action="store_true")
     _add_config_flags(p, "preprocess")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, MisalignedSources, NonFiniteValue
+from .preprocess import _gram
 
 # Relative objective improvement below this stops the alternation.
 REL_TOL = 1e-6
@@ -205,10 +206,7 @@ def fit_dictionary(
     # row SET: permuting the caller's rows changes nothing, not even float
     # summation order. Codes are recovered per caller row via ridge_encode.
     arr = arr[_canonical_row_order(arr)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        second = arr.T @ arr
-    if not np.isfinite(second).all():
-        raise NonFiniteValue("the pool's E^T E is not finite as f64")
+    second = _gram(arr, what="the pool's E^T E")
     dictionary = _init_dictionary(arr, n_atoms, seed)
     del arr
     gram, corr, objective = _moments(dictionary, second, ridge_alpha)
@@ -284,13 +282,8 @@ def fit_joint_dictionary(
     order = _canonical_row_order(mats[0])
     mats = [m[order] for m in mats]
     # Until the codes are solved, the sources enter only as X_m^T X_l.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = [[x.T @ y for y in mats] for x in mats]
-    for m_idx, row in enumerate(cross):
-        for l_idx, moment in enumerate(row):
-            if not np.isfinite(moment).all():
-                raise NonFiniteValue(f"the sources' cross moment X_{m_idx}^T X_{l_idx} "
-                                     "is not finite as f64")
+    cross = [[_gram(x, y, what=f"the sources' cross moment X_{m_idx}^T X_{l_idx}")
+              for l_idx, y in enumerate(mats)] for m_idx, x in enumerate(mats)]
     n_sources = len(mats)
     alpha_eff = ridge_alpha / n_sources
     maps = [np.eye(w, d_c) for w in widths]

@@ -254,7 +254,7 @@ def read_labels(path: str | os.PathLike, noise_label: int | None = None) -> np.n
 # ---------------------------------------------------------------------------
 # Token bundles: a directory of per-example (hidden states, mask) pairs.
 # Example i is stored as <stem>.tokens.ucsm (T_i x d) and <stem>.mask.ucsm
-# (T_i x 1, entries 0/1); examples are ordered by stem.
+# (T_i x 1, a weight >= 0 per token); examples are ordered by stem.
 
 TOKENS_SUFFIX = ".tokens.ucsm"
 MASK_SUFFIX = ".mask.ucsm"
@@ -301,11 +301,22 @@ def read_token_bundle(directory: str | os.PathLike) -> list[tuple[str, np.ndarra
         mask = read_matrix(d / f"{stem}{MASK_SUFFIX}")
         if mask.shape != (hidden.shape[0], 1):
             raise DimensionOverflow(
-                f"{directory}/{stem}: mask shape {mask.shape} does not match "
-                f"{hidden.shape[0]} tokens"
+                f"{directory}/{stem}{MASK_SUFFIX}: shape {mask.shape} does not match "
+                f"the {hidden.shape[0]} tokens of {stem}{TOKENS_SUFFIX}"
             )
         out.append((stem, hidden, mask[:, 0]))
     return out
+
+
+def bundle_sha256(directory: str | os.PathLike, stems: list[str]) -> str:
+    """sha256 over the sorted stems, each followed by the sha256 of its
+    tokens file and of its mask file: what a bundle run consumed."""
+    h = hashlib.sha256()
+    for stem in sorted(stems):
+        h.update(os.fsencode(stem) + b"\0")  # no file name holds a NUL
+        for suffix in (TOKENS_SUFFIX, MASK_SUFFIX):
+            h.update(sha256_file(Path(directory) / f"{stem}{suffix}").encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

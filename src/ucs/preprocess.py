@@ -26,12 +26,10 @@ _NORM_MIN = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Pool one example's token states `hidden` (T x d). mode 'mean' takes
-    the mask-weighted average, 'first' and 'last' the first and the last row
-    whose mask entry is nonzero.
-
-    In every mode the mask needs one entry per token (ValueError) and a
-    positive sum (EmptyMask).
+    """Pool one example's token states `hidden` (T x d) by its mask, a weight
+    per token: mode 'mean' takes the weighted average, 'first' and 'last'
+    the first and the last row of nonzero weight. In every mode the mask
+    needs one weight >= 0 per token (ValueError) and a positive sum (EmptyMask).
     """
     if mode not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
@@ -39,6 +37,9 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     m = np.asarray(mask, dtype=np.float64).ravel()
     if h.shape[0] != m.shape[0]:
         raise ValueError(f"mask length {m.shape[0]} != token count {h.shape[0]}")
+    bad = np.flatnonzero(~(m >= 0))  # negative or nan
+    if bad.size:
+        raise ValueError(f"mask weight {m[bad[0]]} of token {bad[0]} is not >= 0")
     total = m.sum()
     if total <= 0:
         raise EmptyMask("mask sums to zero; no tokens to pool")
@@ -170,17 +171,23 @@ def _check_d_prime(shape: tuple[int, int], d_prime: int) -> None:
         raise ValueError(f"d_prime must be in [1, {limit}] for a {n}x{d} pool, got {d_prime}")
 
 
+def _gram(x: np.ndarray, y: np.ndarray | None = None, *, what: str) -> np.ndarray:
+    """Every pool moment: x^T y, or x^T x (numpy's syrk) without y. NonFiniteValue,
+    "<what> is not finite as f64" and no numpy warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = x.T @ (x if y is None else y)
+    if not np.isfinite(product).all():
+        raise NonFiniteValue(f"{what} is not finite as f64")
+    return product
+
+
 def _fit_centered(centered: np.ndarray, mean: np.ndarray,
                   d_prime: int) -> tuple[PcaBasis, np.ndarray]:
     """fit_pca on the already-centred pool; also returns the scores
     centered @ components, which are basis.transform of the uncentred pool
     bit for bit. NonFiniteValue, with no numpy warning, when X^T X is not
     finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        second = centered.T @ centered
-    if not np.isfinite(second).all():
-        raise NonFiniteValue("the centred pool's X^T X is not finite as f64")
-    _, vecs = np.linalg.eigh(second)
+    _, vecs = np.linalg.eigh(_gram(centered, what="the centred pool's X^T X"))
     components = vecs[:, ::-1][:, :d_prime].copy()  # eigh's order is ascending
     for j in range(d_prime):
         col = components[:, j]

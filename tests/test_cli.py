@@ -30,6 +30,7 @@ from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import (
     read_labels,
     read_matrix,
+    read_token_bundle,
     write_labels,
     write_matrix,
     write_token_bundle,
@@ -313,13 +314,13 @@ def test_manifests_list_exactly_the_keys_that_move_the_run(perturbed_workdir, tm
     # a listed key must change a file other than by its own manifest lines.
     pool, w = perturbed_workdir
 
-    def run(name, bump=None):
+    def run(name, bump=None, code=0):
         out = tmp_path / name
         out.mkdir()
         argv, cfg = _perturbed_stage(stage, pool, w, out)
         path = tmp_path / f"{name}.cfg"
         path.write_text("".join(f"{k}={v}\n" for k, v in {**cfg, **(bump or {})}.items()))
-        assert main([*argv, "--config", str(path)]) == 0, (stage, bump)
+        assert main([*argv, "--config", str(path)]) == code, (stage, bump)
         return out, cfg
 
     base, cfg = run("base")
@@ -333,6 +334,10 @@ def test_manifests_list_exactly_the_keys_that_move_the_run(perturbed_workdir, tm
                  else "dict_dbscan")
     for key in CONFIG_KEYS:
         assert bumps[key] != cfg[key], key
+        if stage.endswith(":eps") and key == "clustering":
+            # dict_argmax reads no eps, so cluster --eps refuses it and writes nothing
+            assert os.listdir(run(key, {key: bumps[key]}, code=2)[0]) == []
+            continue
         bumped, _ = run(key, {key: bumps[key]})
         if key not in listed:
             assert _outputs(bumped) == _outputs(base), (stage, key)
@@ -501,6 +506,7 @@ def test_preprocess_flags_are_preprocess_pool_options(tmp_path, capsys, flags):
     manifest = read_manifest(out + ".manifest.txt")
     assert manifest["standardize"] == str("--no-standardize" not in flags)
     assert manifest["l2norm"] == str("--l2norm" in flags)
+    assert "pooling" not in manifest  # only a --bundle run pools
     capsys.readouterr()
 
 
@@ -547,6 +553,77 @@ def test_preprocess_bundle_with_an_empty_mask_names_the_example(tmp_path, capsys
     assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: --bundle {bundle}: ex000004: mask sums to zero; no tokens to pool" in err
+    assert not out.exists()
+
+
+def test_preprocess_bundle_pools_by_mean_by_default(tmp_path, capsys):
+    bundle = _six_example_bundle(tmp_path)
+    out = str(tmp_path / "reduced.ucsm")
+    assert main(["preprocess", "--bundle", bundle, "--out", out, "--dict-pca-dim", "4"]) == 0
+    examples = read_token_bundle(bundle)
+    pooled = np.stack([pool_tokens(h, m, "mean") for _, h, m in examples])
+    assert np.array_equal(read_matrix(out), preprocess_pool(pooled, d_prime=4)[0])
+    assert read_manifest(out + ".manifest.txt")["pooling"] == "mean"
+    capsys.readouterr()
+
+
+def test_preprocess_pooling_refused_with_input(tmp_path, capsys):
+    # an --input run pools nothing; it used to record pooling=last anyway
+    pool_path, _ = _write_pool(tmp_path)
+    out = tmp_path / "reduced.ucsm"
+    assert main(["preprocess", "--input", pool_path, "--out", str(out),
+                 "--pooling", "last"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: --pooling applies only to --bundle; "
+                   f"--input {pool_path} would ignore it\n")
+    assert not out.exists()
+
+
+def test_preprocess_bundle_manifest_hashes_what_it_pooled(tmp_path, capsys):
+    bundle = _six_example_bundle(tmp_path)
+    outs = [str(tmp_path / f"reduced{i}.ucsm") for i in range(3)]
+
+    def run(out):
+        assert main(["preprocess", "--bundle", bundle, "--out", out,
+                     "--dict-pca-dim", "4"]) == 0
+        return read_manifest(out + ".manifest.txt")["input.bundle.sha256"]
+
+    first = run(outs[0])
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert run(outs[1]) == first
+    mask = os.path.join(bundle, "ex000002.mask.ucsm")
+    with open(mask, "r+b") as fh:  # the last weight's low byte: 1.0 becomes 1.0 + 2^-52
+        fh.seek(-8, os.SEEK_END)
+        fh.write(b"\x01")
+    assert run(outs[2]) != first
+    capsys.readouterr()
+
+
+def test_preprocess_bundle_with_a_negative_weight_names_the_example(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    examples = [(rng.standard_normal((3, 4)), np.array([1.0, 2.0, -1.0 if i == 2 else 1.0]))
+                for i in range(6)]
+    write_token_bundle(tmp_path / "bundle", examples)
+    bundle = str(tmp_path / "bundle")
+    out = tmp_path / "reduced.ucsm"
+    assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --bundle {bundle}: ex000002: mask weight -1.0 of token 2 is not >= 0" in err
+    assert not out.exists()
+
+
+def test_preprocess_bundle_whose_moments_overflow_names_the_example(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    examples = [(rng.standard_normal((5, 8)), np.ones(5)) for _ in range(6)]
+    examples[3][0][1, 2] = 1e300
+    write_token_bundle(tmp_path / "bundle", examples)
+    bundle = str(tmp_path / "bundle")
+    out = tmp_path / "reduced.ucsm"
+    assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == (f"numeric failure: --bundle {bundle}: ex000003 (the example of largest "
+                   "magnitude): the variance of column 2 is not finite as f64; "
+                   "refusing to write\n")
     assert not out.exists()
 
 
@@ -940,6 +1017,19 @@ def test_select_query_row_refused_where_ignored(tmp_path, capsys, base):
     assert not os.path.exists(out)
 
 
+def test_cluster_eps_refused_where_ignored(tmp_path, capsys):
+    # dict_argmax reads no eps; it used to write the labels of the run
+    # without --eps and exit 0
+    pool_path, _ = _write_pool(tmp_path)
+    out = tmp_path / "labels_argmax.txt"
+    assert main(["cluster", "--input", pool_path, "--out", str(out), "--eps", "0.5",
+                 "--clustering", "dict_argmax"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: --eps applies only to clustering dict_dbscan or dbscan; "
+                   "clustering dict_argmax would ignore it\n")
+    assert not out.exists()
+
+
 def test_select_query_row_recorded_in_manifest(tmp_path, capsys):
     pool_path, labels_path = _write_pool(tmp_path)
     outs = [str(tmp_path / "mean.csv"), str(tmp_path / "row3.csv")]
@@ -1302,6 +1392,9 @@ def test_cluster_then_analyze(tmp_path, capsys):
     text = open(report).read()
     assert "uniq_clusters" in text
     assert "mean_inv_size" in text
+    # the report's singleton share is the cluster manifest's, to the last digit
+    frac = read_manifest(labels_out + ".manifest.txt")["singleton_frac"]
+    assert re.search(f"^singleton_frac +{re.escape(frac)}$", text, re.M)
     capsys.readouterr()
 
 

@@ -16,12 +16,13 @@ import io
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucs.cli import main
-from ucs.matrix_store import write_labels, write_matrix
+from ucs.matrix_store import write_labels, write_matrix, write_token_bundle
 from ucs.synth_oracle import Population, sample_pool
 
 # Line text: integers well past int64, or short arbitrary text without line
@@ -209,6 +210,41 @@ def test_mutated_ucsm_input_fails_naming_its_file(valid, name):
             fh.write(data.draw(_ucsm_mutants(original)))
         for argv in _commands(valid, name):
             _runs_cleanly(argv, valid["mutant.ucsm"])
+
+    run()
+
+
+@pytest.mark.parametrize("suffix", [".tokens.ucsm", ".mask.ucsm"])
+def test_mutated_bundle_file_fails_naming_its_example(tmp_path, suffix):
+    # six 5 x 8 examples whose masks weigh their tokens 0, 1 or 2, one file
+    # of one example mutated at a time
+    rng = np.random.default_rng(5)
+    examples = [(rng.standard_normal((5, 8)), rng.integers(0, 3, 5).astype(float))
+                for _ in range(6)]
+    examples = [(h, m if m.any() else np.ones(5)) for h, m in examples]
+    bundle = str(tmp_path / "bundle")
+    write_token_bundle(bundle, examples)
+    out = str(tmp_path / "out.ucsm")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def run(data):
+        stem = f"ex{data.draw(st.integers(0, 5)):06d}"
+        path = f"{bundle}/{stem}{suffix}"
+        with open(path, "rb") as fh:
+            original = fh.read()
+        mutant = data.draw(_ucsm_mutants(original))
+        try:
+            with open(path, "wb") as fh:
+                fh.write(mutant)
+            code, err = _run(["preprocess", "--bundle", bundle, "--out", out,
+                              "--dict-pca-dim", "4"])
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(original)
+        assert code in (0, 2, 3, 4), err
+        if code:
+            assert path in err or f"--bundle {bundle}: {stem}" in err, err
 
     run()
 

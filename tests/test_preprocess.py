@@ -45,7 +45,18 @@ def test_every_pooling_mode_checks_the_mask(mode):
     with pytest.raises(ValueError, match="mask length 3 != token count 5"):
         pool_tokens(h, np.array([1.0, 1.0, 0.0]), mode)
     with pytest.raises(EmptyMask):
+        pool_tokens(h, np.zeros(5), mode)
+    with pytest.raises(ValueError, match=r"^mask weight -1.0 of token 1 is not >= 0$"):
         pool_tokens(h, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), mode)
+
+
+def test_mask_is_a_non_negative_weight_vector():
+    # a negative weight used to pool [-2, -1.5], outside the tokens' convex hull
+    h = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+    for bad in (-1.0, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="of token 2 is not >= 0"):
+            pool_tokens(h, np.array([1.0, 2.0, bad]), "mean")
+    assert np.array_equal(pool_tokens(h, np.array([1.0, 2.0, 0.0]), "mean"), [1 / 3, 2 / 3])
 
 
 def test_mean_pool_weights_rows_by_the_mask():
