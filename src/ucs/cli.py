@@ -260,13 +260,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _singleton_frac(labels: np.ndarray) -> str:
-    """The share of clusters with one row, as the cluster manifest and
-    report.txt write it."""
-    sizes = np.unique(labels, return_counts=True)[1]
-    return _fmt(np.count_nonzero(sizes == 1) / max(sizes.size, 1))
-
-
 def _write_selection_csv(path: str, result: SelectionResult) -> None:
     """One row per selected item: step, index, base_gain, coverage_term,
     total, where total = base_gain + lambda * coverage_term."""
@@ -362,7 +355,7 @@ def stage_preprocess(args, cfg) -> None:
         for stem, hidden, mask in examples:
             try:
                 rows.append(pool_tokens(hidden, mask, pooling))
-            except (EmptyMask, ValueError) as exc:
+            except (EmptyMask, NonFiniteValue, ValueError) as exc:
                 raise type(exc)(f"--bundle {args.bundle}: {stem}: {exc}") from None
         pool = np.stack(rows)
         inputs: dict[str, str] = {}
@@ -431,12 +424,8 @@ def stage_dict_encode(args, cfg) -> None:
     try:
         codes = ridge_encode(book, pool)
     except NonFiniteValue as exc:
-        raise NonFiniteValue(f"--dict {args.dict_path}: {exc}, so no codes of --input "
-                             f"{args.input} can be computed; refusing to write") from None
-    if not np.isfinite(codes).all():
-        row, col = np.argwhere(~np.isfinite(codes))[0]
-        raise NonFiniteValue(f"codes of --input {args.input} against --dict {args.dict_path} "
-                             f"are not finite, first at row {row}, col {col}; refusing to write")
+        raise NonFiniteValue(f"--dict {args.dict_path}: {exc}; refusing to write the codes "
+                             f"of --input {args.input}") from None
     write_matrix(codes, args.out)
     _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
                     {"dict": args.dict_path, "pool": args.input})
@@ -461,7 +450,7 @@ def stage_cluster(args, cfg) -> None:
     write_labels(assignment.labels, args.out)
     extra = {
         "n_clusters": str(assignment.n_clusters),
-        "singleton_frac": _singleton_frac(assignment.labels),
+        "singleton_frac": _fmt(cluster_stats(assignment.labels).singleton_frac),
     }
     if assignment.eps is not None:
         extra["eps"] = _fmt(assignment.eps)
@@ -551,7 +540,7 @@ def stage_analyze(args, cfg) -> None:
     report = exposure_metrics(labels, selections)
     rows = [(f"size_{k}_mass", str(stats.size_mass[k])) for k in range(1, 9)] + [
         ("top_sizes", " ".join(str(s) for s in stats.top_sizes)),
-        ("singleton_frac", _singleton_frac(labels)),
+        ("singleton_frac", _fmt(stats.singleton_frac)),
         ("n_selections", str(report.n_selections)),
         ("uniq_clusters", f"{report.uniq_clusters:.4f} +/- {report.uniq_std:.4f}"),
         ("mean_cluster_size", f"{report.mean_cluster_size:.4f} +/- {report.size_std:.4f}"),

@@ -317,9 +317,6 @@ class CorpusPrior:
     smoothed: dict[int, float]
     power_law_fallback: bool
 
-    def log_weight(self, cluster: int) -> float:
-        return math.log(self.weights[cluster])
-
 
 def corpus_prior(labels: np.ndarray) -> CorpusPrior:
     """Rarity prior over clusters, the one that select and ucs prior use."""

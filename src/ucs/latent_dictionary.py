@@ -119,10 +119,16 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
     """Code each row of `pool` against the codebook.
 
     Row form: R = E D (D^T D + aI)^-1, i.e. r = (D^T D + aI)^-1 D^T e per row.
-    NonFiniteValue when D^T D + aI overflows.
+    NonFiniteValue, with no numpy warning, when D^T D + aI overflows or a
+    code is not finite; the latter names the first such row and column.
     """
-    return _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
-                        codebook.ridge_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
+                             codebook.ridge_alpha)
+    if not np.isfinite(codes).all():
+        row, col = np.argwhere(~np.isfinite(codes))[0]
+        raise NonFiniteValue(f"the codes are not finite, first at row {row}, col {col}")
+    return codes
 
 
 def _update_atoms(dictionary: np.ndarray, gram: np.ndarray, corr: np.ndarray) -> None:

@@ -30,6 +30,7 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     per token: mode 'mean' takes the weighted average, 'first' and 'last'
     the first and the last row of nonzero weight. In every mode the mask
     needs one weight >= 0 per token (ValueError) and a positive sum (EmptyMask).
+    A mean that is not finite raises NonFiniteValue, with no numpy warning.
     """
     if mode not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
@@ -40,11 +41,16 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     bad = np.flatnonzero(~(m >= 0))  # negative or nan
     if bad.size:
         raise ValueError(f"mask weight {m[bad[0]]} of token {bad[0]} is not >= 0")
-    total = m.sum()
+    with np.errstate(over="ignore"):
+        total = m.sum()
     if total <= 0:
         raise EmptyMask("mask sums to zero; no tokens to pool")
     if mode == "mean":
-        return (m @ h) / total
+        with np.errstate(over="ignore", invalid="ignore"):
+            pooled = (m @ h) / total
+        if not (np.isfinite(total) and np.isfinite(pooled).all()):
+            raise NonFiniteValue("the mask-weighted mean of the tokens is not finite")
+        return pooled
     active = np.flatnonzero(m)
     return h[active[0] if mode == "first" else active[-1]].copy()
 

@@ -5,7 +5,7 @@ VoteK, and an argmax over externally scored candidate subsets (the stand-in
 for perplexity-style subset utilities). Each has a UCS variant that adds
 lambda times a coverage term; at lambda = 0 every variant reproduces its
 base selector bit-exactly. The rarity-only controls B1 and B2 are VoteK
-with a fixed per-cluster rarity bonus instead. BASE_SELECTORS names all
+with another per-cluster bonus (_rarity_bonus). BASE_SELECTORS names all
 five, SelectionConfig.base picks one of them, and select runs it: select is
 the one place that reads that field, and the building blocks it calls
 (greedy_dpp_ucs, votek_ucs_select, subset_utility_ucs) ignore it.
@@ -42,6 +42,9 @@ _SC_FLOOR = 1e-300
 RARITY_VARIANTS = ("B1", "B2")  # the rarity-only controls
 BASE_SELECTORS = ("dpp", "votek", "subset_utility", *RARITY_VARIANTS)
 
+# A voter j weighs VOTEK_DISCOUNT_BASE ** -(picked rows among j's neighbours).
+VOTEK_DISCOUNT_BASE = 10.0
+
 # dpp_kernel pads its rows to a multiple of _BLAS_BLOCK and builds the kernel
 # _STRIP_ROWS rows at a time; _STRIP_ROWS is a multiple of _BLAS_BLOCK.
 _BLAS_BLOCK = 64
@@ -59,7 +62,6 @@ class SelectionConfig:
     base: str = "votek"
     dpp_scale_factor: float = 0.1
     votek_k: int = 3
-    votek_discount_base: float = 10.0
     sgt: SgtConfig = field(default_factory=SgtConfig)
 
     def __post_init__(self) -> None:
@@ -69,13 +71,11 @@ class SelectionConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.base not in BASE_SELECTORS:
             raise ValueError(f"unknown base selector {self.base!r}")
-        scale, discount = self.dpp_scale_factor, self.votek_discount_base
+        scale = self.dpp_scale_factor
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"dpp_scale_factor must be finite and > 0, got {scale}")
         if self.votek_k < 1:
             raise ValueError(f"votek_k must be >= 1, got {self.votek_k}")
-        if not (math.isfinite(discount) and discount >= 1):  # 1: votes undiscounted
-            raise ValueError(f"votek_discount_base must be finite and >= 1, got {discount}")
 
 
 @dataclass
@@ -253,6 +253,11 @@ def _knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     return k_nearest(l2_normalize_rows(x, eps=0.0), k)[0]
 
 
+def _check_discount_base(discount_base: float) -> None:
+    if not (math.isfinite(discount_base) and discount_base >= 1):  # 1: votes undiscounted
+        raise ValueError(f"discount_base must be finite and >= 1, got {discount_base}")
+
+
 def _votes_from_graph(neighbors: np.ndarray, chosen: np.ndarray,
                       discount_base: float) -> np.ndarray:
     """Votes of every row given the boolean mask of rows chosen so far; with
@@ -262,42 +267,62 @@ def _votes_from_graph(neighbors: np.ndarray, chosen: np.ndarray,
     return np.bincount(neighbors.ravel(), weights=voter_weight, minlength=chosen.size)
 
 
-def votek_votes(x: np.ndarray, k: int, selected, discount_base: float = 10.0) -> np.ndarray:
+def votek_votes(x: np.ndarray, k: int, selected,
+                discount_base: float = VOTEK_DISCOUNT_BASE) -> np.ndarray:
     """Discounted vote scores: j votes for its k nearest neighbors with
     weight discount_base^-(selected among j's neighbors).
 
     selected is a set of rows, checked by coverage.row_set: IndexOutOfRange
-    for an index outside the pool, ValueError for one that repeats.
+    for an index outside the pool, ValueError for one that repeats. A
+    discount base that is nan, infinite or below 1 raises ValueError.
     """
+    _check_discount_base(discount_base)
     neighbors = _knn_graph(x, k)
     chosen = np.zeros(len(neighbors), dtype=bool)
     chosen[row_set(selected, chosen.size, "selected")] = True
     return _votes_from_graph(neighbors, chosen, discount_base)
 
 
-def _iterative_votes(x, cfg: SelectionConfig, bonus: np.ndarray) -> list[StepRecord]:
+def _iterative_votes(x, cfg: SelectionConfig, bonus: np.ndarray,
+                     discount_base: float = VOTEK_DISCOUNT_BASE) -> list[StepRecord]:
     neighbors = _knn_graph(x, cfg.votek_k)
     alive = np.ones(neighbors.shape[0], dtype=bool)
     return [
-        _pick(_votes_from_graph(neighbors, ~alive, cfg.votek_discount_base),
-              bonus, cfg.lam, alive)
+        _pick(_votes_from_graph(neighbors, ~alive, discount_base), bonus, cfg.lam, alive)
         for _ in range(min(cfg.budget, alive.size))
     ]
 
 
 def votek_select(x: np.ndarray, budget: int, k: int = 3,
-                 discount_base: float = 10.0) -> list[int]:
+                 discount_base: float = VOTEK_DISCOUNT_BASE) -> list[int]:
     """Plain iterative VoteK: repeatedly take the highest-vote point,
-    recomputing votes as selections accumulate."""
-    cfg = SelectionConfig(budget=budget, lam=0.0, base="votek", votek_k=k,
-                          votek_discount_base=discount_base)
-    return [r.index for r in _iterative_votes(x, cfg, np.zeros(len(x)))]
+    recomputing votes as selections accumulate. A discount base that is
+    nan, infinite or below 1 raises ValueError, whatever the budget."""
+    _check_discount_base(discount_base)
+    cfg = SelectionConfig(budget=budget, lam=0.0, base="votek", votek_k=k)
+    return [r.index for r in _iterative_votes(x, cfg, np.zeros(len(x)), discount_base)]
 
 
-def _per_cluster(labels: np.ndarray, bonus) -> np.ndarray:
-    """bonus(cluster id) for every row, evaluated once per distinct id."""
+def _rarity_bonus(labels: np.ndarray, prior: CorpusPrior, base: str) -> np.ndarray:
+    """Every row's rarity bonus under the rule of base, one of votek, B1 and
+    B2, evaluated once per distinct cluster id c: log w_c, the prior's
+    weight, for votek; 1 / n_c for B1; log(C_total / (g_hat(n_c) +
+    PRIOR_EPS)), g_hat the smoothed corpus spectrum, for B2. Raises
+    ValueError for a cluster the prior has no weight for."""
     distinct, inverse = np.unique(labels, return_inverse=True)
-    return np.array([bonus(int(c)) for c in distinct], dtype=np.float64)[inverse]
+    c_total = len(prior.sizes)
+    bonus = np.empty(distinct.size)
+    for pos, c in enumerate(map(int, distinct)):
+        if c not in prior.weights:
+            raise ValueError(f"prior has no weight for cluster {c}")
+        if base == "votek":
+            bonus[pos] = math.log(prior.weights[c])
+        elif base == "B1":
+            bonus[pos] = 1.0 / prior.sizes[c]
+        else:
+            size = prior.sizes[c]
+            bonus[pos] = math.log(c_total / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
+    return bonus[inverse]
 
 
 def votek_ucs_select(
@@ -312,13 +337,7 @@ def votek_ucs_select(
     base field; select reads it and calls this for votek.
     """
     _check_labels(labels, len(x))
-
-    def log_weight(cluster: int) -> float:
-        if cluster not in prior.weights:
-            raise ValueError(f"prior has no weight for cluster {cluster}")
-        return prior.log_weight(cluster)
-
-    bonus = _per_cluster(labels, log_weight)
+    bonus = _rarity_bonus(labels, prior, "votek")
     return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
 
 
@@ -469,9 +488,7 @@ def select(
     dpp: greedy_dpp_ucs on dpp_kernel(x, cfg.dpp_scale_factor), its diagonal
     set to the value unit (or zero) rows have in exact arithmetic. votek:
     votek_ucs_select with corpus_prior(labels). B1, B2: VoteK plus lambda
-    times a rarity bonus from corpus_prior(labels), 1 / n_c(i) for B1 and
-    log(C_total / (g_hat(n_c(i)) + PRIOR_EPS)) from the smoothed corpus
-    spectrum for B2. subset_utility: subset_utility_ucs over candidate_num
+    times the base's _rarity_bonus from corpus_prior(labels). subset_utility: subset_utility_ucs over candidate_num
     subsets drawn with seed by sample_candidate_subsets around pool row
     query_row (default: the mean of the unit rows), scored by
     redundancy_utility. Only subset_utility reads seed, candidate_num and
@@ -498,16 +515,7 @@ def select(
     if cfg.base == "votek":
         return votek_ucs_select(x, labels, corpus_prior(labels), cfg)
     if cfg.base in RARITY_VARIANTS:
-        prior = corpus_prior(labels)
-        c_total = len(prior.sizes)
-
-        def rarity(cluster: int) -> float:
-            size = prior.sizes[cluster]
-            if cfg.base == "B1":
-                return 1.0 / size
-            return math.log(c_total / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
-
-        bonus = _per_cluster(labels, rarity)
+        bonus = _rarity_bonus(labels, corpus_prior(labels), cfg.base)
         return _finish(_iterative_votes(x, cfg, bonus), labels, cfg)
     if cfg.base != "subset_utility":
         raise ValueError(f"unknown base selector {cfg.base!r}")

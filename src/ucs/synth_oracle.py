@@ -305,6 +305,7 @@ def mc_unseen_oracle(
 class ClusterStats:
     size_mass: dict[int, int]  # k in 1..8 -> demonstrations in size-k clusters
     top_sizes: list[int]
+    singleton_frac: float  # share of clusters with one member (0.0 with none)
 
 
 def cluster_stats(labels: np.ndarray) -> ClusterStats:
@@ -317,7 +318,8 @@ def cluster_stats(labels: np.ndarray) -> ClusterStats:
         if 1 <= s <= 8:
             mass[s] += s
     top = sorted(sizes, reverse=True)[:8]
-    return ClusterStats(size_mass=mass, top_sizes=top)
+    return ClusterStats(size_mass=mass, top_sizes=top,
+                        singleton_frac=sizes.count(1) / max(len(sizes), 1))
 
 
 @dataclass

@@ -5,6 +5,7 @@ PASS" line with the measured values, so the -v log carries a one-line
 verdict per criterion.
 """
 
+import math
 import os
 import time
 from dataclasses import replace
@@ -233,7 +234,7 @@ def test_criterion_07_rarity_controls_differ():
         first_b1 = b1.records[0]
         assert first_b1.coverage_term == 1.0 / prior.sizes[int(labels[first_b1.index])]
         first_ucs = ucs.records[0]
-        assert first_ucs.coverage_term == prior.log_weight(int(labels[first_ucs.index]))
+        assert first_ucs.coverage_term == math.log(prior.weights[int(labels[first_ucs.index])])
     assert differing >= 1
     print(f"[criterion 07] PASS controls differ on {differing}/10 seeds")
 

@@ -627,6 +627,26 @@ def test_preprocess_bundle_whose_moments_overflow_names_the_example(tmp_path, ca
     assert not out.exists()
 
 
+def test_preprocess_bundle_whose_mean_overflows_names_the_example(tmp_path, capsys):
+    # a weight of 1e308 on a token of 2.0 overflowed m @ h with numpy's
+    # warning ahead of the error line
+    rng = np.random.default_rng(4)
+    examples = [(rng.standard_normal((5, 8)), np.ones(5)) for _ in range(6)]
+    examples[2][0][0] = 2.0
+    examples[2][1][0] = 1e308
+    write_token_bundle(tmp_path / "bundle", examples)
+    bundle = str(tmp_path / "bundle")
+    out = tmp_path / "reduced.ucsm"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["preprocess", "--bundle", bundle, "--out", str(out)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == (f"numeric failure: --bundle {bundle}: ex000002: the mask-weighted mean "
+                   "of the tokens is not finite\n")
+    assert not out.exists()
+
+
 def test_joint_fit_latent_dim_and_fix_maps_are_library_options(tmp_path, capsys):
     a_path, _ = _write_pool(tmp_path, n=30, k=4, dim=6, seed=1, name="a.ucsm")
     b_path, _ = _write_pool(tmp_path, n=30, k=4, dim=5, seed=2, name="b.ucsm")
@@ -1122,6 +1142,25 @@ def test_dict_encode_non_finite_codes_name_both_files(tmp_path, capsys):
     assert f"--input {pool_path}" in err and f"--dict {dictionary}" in err
     assert f"--dict {dictionary}: the dictionary's D^T D + alpha*I is not finite" in err
     assert "RuntimeWarning" not in err
+    assert not os.path.exists(out)
+
+
+def test_dict_encode_codes_that_overflow_name_both_files(tmp_path, capsys):
+    # a row of 1.5e308 against orthonormal atoms overflows pool @ W: numpy's
+    # warning was printed ahead of the error line
+    pool_path = str(tmp_path / "pool.ucsm")
+    write_matrix(np.vstack([np.ones((2, 4)), np.full((1, 4), 1.5e308)]), pool_path)
+    dictionary = str(tmp_path / "dict.ucsm")
+    write_matrix(np.array([[1, 1], [1, -1], [1, 1], [1, -1]]) / 2.0, dictionary)
+    out = str(tmp_path / "codes.ucsm")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dict-encode", "--dict", dictionary, "--input", pool_path,
+                     "--out", out, "--dict-alpha", "0.001"]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == (f"numeric failure: --dict {dictionary}: the codes are not finite, first "
+                   f"at row 2, col 0; refusing to write the codes of --input {pool_path}\n")
     assert not os.path.exists(out)
 
 

@@ -338,11 +338,6 @@ def test_corpus_prior_relabel_invariant():
         assert prior2.weights[shift[u]] == pytest.approx(w, abs=1e-12)
 
 
-def test_corpus_prior_log_weight_cached():
-    prior = corpus_prior(np.array([1, 1, 2, 3]))
-    assert prior.log_weight(2) == pytest.approx(math.log(prior.weights[2]))
-
-
 def test_sgt_config_validation():
     with pytest.raises(ValueError):
         SgtConfig(t=0.0)

@@ -52,6 +52,16 @@ def test_ridge_encode_matches_per_example_normal_equations():
         assert np.abs(codes[i] - expected).max() < 1e-8
 
 
+def test_ridge_encode_refuses_codes_that_are_not_finite():
+    # a row of 1.5e308 against orthonormal atoms overflows pool @ W; it
+    # returned inf codes with numpy's overflow warning
+    d = np.array([[1, 1], [1, -1], [1, 1], [1, -1]]) / 2.0
+    pool = np.vstack([np.ones((2, 4)), np.full((1, 4), 1.5e308), np.ones((1, 4))])
+    message = r"^the codes are not finite, first at row 2, col 0$"
+    with pytest.raises(NonFiniteValue, match=message):
+        ridge_encode(_book(d, 0.001), pool)
+
+
 def test_ridge_encode_is_linear():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((6, 3))

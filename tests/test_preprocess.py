@@ -69,6 +69,20 @@ def test_mean_pool_weights_rows_by_the_mask():
         assert np.array_equal(pool_tokens(h, mask, "mean"), want)
 
 
+@pytest.mark.parametrize("token, mask", [
+    (2.0, [1e308, 0.0, 0.0, 0.0, 0.0]),  # m @ h overflows
+    (1e-300, [1e308, 1e308, 0.0, 0.0, 0.0]),  # m.sum() overflows, m @ h does not
+], ids=["weighted-sum", "weight-sum"])
+def test_mean_pool_refuses_a_mean_that_is_not_finite(token, mask):
+    # both emitted numpy's overflow warning, and returned inf and 0.0 rows
+    h = np.full((5, 8), token)
+    message = "^the mask-weighted mean of the tokens is not finite$"
+    with pytest.raises(NonFiniteValue, match=message):
+        pool_tokens(h, np.array(mask), "mean")
+    # first and last read no sum: the same mask pools without a warning
+    assert np.array_equal(pool_tokens(h, np.array(mask), "first"), h[0])
+
+
 def test_l2_normalize_three_four_five():
     out = l2_normalize_rows(np.array([[3.0, 4.0]]))
     assert np.allclose(out, [[0.6, 0.8]], atol=1e-11)

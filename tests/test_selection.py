@@ -14,6 +14,7 @@ from ucs.coverage import PRIOR_EPS, CoverageTracker, SgtConfig, corpus_prior, co
 from ucs.errors import EmptyCandidateList, SingularKernel, TooFewPoints
 from ucs.selection import (
     BASE_SELECTORS,
+    VOTEK_DISCOUNT_BASE,
     SelectionConfig,
     SelectionResult,
     StepRecord,
@@ -459,11 +460,16 @@ def test_selection_config_refuses_votek_k_below_one(k):
         SelectionConfig(votek_k=k)
 
 
-@pytest.mark.parametrize("base", [float("nan"), float("inf"), 0.0, 0.5, -2.0])
-def test_selection_config_refuses_votek_discount_base_below_one(base):
-    # NaN, 0 and -2 were accepted silently, 0 with a divide-by-zero warning
-    with pytest.raises(ValueError, match="votek_discount_base must be finite and >= 1"):
-        SelectionConfig(votek_discount_base=base)
+@pytest.mark.parametrize("base", [0.5, float("nan"), float("inf"), 0.0, -2.0])
+def test_votek_refuses_discount_base_not_finite_or_below_one(base):
+    # votek_votes took these and returned wrong votes: at 0.5 a voter weighs
+    # more once its neighbours are picked, nan makes every discounted vote
+    # nan, and 0 divided by zero with a numpy warning
+    with pytest.raises(ValueError, match="discount_base must be finite and >= 1"):
+        votek_votes(CHAIN, k=1, selected=[1], discount_base=base)
+    for budget in (0, 2):
+        with pytest.raises(ValueError, match="discount_base must be finite and >= 1"):
+            votek_select(CHAIN, budget, k=1, discount_base=base)
 
 
 def test_votek_requires_enough_points():
@@ -610,9 +616,8 @@ def _votek_pools():
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("x, labels", list(_votek_pools()))
 def test_votek_records_match_reference_loop(x, labels, lam):
-    budget, k, discount_base = 8, 2, 10.0
-    cfg = SelectionConfig(budget=budget, lam=lam, base="votek", votek_k=k,
-                          votek_discount_base=discount_base)
+    budget, k, discount_base = 8, 2, VOTEK_DISCOUNT_BASE
+    cfg = SelectionConfig(budget=budget, lam=lam, base="votek", votek_k=k)
     prior = corpus_prior(labels)
     c_total = len(prior.sizes)
     sizes = [prior.sizes[int(c)] for c in labels]
@@ -655,7 +660,7 @@ def _select_by_hand(x, labels, cfg, seed, candidate_num):
     bonus = ([1.0 / size for size in sizes] if cfg.base == "B1" else
              [math.log(len(prior.sizes) / (prior.smoothed.get(size, 0.0) + PRIOR_EPS))
               for size in sizes])
-    records = _votek_reference(x, cfg.votek_k, cfg.votek_discount_base, bonus,
+    records = _votek_reference(x, cfg.votek_k, VOTEK_DISCOUNT_BASE, bonus,
                                cfg.lam, cfg.budget)
     indices = [r.index for r in records]
     phi, k_seen, u_hat = coverage_phi(labels, indices, cfg.sgt)

@@ -354,15 +354,19 @@ def test_cluster_stats_hand_case():
     assert stats.size_mass[2] == 2
     assert sum(stats.size_mass.values()) == 4
     assert stats.top_sizes == [2, 1, 1]
+    assert stats.singleton_frac == 2 / 3
 
 
 def test_cluster_stats_all_singletons_and_giant():
     singles = cluster_stats(np.arange(1, 13))
     assert singles.size_mass[1] == 12
     assert singles.top_sizes == [1] * 8
+    assert singles.singleton_frac == 1.0
     giant = cluster_stats(np.full(30, 4))
     assert giant.top_sizes == [30]
+    assert giant.singleton_frac == 0.0
     assert sum(giant.size_mass.values()) == 0  # size 30 beyond the 1..8 bins
+    assert cluster_stats(np.array([], dtype=np.int64)).singleton_frac == 0.0
 
 
 def test_cluster_stats_masses_sum_to_n_when_sizes_small():
