@@ -738,11 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--zipf-exponent", type=finite_float, default=None,
                    help="zipf population (default: uniform)")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--spread", type=finite_float, default=0.05)
+    # _cmd_synth sets each mode's defaults and refuses the other mode's
+    # flags (_SYNTH_FLAGS)
+    p.add_argument("--dim", type=int, default=None, help="pool mode")
+    p.add_argument("--spread", type=finite_float, default=None, help="pool mode")
     p.add_argument("--out-stem", default=None, help="pool mode output stem")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default="sgt")
+    p.add_argument("--trials", type=int, default=None, help="oracle mode")
+    p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default=None,
+                   help="oracle mode")
     p.add_argument("--out", default=None, help="oracle mode report file")
     _add_config_flags(p, "synth")
     p.set_defaults(run=_cmd_synth)
@@ -836,7 +839,23 @@ def _cmd_estimate(args, cfg) -> None:
     _write_table(args.out, rows)
 
 
+# The flags each synth mode reads beyond --k-types, --n, --zipf-exponent and
+# the config flags, with their defaults; each mode refuses the other's.
+_SYNTH_FLAGS = {
+    "pool": {"out_stem": None, "dim": 32, "spread": 0.05},
+    "oracle": {"trials": 100, "estimator": "sgt", "out": None},
+}
+
+
 def _cmd_synth(args, cfg) -> None:
+    other = "oracle" if args.mode == "pool" else "pool"
+    for dest in _SYNTH_FLAGS[other]:
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"--{dest.replace('_', '-')} applies only to --mode {other}; "
+                              f"--mode {args.mode} would ignore it")
+    for dest, default in _SYNTH_FLAGS[args.mode].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     seed = int(cfg["seed"])
     if args.zipf_exponent is None:
         pop = Population.uniform(args.k_types)

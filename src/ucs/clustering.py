@@ -102,14 +102,14 @@ def _column_order(n: int) -> np.ndarray:
 
 def _screened(unit: np.ndarray, rows: np.ndarray, limit):
     """(strip_rows, rows, cols, dist) for each strip of up to
-    DEFAULT_TILE_ROWS of the row indices `rows` (ascending): the pairs whose
-    screened similarity is >= limit(strip, own, delta), grouped by row in
-    strip order, with dist their exact _pair_distances.
+    DEFAULT_TILE_ROWS of the row indices `rows` (ascending): the pairs
+    (i, j), j != i, whose screened similarity is >= limit(strip, delta),
+    grouped by row in strip order, with dist their exact _pair_distances.
 
     The screen is one float32 product per strip, strip = fl32(<u_i, u_j>),
-    with the columns in _column_order and +inf at each row's own column,
-    strip[own] (the one pair at distance 0 by definition). limit may
-    overwrite the strip and returns a floor per row or one for all. Off the
+    with the columns in _column_order. A screen never yields a row's own
+    pair: its entry is -inf, below every floor, before limit reads the
+    strip. limit returns a finite floor per row or one for all. Off the
     diagonal |strip - (1 - dist)| <= delta = 4 (d + 4) u, with u = 2^-24 and
     d the row length, for unit rows (zero rows give 0 in both):
       - rounding the inputs to float32 scales each product u_ik u_jk by at
@@ -136,9 +136,8 @@ def _screened(unit: np.ndarray, rows: np.ndarray, limit):
     for s in range(0, rows.size, DEFAULT_TILE_ROWS):
         idx = rows[s:s + DEFAULT_TILE_ROWS]
         strip = u32[place[idx]] @ u32.T
-        own = (np.arange(idx.size), place[idx])
-        strip[own] = np.inf
-        floor = limit(strip, own, delta)
+        strip[np.arange(idx.size), place[idx]] = -np.inf
+        floor = limit(strip, delta)
         r, c = np.divmod(np.flatnonzero(strip >= floor), n)
         del strip  # freed before the next strip is built
         r, c = idx[r], order[c]
@@ -150,15 +149,15 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the unit rows `unit` and their _pair_distances, ordered by (distance,
     index). Raises ValueError for k < 1 and TooFewPoints for k >= N.
 
-    Each strip row's own similarity is set to -inf and the columns, in
-    _column_order, are dealt into g = max(k + 1, min(N, SCREEN_GROUPS))
-    groups by position mod g (the last N mod g columns join none). The k-th
-    largest of the g group maxima, m, is the smallest of k similarities
-    from k distinct columns other than the row's own, so m is <= the row's
-    k-th largest float32 similarity, which lies within delta of 1 - the
-    exact k-th distance. In distances: the k-th smallest group minimum
-    bounds the k-th distance from above. The entries screened at or above
-    m - 2 delta therefore hold every row at or below the exact k-th
+    The columns of each strip, in _column_order, are dealt into
+    g = max(k + 1, min(N, SCREEN_GROUPS)) groups by position mod g (the last
+    N mod g columns join none). A row's own entry is -inf (_screened), so
+    the k-th largest of the g group maxima, m, is the smallest of k
+    similarities from k distinct columns other than the row's own: m is <=
+    the row's k-th largest float32 similarity, which lies within delta of
+    1 - the exact k-th distance. In distances: the k-th smallest group
+    minimum bounds the k-th distance from above. The entries screened at or
+    above m - 2 delta therefore hold every row at or below the exact k-th
     distance, ties included; those are evaluated exactly and sorted. At
     g = N, m is the float32 k-th itself.
 
@@ -185,8 +184,7 @@ def k_nearest(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     width = n // groups
     kth = groups - k  # where the k-th largest of g values sorts, ascending
 
-    def near_kth(strip: np.ndarray, own: tuple, delta: float) -> np.ndarray:
-        strip[own] = -np.inf  # self excluded
+    def near_kth(strip: np.ndarray, delta: float) -> np.ndarray:
         maxima = strip[:, :groups * width].reshape(-1, width, groups).max(axis=1)
         return np.partition(maxima, kth, axis=1)[:, kth:kth + 1] - 2 * delta
 
@@ -243,27 +241,26 @@ def _eps_lists(unit: np.ndarray, eps: float,
     """CSR (indptr, indices) of {j : d(i, j) <= eps}, i itself included,
     columns ascending.
 
-    knn is k_nearest's (indices, distances) for `unit`, or None. A row whose
-    k-th distance exceeds eps has every j with d(i, j) <= eps < kth among
-    its k nearest, so its list is i and those; d(i, j) and d(j, i) are one
-    float, so the lists stay symmetric. Every other row (every row when knn
-    is None) is screened at the similarity floor 1 - min(eps, 2) - delta (no
-    distance exceeds 2) and keeps the exact distances <= eps.
+    Every row's list holds i itself (d(i, i) = 0 <= eps) and the other j
+    with d(i, j) <= eps. knn is k_nearest's (indices, distances) for
+    `unit`, or None. A row whose k-th distance exceeds eps has every such j
+    among its k nearest; d(i, j) and d(j, i) are one float, so the lists
+    stay symmetric. Every other row (every row when knn is None) is
+    screened at the similarity floor 1 - min(eps, 2) - delta (no distance
+    exceeds 2) and keeps the exact distances <= eps.
     """
     n = unit.shape[0]
     screen = np.arange(n)
-    rows, cols = [], []
+    rows, cols = [screen], [screen]  # (i, i) for every row
     if knn is not None:
         indices, distances = knn
         inside = distances[:, -1] > eps
         screen = np.flatnonzero(~inside)
         near = inside[:, None] & (distances <= eps)
-        own = np.flatnonzero(inside)
-        rows += [own, np.nonzero(near)[0]]
-        cols += [own, indices[near]]
+        rows.append(np.nonzero(near)[0])
+        cols.append(indices[near])
     floor = 1.0 - min(eps, 2.0)
-    for _, r, c, dist in _screened(unit, screen,
-                                   lambda strip, own, delta: floor - delta):
+    for _, r, c, dist in _screened(unit, screen, lambda strip, delta: floor - delta):
         keep = dist <= eps
         rows.append(r[keep])
         cols.append(c[keep])

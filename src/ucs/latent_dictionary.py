@@ -119,12 +119,18 @@ def ridge_encode(codebook: CodeBook, pool: np.ndarray) -> np.ndarray:
     """Code each row of `pool` against the codebook.
 
     Row form: R = E D (D^T D + aI)^-1, i.e. r = (D^T D + aI)^-1 D^T e per row.
-    NonFiniteValue, with no numpy warning, when D^T D + aI overflows or a
-    code is not finite; the latter names the first such row and column.
+    ValueError, naming both widths, when the pool is not 2-D with one column
+    per dictionary row. NonFiniteValue, with no numpy warning, when D^T D + aI
+    overflows or a code is not finite; the latter names the first such row
+    and column.
     """
+    pool = np.asarray(pool, dtype=np.float64)
+    width = codebook.dictionary.shape[0]
+    if pool.ndim != 2 or pool.shape[1] != width:
+        raise ValueError(f"the pool has shape {pool.shape}, not (N, {width}): "
+                         f"the dictionary has {width} rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        codes = _solve_codes(codebook.dictionary, np.asarray(pool, dtype=np.float64),
-                             codebook.ridge_alpha)
+        codes = _solve_codes(codebook.dictionary, pool, codebook.ridge_alpha)
     if not np.isfinite(codes).all():
         row, col = np.argwhere(~np.isfinite(codes))[0]
         raise NonFiniteValue(f"the codes are not finite, first at row {row}, col {col}")

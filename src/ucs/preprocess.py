@@ -29,8 +29,9 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     """Pool one example's token states `hidden` (T x d) by its mask, a weight
     per token: mode 'mean' takes the weighted average, 'first' and 'last'
     the first and the last row of nonzero weight. In every mode the mask
-    needs one weight >= 0 per token (ValueError) and a positive sum (EmptyMask).
-    A mean that is not finite raises NonFiniteValue, with no numpy warning.
+    needs one finite weight >= 0 per token (ValueError naming the first token
+    that has none) and a positive sum (EmptyMask). A mean that is not finite
+    raises NonFiniteValue, with no numpy warning.
     """
     if mode not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
@@ -38,9 +39,11 @@ def pool_tokens(hidden: np.ndarray, mask: np.ndarray, mode: str = "mean") -> np.
     m = np.asarray(mask, dtype=np.float64).ravel()
     if h.shape[0] != m.shape[0]:
         raise ValueError(f"mask length {m.shape[0]} != token count {h.shape[0]}")
-    bad = np.flatnonzero(~(m >= 0))  # negative or nan
+    bad = np.flatnonzero(~((m >= 0) & (m < np.inf)))  # negative, nan or +inf
     if bad.size:
-        raise ValueError(f"mask weight {m[bad[0]]} of token {bad[0]} is not >= 0")
+        w = m[bad[0]]
+        raise ValueError(f"mask weight {w} of token {bad[0]} is not "
+                         f"{'finite' if w > 0 else '>= 0'}")
     with np.errstate(over="ignore"):
         total = m.sum()
     if total <= 0:

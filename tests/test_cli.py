@@ -1406,6 +1406,27 @@ def test_synth_oracle_zipf_overflow_is_an_error_not_a_traceback(capsys):
     assert err == "error: zipf exponent -400.0 overflows float64 over 50 types\n"
 
 
+@pytest.mark.parametrize("mode, flag, value", [
+    ("pool", "--trials", "7"),
+    ("pool", "--estimator", "gt"),
+    ("pool", "--out", "report.txt"),
+    ("oracle", "--out-stem", "zz"),
+    ("oracle", "--dim", "9"),
+    ("oracle", "--spread", "0.5"),
+])
+def test_synth_refuses_a_flag_its_mode_ignores(tmp_path, monkeypatch, capsys,
+                                               mode, flag, value):
+    # each used to exit 0, the flag read by nothing
+    monkeypatch.chdir(tmp_path)
+    other = "oracle" if mode == "pool" else "pool"
+    stem = [] if mode == "oracle" else ["--out-stem", "syn"]
+    assert main(["synth", "--mode", mode, "--k-types", "5", "--n", "20",
+                 *stem, flag, value]) == 2
+    assert capsys.readouterr().err == (f"config error: {flag} applies only to --mode "
+                                       f"{other}; --mode {mode} would ignore it\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_synth_pool_requires_out_stem(tmp_path):
     assert main(["synth", "--mode", "pool", "--k-types", "3", "--n", "5"]) == 2
 

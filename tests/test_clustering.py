@@ -529,6 +529,43 @@ def test_cluster_pool_screens_only_rows_the_knn_pass_cannot_settle(monkeypatch):
     assert sum(screened) == n
 
 
+def test_a_screen_never_yields_a_rows_own_pair(monkeypatch):
+    # the k-NN floor (k_nearest) and the constant eps floor (_eps_lists)
+    # both screen through _screened, which drops (i, i) for both; the eps
+    # lists add it back once per row
+    pairs = []
+    real = ucs.clustering._screened
+
+    def recording(unit, rows, limit):
+        for strip in real(unit, rows, limit):
+            pairs.append(strip[1:3])
+            yield strip
+
+    def own_pairs():
+        return sum(int((r == c).sum()) for r, c in pairs)
+
+    monkeypatch.setattr(ucs.clustering, "DEFAULT_TILE_ROWS", TILE)
+    monkeypatch.setattr(ucs.clustering, "_screened", recording)
+    pools = [*_strip_pools(), _planted_pool(17, seed=17)[0]]
+    for groups in (2, 5, ucs.clustering.SCREEN_GROUPS):
+        monkeypatch.setattr(ucs.clustering, "SCREEN_GROUPS", groups)
+        for pool_id, x in enumerate(pools):
+            n = x.shape[0]
+            dist = cosine_distance_matrix(x)
+            unit = l2_normalize_rows(x, eps=0.0)
+            for k in (1, 3, n - 1):
+                pairs.clear()
+                knn = k_nearest(unit, k)
+                assert pairs and own_pairs() == 0, (groups, pool_id, k)
+                for eps in (0.0, float(np.median(dist)), 2.0):
+                    for given in (None, knn):
+                        pairs.clear()
+                        lists = _eps_lists(unit, eps, given)
+                        assert own_pairs() == 0, (groups, pool_id, k, eps)
+                        assert pairs or given is not None
+                        _assert_lists(dist, eps, *lists, (groups, pool_id, k, eps))
+
+
 def test_cosine_distance_matrix_is_the_strip_values(monkeypatch):
     # the matrix holds the distances the strip passes report, and its
     # per-pair definition is symmetric at any width, odd ones included

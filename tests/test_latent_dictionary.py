@@ -62,6 +62,15 @@ def test_ridge_encode_refuses_codes_that_are_not_finite():
         ridge_encode(_book(d, 0.001), pool)
 
 
+def test_ridge_encode_refuses_a_pool_of_another_width():
+    # raised numpy's "matmul: Input operand 1 has a mismatch ..." ValueError
+    message = r"^the pool has shape \(3, 6\), not \(N, 4\): the dictionary has 4 rows$"
+    with pytest.raises(ValueError, match=message):
+        ridge_encode(_book(np.eye(4, 2), 1.0), np.ones((3, 6)))
+    with pytest.raises(ValueError, match=r"shape \(4,\), not \(N, 4\)"):
+        ridge_encode(_book(np.eye(4, 2), 1.0), np.ones(4))
+
+
 def test_ridge_encode_is_linear():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((6, 3))

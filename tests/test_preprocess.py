@@ -48,6 +48,12 @@ def test_every_pooling_mode_checks_the_mask(mode):
         pool_tokens(h, np.zeros(5), mode)
     with pytest.raises(ValueError, match=r"^mask weight -1.0 of token 1 is not >= 0$"):
         pool_tokens(h, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), mode)
+    # +inf passed the ">= 0" check: first and last pooled its token as an
+    # ordinary nonzero weight, and mean failed without naming the token
+    with pytest.raises(ValueError, match=r"^mask weight inf of token 0 is not finite$"):
+        pool_tokens(h, np.array([np.inf, 1.0, 0.0, 0.0, 0.0]), mode)
+    with pytest.raises(ValueError, match=r"^mask weight -inf of token 1 is not >= 0$"):
+        pool_tokens(h, np.array([1.0, -np.inf, np.inf, 0.0, 0.0]), mode)
 
 
 def test_mask_is_a_non_negative_weight_vector():
