@@ -106,7 +106,7 @@ def _non_negative_int(text: str) -> int:
 
 _COUNT = (">= 1", lambda v: v >= 1)  # every int key but seed counts something
 _POSITIVE = ("> 0", lambda v: v > 0)
-_SGT_READERS = ("estimate", "select", "synth")
+_SGT_READERS = ("estimate", "select", "oracle")
 _DBSCAN = ("dict_dbscan", "dbscan")
 
 # The flat config-file schema; names follow the hyperparameter tables. Each
@@ -131,7 +131,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "dpp_scale_factor": (0.1, *_POSITIVE, ("select",), ("dpp",)),
     "candidate_num": (50, *_COUNT, ("select",), ("subset_utility",)),
     "seed": (42, "any integer", lambda v: True,
-             ("dict-fit", "joint-fit", "select", "synth"), ("subset_utility",)),
+             ("dict-fit", "joint-fit", "select", "synth", "oracle"), ("subset_utility",)),
     "n_runs": (3, *_COUNT, (), ()),
     "clustering": ("dict_dbscan", "one of " + ", ".join(CLUSTERING_METHODS),
                    lambda v: v in CLUSTERING_METHODS, ("cluster",), CLUSTERING_METHODS),
@@ -179,6 +179,7 @@ def check_config(cfg: dict, where: str = "") -> None:
 def load_config(path: str) -> dict[str, object]:
     """Parse a flat key=value config file; '#' starts a comment line."""
     values: dict[str, object] = {}
+    set_at: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -189,6 +190,9 @@ def load_config(path: str) -> dict[str, object]:
         key, text = key.strip(), text.strip()
         if key not in CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{path}:{lineno}: {key} already set at line {set_at[key]}")
+        set_at[key] = lineno
         try:
             values[key] = CONFIG_TYPES[key](text)
         except ValueError as exc:
@@ -482,6 +486,11 @@ def stage_select(args, cfg) -> None:
     once, its result written under each out with no seed= in the manifest."""
     used = _config_used(cfg, "select", args.base)
     seeded = "seed" in used
+    real = [os.path.realpath(out) for out in args.out]
+    for r, out in enumerate(args.out):  # a later seed's run would overwrite its files
+        if real[r] in real[:r]:
+            raise ConfigError(f"--out {out} names the file of the earlier --out "
+                              f"{args.out[real.index(real[r])]}; each run needs its own")
     if args.query_row is not None and args.base != "subset_utility":
         raise ConfigError(
             "--query-row applies only to --base subset_utility; "
@@ -629,6 +638,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.epilog = "config keys consumed: " + (", ".join(keys) if keys else "none")
 
 
+def _add_population_flags(parser: argparse.ArgumentParser) -> None:
+    """synth's and oracle's population: _population reads these flags."""
+    parser.add_argument("--k-types", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--zipf-exponent", type=finite_float, default=None,
+                        help="zipf population (default: uniform)")
+
+
 class _Parser(argparse.ArgumentParser):
     # No flag abbreviations, so a removed or renamed flag cannot silently
     # land on another that shares its prefix. Subparsers take this class too.
@@ -731,24 +748,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "select")
     p.set_defaults(run=stage_select)
 
-    p = sub.add_parser("synth", help="generate synthetic pools or run the "
-                                     "Monte Carlo unseen-type oracle")
-    p.add_argument("--mode", choices=("pool", "oracle"), default="pool")
-    p.add_argument("--k-types", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--zipf-exponent", type=finite_float, default=None,
-                   help="zipf population (default: uniform)")
-    # _cmd_synth sets each mode's defaults and refuses the other mode's
-    # flags (_SYNTH_FLAGS)
-    p.add_argument("--dim", type=int, default=None, help="pool mode")
-    p.add_argument("--spread", type=finite_float, default=None, help="pool mode")
-    p.add_argument("--out-stem", default=None, help="pool mode output stem")
-    p.add_argument("--trials", type=int, default=None, help="oracle mode")
-    p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default=None,
-                   help="oracle mode")
-    p.add_argument("--out", default=None, help="oracle mode report file")
+    p = sub.add_parser("synth", help="generate a synthetic pool and its type labels")
+    _add_population_flags(p)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--spread", type=finite_float, default=0.05)
+    p.add_argument("--out-stem", required=True,
+                   help="writes <stem>.pool.ucsm and <stem>.labels.txt")
     _add_config_flags(p, "synth")
     p.set_defaults(run=_cmd_synth)
+
+    p = sub.add_parser("oracle", help="run the Monte Carlo unseen-type oracle")
+    _add_population_flags(p)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default="sgt")
+    p.add_argument("--out", default=None, help="report file")
+    _add_config_flags(p, "oracle")
+    p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("analyze", help="cluster-size stats and exposure metrics")
     p.add_argument("--labels", required=True)
@@ -839,57 +854,38 @@ def _cmd_estimate(args, cfg) -> None:
     _write_table(args.out, rows)
 
 
-# The flags each synth mode reads beyond --k-types, --n, --zipf-exponent and
-# the config flags, with their defaults; each mode refuses the other's.
-_SYNTH_FLAGS = {
-    "pool": {"out_stem": None, "dim": 32, "spread": 0.05},
-    "oracle": {"trials": 100, "estimator": "sgt", "out": None},
-}
+def _population(args) -> Population:
+    if args.zipf_exponent is None:
+        return Population.uniform(args.k_types)
+    return Population.zipf(args.k_types, args.zipf_exponent)
 
 
 def _cmd_synth(args, cfg) -> None:
-    other = "oracle" if args.mode == "pool" else "pool"
-    for dest in _SYNTH_FLAGS[other]:
-        if getattr(args, dest) is not None:
-            raise ConfigError(f"--{dest.replace('_', '-')} applies only to --mode {other}; "
-                              f"--mode {args.mode} would ignore it")
-    for dest, default in _SYNTH_FLAGS[args.mode].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+    if not args.out_stem:
+        raise ConfigError("--out-stem must not be empty")
     seed = int(cfg["seed"])
-    if args.zipf_exponent is None:
-        pop = Population.uniform(args.k_types)
-    else:
-        pop = Population.zipf(args.k_types, args.zipf_exponent)
-    if args.mode == "pool":
-        if not args.out_stem:
-            raise ConfigError("pool mode requires --out-stem")
-        x, labels = sample_pool(pop, args.n, dim=args.dim,
-                                spread=args.spread, seed=seed)
-        pool_path = args.out_stem + ".pool.ucsm"
-        write_matrix(x, pool_path)
-        write_labels(labels, args.out_stem + ".labels.txt")
-        _stage_manifest(pool_path, "synth", {"seed": seed}, {}, {
-            "k_types": str(args.k_types),
-            "n": str(args.n),
-            "dim": str(args.dim),
-            "spread": _fmt(args.spread),
-            "population": pop.kind,
-        })
-        return
+    pop = _population(args)
+    x, labels = sample_pool(pop, args.n, dim=args.dim, spread=args.spread, seed=seed)
+    pool_path = args.out_stem + ".pool.ucsm"
+    write_matrix(x, pool_path)
+    write_labels(labels, args.out_stem + ".labels.txt")
+    _stage_manifest(pool_path, "synth", {"seed": seed}, {}, {
+        "k_types": str(args.k_types),
+        "n": str(args.n),
+        "dim": str(args.dim),
+        "spread": _fmt(args.spread),
+        "population": pop.kind,
+    })
+
+
+def _cmd_oracle(args, cfg) -> None:
+    pop = _population(args)
     sgt = _sgt_config(cfg)
-    report = mc_unseen_oracle(pop, args.n, sgt.t, args.trials, seed, sgt=sgt,
+    report = mc_unseen_oracle(pop, args.n, sgt.t, args.trials, int(cfg["seed"]), sgt=sgt,
                               estimator=args.estimator)
-    rows = [
-        ("trials", str(report.trials)),
-        ("estimator", args.estimator),
-        ("t", _fmt(sgt.t)),
-        ("mean_new", _fmt(report.mean_new)),
-        ("std_new", _fmt(report.std_new)),
-        ("mean_estimate", _fmt(report.mean_estimate)),
-        ("std_estimate", _fmt(report.std_estimate)),
-        ("mean_abs_estimator_error", _fmt(report.mean_abs_estimator_error)),
-    ]
+    rows = [("trials", str(report.trials)), ("estimator", args.estimator), ("t", _fmt(sgt.t))]
+    rows += [(name, _fmt(getattr(report, name))) for name in
+             ("mean_new", "std_new", "mean_estimate", "std_estimate", "mean_abs_estimator_error")]
     _write_table(args.out, rows)
 
 

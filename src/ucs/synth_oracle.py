@@ -175,6 +175,8 @@ def sample_embeddings(
     each example sits spread-scaled noise away from its type mean."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if not 0 <= spread < np.inf:  # also refuses nan
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((pop.n_types, dim))
     lab = np.asarray(labels, dtype=np.int64)

@@ -1,12 +1,14 @@
 """Test oracles shared by the test modules, one copy each: an independent
 DBSCAN and union-find components on a distance matrix, first-appearance
-renumbering for comparing partitions, a plain manifest reader, and a runner
-that gives a script's output at one and at two BLAS threads."""
+renumbering for comparing partitions, the adjusted Rand index of two
+partitions, a plain manifest reader, and a runner that gives a script's
+output at one and at two BLAS threads."""
 
+import math
 import os
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,26 @@ def canon(labels) -> list[int]:
     """First-appearance renumbering, for comparing partitions."""
     seen: dict[int, int] = {}
     return [seen.setdefault(int(v), len(seen)) for v in labels]
+
+
+def adjusted_rand_index(a, b) -> float:
+    """Hubert and Arabie's adjusted Rand index of two labelings of the same
+    items, from their contingency table: 1 for equal partitions, about 0
+    for independent ones."""
+    a, b = [int(v) for v in a], [int(v) for v in b]
+    if len(a) != len(b):
+        raise ValueError(f"{len(a)} labels against {len(b)}")
+
+    def pairs(counts) -> int:
+        return sum(math.comb(c, 2) for c in counts)
+
+    together = pairs(Counter(zip(a, b)).values())
+    in_a, in_b = pairs(Counter(a).values()), pairs(Counter(b).values())
+    expected = in_a * in_b / math.comb(len(a), 2)
+    most = (in_a + in_b) / 2
+    if most == expected:  # both partitions all one cluster, or all singletons
+        return 1.0
+    return (together - expected) / (most - expected)
 
 
 def read_manifest(path) -> dict[str, str]:

@@ -73,6 +73,18 @@ def test_load_config_unknown_key_names_line(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_refuses_a_key_set_twice(tmp_path, capsys):
+    # the later value used to win without a word
+    path = tmp_path / "c.cfg"
+    path.write_text("budget=5\nsgt_t=2.0\n\nbudget=7\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: budget already set "
+                                          r"at line 1$"):
+        load_config(str(path))
+    _, labels_path = _write_pool(tmp_path)
+    assert main(["estimate", "--labels", labels_path, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:4: budget already set at line 1\n"
+
+
 def test_load_config_bad_value_and_syntax(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("budget=ten\n")
@@ -160,7 +172,8 @@ _LEGACY_COMMAND_KEYS = {
     "prior": set(),
     "select": {"budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset",
                "votek_k", "dpp_scale_factor", "candidate_num", "seed"},
-    "synth": {"seed", "sgt_t", "sgt_bin_size", "sgt_offset"},
+    "synth": {"seed"},
+    "oracle": {"seed", "sgt_t", "sgt_bin_size", "sgt_offset"},
     "analyze": set(),
     "pipeline": set(CONFIG_DEFAULTS),
 }
@@ -230,16 +243,14 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
             stage = manifest["stage"]
             stages.add(stage)
             used = {k[len("config."):] for k in manifest if k.startswith("config.")}
-            # synth's pool mode reads only the seed; its oracle mode, like
-            # spectrum and estimate, writes no manifest. Select and cluster
-            # manifests list the keys of their base and method (votek and
-            # dict_dbscan here), the others every key their command reads.
-            expected = ({"seed"} if stage == "synth" else
-                        _MANIFEST_KEYS[f"select:{manifest['base']}"] if stage == "select" else
+            # Select and cluster manifests list the keys of their base and
+            # method (votek and dict_dbscan here), the others every key
+            # their command reads; spectrum, estimate and oracle write none.
+            expected = (_MANIFEST_KEYS[f"select:{manifest['base']}"] if stage == "select" else
                         _MANIFEST_KEYS[f"cluster:{manifest['config.clustering']}"]
                         if stage == "cluster" else _LEGACY_COMMAND_KEYS[stage])
             assert used == expected, name
-    assert stages == set(_LEGACY_COMMAND_KEYS) - {"spectrum", "estimate", "pipeline"}
+    assert stages == set(_LEGACY_COMMAND_KEYS) - {"spectrum", "estimate", "oracle", "pipeline"}
     capsys.readouterr()
 
 
@@ -1025,6 +1036,21 @@ def test_select_query_row_outside_pool(tmp_path, capsys, row):
     assert not os.path.exists(out)
 
 
+def test_select_refuses_an_out_listed_twice(tmp_path, monkeypatch, capsys):
+    # seed 43's run used to overwrite seed 42's CSV and manifest
+    monkeypatch.chdir(tmp_path)
+    pool_path, labels_path = _write_pool(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for outs, first in ([["a.csv", "a.csv"], "a.csv"],
+                        [["b.csv", "a.csv", "./b.csv"], "b.csv"]):
+        assert main(["select", "--embeddings", pool_path, "--labels", labels_path,
+                     "--budget", "3", "--base", "subset_utility", "--out", *outs]) == 2
+        assert capsys.readouterr().err == (f"config error: --out {outs[-1]} names the file "
+                                           f"of the earlier --out {first}; each run needs "
+                                           "its own\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("base", [b for b in BASE_SELECTORS if b != "subset_utility"])
 def test_select_query_row_refused_where_ignored(tmp_path, capsys, base):
     pool_path, labels_path = _write_pool(tmp_path)
@@ -1304,7 +1330,7 @@ def test_index_outside_the_pool_names_the_labels_file(tmp_path, capsys, command)
 
 def test_synth_pool_and_oracle(tmp_path, capsys):
     stem = str(tmp_path / "syn")
-    assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30",
+    assert main(["synth", "--k-types", "5", "--n", "30",
                  "--dim", "6", "--out-stem", stem, "--seed", "1"]) == 0
     pool = read_matrix(stem + ".pool.ucsm")
     labels = read_labels(stem + ".labels.txt")
@@ -1313,7 +1339,7 @@ def test_synth_pool_and_oracle(tmp_path, capsys):
     assert set(np.unique(labels)) <= set(range(1, 6))
 
     report = str(tmp_path / "oracle.txt")
-    assert main(["synth", "--mode", "oracle", "--k-types", "5", "--n", "20",
+    assert main(["oracle", "--k-types", "5", "--n", "20",
                  "--trials", "5", "--sgt-t", "1.0", "--seed", "3",
                  "--out", report]) == 0
     text = open(report).read()
@@ -1346,7 +1372,7 @@ _README_ORACLE = {
 
 @pytest.mark.parametrize("estimator", ["sgt", "gt"])
 def test_synth_oracle_readme_output_is_pinned(capsys, estimator):
-    assert main(["synth", "--mode", "oracle", "--k-types", "50", "--zipf-exponent", "1.1",
+    assert main(["oracle", "--k-types", "50", "--zipf-exponent", "1.1",
                  "--n", "200", "--sgt-t", "2.0", "--trials", "100", "--seed", "7",
                  "--estimator", estimator]) == 0
     assert capsys.readouterr().out == _README_ORACLE[estimator]
@@ -1355,7 +1381,7 @@ def test_synth_oracle_readme_output_is_pinned(capsys, estimator):
 def test_synth_horizon_has_one_flag(tmp_path, capsys):
     # --t is not a flag, nor an abbreviation of --trials
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--mode", "oracle", "--k-types", "5", "--n", "20", "--t", "2"])
+        main(["oracle", "--k-types", "5", "--n", "20", "--t", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -1380,7 +1406,7 @@ def _table(path):
 
 def test_synth_estimator_and_spread_flags_are_the_library_calls(tmp_path, capsys):
     report = str(tmp_path / "oracle.txt")
-    assert main(["synth", "--mode", "oracle", "--k-types", "30", "--zipf-exponent",
+    assert main(["oracle", "--k-types", "30", "--zipf-exponent",
                  "1.1", "--n", "40", "--trials", "7", "--sgt-t", "2.0", "--seed", "5",
                  "--estimator", "gt", "--out", report]) == 0
     want = mc_unseen_oracle(Population.zipf(30, 1.1), 40, 2.0, 7, 5,
@@ -1391,7 +1417,7 @@ def test_synth_estimator_and_spread_flags_are_the_library_calls(tmp_path, capsys
                  "mean_abs_estimator_error"):
         assert float(table[name]) == getattr(want, name)
     stem = str(tmp_path / "syn")
-    assert main(["synth", "--mode", "pool", "--k-types", "5", "--n", "30", "--dim", "6",
+    assert main(["synth", "--k-types", "5", "--n", "30", "--dim", "6",
                  "--spread", "0.2", "--seed", "1", "--out-stem", stem]) == 0
     x, labels = sample_pool(Population.uniform(5), 30, dim=6, spread=0.2, seed=1)
     assert np.array_equal(read_matrix(stem + ".pool.ucsm"), x)
@@ -1400,7 +1426,7 @@ def test_synth_estimator_and_spread_flags_are_the_library_calls(tmp_path, capsys
 
 
 def test_synth_oracle_zipf_overflow_is_an_error_not_a_traceback(capsys):
-    assert main(["synth", "--mode", "oracle", "--k-types", "50",
+    assert main(["oracle", "--k-types", "50",
                  "--zipf-exponent", "-400", "--n", "20"]) == 2
     err = capsys.readouterr().err
     assert err == "error: zipf exponent -400.0 overflows float64 over 50 types\n"
@@ -1410,25 +1436,46 @@ def test_synth_oracle_zipf_overflow_is_an_error_not_a_traceback(capsys):
     ("pool", "--trials", "7"),
     ("pool", "--estimator", "gt"),
     ("pool", "--out", "report.txt"),
+    ("pool", "--sgt-t", "3.0"),
+    ("pool", "--mode", "pool"),
     ("oracle", "--out-stem", "zz"),
     ("oracle", "--dim", "9"),
     ("oracle", "--spread", "0.5"),
+    ("oracle", "--mode", "oracle"),
 ])
 def test_synth_refuses_a_flag_its_mode_ignores(tmp_path, monkeypatch, capsys,
                                                mode, flag, value):
-    # each used to exit 0, the flag read by nothing
+    # synth makes the pool and oracle runs the oracle; each parses only the
+    # flags it reads, so the other's flags, the sgt_* flags on synth (they
+    # used to exit 0, read by nothing) and the old --mode are unknown flags
     monkeypatch.chdir(tmp_path)
-    other = "oracle" if mode == "pool" else "pool"
-    stem = [] if mode == "oracle" else ["--out-stem", "syn"]
-    assert main(["synth", "--mode", mode, "--k-types", "5", "--n", "20",
-                 *stem, flag, value]) == 2
-    assert capsys.readouterr().err == (f"config error: {flag} applies only to --mode "
-                                       f"{other}; --mode {mode} would ignore it\n")
+    command, stem = ("synth", ["--out-stem", "syn"]) if mode == "pool" else ("oracle", [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--k-types", "5", "--n", "20", *stem, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
-def test_synth_pool_requires_out_stem(tmp_path):
-    assert main(["synth", "--mode", "pool", "--k-types", "3", "--n", "5"]) == 2
+def test_synth_pool_requires_out_stem(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--k-types", "3", "--n", "5"])
+    assert exc.value.code == 2
+    assert main(["synth", "--k-types", "3", "--n", "5", "--out-stem", ""]) == 2
+    assert capsys.readouterr().err.endswith("config error: --out-stem must not be empty\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("spread", ["-1", "-1e-300"])
+def test_synth_refuses_a_negative_spread(tmp_path, monkeypatch, capsys, spread):
+    # it used to write a pool whose manifest said spread=-1.0
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--k-types", "3", "--n", "10", f"--spread={spread}",
+                 "--out-stem", "d"]) == 2
+    assert capsys.readouterr().err == (f"error: spread must be finite and >= 0, "
+                                       f"got {float(spread)}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_cluster_then_analyze(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canon, reference_dbscan, union_find_partition
+from oracles import adjusted_rand_index, canon, reference_dbscan, union_find_partition
 import ucs.clustering
 from ucs.clustering import (
     _eps_lists,
@@ -725,3 +725,25 @@ def test_k_nearest_ties_in_a_block_of_identical_rows():
                 assert np.array_equal(indices[i], others[:k]), (k, i)
                 assert (distances[i] == dist[i, others[0]]).all()
                 assert distances[i, 0] <= 1e-15
+
+
+def test_adjusted_rand_index_oracle_matches_pair_counts():
+    # criterion 12's ARI, checked against hand values and against the
+    # pair-counting form, which enumerates every pair of items
+    assert adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
+    assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 1, 2]) == pytest.approx(4 / 7)
+    assert adjusted_rand_index([0, 0, 0, 0], [0, 1, 2, 3]) == 0.0
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        a, b = rng.integers(0, 4, n), rng.integers(0, 6, n)
+        same_a = a[:, None] == a[None, :]
+        same_b = b[:, None] == b[None, :]
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        n11 = int((same_a & same_b & upper).sum())
+        n10 = int((same_a & ~same_b & upper).sum())
+        n01 = int((~same_a & same_b & upper).sum())
+        n00 = int((~same_a & ~same_b & upper).sum())
+        want = 2 * (n11 * n00 - n01 * n10) / ((n11 + n01) * (n01 + n00) +
+                                              (n11 + n10) * (n10 + n00))
+        assert adjusted_rand_index(a, b) == pytest.approx(want, abs=1e-12)

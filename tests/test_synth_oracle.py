@@ -164,6 +164,16 @@ def test_sample_embeddings_cluster_structure():
     assert np.array_equal(emb, sample_embeddings(pop, labels, 16, 1e-6, 0))
 
 
+@pytest.mark.parametrize("spread", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_sample_embeddings_refuses_a_negative_or_non_finite_spread(spread):
+    # a negative spread used to give the noise of -spread, negated
+    with pytest.raises(ValueError, match=rf"^spread must be finite and >= 0, got {spread}$"):
+        sample_embeddings(Population.uniform(3), np.array([1, 2]), spread=spread)
+    # zero is the noiseless mixture: each row is its type mean
+    emb = sample_embeddings(Population.uniform(3), np.array([1, 1]), spread=0.0)
+    assert np.array_equal(emb[0], emb[1])
+
+
 def test_sample_pool_shapes():
     emb, labels = sample_pool(Population.uniform(5), 20, dim=8, seed=2)
     assert emb.shape == (20, 8)
