@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     DegenerateInput,
     EmptyMask,
+    IoError,
     MissingInput,
     NonFiniteValue,
     ParseError,
@@ -142,15 +143,26 @@ CONFIG_TYPES: dict[str, Callable[[str], object]] = {
     for k, v in CONFIG_DEFAULTS.items()
 }
 
-PIPELINE_STAGES = (
-    "preprocess",
-    "dict-fit",
-    "dict-encode",
-    "cluster",
-    "prior",
-    "select",
-    "analyze",
-)
+# Every command that writes a manifest: (the workdir file a pipeline stage
+# writes, *input flags as (flag, manifest name, workdir file)), stages first in
+# run order. A flag that takes several files names its i-th name.format(i).
+# run_pipeline passes input_pool for None, RUNS.format(r) for each r < n_runs.
+REDUCED, DICT, CODES, LABELS, RUNS = (
+    "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt", "select_run{:02d}.csv")
+STAGE_TABLE: dict[str, tuple] = {
+    "preprocess": (REDUCED, ("--input", "pool", None)),
+    "dict-fit": (DICT, ("--input", "pool", REDUCED)),
+    "dict-encode": (CODES, ("--dict", "dict", DICT), ("--input", "pool", REDUCED)),
+    "cluster": (LABELS, ("--input", "input", CODES)),
+    "prior": ("prior.csv", ("--labels", "labels", LABELS)),
+    "select": (RUNS, ("--embeddings", "embeddings", REDUCED), ("--labels", "labels", LABELS)),
+    "analyze": ("report.txt", ("--labels", "labels", LABELS),
+                ("--selections", "selection{}", RUNS)),
+    "ingest": (None, ("--input", "matrix", None)),
+    "joint-fit": (None, ("--inputs", "source{}", None)),
+    "synth": (None,),
+}
+PIPELINE_STAGES = tuple(stage for stage, (out, *_) in STAGE_TABLE.items() if out)
 
 
 # A key's type is its default's: what its values must be and the types that
@@ -224,23 +236,27 @@ def _config_used(cfg: dict, command: str, variant: str | None = None) -> dict[st
             or (command in commands and (variant is None or variant in variants))}
 
 
-def _input_hashes(inputs: dict[str, str]) -> dict[str, str]:
-    """Manifest entries input.<name>.sha256 for each named input path."""
-    return {f"input.{name}.sha256": sha256_file(path)
-            for name, path in inputs.items()}
+def _input_hashes(args) -> dict[str, str]:
+    """Manifest entries input.<name>.sha256 of the STAGE_TABLE inputs args was given."""
+    entries = {}
+    for flag, name, _ in STAGE_TABLE[args.command][1:]:
+        given = getattr(args, flag[2:])
+        for i, path in enumerate([given] if isinstance(given, str) else given or []):
+            entries[f"input.{name.format(i)}.sha256"] = sha256_file(path)
+    return entries
 
 
 def _stage_manifest(
+    args,
     artifact: str,
-    stage: str,
     cfg_used: dict[str, object],
-    inputs: dict[str, str],
     extra: dict[str, str] | None = None,
+    hashes: dict[str, str] | None = None,  # _input_hashes(args), if taken already
 ) -> None:
-    entries: dict[str, str] = {"stage": stage}
+    entries: dict[str, str] = {"stage": args.command}
     entries.update({f"config.{key}": repr(value) if isinstance(value, float) else str(value)
                     for key, value in cfg_used.items()})
-    entries.update(_input_hashes(inputs))
+    entries.update(_input_hashes(args) if hashes is None else hashes)
     # Float artifacts can depend on the BLAS thread count and numpy version.
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         entries[f"env.{name}"] = os.environ.get(name, "unset")
@@ -362,7 +378,6 @@ def stage_preprocess(args, cfg) -> None:
             except (EmptyMask, NonFiniteValue, ValueError) as exc:
                 raise type(exc)(f"--bundle {args.bundle}: {stem}: {exc}") from None
         pool = np.stack(rows)
-        inputs: dict[str, str] = {}
         extra = {"input.bundle.sha256": bundle_sha256(args.bundle, [e[0] for e in examples]),
                  "pooling": pooling}
     else:
@@ -370,7 +385,7 @@ def stage_preprocess(args, cfg) -> None:
             raise ConfigError(f"--pooling applies only to --bundle; "
                               f"--input {args.input} would ignore it")
         pool = read_matrix(args.input)
-        inputs, extra = {"pool": args.input}, {}
+        extra = {}
     standardize = not args.no_standardize
     try:
         reduced = preprocess_pool(
@@ -385,7 +400,7 @@ def stage_preprocess(args, cfg) -> None:
             source = f"--bundle {args.bundle}: {stem} (the example of largest magnitude)"
         raise NonFiniteValue(f"{source}: {exc}; refusing to write") from None
     write_matrix(reduced, args.out)
-    _stage_manifest(args.out, "preprocess", _config_used(cfg, "preprocess"), inputs, {
+    _stage_manifest(args, args.out, _config_used(cfg, "preprocess"), {
         "rows": str(reduced.shape[0]),
         "cols": str(reduced.shape[1]),
         "standardize": str(standardize),
@@ -406,33 +421,31 @@ def stage_dict_fit(args, cfg) -> None:
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"--input {args.input}: {exc}; refusing to write") from None
     write_matrix(book.dictionary, args.out)
-    _stage_manifest(args.out, "dict-fit", _config_used(cfg, "dict-fit"),
-                    {"pool": args.input}, {
-                        "objective": _fmt(book.objective),
-                        "objective_history": " ".join(map(_fmt, book.objective_history)),
-                        "n_iter": str(book.n_iter),
-                        "max_iter": str(args.max_iter),
-                    })
+    _stage_manifest(args, args.out, _config_used(cfg, "dict-fit"), {
+        "objective": _fmt(book.objective),
+        "objective_history": " ".join(map(_fmt, book.objective_history)),
+        "n_iter": str(book.n_iter),
+        "max_iter": str(args.max_iter),
+    })
     print(f"objective {book.objective!r} after {book.n_iter} iterations")
 
 
 def stage_dict_encode(args, cfg) -> None:
-    book = CodeBook(dictionary=read_matrix(args.dict_path),
+    book = CodeBook(dictionary=read_matrix(args.dict),
                     ridge_alpha=float(cfg["dict_alpha"]))
     pool = read_matrix(args.input)
     if pool.shape[1] != book.dictionary.shape[0]:
         raise ConfigError(
             f"--input {args.input} has {pool.shape[1]} columns but "
-            f"--dict {args.dict_path} has {book.dictionary.shape[0]} rows"
+            f"--dict {args.dict} has {book.dictionary.shape[0]} rows"
         )
     try:
         codes = ridge_encode(book, pool)
     except NonFiniteValue as exc:
-        raise NonFiniteValue(f"--dict {args.dict_path}: {exc}; refusing to write the codes "
+        raise NonFiniteValue(f"--dict {args.dict}: {exc}; refusing to write the codes "
                              f"of --input {args.input}") from None
     write_matrix(codes, args.out)
-    _stage_manifest(args.out, "dict-encode", _config_used(cfg, "dict-encode"),
-                    {"dict": args.dict_path, "pool": args.input})
+    _stage_manifest(args, args.out, _config_used(cfg, "dict-encode"))
 
 
 def stage_cluster(args, cfg) -> None:
@@ -461,7 +474,7 @@ def stage_cluster(args, cfg) -> None:
     # --eps stands in for the eps that dbscan_k and dbscan_q set
     used = {k: v for k, v in used.items()
             if args.eps is None or k not in ("dbscan_k", "dbscan_q")}
-    _stage_manifest(args.out, "cluster", used, {"input": args.input}, extra)
+    _stage_manifest(args, args.out, used, extra)
     print(f"{assignment.n_clusters} clusters over {x.shape[0]} points")
 
 
@@ -475,9 +488,8 @@ def stage_prior(args, cfg) -> None:
         writer.writerow(["cluster", "size", "weight"])
         for c in clusters:
             writer.writerow([c, prior.sizes[c], _fmt(prior.weights[c])])
-    _stage_manifest(args.out, "prior", {}, {"labels": args.labels},
-                    {"power_law_fallback": str(prior.power_law_fallback),
-                     "n_clusters": str(len(clusters))})
+    _stage_manifest(args, args.out, {}, {"power_law_fallback": str(prior.power_law_fallback),
+                                         "n_clusters": str(len(clusters))})
 
 
 def stage_select(args, cfg) -> None:
@@ -517,8 +529,7 @@ def stage_select(args, cfg) -> None:
         sgt=sgt,
     )
     query = {} if args.query_row is None else {"query_row": str(args.query_row)}
-    # Hashed once, not once per out, and passed to each manifest as extra.
-    hashes = _input_hashes({"embeddings": args.embeddings, "labels": args.labels})
+    hashes = _input_hashes(args)  # once, not once per out
     result = None
     for r, out in enumerate(args.out):
         seed = int(cfg["seed"]) + r
@@ -527,8 +538,7 @@ def stage_select(args, cfg) -> None:
                             candidate_num=int(cfg["candidate_num"]),
                             query_row=args.query_row)
         _write_selection_csv(out, result)
-        _stage_manifest(out, "select", used, {}, {
-            **hashes,
+        _stage_manifest(args, out, used, {
             "base": args.base,
             **({"seed": str(seed)} if seeded else {}),
             "phi": _fmt(result.phi),
@@ -538,7 +548,7 @@ def stage_select(args, cfg) -> None:
             # k0 that ucs estimate reads for the same rows.
             "k0": str(k0_for(sgt.t, len(result.indices))),
             **query,
-        })
+        }, hashes)
         print(f"selected {result.indices} phi={result.phi!r} k_seen={result.k_seen}")
 
 
@@ -557,9 +567,7 @@ def stage_analyze(args, cfg) -> None:
     ]
     _write_table(args.out, rows)
     if args.out:
-        inputs = {"labels": args.labels}
-        inputs.update({f"selection{i}": p for i, p in enumerate(args.selections)})
-        _stage_manifest(args.out, "analyze", {}, inputs)
+        _stage_manifest(args, args.out, {})
 
 
 def run_pipeline(
@@ -572,12 +580,13 @@ def run_pipeline(
 ) -> None:
     """Run a contiguous stage range as the subcommands of the same names.
 
-    Each stage gets cfg and the argv below, so the file names are fixed and
-    a later invocation can resume: when the range starts after `preprocess`
-    the earlier files must already exist. The n_runs selections use seeds
-    seed..seed+n_runs-1, and analyze reports their exposure metrics as
-    mean +/- std. cfg is checked and every argv parsed before any stage
-    runs, and the workdir is created only when preprocess can read its pool.
+    Each stage gets cfg and, as argv, the workdir files that STAGE_TABLE
+    names, so the file names are fixed and a later invocation can resume:
+    when the range starts after `preprocess` the earlier files must already
+    exist. The n_runs selections use seeds seed..seed+n_runs-1, and analyze
+    reports their exposure metrics as mean +/- std. cfg is checked and every
+    argv parsed before any stage runs, and the workdir is created only when
+    preprocess can read its pool; IoError names a workdir that cannot be.
     cfg must hold exactly the CONFIG_KEYS.
 
     threads is ignored. It remains so that callers which still pass a
@@ -593,32 +602,29 @@ def run_pipeline(
     if "select" in stages:
         _sgt_config(cfg)  # a horizon the estimator cannot evaluate fails here
 
-    def path(name: str) -> str:
+    def paths(name: str | None) -> list[str]:
         # Absolute, so that no argv value starts with "-".
-        return os.path.abspath(os.path.join(workdir, name))
+        names = [RUNS.format(r) for r in range(int(cfg["n_runs"]))] if name == RUNS else [name]
+        return [os.path.abspath(os.path.join(workdir, n) if n else input_pool) for n in names]
 
-    reduced, codes, labels = (path(name) for name in
-                              ("pool_reduced.ucsm", "codes.ucsm", "labels.txt"))
-    selections = [path(f"select_run{r:02d}.csv") for r in range(int(cfg["n_runs"]))]
-    argv = {
-        "preprocess": ["--input", os.path.abspath(input_pool), "--out", reduced],
-        "dict-fit": ["--input", reduced, "--out", path("dict.ucsm")],
-        "dict-encode": ["--dict", path("dict.ucsm"), "--input", reduced,
-                        "--out", codes],
-        "cluster": ["--input", reduced if cfg["clustering"] == "dbscan" else codes,
-                    "--out", labels],
-        "prior": ["--labels", labels, "--out", path("prior.csv")],
-        "select": ["--embeddings", reduced, "--labels", labels, "--base", base,
-                   "--out", *selections],
-        "analyze": ["--labels", labels, "--out", path("report.txt"),
-                    "--selections", *selections],
-    }
+    # Besides STAGE_TABLE: dbscan clusters the reduced pool, and select takes the base.
     parser = build_parser()
-    parsed = [parser.parse_args([stage, *argv[stage]]) for stage in stages]
+    parsed = []
+    for stage in stages:
+        out, *inputs = STAGE_TABLE[stage]
+        argv = [stage, "--out", *paths(out)] + (["--base", base] if stage == "select" else [])
+        for flag, _, name in inputs:
+            if stage == "cluster" and cfg["clustering"] == "dbscan":
+                name = REDUCED
+            argv += [flag, *paths(name)]
+        parsed.append(parser.parse_args(argv))
     if "preprocess" in stages:
         with open_file(input_pool, "rb"):
             pass
-        os.makedirs(workdir, exist_ok=True)
+        try:
+            os.makedirs(workdir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create --workdir {workdir}: {exc.strerror or exc}") from None
     for args in parsed:
         args.run(args, cfg)
 
@@ -646,11 +652,28 @@ def _add_population_flags(parser: argparse.ArgumentParser) -> None:
                         help="zipf population (default: uniform)")
 
 
+class _StoreOnce(argparse.Action):
+    """The flags' default action: store the value, refusing a flag given twice
+    in one command line, as load_config refuses a key set twice in one file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            raise argparse.ArgumentError(self, f"already set by an earlier {option_string}")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     # No flag abbreviations, so a removed or renamed flag cannot silently
-    # land on another that shares its prefix. Subparsers take this class too.
+    # land on another that shares its prefix, and no flag given twice (each
+    # parse starts a new `given`). Subparsers take this class too.
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given: set[str] = set()
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=stage_dict_fit)
 
     p = sub.add_parser("dict-encode", help="ridge-encode a pool against a dictionary")
-    p.add_argument("--dict", dest="dict_path", required=True)
+    p.add_argument("--dict", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, "dict-encode")
@@ -794,8 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args, cfg) -> None:
     write_matrix(read_matrix(args.input), args.out, dtype=args.dtype)
-    _stage_manifest(args.out, "ingest", {}, {"matrix": args.input},
-                    {"dtype": args.dtype})
+    _stage_manifest(args, args.out, {}, {"dtype": args.dtype})
 
 
 def _cmd_joint_fit(args, cfg) -> None:
@@ -818,13 +840,12 @@ def _cmd_joint_fit(args, cfg) -> None:
     write_matrix(book.codes, stem + ".codes.ucsm")
     for m, mapping in enumerate(book.maps):
         write_matrix(mapping, f"{stem}.map{m}.ucsm")
-    _stage_manifest(stem + ".dict.ucsm", "joint-fit", _config_used(cfg, "joint-fit"),
-                    {f"source{i}": p for i, p in enumerate(args.inputs)}, {
-                        "objective": _fmt(book.objective),
-                        "objective_history": " ".join(map(_fmt, book.objective_history)),
-                        "n_iter": str(book.n_iter),
-                        "n_sources": str(len(sources)),
-                    })
+    _stage_manifest(args, stem + ".dict.ucsm", _config_used(cfg, "joint-fit"), {
+        "objective": _fmt(book.objective),
+        "objective_history": " ".join(map(_fmt, book.objective_history)),
+        "n_iter": str(book.n_iter),
+        "n_sources": str(len(sources)),
+    })
     print(f"joint objective {book.objective!r} after {book.n_iter} iterations")
 
 
@@ -869,7 +890,7 @@ def _cmd_synth(args, cfg) -> None:
     pool_path = args.out_stem + ".pool.ucsm"
     write_matrix(x, pool_path)
     write_labels(labels, args.out_stem + ".labels.txt")
-    _stage_manifest(pool_path, "synth", {"seed": seed}, {}, {
+    _stage_manifest(args, pool_path, {"seed": seed}, {
         "k_types": str(args.k_types),
         "n": str(args.n),
         "dim": str(args.dim),

@@ -28,9 +28,11 @@ from ucs.coverage import SgtConfig, corpus_prior, coverage_phi, k0_for
 from ucs.errors import ConfigError, MissingInput
 from ucs.latent_dictionary import fit_dictionary, fit_joint_dictionary
 from ucs.matrix_store import (
+    bundle_sha256,
     read_labels,
     read_matrix,
     read_token_bundle,
+    sha256_file,
     write_labels,
     write_matrix,
     write_token_bundle,
@@ -83,6 +85,35 @@ def test_load_config_refuses_a_key_set_twice(tmp_path, capsys):
     _, labels_path = _write_pool(tmp_path)
     assert main(["estimate", "--labels", labels_path, "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {path}:4: budget already set at line 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sgt-t", "--out", "--base", "--input"])
+def test_a_flag_given_twice_is_refused(tmp_path, capsys, flag):
+    # the later value used to win without a word: a second --config replaced
+    # the first, and select wrote only the last --out
+    pool_path, labels_path = _write_pool(tmp_path)
+    (tmp_path / "a.cfg").write_text("sgt_t=2.0\n")
+    (tmp_path / "b.cfg").write_text("budget=3\n")
+    oracle = ["oracle", "--k-types", "20", "--n", "50", "--trials", "3"]
+    argv = {
+        "--config": oracle + ["--config", str(tmp_path / "a.cfg"),
+                              "--config", str(tmp_path / "b.cfg")],
+        "--sgt-t": oracle + ["--sgt-t", "2.0", "--sgt-t", "3.0"],
+        "--out": ["select", "--embeddings", pool_path, "--labels", labels_path,
+                  "--out", str(tmp_path / "s1.csv"), "--out", str(tmp_path / "s2.csv")],
+        "--base": ["pipeline", "--input", pool_path, "--workdir", str(tmp_path / "w"),
+                   "--base", "votek", "--base=votek"],
+        "--input": ["preprocess", "--input", pool_path, "--input", pool_path,
+                    "--out", str(tmp_path / "reduced.ucsm")],
+    }[flag]
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: already set by an earlier {flag}\n")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_load_config_bad_value_and_syntax(tmp_path):
@@ -226,20 +257,46 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
     wd = tmp_path / "w"
     assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
                  "--dict-n-components", "4", "--dict-pca-dim", "5",
-                 "--dbscan-k", "3", "--budget", "3", "--n-runs", "1"]) == 0
+                 "--dbscan-k", "3", "--budget", "3", "--n-runs", "2"]) == 0
+    reduced, dictionary, codes, labels, run0, run1 = (str(wd / name) for name in (
+        "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt",
+        "select_run00.csv", "select_run01.csv"))
     assert main(["ingest", "--input", pool_path,
                  "--out", str(tmp_path / "ingested.ucsm")]) == 0
-    assert main(["joint-fit", "--inputs", pool_path, pool_path, "--out-stem",
+    assert main(["joint-fit", "--inputs", pool_path, reduced, "--out-stem",
                  str(tmp_path / "joint"), "--dict-n-components", "3",
                  "--max-iter", "2"]) == 0
     assert main(["synth", "--k-types", "3", "--n", "10",
                  "--out-stem", str(tmp_path / "syn")]) == 0
+    bundle = _six_example_bundle(tmp_path)
+    assert main(["preprocess", "--bundle", bundle, "--out", str(tmp_path / "bundled.ucsm"),
+                 "--dict-pca-dim", "4"]) == 0
+    # Each manifest's input.<name>.sha256 entries: the hash of the file
+    # passed as that input (a bundle's, over its stems and files).
+    stems = [stem for stem, _, _ in read_token_bundle(bundle)]
+    inputs = {
+        reduced: {"pool": pool_path},
+        dictionary: {"pool": reduced},
+        codes: {"dict": dictionary, "pool": reduced},
+        labels: {"input": codes},
+        str(wd / "prior.csv"): {"labels": labels},
+        run0: {"embeddings": reduced, "labels": labels},
+        run1: {"embeddings": reduced, "labels": labels},
+        str(wd / "report.txt"): {"labels": labels, "selection0": run0, "selection1": run1},
+        str(tmp_path / "ingested.ucsm"): {"matrix": pool_path},
+        str(tmp_path / "joint.dict.ucsm"): {"source0": pool_path, "source1": reduced},
+        str(tmp_path / "syn.pool.ucsm"): {},
+    }
+    hashes = {artifact: {name: sha256_file(path) for name, path in names.items()}
+              for artifact, names in inputs.items()}
+    hashes[str(tmp_path / "bundled.ucsm")] = {"bundle": bundle_sha256(bundle, stems)}
     stages = set()
     for root, _, names in os.walk(tmp_path):
         for name in names:
             if not name.endswith(".manifest.txt"):
                 continue
-            manifest = read_manifest(os.path.join(root, name))
+            path = os.path.join(root, name)
+            manifest = read_manifest(path)
             stage = manifest["stage"]
             stages.add(stage)
             used = {k[len("config."):] for k in manifest if k.startswith("config.")}
@@ -250,7 +307,11 @@ def test_manifest_config_entries_are_unchanged(tmp_path, capsys):
                         _MANIFEST_KEYS[f"cluster:{manifest['config.clustering']}"]
                         if stage == "cluster" else _LEGACY_COMMAND_KEYS[stage])
             assert used == expected, name
+            hashed = {k[len("input."):-len(".sha256")]: v for k, v in manifest.items()
+                      if k.startswith("input.") and k.endswith(".sha256")}
+            assert hashed == hashes.pop(path[:-len(".manifest.txt")]), name
     assert stages == set(_LEGACY_COMMAND_KEYS) - {"spectrum", "estimate", "oracle", "pipeline"}
+    assert hashes == {}
     capsys.readouterr()
 
 
@@ -1731,13 +1792,16 @@ def _without_timestamp(path):
     return data
 
 
-@pytest.mark.parametrize("base", ["votek", "dpp"])
-def test_pipeline_equals_the_subcommands(tmp_path, capsys, base):
+@pytest.mark.parametrize("base, clustering", [
+    ("votek", "dict_dbscan"), ("dpp", "dict_dbscan"), ("votek", "dbscan"),
+    ("votek", "dict_argmax"),
+], ids=["votek", "dpp", "dbscan", "dict_argmax"])
+def test_pipeline_equals_the_subcommands(tmp_path, capsys, base, clustering):
     pool_path, _ = _write_pool(tmp_path, n=35, k=5, dim=10, seed=4)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "dict_n_components=6\ndict_pca_dim=8\ndbscan_k=3\ndbscan_q=0.3\n"
-        "budget=4\nn_runs=2\nsgt_t=2.0\nseed=11\n"
+        f"budget=4\nn_runs=2\nsgt_t=2.0\nseed=11\nclustering={clustering}\n"
     )
     wd = tmp_path / "pipeline"
     assert main(["pipeline", "--input", pool_path, "--workdir", str(wd),
@@ -1752,7 +1816,9 @@ def test_pipeline_equals_the_subcommands(tmp_path, capsys, base):
         ["preprocess", "--input", pool_path, "--out", reduced],
         ["dict-fit", "--input", reduced, "--out", dictionary],
         ["dict-encode", "--dict", dictionary, "--input", reduced, "--out", codes],
-        ["cluster", "--input", codes, "--out", labels],
+        # dbscan clusters the reduced pool, the dict_* methods the codes
+        ["cluster", "--input", reduced if clustering == "dbscan" else codes,
+         "--out", labels],
         ["prior", "--labels", labels, "--out", prior],
         ["select", "--embeddings", reduced, "--labels", labels, "--base", base,
          "--out", run00, run01],
@@ -1799,6 +1865,20 @@ def test_pipeline_bad_value_fails_before_any_stage_writes(tmp_path, capsys,
                 + flags) == 2
     assert f"config error: {key} must be " in capsys.readouterr().err
     assert not wd.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_pipeline_workdir_that_cannot_be_made_is_io_error(tmp_path, capsys, sub):
+    # os.makedirs's FileExistsError or NotADirectoryError used to escape main
+    pool_path, _ = _write_pool(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    wd = afile / sub if sub else afile
+    before = sorted(os.listdir(tmp_path))
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create --workdir {wd}: "), err
+    assert sorted(os.listdir(tmp_path)) == before and afile.read_text() == ""
 
 
 def test_pipeline_bad_config_file_value_names_line(tmp_path, capsys):
