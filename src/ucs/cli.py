@@ -144,22 +144,26 @@ CONFIG_TYPES: dict[str, Callable[[str], object]] = {
 }
 
 # Every command that writes a manifest: (the workdir file a pipeline stage
-# writes, *input flags as (flag, manifest name, workdir file)), stages first in
-# run order. A flag that takes several files names its i-th name.format(i).
+# writes, *input flags as (flag, manifest name, workdir file, help)), stages
+# first in run order. build_parser declares each input flag from here; a flag
+# that takes several files names its i-th name.format(i).
 # run_pipeline passes input_pool for None, RUNS.format(r) for each r < n_runs.
 REDUCED, DICT, CODES, LABELS, RUNS = (
     "pool_reduced.ucsm", "dict.ucsm", "codes.ucsm", "labels.txt", "select_run{:02d}.csv")
 STAGE_TABLE: dict[str, tuple] = {
-    "preprocess": (REDUCED, ("--input", "pool", None)),
-    "dict-fit": (DICT, ("--input", "pool", REDUCED)),
-    "dict-encode": (CODES, ("--dict", "dict", DICT), ("--input", "pool", REDUCED)),
-    "cluster": (LABELS, ("--input", "input", CODES)),
-    "prior": ("prior.csv", ("--labels", "labels", LABELS)),
-    "select": (RUNS, ("--embeddings", "embeddings", REDUCED), ("--labels", "labels", LABELS)),
-    "analyze": ("report.txt", ("--labels", "labels", LABELS),
-                ("--selections", "selection{}", RUNS)),
-    "ingest": (None, ("--input", "matrix", None)),
-    "joint-fit": (None, ("--inputs", "source{}", None)),
+    "preprocess": (REDUCED, ("--input", "pool", None, "pooled N x d matrix")),
+    "dict-fit": (DICT, ("--input", "pool", REDUCED, "pool to fit")),
+    "dict-encode": (CODES, ("--dict", "dict", DICT, "dictionary from dict-fit"),
+                    ("--input", "pool", REDUCED, "pool to encode")),
+    "cluster": (LABELS, ("--input", "input", CODES,
+                         "codes (dict_* methods) or embeddings (dbscan)")),
+    "prior": ("prior.csv", ("--labels", "labels", LABELS, "cluster labels")),
+    "select": (RUNS, ("--embeddings", "embeddings", REDUCED, "pool to select from"),
+               ("--labels", "labels", LABELS, "cluster labels")),
+    "analyze": ("report.txt", ("--labels", "labels", LABELS, "cluster labels"),
+                ("--selections", "selection{}", RUNS, "selection CSVs from the select stage")),
+    "ingest": (None, ("--input", "matrix", None, "CSV or binary matrix")),
+    "joint-fit": (None, ("--inputs", "source{}", None, "source matrices with aligned rows")),
     "synth": (None,),
 }
 PIPELINE_STAGES = tuple(stage for stage, (out, *_) in STAGE_TABLE.items() if out)
@@ -236,14 +240,44 @@ def _config_used(cfg: dict, command: str, variant: str | None = None) -> dict[st
             or (command in commands and (variant is None or variant in variants))}
 
 
+def _paths(value) -> list[str]:
+    """A file flag's value as a list: one path, the paths of nargs="+", or none."""
+    return [value] if isinstance(value, str) else value or []
+
+
+def _table_inputs(args) -> list[tuple[str, str, str]]:
+    """(flag, manifest name, path) of each STAGE_TABLE input args was given."""
+    return [(flag, name.format(i), path)
+            for flag, name, *_ in STAGE_TABLE.get(args.command, (None,))[1:]
+            for i, path in enumerate(_paths(getattr(args, flag[2:])))]
+
+
 def _input_hashes(args) -> dict[str, str]:
     """Manifest entries input.<name>.sha256 of the STAGE_TABLE inputs args was given."""
-    entries = {}
-    for flag, name, _ in STAGE_TABLE[args.command][1:]:
-        given = getattr(args, flag[2:])
-        for i, path in enumerate([given] if isinstance(given, str) else given or []):
-            entries[f"input.{name.format(i)}.sha256"] = sha256_file(path)
-    return entries
+    return {f"input.{name}.sha256": sha256_file(path) for _, name, path in _table_inputs(args)}
+
+
+def _check_outs(runs: list, pool: str | None = None) -> None:
+    """Refuse an --out that names, by os.path.realpath, an earlier --out of
+    the parsed commands runs or a STAGE_TABLE input of its own command, and a
+    pipeline's --input pool that any --out names. Callers run it before
+    anything is read or written: a later write would replace a file the run
+    still needs, and a manifest hashes its inputs after its write."""
+    files = [(args, "--out", path) for args in runs for path in _paths(getattr(args, "out", None))]
+    files += [] if pool is None else [(None, "--input", pool)]
+    files += [(args, flag, path) for args in runs for flag, _, path in _table_inputs(args)]
+    written: dict[str, tuple] = {}  # realpath -> (the parsed command, its --out)
+    for (args, flag, path), real in zip(files, [os.path.realpath(f[2]) for f in files]):
+        if flag != "--out":
+            if real in written and (args is None or args is written[real][0]):
+                owner, out = written[real]
+                raise ConfigError(f"{flag} {path} names the file that {owner.command} writes "
+                                  f"as --out {out}; a run never writes over its input")
+        elif real in written:
+            raise ConfigError(f"--out {path} names the file of the earlier --out "
+                              f"{written[real][1]}; each run needs its own")
+        else:
+            written[real] = (args, path)
 
 
 def _stage_manifest(
@@ -498,11 +532,6 @@ def stage_select(args, cfg) -> None:
     once, its result written under each out with no seed= in the manifest."""
     used = _config_used(cfg, "select", args.base)
     seeded = "seed" in used
-    real = [os.path.realpath(out) for out in args.out]
-    for r, out in enumerate(args.out):  # a later seed's run would overwrite its files
-        if real[r] in real[:r]:
-            raise ConfigError(f"--out {out} names the file of the earlier --out "
-                              f"{args.out[real.index(real[r])]}; each run needs its own")
     if args.query_row is not None and args.base != "subset_utility":
         raise ConfigError(
             "--query-row applies only to --base subset_utility; "
@@ -584,9 +613,10 @@ def run_pipeline(
     names, so the file names are fixed and a later invocation can resume:
     when the range starts after `preprocess` the earlier files must already
     exist. The n_runs selections use seeds seed..seed+n_runs-1, and analyze
-    reports their exposure metrics as mean +/- std. cfg is checked and every
-    argv parsed before any stage runs, and the workdir is created only when
-    preprocess can read its pool; IoError names a workdir that cannot be.
+    reports their exposure metrics as mean +/- std. cfg is checked, every
+    argv parsed and _check_outs run over the whole range before any stage
+    runs, and the workdir is created only when preprocess can read its pool;
+    IoError names a workdir that cannot be.
     cfg must hold exactly the CONFIG_KEYS.
 
     threads is ignored. It remains so that callers which still pass a
@@ -613,11 +643,12 @@ def run_pipeline(
     for stage in stages:
         out, *inputs = STAGE_TABLE[stage]
         argv = [stage, "--out", *paths(out)] + (["--base", base] if stage == "select" else [])
-        for flag, _, name in inputs:
+        for flag, _, name, _ in inputs:
             if stage == "cluster" and cfg["clustering"] == "dbscan":
                 name = REDUCED
             argv += [flag, *paths(name)]
         parsed.append(parser.parse_args(argv))
+    _check_outs(parsed, input_pool)
     if "preprocess" in stages:
         with open_file(input_pool, "rb"):
             pass
@@ -631,25 +662,6 @@ def run_pipeline(
 
 # ---------------------------------------------------------------------------
 # Argument parsing
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    keys = _config_used(CONFIG_DEFAULTS, command)
-    for key in keys:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, type=CONFIG_TYPES[key], default=None,
-                            help=f"override config key {key}")
-    parser.add_argument("--config", default=None,
-                        help="flat key=value config file")
-    parser.epilog = "config keys consumed: " + (", ".join(keys) if keys else "none")
-
-
-def _add_population_flags(parser: argparse.ArgumentParser) -> None:
-    """synth's and oracle's population: _population reads these flags."""
-    parser.add_argument("--k-types", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--zipf-exponent", type=finite_float, default=None,
-                        help="zipf population (default: uniform)")
 
 
 class _StoreOnce(argparse.Action):
@@ -683,131 +695,99 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="re-encode a CSV or binary matrix as f64")
-    p.add_argument("--input", required=True)
+    def command(name: str, run: Callable, help: str) -> argparse.ArgumentParser:
+        # Each STAGE_TABLE input is required and takes several files where its
+        # manifest name is numbered; preprocess reads its --input or a --bundle.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        inputs = p.add_mutually_exclusive_group(required=True) if name == "preprocess" else p
+        for flag, manifest_name, _, text in STAGE_TABLE.get(name, (None,))[1:]:
+            inputs.add_argument(flag, required=inputs is p, help=text,
+                                nargs="+" if "{}" in manifest_name else None)
+        if inputs is not p:
+            inputs.add_argument("--bundle", help="token bundle directory")
+        return p
+
+    p = command("ingest", _cmd_ingest, "re-encode a CSV or binary matrix as f64")
     p.add_argument("--out", required=True)
     p.add_argument("--dtype", choices=tuple(DTYPE_NAMES), default="f64")
-    _add_config_flags(p, "ingest")
-    p.set_defaults(run=_cmd_ingest)
 
-    p = sub.add_parser("preprocess",
-                       help="pool tokens, standardize, and reduce with PCA")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="pooled N x d matrix")
-    src.add_argument("--bundle", help="token bundle directory")
+    p = command("preprocess", stage_preprocess, "pool tokens, standardize, and reduce with PCA")
     p.add_argument("--out", required=True)
     p.add_argument("--pooling", choices=POOLING_MODES, default=None,
                    help="how --bundle pools an example's tokens (default: mean)")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--l2norm", action="store_true")
-    _add_config_flags(p, "preprocess")
-    p.set_defaults(run=stage_preprocess)
 
-    p = sub.add_parser("dict-fit", help="fit the latent dictionary")
-    p.add_argument("--input", required=True)
+    p = command("dict-fit", stage_dict_fit, "fit the latent dictionary")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=_non_negative_int, default=50)
-    _add_config_flags(p, "dict-fit")
-    p.set_defaults(run=stage_dict_fit)
-
-    p = sub.add_parser("dict-encode", help="ridge-encode a pool against a dictionary")
-    p.add_argument("--dict", required=True)
-    p.add_argument("--input", required=True)
+    p = command("dict-encode", stage_dict_encode, "ridge-encode a pool against a dictionary")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "dict-encode")
-    p.set_defaults(run=stage_dict_encode)
 
-    p = sub.add_parser("joint-fit",
-                       help="fit one dictionary across aligned sources")
-    p.add_argument("--inputs", nargs="+", required=True)
+    p = command("joint-fit", _cmd_joint_fit, "fit one dictionary across aligned sources")
     p.add_argument("--out-stem", required=True)
-    p.add_argument("--max-iter", type=_non_negative_int, default=50)
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--fix-maps", action="store_true")
-    _add_config_flags(p, "joint-fit")
-    p.set_defaults(run=_cmd_joint_fit)
 
-    p = sub.add_parser("cluster", help="assign latent-cluster labels")
-    p.add_argument("--input", required=True,
-                   help="codes (dict_* methods) or embeddings (dbscan)")
+    p = command("cluster", stage_cluster, "assign latent-cluster labels")
     p.add_argument("--out", required=True)
     p.add_argument("--eps", type=finite_float, default=None,
                    help="override the kNN-quantile eps")
-    _add_config_flags(p, "cluster")
-    p.set_defaults(run=stage_cluster)
 
-    p = sub.add_parser("spectrum", help="emit the cluster-size spectrum")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--subset", default=None,
-                   help="file of row indices, whitespace separated")
-    p.add_argument("--noise-label", type=int, default=None)
-    p.add_argument("--out", default=None)
-    _add_config_flags(p, "spectrum")
-    p.set_defaults(run=_cmd_spectrum)
-
-    p = sub.add_parser("estimate", help="estimate unseen clusters and coverage")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--subset", default=None)
-    p.add_argument("--noise-label", type=int, default=None)
-    p.add_argument("--out", default=None)
-    _add_config_flags(p, "estimate")
-    p.set_defaults(run=_cmd_estimate)
-
-    p = sub.add_parser("prior", help="emit per-cluster rarity weights as CSV")
-    p.add_argument("--labels", required=True)
+    command("spectrum", _cmd_spectrum, "emit the cluster-size spectrum")
+    command("estimate", _cmd_estimate, "estimate unseen clusters and coverage")
+    p = command("prior", stage_prior, "emit per-cluster rarity weights as CSV")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "prior")
-    p.set_defaults(run=stage_prior)
 
-    p = sub.add_parser("select", help="run a coverage-regularized selector")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--labels", required=True)
+    p = command("select", stage_select, "run a coverage-regularized selector")
     p.add_argument("--out", nargs="+", required=True,
                    help="selection CSVs; the r-th is made with seed seed+r")
-    p.add_argument("--base", choices=BASE_SELECTORS, default="votek",
-                   help="selector; B1 and B2 are the rarity-only controls")
     p.add_argument("--query-row", type=int, default=None,
                    help="subset_utility query row (default: the mean of the unit rows)")
-    _add_config_flags(p, "select")
-    p.set_defaults(run=stage_select)
 
-    p = sub.add_parser("synth", help="generate a synthetic pool and its type labels")
-    _add_population_flags(p)
+    p = command("synth", _cmd_synth, "generate a synthetic pool and its type labels")
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--spread", type=finite_float, default=0.05)
     p.add_argument("--out-stem", required=True,
                    help="writes <stem>.pool.ucsm and <stem>.labels.txt")
-    _add_config_flags(p, "synth")
-    p.set_defaults(run=_cmd_synth)
 
-    p = sub.add_parser("oracle", help="run the Monte Carlo unseen-type oracle")
-    _add_population_flags(p)
+    p = command("oracle", _cmd_oracle, "run the Monte Carlo unseen-type oracle")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--estimator", choices=ORACLE_ESTIMATORS, default="sgt")
-    p.add_argument("--out", default=None, help="report file")
-    _add_config_flags(p, "oracle")
-    p.set_defaults(run=_cmd_oracle)
 
-    p = sub.add_parser("analyze", help="cluster-size stats and exposure metrics")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--selections", nargs="+", required=True,
-                   help="selection CSVs from the select stage")
-    p.add_argument("--out", default=None)
-    _add_config_flags(p, "analyze")
-    p.set_defaults(run=stage_analyze)
+    command("analyze", stage_analyze, "cluster-size stats and exposure metrics")
 
-    p = sub.add_parser("pipeline", help="run a contiguous stage range")
+    p = command("pipeline", _cmd_pipeline, "run a contiguous stage range")
     p.add_argument("--input", required=True, help="raw pooled matrix")
     p.add_argument("--workdir", required=True)
-    p.add_argument("--from-stage", choices=PIPELINE_STAGES,
-                   default=PIPELINE_STAGES[0])
-    p.add_argument("--to-stage", choices=PIPELINE_STAGES,
-                   default=PIPELINE_STAGES[-1])
-    p.add_argument("--base", choices=BASE_SELECTORS, default="votek",
-                   help="selector; B1 and B2 are the rarity-only controls")
-    _add_config_flags(p, "pipeline")
-    p.set_defaults(run=_cmd_pipeline)
+    p.add_argument("--from-stage", choices=PIPELINE_STAGES, default=PIPELINE_STAGES[0])
+    p.add_argument("--to-stage", choices=PIPELINE_STAGES, default=PIPELINE_STAGES[-1])
 
+    # Flags that several commands take alike, then each command's config keys.
+    commands = sub.choices
+    for p in map(commands.get, ("spectrum", "estimate")):  # _labels_and_subset's
+        p.add_argument("--labels", required=True)
+        p.add_argument("--subset", default=None, help="file of row indices, whitespace separated")
+        p.add_argument("--noise-label", type=int, default=None)
+    for p in map(commands.get, ("spectrum", "estimate", "oracle", "analyze")):  # _write_table's
+        p.add_argument("--out", default=None, help="report file")
+    for p in map(commands.get, ("synth", "oracle")):  # _population's
+        p.add_argument("--k-types", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--zipf-exponent", type=finite_float, default=None,
+                       help="zipf population (default: uniform)")
+    for p in map(commands.get, ("dict-fit", "joint-fit")):
+        p.add_argument("--max-iter", type=_non_negative_int, default=50)
+    for p in map(commands.get, ("select", "pipeline")):
+        p.add_argument("--base", choices=BASE_SELECTORS, default="votek",
+                       help="selector; B1 and B2 are the rarity-only controls")
+    for name, p in commands.items():
+        keys = _config_used(CONFIG_DEFAULTS, name)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_TYPES[key], default=None,
+                           help=f"override config key {key}")
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.epilog = "config keys consumed: " + (", ".join(keys) if keys else "none")
     return parser
 
 
@@ -926,6 +906,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outs([args])
         cfg = resolve_config(args)
         args.run(args, cfg)
         return 0

@@ -226,6 +226,24 @@ def test_command_config_flags_are_unchanged():
         assert flags == _LEGACY_COMMAND_KEYS[name], name
 
 
+def test_each_stage_table_input_is_declared_from_the_table():
+    # a flag of several files is the one whose manifest name is numbered
+    commands = _subparsers()
+    table_flags = {flag for _, *inputs in ucs.cli.STAGE_TABLE.values() for flag, *_ in inputs}
+    for name, (_, *inputs) in ucs.cli.STAGE_TABLE.items():
+        sp = commands[name]
+        actions = [a for a in sp._actions if set(a.option_strings) & table_flags]
+        assert [a.option_strings for a in actions] == [[flag] for flag, *_ in inputs], name
+        for action, (flag, manifest_name, *_) in zip(actions, inputs):
+            assert action.nargs == ("+" if "{}" in manifest_name else None), (name, flag)
+            groups = [(g.required, [a.option_strings for a in g._group_actions])
+                      for g in sp._mutually_exclusive_groups if action in g._group_actions]
+            if name == "preprocess":  # the pool is its --input or a --bundle
+                assert not action.required and groups == [(True, [["--input"], ["--bundle"]])]
+            else:
+                assert action.required and groups == [], (name, flag)
+
+
 # The config.* keys of each manifest, by the run that writes it: a command,
 # "cluster:<method>[:eps]" (cluster with --eps) or "select:<base>".
 _SGT_KEYS = {"budget", "sgt_lambda", "sgt_t", "sgt_bin_size", "sgt_offset"}
@@ -1110,6 +1128,48 @@ def test_select_refuses_an_out_listed_twice(tmp_path, monkeypatch, capsys):
                                            f"of the earlier --out {first}; each run needs "
                                            "its own\n")
         assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("spelling", ["", "./"], ids=["same", "dot-slash"])
+@pytest.mark.parametrize("argv, outs, named", [
+    (["preprocess", "--input", "pool.ucsm"], ["{}pool.ucsm"], "--input pool.ucsm"),
+    (["prior", "--labels", "labels.txt"], ["{}labels.txt"], "--labels labels.txt"),
+    (["select", "--embeddings", "pool.ucsm", "--labels", "labels.txt", "--budget", "3"],
+     ["s0.csv", "{}labels.txt"], "--labels labels.txt"),
+    (["analyze", "--labels", "labels.txt", "--selections", "a.csv", "b.csv"], ["{}b.csv"],
+     "--selections b.csv"),
+], ids=["preprocess", "prior", "select", "analyze"])
+def test_an_out_that_names_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, outs,
+                                               named, spelling):
+    # the stage used to write over its input, and its manifest hashed the new
+    # file as the input it had read
+    monkeypatch.chdir(tmp_path)
+    _write_pool(tmp_path)
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text("index\n0\n3\n")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    outs = [out.format(spelling) for out in outs]
+    assert main(argv + ["--out", *outs]) == 2
+    assert capsys.readouterr().err == (f"config error: {named} names the file that {argv[0]} "
+                                       f"writes as --out {outs[-1]}; a run never writes over "
+                                       "its input\n")
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("name, stage", [("pool_reduced.ucsm", "preprocess"),
+                                         ("codes.ucsm", "dict-encode")])
+def test_pipeline_refuses_an_input_that_a_stage_writes(tmp_path, capsys, name, stage):
+    # preprocess used to write the reduced pool over the pool it read, and
+    # dict-encode the codes over it
+    wd = tmp_path / "w"
+    wd.mkdir()
+    pool_path, _ = _write_pool(tmp_path, name=f"w/{name}")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert main(["pipeline", "--input", pool_path, "--workdir", str(wd)]) == 2
+    assert capsys.readouterr().err == (f"config error: --input {pool_path} names the file "
+                                       f"that {stage} writes as --out {pool_path}; a run never "
+                                       "writes over its input\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("base", [b for b in BASE_SELECTORS if b != "subset_utility"])
