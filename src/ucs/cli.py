@@ -257,27 +257,48 @@ def _input_hashes(args) -> dict[str, str]:
     return {f"input.{name}.sha256": sha256_file(path) for _, name, path in _table_inputs(args)}
 
 
+def _outs(args) -> list[tuple[str, str]]:
+    """(how the command line names it, path) of each file args's run writes:
+    its --out files, or those named from its --out-stem, synth's pool and
+    labels and joint-fit's dictionary, codes and one map per source."""
+    stem = getattr(args, "out_stem", None)
+    if stem is None:
+        return [(f"--out {path}", path) for path in _paths(getattr(args, "out", None))]
+    suffixes = ([".pool.ucsm", ".labels.txt"] if args.command == "synth" else
+                [".dict.ucsm", ".codes.ucsm", *(f".map{m}.ucsm" for m in range(len(args.inputs)))])
+    return [(f"{stem}{suffix} (--out-stem {stem})", stem + suffix) for suffix in suffixes]
+
+
+def _reads(args) -> list[tuple[str, str]]:
+    """(flag, path) of each file args's run reads: its STAGE_TABLE inputs,
+    and spectrum's and estimate's --labels and --subset."""
+    reports = ("--labels", "--subset") if args.command in ("spectrum", "estimate") else ()
+    return [(flag, path) for flag, _, path in _table_inputs(args)] + [
+        (flag, path) for flag in reports for path in _paths(getattr(args, flag[2:]))]
+
+
 def _check_outs(runs: list, pool: str | None = None) -> None:
-    """Refuse an --out that names, by os.path.realpath, an earlier --out of
-    the parsed commands runs or a STAGE_TABLE input of its own command, and a
-    pipeline's --input pool that any --out names. Callers run it before
-    anything is read or written: a later write would replace a file the run
-    still needs, and a manifest hashes its inputs after its write."""
-    files = [(args, "--out", path) for args in runs for path in _paths(getattr(args, "out", None))]
-    files += [] if pool is None else [(None, "--input", pool)]
-    files += [(args, flag, path) for args in runs for flag, _, path in _table_inputs(args)]
-    written: dict[str, tuple] = {}  # realpath -> (the parsed command, its --out)
-    for (args, flag, path), real in zip(files, [os.path.realpath(f[2]) for f in files]):
-        if flag != "--out":
+    """Refuse a file that _outs names when it names, by os.path.realpath, an
+    earlier such file of the parsed commands runs or a file that its own
+    command _reads, and a pipeline's --input pool that any of them writes.
+    Callers run it before anything is read or written: a later write would
+    replace a file the run still needs, and a manifest hashes its inputs
+    after its write."""
+    files = [(args, label, path, True) for args in runs for label, path in _outs(args)]
+    files += [] if pool is None else [(None, f"--input {pool}", pool, False)]
+    files += [(args, f"{flag} {path}", path, False) for args in runs for flag, path in _reads(args)]
+    written: dict[str, tuple] = {}  # realpath -> (the parsed command, how it names the file)
+    for (args, label, path, writes), real in zip(files, [os.path.realpath(f[2]) for f in files]):
+        if not writes:
             if real in written and (args is None or args is written[real][0]):
                 owner, out = written[real]
-                raise ConfigError(f"{flag} {path} names the file that {owner.command} writes "
-                                  f"as --out {out}; a run never writes over its input")
+                raise ConfigError(f"{label} names the file that {owner.command} writes "
+                                  f"as {out}; a run never writes over its input")
         elif real in written:
-            raise ConfigError(f"--out {path} names the file of the earlier --out "
-                              f"{written[real][1]}; each run needs its own")
+            raise ConfigError(f"{label} names the file of the earlier {written[real][1]}; "
+                              "each run needs its own")
         else:
-            written[real] = (args, path)
+            written[real] = (args, label)
 
 
 def _stage_manifest(
@@ -815,12 +836,12 @@ def _cmd_joint_fit(args, cfg) -> None:
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"--inputs {' '.join(args.inputs)}: {exc}; "
                              "refusing to write") from None
-    stem = args.out_stem
-    write_matrix(book.dictionary, stem + ".dict.ucsm")
-    write_matrix(book.codes, stem + ".codes.ucsm")
-    for m, mapping in enumerate(book.maps):
-        write_matrix(mapping, f"{stem}.map{m}.ucsm")
-    _stage_manifest(args, stem + ".dict.ucsm", _config_used(cfg, "joint-fit"), {
+    dict_path, codes_path, *map_paths = (path for _, path in _outs(args))
+    write_matrix(book.dictionary, dict_path)
+    write_matrix(book.codes, codes_path)
+    for mapping, path in zip(book.maps, map_paths):
+        write_matrix(mapping, path)
+    _stage_manifest(args, dict_path, _config_used(cfg, "joint-fit"), {
         "objective": _fmt(book.objective),
         "objective_history": " ".join(map(_fmt, book.objective_history)),
         "n_iter": str(book.n_iter),
@@ -867,9 +888,9 @@ def _cmd_synth(args, cfg) -> None:
     seed = int(cfg["seed"])
     pop = _population(args)
     x, labels = sample_pool(pop, args.n, dim=args.dim, spread=args.spread, seed=seed)
-    pool_path = args.out_stem + ".pool.ucsm"
+    pool_path, labels_path = (path for _, path in _outs(args))
     write_matrix(x, pool_path)
-    write_labels(labels, args.out_stem + ".labels.txt")
+    write_labels(labels, labels_path)
     _stage_manifest(args, pool_path, {"seed": seed}, {
         "k_types": str(args.k_types),
         "n": str(args.n),

@@ -15,11 +15,14 @@ subset_utility), so ties go to the lowest index.
 
 Greedy DPP is the fast greedy MAP of Chen, Zhang & Zhou (NeurIPS 2018): each
 step adds one incremental Cholesky row and updates every candidate's Schur
-complement from it, O(N * B^2) after the N x N kernel is built. It raises
-SingularKernel when a picked item's Schur complement is not > 0 (or NaN) and
-another step follows. dpp_kernel builds the kernel in row strips from unit
-rows zero-padded to a multiple of 64, which makes it exactly symmetric and
-its bytes independent of the BLAS thread count.
+complement from it, O(N * B^2), and reads only the kernel's diagonal and the
+B picked rows. It raises SingularKernel when a picked item's Schur
+complement is not > 0 (or NaN) and another step follows. dpp_kernel returns
+a DppKernel, which holds the unit rows zero-padded to a multiple of 64 and
+the diagonal, and computes a row, from the product of the 64-row block that
+holds it, only when it is read: a selection costs O(N * d * 64) per pick and
+holds no N x N array. np.asarray(kernel) materializes the N x N kernel,
+exactly symmetric and with bytes independent of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ BASE_SELECTORS = ("dpp", "votek", "subset_utility", *RARITY_VARIANTS)
 # A voter j weighs VOTEK_DISCOUNT_BASE ** -(picked rows among j's neighbours).
 VOTEK_DISCOUNT_BASE = 10.0
 
-# dpp_kernel pads its rows to a multiple of _BLAS_BLOCK and builds the kernel
-# _STRIP_ROWS rows at a time; _STRIP_ROWS is a multiple of _BLAS_BLOCK.
+# dpp_kernel pads its rows to a multiple of _BLAS_BLOCK, and DppKernel
+# computes its entries _BLAS_BLOCK rows at a time; np.asarray of a DppKernel
+# takes them _ARRAY_COLS columns at a time, a multiple of _BLAS_BLOCK.
 _BLAS_BLOCK = 64
-_STRIP_ROWS = 128
+_ARRAY_COLS = 512
 
 # sample_candidate_subsets draws from the max(budget, TOP_POOL) rows most
 # similar to the query.
@@ -125,63 +129,105 @@ def _finish(records: list[StepRecord], labels, cfg) -> SelectionResult:
 # DPP
 
 
-def _kernel_strip(block: np.ndarray, padded: np.ndarray, scale: float,
-                  out: np.ndarray) -> None:
-    """out = exp(scale * block @ padded.T)[:, :n], n = out.shape[1]: the
-    kernel rows of the padded unit rows in block, written in place.
+@dataclass(frozen=True, eq=False)
+class DppKernel:
+    """The DPP kernel L of dpp_kernel, each entry computed when it is read.
 
-    block and out have the same number of rows, a multiple of _BLAS_BLOCK.
-    The first n - n % _BLAS_BLOCK columns come from one product straight
-    into out, the last n % _BLAS_BLOCK from a product with the last
-    _BLAS_BLOCK rows of padded, so that every BLAS dimension but the
-    feature count is a multiple of _BLAS_BLOCK.
+    padded is U_p, the unit rows zero-padded to a multiple of _BLAS_BLOCK
+    rows; diag is L's diagonal, one entry per row. Every other entry comes
+    from one block product, exp(scale * U_p[b:b+64] @ U_p.T)[:, :N] over the
+    aligned _BLAS_BLOCK-row block that holds the row. kernel[j] forms its
+    block's product and exponentiates row j alone. np.asarray(kernel) runs
+    the products block by block into one N x N array, _ARRAY_COLS columns
+    of U_p at a time, so that besides the result and U_p it holds one
+    64 x 512 product; the entries have the same bits either way (pinned by
+    tests). Both put diag on the diagonal, so replace(kernel, diag=...) sets
+    it everywhere. _greedy_dpp reads only shape, diagonal() and kernel[j],
+    as it does of an ndarray. padded and diag are read-only views.
     """
-    n = out.shape[1]
-    full = n - n % _BLAS_BLOCK
-    np.matmul(block, padded[:full].T, out=out[:, :full])
-    out[:, full:] = (block @ padded[full:].T)[:, :n - full]
-    out *= scale
-    np.exp(out, out=out)
+
+    padded: np.ndarray
+    scale: float
+    diag: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("padded", "diag"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        n = len(self.diag)
+        if self.padded.ndim != 2 or len(self.padded) != n + -n % _BLAS_BLOCK:
+            raise ValueError(f"padded has shape {self.padded.shape}: a diagonal of {n} "
+                             f"needs {n + -n % _BLAS_BLOCK} rows")
+
+    @staticmethod
+    def _entries(products: np.ndarray, scale: float, out=None) -> np.ndarray:
+        """exp(scale * products), into out when it is given: the one place
+        kernel entries are made."""
+        entries = np.multiply(products, scale, out=out)
+        return np.exp(entries, out=entries)
+
+    def _product(self, start: int, cols: slice = slice(None)) -> np.ndarray:
+        """U_p[start:start+64] @ U_p[cols].T, start and the bounds of cols
+        multiples of _BLAS_BLOCK."""
+        return self.padded[start:start + _BLAS_BLOCK] @ self.padded[cols].T
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag), len(self.diag))
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def __getitem__(self, j) -> np.ndarray:
+        n = len(self.diag)
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise TypeError(f"a DppKernel is indexed by one int row, got {j!r}")
+        if not 0 <= j < n:
+            raise IndexError(f"row {j} is outside the kernel's {n} rows")
+        start = j - j % _BLAS_BLOCK
+        # only row j: at N = 4000 the whole block's exp took 1.7 ms, its product 0.5
+        row = self._entries(self._product(start)[j - start, :n], self.scale)
+        row[j] = self.diag[j]
+        return row
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n = len(self.diag)
+        out = np.empty((n, n))
+        for start in range(0, n, _BLAS_BLOCK):
+            rows = out[start:start + _BLAS_BLOCK]
+            for col in range(0, n, _ARRAY_COLS):
+                products = self._product(start, slice(col, col + _ARRAY_COLS))
+                self._entries(products[:len(rows), :n - col], self.scale,
+                              out=rows[:, col:col + _ARRAY_COLS])
+        np.fill_diagonal(out, self.diag)
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> np.ndarray:
-    """L = exp(scale * cosine-similarity) + 1e-8 I over the N rows of x.
+def dpp_kernel(x: np.ndarray, scale: float = 0.1) -> DppKernel:
+    """L = exp(scale * cosine-similarity) + 1e-8 I over the N rows of x, as
+    a DppKernel that computes a row when it is read.
 
     L is exp(scale * U_p U_p^T)[:N, :N] + 1e-8 I, where U_p is the unit rows
-    zero-padded to a multiple of _BLAS_BLOCK rows. _kernel_strip builds it
-    _STRIP_ROWS rows at a time, scaling and exponentiating each strip while
-    it is still in cache. With every BLAS dimension but the feature count a
-    multiple of _BLAS_BLOCK, each entry came out as the same float whatever
-    strip or thread computed it, in every case tested: L[i, j] and L[j, i]
-    are equal with no mirror pass, and the bytes were equal at 1, 2 and 4
-    OpenBLAS threads. The unpadded unit @ unit.T, a syrk that numpy mirrors,
-    gave 1-ulp different entries at 1 and 2 threads at N = 511, 999 or 1003.
-
-    The rows past a multiple of _BLAS_BLOCK come from one padded block whose
-    product is built first in the kernel's top rows and copied into place
-    before the strips overwrite those rows. So the result is one N x N array
-    (max(N, _BLAS_BLOCK) x N, viewed as N x N, when N < _BLAS_BLOCK), and
-    besides it only U_p and one _STRIP_ROWS x _BLAS_BLOCK product are
-    allocated, so the strip height barely moves the peak. On a 2-core Xeon
-    at N = 4000, 64-row strips made the kernel about 13% slower than 128-row
-    ones, and 256- or 512-row strips moved the select-dpp-ucs op by less
-    than its run-to-run spread.
+    zero-padded to a multiple of _BLAS_BLOCK rows. Its diagonal comes from
+    the N / 64 diagonal 64 x 64 block products, so building it costs
+    O(N * d * 64) and holds U_p and the diagonal; np.asarray(L) is the N x N
+    array. With every BLAS dimension but the feature count a multiple of
+    _BLAS_BLOCK, each entry came out as the same float whatever block or
+    thread computed it, in every case tested: L[i, j] and L[j, i] are equal
+    with no mirror pass, and the bytes of np.asarray(L) were equal at 1, 2
+    and 4 OpenBLAS threads. The unpadded unit @ unit.T, a syrk that numpy
+    mirrors, gave 1-ulp different entries at 1 and 2 threads at N = 511,
+    999 or 1003, and a row's own product U_p @ u_j (a gemv) differed from
+    the block's row in every row tried.
     """
     n = len(x)
     padded = np.pad(l2_normalize_rows(x, eps=0.0), ((0, -n % _BLAS_BLOCK), (0, 0)))
-    full = n - n % _BLAS_BLOCK
-    kernel = np.empty((max(n, _BLAS_BLOCK), n))
-    # the last block first, into rows that the strips below overwrite; its
-    # rows past N need no room of their own
-    room = kernel[:len(padded) - full]
-    _kernel_strip(padded[full:], padded, scale, room)
-    kernel[full:n] = room[:n - full]
-    for start in range(0, full, _STRIP_ROWS):
-        stop = min(start + _STRIP_ROWS, full)
-        _kernel_strip(padded[start:stop], padded, scale, kernel[start:stop])
-    kernel = kernel[:n]
-    kernel[np.diag_indices_from(kernel)] += 1e-8
-    return kernel
+    gram = np.empty(len(padded))
+    for start in range(0, len(padded), _BLAS_BLOCK):
+        block = padded[start:start + _BLAS_BLOCK]
+        gram[start:start + _BLAS_BLOCK] = (block @ block.T).diagonal()
+    return DppKernel(padded, scale, DppKernel._entries(gram[:n], scale) + 1e-8)
 
 
 def _greedy_dpp(kernel, labels, cfg: SgtConfig, lam, budget) -> list[StepRecord]:
@@ -217,22 +263,25 @@ def _greedy_dpp(kernel, labels, cfg: SgtConfig, lam, budget) -> list[StepRecord]
     return records
 
 
-def greedy_dpp(kernel: np.ndarray, budget: int) -> list[int]:
+def greedy_dpp(kernel: np.ndarray | DppKernel, budget: int) -> list[int]:
     """Plain greedy MAP of a DPP: maximize log det of the selected principal
     submatrix, one item at a time.
 
-    Incremental Cholesky, O(N * budget^2) on top of the kernel. Gains are
+    kernel is a square ndarray or a DppKernel; only its diagonal and the
+    picked rows are read. Incremental Cholesky, O(N * budget^2) on top of
+    the rows read. Gains are
     floored at log(1e-300); SingularKernel is raised when a picked item's
     Schur complement is not > 0 (or NaN) and another step follows.
     """
     # lambda = 0 over one cluster: the coverage term is finite, so it adds
     # exactly 0 to every log-det gain.
-    one_cluster = np.zeros(len(kernel), dtype=np.int64)
+    one_cluster = np.zeros(kernel.shape[0], dtype=np.int64)
     records = _greedy_dpp(kernel, one_cluster, SgtConfig(), 0.0, budget)
     return [r.index for r in records]
 
 
-def greedy_dpp_ucs(kernel: np.ndarray, labels: np.ndarray, cfg: SelectionConfig) -> SelectionResult:
+def greedy_dpp_ucs(kernel: np.ndarray | DppKernel, labels: np.ndarray,
+                   cfg: SelectionConfig) -> SelectionResult:
     """Greedy DPP with coverage pressure: each step maximizes the log-det
     gain plus lambda * (Phi(S+i) - Phi(S)), spectrum updated incrementally.
     Ignores the config's base field; select reads it and calls this for dpp."""
@@ -506,12 +555,10 @@ def select(
         raise ValueError(f"query_row applies only to subset_utility; {cfg.base} would ignore it")
     if cfg.base == "dpp":
         scale = cfg.dpp_scale_factor
-        kernel = dpp_kernel(x, scale=scale)
         # the diagonal of unit (or zero) rows in exact arithmetic: rounding
         # gives |u_i|^2 two values, which would decide the first pick's tie
-        kernel[np.diag_indices_from(kernel)] = (
-            np.where(np.any(x, axis=1), math.exp(scale), 1.0) + 1e-8)
-        return greedy_dpp_ucs(kernel, labels, cfg)
+        exact = np.where(np.any(x, axis=1), math.exp(scale), 1.0) + 1e-8
+        return greedy_dpp_ucs(replace(dpp_kernel(x, scale=scale), diag=exact), labels, cfg)
     if cfg.base == "votek":
         return votek_ucs_select(x, labels, corpus_prior(labels), cfg)
     if cfg.base in RARITY_VARIANTS:

@@ -113,6 +113,7 @@ def test_criterion_03_greedy_dpp_brute_force():
         kernel = dpp_kernel(rng.standard_normal((n, 6)), scale=0.5)
         cfg = SelectionConfig(budget=budget, lam=0.0, base="dpp")
         result = greedy_dpp_ucs(kernel, np.arange(n), cfg)
+        kernel = np.asarray(kernel)  # the oracle's dense matrix
         selected: list[int] = []
         for record in result.records:
             base = np.linalg.slogdet(kernel[np.ix_(selected, selected)])[1] \

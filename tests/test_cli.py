@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -1153,6 +1154,48 @@ def test_an_out_that_names_an_input_is_refused(tmp_path, monkeypatch, capsys, ar
     assert capsys.readouterr().err == (f"config error: {named} names the file that {argv[0]} "
                                        f"writes as --out {outs[-1]}; a run never writes over "
                                        "its input\n")
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("spelling", ["", "./"], ids=["same", "dot-slash"])
+@pytest.mark.parametrize("inputs, named", [
+    (["a.dict.ucsm", "pool.ucsm"], "a.dict.ucsm"),
+    (["pool.ucsm", "a.codes.ucsm"], "a.codes.ucsm"),
+    (["pool.ucsm", "a.map1.ucsm"], "a.map1.ucsm"),
+], ids=["dict", "codes", "map1"])
+def test_an_out_stem_that_names_an_input_is_refused(tmp_path, monkeypatch, capsys, inputs,
+                                                    named, spelling):
+    # joint-fit used to write its dictionary over source 0, and its manifest
+    # hashed the new dictionary as the source it had read
+    monkeypatch.chdir(tmp_path)
+    _write_pool(tmp_path)
+    shutil.copy("pool.ucsm", named)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    stem = spelling + "a"
+    assert main(["joint-fit", "--inputs", *inputs, "--out-stem", stem,
+                 "--dict-n-components", "2"]) == 2
+    written = spelling + named
+    assert capsys.readouterr().err == (f"config error: --inputs {named} names the file that "
+                                       f"joint-fit writes as {written} (--out-stem {stem}); "
+                                       "a run never writes over its input\n")
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("command", ["spectrum", "estimate"])
+@pytest.mark.parametrize("named", ["labels.txt", "./subset.txt"])
+def test_a_report_out_that_names_its_labels_or_subset_is_refused(tmp_path, monkeypatch,
+                                                                  capsys, command, named):
+    # spectrum used to write its report over the labels file it had read
+    monkeypatch.chdir(tmp_path)
+    _write_pool(tmp_path)
+    (tmp_path / "subset.txt").write_text("0 1 2\n")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert main([command, "--labels", "labels.txt", "--subset", "subset.txt",
+                 "--out", named]) == 2
+    flag, path = ("--labels", "labels.txt") if "labels" in named else ("--subset", "subset.txt")
+    assert capsys.readouterr().err == (f"config error: {flag} {path} names the file that "
+                                       f"{command} writes as --out {named}; a run never "
+                                       "writes over its input\n")
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 

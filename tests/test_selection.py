@@ -51,7 +51,7 @@ def test_dpp_kernel_scale_zero_is_ones_plus_jitter():
 
 
 def test_dpp_kernel_orthogonal_rows():
-    kernel = dpp_kernel(np.eye(3), scale=1.0)
+    kernel = np.asarray(dpp_kernel(np.eye(3), scale=1.0))
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(kernel[off], 1.0, atol=1e-15)
     assert np.allclose(np.diag(kernel), np.e + 1e-8, atol=1e-12)
@@ -103,7 +103,7 @@ def test_dpp_kernel_exactly_symmetric(x):
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     unit = np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), 0.0)
     want = np.exp(scale * _padded_gram(unit)) + 1e-8 * np.eye(len(x))
-    kernel = dpp_kernel(x, scale)
+    kernel = np.asarray(dpp_kernel(x, scale))
     assert np.array_equal(kernel, kernel.T)
     assert np.array_equal(kernel, want)
 
@@ -116,7 +116,7 @@ from ucs.synth_oracle import Population, sample_labels, sample_pool
 
 for n in (511, 999, 1003):
     x = np.random.default_rng(n).standard_normal((n, 64))
-    print(n, hashlib.sha256(dpp_kernel(x).tobytes()).hexdigest())
+    print(n, hashlib.sha256(np.asarray(dpp_kernel(x)).tobytes()).hexdigest())
 x, _ = sample_pool(Population.zipf(50, 1.1), 1003, dim=64, spread=0.3, seed=24)
 labels = sample_labels(Population.zipf(100, 0.8), 1003, 24)
 result = select(x, labels, SelectionConfig(budget=50, lam=0.1, base="dpp"))
@@ -132,18 +132,91 @@ def test_dpp_kernel_and_selection_do_not_depend_on_blas_threads():
     assert outputs["1"] == outputs["2"]
 
 
+@pytest.mark.parametrize("x", list(_dpp_kernel_inputs()))
+def test_dpp_kernel_rows_are_its_materialized_rows(x):
+    # kernel[j] and the diagonal are np.asarray(kernel)'s bits, so greedy
+    # DPP reads the same floats from the lazy kernel as from the dense one
+    kernel = dpp_kernel(x, 0.37)
+    dense = np.asarray(kernel)
+    n = len(x)
+    assert kernel.shape == dense.shape == (n, n)
+    assert np.array_equal(kernel.diagonal(), dense.diagonal())
+    for j in range(n):
+        assert np.array_equal(kernel[j], dense[j]), j
+    labels = np.arange(n) % 7
+    for lam in (0.0, 0.1):
+        cfg = SelectionConfig(budget=min(n, 25), lam=lam, base="dpp")
+        assert greedy_dpp_ucs(kernel, labels, cfg).records == \
+            greedy_dpp_ucs(dense, labels, cfg).records, lam
+    # select puts the exact-arithmetic diagonal on the kernel it reads
+    cfg = replace(cfg, dpp_scale_factor=0.37)
+    np.fill_diagonal(dense, np.where(np.any(x, axis=1), math.exp(0.37), 1.0) + 1e-8)
+    assert select(x, labels, cfg).records == greedy_dpp_ucs(dense, labels, cfg).records
+
+
+@pytest.mark.parametrize("key, error", [
+    (1.0, TypeError), ("1", TypeError), (True, TypeError), (slice(0, 2), TypeError),
+    (np.array([1]), TypeError), ((1, 2), TypeError), (-1, IndexError), (5, IndexError),
+])
+def test_dpp_kernel_row_takes_one_int_inside_the_kernel(key, error):
+    kernel = dpp_kernel(np.random.default_rng(3).standard_normal((5, 4)))
+    with pytest.raises(error):
+        kernel[key]
+    assert np.array_equal(kernel[np.int64(4)], np.asarray(kernel)[4])
+
+
+def test_dpp_kernel_refuses_a_diagonal_of_another_length():
+    # 5 rows pad to 64, which hold a diagonal of 1 to 64 entries
+    kernel = dpp_kernel(np.random.default_rng(3).standard_normal((5, 4)))
+    for diag in (np.ones(0), np.ones(65)):
+        with pytest.raises(ValueError, match=f"a diagonal of {len(diag)} needs"):
+            replace(kernel, diag=diag)
+    assert replace(kernel, diag=np.ones(64)).shape == (64, 64)
+
+
+def test_dpp_kernel_of_an_empty_pool():
+    x = np.empty((0, 3))
+    assert np.asarray(dpp_kernel(x)).shape == (0, 0)
+    cfg = SelectionConfig(budget=0, base="dpp")
+    assert select(x, np.empty(0, dtype=np.int64), cfg).indices == []
+
+
 def test_dpp_kernel_peak_memory():
-    # The N x N result, the padded unit rows and one small product: no
+    # The N x N result, the padded unit rows and one 64 x 512 product: no
     # second N x N array and no N-row temporary besides the padded rows.
     n = 2000
     x = np.random.default_rng(7).standard_normal((n, 64))
     tracemalloc.start()
     try:
-        dpp_kernel(x)
+        np.asarray(dpp_kernel(x))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= n * n * 8 + 2 * 2**20, (peak - n * n * 8) / 2**20
+
+
+def test_greedy_dpp_ucs_on_dpp_kernel_peak_memory():
+    # No N x N array: the dense kernel alone would be n * n * 8 = 3.2 GB.
+    # What is held at once is U_p (n_p * d floats, n_p = n rounded up to a
+    # multiple of 64), one 64-row block product (64 * n_p), the budget's
+    # Cholesky rows (budget * n) and at most sixteen n-vectors (the diagonal,
+    # the Schur complements, their logs, the coverage gains, the totals, the
+    # row read, its update, the tracker's cluster index, ...). While the
+    # kernel is built, the unit rows (n * d <= 64 * n_p for d = 64) take the
+    # block product's place.
+    n, d, budget = 20000, 64, 20
+    n_p = n + -n % 64
+    x = np.random.default_rng(8).standard_normal((n, d))
+    labels = sample_labels(Population.zipf(40000, 0.8), n, 1)
+    cfg = SelectionConfig(budget=budget, lam=0.1, base="dpp")
+    tracemalloc.start()
+    try:
+        greedy_dpp_ucs(dpp_kernel(x), labels, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (n_p * d + 64 * n_p + budget * n + 16 * n)
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_dpp_kernel_positive_definite():
@@ -165,6 +238,7 @@ def test_greedy_dpp_matches_brute_force_logdet():
         labels = np.arange(n)
         cfg = SelectionConfig(budget=budget, lam=0.0, base="dpp")
         result = greedy_dpp_ucs(kernel, labels, cfg)
+        kernel = np.asarray(kernel)  # the oracle's dense matrix
 
         selected: list[int] = []
         for step, record in enumerate(result.records):
@@ -239,11 +313,15 @@ def test_greedy_dpp_nan_schur_complement_is_singular():
 def test_greedy_dpp_ucs_leaves_kernel_untouched(read_only):
     x, _ = sample_pool(Population.zipf(20, 1.1), 80, dim=8, spread=0.3, seed=4)
     labels = sample_labels(Population.zipf(40, 0.8), 80, 4)
+    dense = np.asarray(dpp_kernel(x))
+    before = dense.copy()
+    dense.setflags(write=not read_only)
+    greedy_dpp_ucs(dense, labels, SelectionConfig(budget=30, lam=0.5, base="dpp"))
+    assert np.array_equal(dense, before)
     kernel = dpp_kernel(x)
-    before = kernel.copy()
-    kernel.setflags(write=not read_only)
+    assert not kernel.padded.flags.writeable and not kernel.diagonal().flags.writeable
     greedy_dpp_ucs(kernel, labels, SelectionConfig(budget=30, lam=0.5, base="dpp"))
-    assert np.array_equal(kernel, before)
+    assert np.array_equal(np.asarray(kernel), before)
 
 
 def _dpp_gains_solve(kernel, selected, candidates):
@@ -291,7 +369,7 @@ def test_greedy_dpp_ucs_matches_solve_oracle(n, budget, k_types, spread, seed, l
     kernel = dpp_kernel(x)
     cfg = SelectionConfig(budget=budget, lam=lam, base="dpp")
     result = greedy_dpp_ucs(kernel, labels, cfg)
-    indices, gains = _greedy_dpp_solve(kernel, labels, cfg)
+    indices, gains = _greedy_dpp_solve(np.asarray(kernel), labels, cfg)
     assert result.indices == indices
     got, want = np.array([r.base_gain for r in result.records]), np.array(gains)
     # 1e-9 wherever the Schur complement is >= 1e-5; below that both float64
@@ -644,7 +722,7 @@ def _select_by_hand(x, labels, cfg, seed, candidate_num):
     """select's five selectors, each from its building blocks."""
     prior = corpus_prior(labels)
     if cfg.base == "dpp":
-        kernel = dpp_kernel(x, cfg.dpp_scale_factor)
+        kernel = np.asarray(dpp_kernel(x, cfg.dpp_scale_factor))
         np.fill_diagonal(kernel, np.where(np.linalg.norm(x, axis=1) > 0,
                                           math.exp(cfg.dpp_scale_factor), 1.0) + 1e-8)
         return greedy_dpp_ucs(kernel, labels, cfg)
